@@ -1,11 +1,10 @@
 // Package shardconfine enforces goroutine-confinement of struct
 // fields. The fleet layer's correctness rests on state that is owned
 // by exactly one execution domain — session.Session's monitor and
-// applied-window state belong to the shard worker (under feedMu), the
-// shard's drain scratch belongs to the worker goroutine — and the
-// Submit-vs-recycle race PR 6 fixed was exactly a cross-domain access
-// that slipped through review. This analyzer turns that class into a
-// build break.
+// applied-window state belong to the shard worker (under feedMu) — and
+// the session layer's Submit-vs-recycle race was exactly a cross-domain
+// access that slipped through review. This analyzer turns that class
+// into a build break.
 //
 // A field is confined by annotating it
 //

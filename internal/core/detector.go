@@ -160,7 +160,7 @@ func (d *Detector) DeliveryLagSec() float64 { return d.levd.DeliveryLagSec() }
 func (d *Detector) Reset() {
 	d.pre.Reset()
 	d.ring.reset()
-	d.tracker.Reset()
+	d.tracker.ResetFull()
 	d.levd.ResetFull()
 	d.med.Reset()
 	d.frame = 0

@@ -257,7 +257,9 @@ func (t *Tracker) Radius() float64 { return t.radius }
 // FitCount returns how many successful fits have been performed.
 func (t *Tracker) FitCount() int { return t.fitCount }
 
-// Reset clears all state for a full restart.
+// Reset clears the window and the fit for a restart on the same
+// stream. The fit count survives, so a re-seeded tracker blends its
+// first refits at the settled rate rather than the start-up one.
 func (t *Tracker) Reset() {
 	t.rejects = 0
 	t.pos = 0
@@ -267,6 +269,14 @@ func (t *Tracker) Reset() {
 	t.radius = 0
 	t.haveFit = false
 	t.mom.Reset()
+}
+
+// ResetFull returns the tracker to its as-constructed state, fit count
+// included, for recycling onto a different stream (session pooling):
+// its first fits then converge as fast as a new tracker's.
+func (t *Tracker) ResetFull() {
+	t.Reset()
+	t.fitCount = 0
 }
 
 func hypot(a, b float64) float64 {

@@ -48,9 +48,6 @@ type Options struct {
 // (connection reads are unhooked by ctx, so cancellation reaches
 // them).
 func Serve(ctx context.Context, ln net.Listener, mgr *session.Manager, opts Options) error {
-	if opts.HelloTimeout <= 0 {
-		opts.HelloTimeout = 10 * time.Second
-	}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -102,14 +99,19 @@ func Serve(ctx context.Context, ln net.Listener, mgr *session.Manager, opts Opti
 // attach, decode/submit loop, detach (with the final stats handed to
 // OnDetach). The manager's typed rejections map to connection handling:
 // admission refusals close the connection immediately; rate-limited
-// frames are discarded and the stream carries on.
+// frames are discarded and the stream carries on. A zero
+// Options.HelloTimeout means the 10-s default, as under Serve.
 func ServeStream(ctx context.Context, conn net.Conn, mgr *session.Manager, opts Options) error {
 	defer conn.Close()
 	// Tie the blocking reads to the serving lifetime.
 	unhook := context.AfterFunc(ctx, func() { conn.Close() })
 	defer unhook()
 
-	conn.SetReadDeadline(time.Now().Add(opts.HelloTimeout))
+	helloTimeout := opts.HelloTimeout
+	if helloTimeout <= 0 {
+		helloTimeout = 10 * time.Second
+	}
+	conn.SetReadDeadline(time.Now().Add(helloTimeout))
 	hello, err := transport.DecodeHello(conn)
 	if err != nil {
 		return fmt.Errorf("hello: %w", err)

@@ -23,36 +23,7 @@ func BenchmarkFleet(b *testing.B) {
 		bins     = 40
 		prime    = 160 // frames fed per session before timing starts
 	)
-	cfg := Config{
-		NumBins:   bins,
-		FrameRate: 25,
-		WindowSec: 60,
-		Core:      blinkradar.DefaultConfig(),
-	}
-	m, err := NewManager(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer m.Close()
-
-	// A small bank of deterministic frames: enough variation that the
-	// pipeline does real work, no allocation during the timed loop.
-	bank := make([][]complex128, 64)
-	for i := range bank {
-		f := make([]complex128, bins)
-		for j := range f {
-			ph := float64(i)*0.31 + float64(j)*0.7
-			f[j] = complex(math.Cos(ph), math.Sin(ph)) * 1e-3
-		}
-		bank[i] = f
-	}
-	ids := make([]string, sessions)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("veh-%04d", i)
-		if err := m.Attach(ids[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
+	m, ids, bank := benchFleet(b, sessions, bins)
 	// Prime every session past cold start so the timed region measures
 	// steady state, not amortised warm-up growth.
 	for f := 0; f < prime; f++ {
@@ -78,13 +49,98 @@ func BenchmarkFleet(b *testing.B) {
 
 	if secs := b.Elapsed().Seconds(); secs > 0 {
 		framesPerSec := float64(b.N) / secs
-		streams := framesPerSec / cfg.FrameRate
+		streams := framesPerSec / m.cfg.FrameRate
 		b.ReportMetric(streams/float64(runtime.GOMAXPROCS(0)), "streams/core")
 	}
 	st := m.Stats()
 	if st.Dropped > 0 {
 		b.Fatalf("paced benchmark dropped %d frames; queues overflowed", st.Dropped)
 	}
+}
+
+// BenchmarkFleetIdle measures what attached but silent sessions cost
+// the streaming ones: 4,096 sessions are attached and frames flow to 8
+// of them at a time, at most 8 frames ahead of the workers, so a worker
+// wake finds about one frame per streaming session. A scheduler that
+// visits every session on each wake pays for all 4,096 here; one that
+// visits only sessions with queued frames pays for the 8. One op is one
+// frame. The streaming group moves on every budget frames per session,
+// keeping each session short of the Monitor's 30-s vitals window (whose
+// estimator allocates per update), so the CI allocation budget is zero.
+func BenchmarkFleetIdle(b *testing.B) {
+	const (
+		sessions = 4096
+		active   = 8
+		budget   = 400 // timed frames per session; prime+budget < 750
+		bins     = 40
+		prime    = 160
+	)
+	m, ids, bank := benchFleet(b, sessions, bins)
+	// Prime, past cold start, the groups that will stream.
+	groups := (b.N + active*budget - 1) / (active * budget)
+	if groups > sessions/active {
+		groups = sessions / active
+	}
+	for f := 0; f < prime; f++ {
+		for _, id := range ids[:groups*active] {
+			if err := m.Submit(id, bank[f%len(bank)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		pace(m, active*16)
+	}
+	waitIdle(b, m)
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := i / (active * budget) % groups
+		if err := m.Submit(ids[g*active+i%active], bank[i%len(bank)]); err != nil {
+			b.Fatal(err)
+		}
+		pace(m, active)
+	}
+	waitIdle(b, m)
+	b.StopTimer()
+
+	if st := m.Stats(); st.Dropped > 0 {
+		b.Fatalf("paced benchmark dropped %d frames; queues overflowed", st.Dropped)
+	}
+}
+
+// benchFleet starts a manager at 25 fps with n attached sessions (closed
+// when the benchmark ends) and returns their IDs with a small bank of
+// deterministic frames: enough variation that the pipeline does real
+// work, no allocation during the timed loop.
+func benchFleet(b *testing.B, n, bins int) (*Manager, []string, [][]complex128) {
+	b.Helper()
+	m, err := NewManager(Config{
+		NumBins:   bins,
+		FrameRate: 25,
+		WindowSec: 60,
+		Core:      blinkradar.DefaultConfig(),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { m.Close() })
+	bank := make([][]complex128, 64)
+	for i := range bank {
+		f := make([]complex128, bins)
+		for j := range f {
+			ph := float64(i)*0.31 + float64(j)*0.7
+			f[j] = complex(math.Cos(ph), math.Sin(ph)) * 1e-3
+		}
+		bank[i] = f
+	}
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("veh-%04d", i)
+		if err := m.Attach(ids[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return m, ids, bank
 }
 
 // pace bounds the submit-side lead over the workers so queues never

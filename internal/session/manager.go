@@ -137,7 +137,14 @@ type shard struct {
 	sessions map[string]*Session
 	free     []*Session // free-list pool, guarded by mgr.admit
 	wake     chan struct{}
-	scratch  []*Session //blinkradar:confined shard
+
+	// Ready FIFO: the sessions with queued frames, linked through
+	// Session.next, so a worker wake visits only those. A session is on
+	// it at most once (Session.listed).
+	readyMu   sync.Mutex
+	readyHead *Session
+	readyTail *Session
+	queued    atomic.Int64 // frames queued across the shard's sessions
 
 	gSessions   *obs.Gauge
 	gQueued     *obs.Gauge
@@ -338,14 +345,14 @@ func (m *Manager) Detach(id string) (SessionStats, error) {
 	}
 	// Wait out any in-flight feed batch, then recycle under the lock.
 	s.feedMu.Lock()
-	discarded := uint64(s.queued())
-	stats := s.recycle(m.cfg.WindowSec)
+	stats, discarded := s.recycle(m.cfg.WindowSec)
 	s.feedMu.Unlock()
 	stats.ID = id
 	if discarded > 0 {
 		// Frames still queued were never fed; fold them into the
 		// fleet-level drop accounting like the session-level recycle
 		// does, so Frames == Processed + Dropped + Queued stays exact.
+		sh.queued.Add(-int64(discarded))
 		m.frDropped.Add(discarded)
 		m.mDropped.Add(discarded)
 	}
@@ -428,7 +435,19 @@ func (m *Manager) submit(id string, pi, pq []float32, frame []complex128) error 
 	} else {
 		accepted = s.push(pi, pq)
 	}
+	// A queued frame needs its session on the ready FIFO. A dropped one
+	// does not: the queue is full, so the session is already listed.
+	list := false
+	if accepted {
+		sh.queued.Add(1)
+		list = !s.listed
+		s.listed = true
+	}
 	from, to, changed := s.noteSubmit(accepted, m.cfg.DropWindowFrames, m.cfg.WidenAtDropFrac, m.cfg.DegradeAtDropFrac)
+	if changed {
+		// Posted under qmu, so the worker's re-list check sees the span.
+		m.applyPressure(s, from, to)
+	}
 	s.qmu.Unlock()
 	s.submitted.Add(1)
 	m.framesIn.Add(1)
@@ -438,10 +457,10 @@ func (m *Manager) submit(id string, pi, pq []float32, frame []complex128) error 
 		m.frDropped.Add(1)
 		m.mDropped.Inc()
 	}
-	if changed {
-		m.applyPressure(s, from, to)
+	if list {
+		sh.enqueue(s)
+		sh.wakeWorker()
 	}
-	sh.wakeWorker()
 	return nil
 }
 
@@ -528,8 +547,9 @@ type ManagerStats struct {
 	Widens, Degrades uint64
 }
 
-// Stats aggregates accounting across every shard. The per-session walk
-// (for Queued) takes each shard's read lock briefly.
+// Stats aggregates accounting across every shard in O(shards): each
+// shard's read lock is taken briefly for its session count, and Queued
+// sums the shards' queued-frame counters.
 func (m *Manager) Stats() ManagerStats {
 	st := ManagerStats{
 		Attaches:   m.attaches.Load(),
@@ -547,10 +567,8 @@ func (m *Manager) Stats() ManagerStats {
 	for _, sh := range m.shards {
 		sh.mu.RLock()
 		st.Sessions += len(sh.sessions)
-		for _, s := range sh.sessions {
-			st.Queued += uint64(s.queued())
-		}
 		sh.mu.RUnlock()
+		st.Queued += uint64(sh.queued.Load())
 	}
 	return st
 }
@@ -586,12 +604,26 @@ func (sh *shard) wakeWorker() {
 	}
 }
 
-// run is the shard worker: drain every session's queue in bounded
-// batches until nothing is left, then sleep on the wake channel. It is
-// the root of the shard domain — the scratch snapshot below is touched
-// only from here.
+// enqueue links s at the tail of the ready FIFO. The caller has just
+// set s.listed, or found it still set on a session it took from the
+// FIFO, so s is linked nowhere else.
 //
-//blinkradar:entry shard
+//blinkradar:hotpath
+func (sh *shard) enqueue(s *Session) {
+	sh.readyMu.Lock()
+	if sh.readyTail == nil {
+		sh.readyHead = s
+	} else {
+		sh.readyTail.next = s
+	}
+	sh.readyTail = s
+	sh.readyMu.Unlock()
+}
+
+// run is the shard worker: on each wake it drains the ready FIFO until
+// a take finds it empty, then sleeps on the wake channel. Every submit
+// that lists a session wakes the worker after linking it, so no listed
+// session is left waiting.
 func (sh *shard) run() {
 	for {
 		select {
@@ -599,7 +631,7 @@ func (sh *shard) run() {
 			return
 		case <-sh.wake:
 		}
-		for sh.drainPass() > 0 {
+		for sh.drainReady() {
 			select {
 			case <-sh.mgr.stop:
 				return
@@ -609,32 +641,48 @@ func (sh *shard) run() {
 	}
 }
 
-// drainPass feeds up to DrainBatchFrames frames from every session and
-// reports the total fed. The session snapshot is taken under the read
-// lock into a reused scratch slice so the map is never held across
-// pipeline work.
-func (sh *shard) drainPass() int {
-	sh.scratch = sh.scratch[:0]
+// drainReady takes the whole ready FIFO and gives each session on it
+// one DrainBatchFrames batch. A session that drainSession keeps listed
+// goes back on the tail, behind everything listed meanwhile, so a busy
+// stream cannot starve its shard-mates. It reports whether the take
+// found anything.
+func (sh *shard) drainReady() bool {
+	sh.readyMu.Lock()
+	s := sh.readyHead
+	sh.readyHead, sh.readyTail = nil, nil
+	sh.readyMu.Unlock()
+	sh.publishGauges()
+	if s == nil {
+		return false
+	}
+	for s != nil {
+		next := s.next
+		s.next = nil
+		if sh.drainSession(s) {
+			sh.enqueue(s)
+		}
+		s = next
+	}
+	return true
+}
+
+// publishGauges sets the shard's backlog gauges from its queued-frame
+// counter. It runs at every take of the ready FIFO, so a worker that
+// never sleeps still updates them.
+func (sh *shard) publishGauges() {
+	if sh.gQueued == nil {
+		return
+	}
+	queued := float64(sh.queued.Load())
 	sh.mu.RLock()
-	for _, s := range sh.sessions {
-		sh.scratch = append(sh.scratch, s)
-	}
+	capacity := len(sh.sessions) * sh.mgr.cfg.QueueFrames
 	sh.mu.RUnlock()
-	total, queued := 0, 0
-	for _, s := range sh.scratch {
-		total += sh.drainSession(s)
-		queued += s.queued()
-	}
-	sh.gQueued.Set(float64(queued))
-	if capacity := len(sh.scratch) * sh.mgr.cfg.QueueFrames; capacity > 0 {
-		sh.gSaturation.Set(float64(queued) / float64(capacity))
+	sh.gQueued.Set(queued)
+	if capacity > 0 {
+		sh.gSaturation.Set(queued / float64(capacity))
 	} else {
 		sh.gSaturation.Set(0)
 	}
-	for i := range sh.scratch {
-		sh.scratch[i] = nil
-	}
-	return total
 }
 
 // drainSession feeds one bounded batch from a session's queue through
@@ -642,8 +690,14 @@ func (sh *shard) drainPass() int {
 // overwritten mid-feed; feedMu keeps detach from recycling state under
 // the worker — making this the worker-side entry of the feed domain.
 //
+// It then decides, under qmu, whether the session stays listed: while
+// frames remain, or while a window span that submit posted (under qmu,
+// with the frame that triggered it) is not yet applied. A submit reads
+// listed under the same lock, so a frame queued after the decision
+// lists the session anew. Reports whether to re-list.
+//
 //blinkradar:entry feed
-func (sh *shard) drainSession(s *Session) int {
+func (sh *shard) drainSession(s *Session) bool {
 	s.feedMu.Lock()
 	defer s.feedMu.Unlock()
 	if want := s.loadWantWindow(); want != s.appliedWindow {
@@ -663,6 +717,7 @@ func (sh *shard) drainSession(s *Session) int {
 		}
 		ev, okEv, a, err := s.mon.FeedPlanes(pi, pq)
 		s.commitPop()
+		sh.queued.Add(-1)
 		s.processed.Add(1)
 		sh.mgr.frDone.Add(1)
 		fed++
@@ -682,5 +737,9 @@ func (sh *shard) drainSession(s *Session) int {
 			}
 		}
 	}
-	return fed
+	s.qmu.Lock()
+	more := s.n > 0 || s.loadWantWindow() != s.appliedWindow
+	s.listed = more
+	s.qmu.Unlock()
+	return more
 }

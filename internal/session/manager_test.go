@@ -433,6 +433,44 @@ func TestBackpressureTransitions(t *testing.T) {
 	})
 }
 
+// TestWorkerSkipsIdleSessions pins the scheduler's contract: a worker
+// wake visits only sessions with queued frames. The idle shard-mate's
+// feed lock is held throughout, so a worker that touched it would stall
+// and the busy session would never finish.
+func TestWorkerSkipsIdleSessions(t *testing.T) {
+	cfg := testConfig()
+	cfg.Shards = 1
+	m := newTestManager(t, cfg)
+	for _, id := range []string{"idle", "busy"} {
+		if err := m.Attach(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	idle := lookup(t, m, "idle")
+	idle.feedMu.Lock()
+	var once sync.Once
+	release := func() { once.Do(idle.feedMu.Unlock) }
+	// Registered after newTestManager's Close, so it runs first: a
+	// stalled worker must be freed before Close waits for it.
+	t.Cleanup(release)
+
+	const n = 48 // three DrainBatchFrames batches
+	frame := testFrame(16, 4)
+	for i := 0; i < n; i++ {
+		if err := m.Submit("busy", frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "busy session drained while its idle shard-mate is locked", func() bool {
+		st, err := m.SessionStats("busy")
+		return err == nil && st.Processed == n
+	})
+	release()
+	if st := m.Stats(); st.Queued != 0 || st.Processed != n {
+		t.Fatalf("after drain: queued %d, processed %d, want 0 and %d", st.Queued, st.Processed, n)
+	}
+}
+
 // TestDroppedFramesSurfaceAsGaps verifies backpressure drops are not
 // silent: the pipeline is told about the hole before the next frame.
 func TestDroppedFramesSurfaceAsGaps(t *testing.T) {
@@ -551,6 +589,19 @@ func TestConcurrentChurnAndSubmit(t *testing.T) {
 	st := m.Stats()
 	if st.Frames != st.Processed+st.Dropped {
 		t.Fatalf("fleet accounting broken after churn: %+v", st)
+	}
+	// The shards' queued-frame counters must agree with the sessions'
+	// own queues: Detach's discards and the worker's pops both count.
+	var perSession uint64
+	for _, id := range ids {
+		sst, err := m.SessionStats(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perSession += sst.Queued
+	}
+	if st.Queued != perSession {
+		t.Fatalf("Stats().Queued = %d, sessions hold %d", st.Queued, perSession)
 	}
 	if st.Sessions != len(ids) {
 		t.Fatalf("%d sessions attached after churn, want %d", st.Sessions, len(ids))

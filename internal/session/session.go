@@ -79,6 +79,15 @@ type Session struct {
 	bins       int
 	pendingGap uint64
 
+	// listed (under qmu) is true while the session holds its one place
+	// in the shard's ready FIFO: linked there, or taken by the worker
+	// and not yet re-listed or cleared. A submit that queues a frame
+	// into an unlisted session sets it and links the session.
+	listed bool
+	// next links the shard's ready FIFO (under the shard's readyMu;
+	// owned by the worker once it has taken the list).
+	next *Session
+
 	// Token bucket (under qmu). Refilled from the manager clock.
 	tokens     float64
 	lastRefill time.Time
@@ -295,17 +304,24 @@ func (s *Session) loadWantWindow() float64 {
 }
 
 // recycle returns the session to pooled idle state and reports its
-// final accounting. Frames still queued were never fed; they are folded
-// into the dropped count so submitted == processed + dropped holds at
-// detach. Caller holds feedMu and has already removed the session from
-// its shard map, so neither the worker nor a submitter can race this —
-// which is exactly the ownership the feed domain requires.
+// final accounting plus the frames it discarded. Frames still queued
+// were never fed; they are folded into the dropped count so submitted
+// == processed + dropped holds at detach. Caller holds feedMu and has
+// already removed the session from its shard map, so neither the
+// worker nor a submitter can race this — which is exactly the
+// ownership the feed domain requires.
+//
+// listed is left alone: a ready-FIFO entry that outlives the detach
+// reaches only this shard's worker (free lists are per shard), which
+// then finds no frames, or the frames of whoever re-attached the
+// session, and clears or re-lists it as for any other entry.
 //
 //blinkradar:entry feed
-func (s *Session) recycle(windowSec float64) SessionStats {
+func (s *Session) recycle(windowSec float64) (SessionStats, uint64) {
 	s.qmu.Lock()
 	s.gen.Add(1)
-	s.dropped.Add(uint64(s.n))
+	discarded := uint64(s.n)
+	s.dropped.Add(discarded)
 	s.head, s.n = 0, 0
 	s.pendingGap = 0
 	s.tokens = 0
@@ -329,7 +345,7 @@ func (s *Session) recycle(windowSec float64) SessionStats {
 	s.blinks.Store(0)
 	s.assessments.Store(0)
 	s.assessErrs.Store(0)
-	return stats
+	return stats, discarded
 }
 
 // snapshot collects the session's accounting without the queue depth.

@@ -2,6 +2,7 @@ package blinkradar
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -276,5 +277,66 @@ func TestMonitorResetRecyclesCleanly(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, m.Reset); allocs > 0 {
 		t.Fatalf("Monitor.Reset allocates %.0f times per call, want 0", allocs)
+	}
+}
+
+// TestMonitorResetMatchesFresh is the pool's output contract: a Monitor
+// that has served one stream and been Reset must emit exactly what a
+// new Monitor emits on the next. A tracker fit count that survived
+// Reset once made the recycled Monitor skip the fast blend of its first
+// viewing-position fits, so its distance waveform and events differed
+// from the first refit after bin selection on.
+func TestMonitorResetMatchesFresh(t *testing.T) {
+	spec := DefaultSpec()
+	spec.Subject = NewSubject(2)
+	spec.Duration = 60
+	spec.Seed = 5
+	capture, err := Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(m *Monitor) ([]BlinkEvent, []Assessment) {
+		var events []BlinkEvent
+		var assessments []Assessment
+		for _, frame := range capture.Frames.Data {
+			ev, ok, a, err := m.Feed(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				events = append(events, ev)
+			}
+			if a != nil {
+				assessments = append(assessments, *a)
+			}
+		}
+		return events, assessments
+	}
+	newMonitor := func() *Monitor {
+		m, err := NewMonitor(DefaultConfig(), capture.Frames.NumBins(), capture.Frames.FrameRate, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	wantEvents, wantAssessments := run(newMonitor())
+	if len(wantEvents) == 0 {
+		t.Fatal("fresh monitor detected no blinks; the comparison would prove nothing")
+	}
+	recycled := newMonitor()
+	run(recycled)
+	recycled.Reset()
+	gotEvents, gotAssessments := run(recycled)
+	if len(gotEvents) != len(wantEvents) {
+		t.Fatalf("recycled monitor emitted %d events, fresh one %d", len(gotEvents), len(wantEvents))
+	}
+	for i := range wantEvents {
+		if gotEvents[i] != wantEvents[i] {
+			t.Fatalf("event %d: recycled %+v, fresh %+v", i, gotEvents[i], wantEvents[i])
+		}
+	}
+	if !reflect.DeepEqual(gotAssessments, wantAssessments) {
+		t.Fatalf("recycled assessments %+v, fresh %+v", gotAssessments, wantAssessments)
 	}
 }
