@@ -63,26 +63,20 @@ func BenchmarkFig6RangeProfile(b *testing.B) {
 }
 
 // BenchmarkFig7NoiseReduction times the noise-reduction cascade itself:
-// the Fig. 7 waveforms are built once outside the timed loop and the
-// reusable Cascade filters them with caller-owned buffers, so the loop
-// body is the pipeline's actual per-profile denoising cost.
+// the Fig. 7 waveforms are built once outside the timed loop and a
+// reusable fused cascade filters them into a caller-owned buffer, so
+// the loop body is the pipeline's actual per-profile denoising cost.
 func BenchmarkFig7NoiseReduction(b *testing.B) {
 	clean, noisy := experiments.Fig7Waveforms(1)
-	cascade, err := core.NewCascade(26, 0.04, 50)
+	cascade, err := dsp.NewFusedCascade(26, 0.04, 50)
 	if err != nil {
 		b.Fatal(err)
 	}
 	filtered := make([]float64, len(noisy))
-	// Warm-up sizes the cascade's lazily-allocated scratch so the timed
-	// loop measures the steady-state cost even at -benchtime=1x (the CI
-	// benchdiff gate holds this at 0 allocs/op).
-	if err := cascade.Apply(filtered, noisy); err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := cascade.Apply(filtered, noisy); err != nil {
+		if err := cascade.ApplyInto(filtered, noisy); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -454,20 +448,28 @@ func BenchmarkOfflineDetect60s(b *testing.B) {
 }
 
 // BenchmarkPreprocessorProcess isolates the per-frame preprocessing
-// cost; with reused scratch buffers it must run allocation-free.
+// cost on the float32 I/Q planes the detector feeds it; with reused
+// scratch buffers it must run allocation-free.
 func BenchmarkPreprocessorProcess(b *testing.B) {
 	capture := benchCapture(b, 20)
-	p, err := core.NewPreprocessor(benchCfg, capture.Frames.NumBins(), capture.Frames.FrameRate)
+	bins := capture.Frames.NumBins()
+	p, err := core.NewPreprocessor(benchCfg, bins, capture.Frames.FrameRate)
 	if err != nil {
 		b.Fatal(err)
 	}
-	frames := capture.Frames.Data
-	frame := make([]complex128, capture.Frames.NumBins())
+	frames := make([]iq.Planes32, len(capture.Frames.Data))
+	for k, f := range capture.Frames.Data {
+		frames[k] = iq.MakePlanes32(bins)
+		frames[k].FromComplex(f)
+	}
+	frame := iq.MakePlanes32(bins)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		copy(frame, frames[i%len(frames)])
-		if err := p.Process(frame); err != nil {
+		src := frames[i%len(frames)]
+		copy(frame.I, src.I)
+		copy(frame.Q, src.Q)
+		if err := p.ProcessPlanes(frame.I, frame.Q); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -544,32 +546,3 @@ func BenchmarkStreamingMedian(b *testing.B) {
 		b.Fatal("median went NaN")
 	}
 }
-
-// benchBatch runs DetectBatch over 8 independent 20 s captures at the
-// given parallelism. Comparing the serial and parallel variants gives
-// the batch-throughput speedup on multicore hosts.
-func benchBatch(b *testing.B, parallelism int) {
-	b.Helper()
-	captures := make([]*blinkradar.FrameMatrix, 8)
-	for i := range captures {
-		spec := blinkradar.DefaultSpec()
-		spec.Subject = blinkradar.NewSubject(i + 1)
-		spec.Duration = 20
-		spec.Seed = int64(1000 + i)
-		capture, err := blinkradar.Generate(spec)
-		if err != nil {
-			b.Fatal(err)
-		}
-		captures[i] = capture.Frames
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := blinkradar.DetectBatch(benchCfg, captures, parallelism); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDetectBatch8Serial(b *testing.B)   { benchBatch(b, 1) }
-func BenchmarkDetectBatch8Parallel(b *testing.B) { benchBatch(b, 0) }

@@ -97,8 +97,6 @@ type (
 	DrowsinessModel = core.DrowsinessModel
 	// MatchResult is the detection-vs-truth evaluation outcome.
 	MatchResult = eval.MatchResult
-	// BatchResult is one capture's outcome in a DetectBatch run.
-	BatchResult = core.BatchResult
 	// HealthState is the detector's coarse operating condition.
 	HealthState = core.HealthState
 	// InputStats summarises input sanitization and gap handling.
@@ -181,18 +179,12 @@ var (
 	NewDetector = core.NewDetector
 	// Detect runs the pipeline over a recorded capture.
 	Detect = core.Detect
-	// DetectBatch runs the pipeline over N captures concurrently on a
-	// bounded worker pool (parallelism <= 0 selects GOMAXPROCS).
-	DetectBatch = core.DetectBatch
 	// ExtractWindows slices detections into classification windows.
 	ExtractWindows = core.ExtractWindows
 	// WithThresholdK overrides the LEVD threshold multiplier.
 	WithThresholdK = core.WithThresholdK
 	// WithAdaptiveUpdate toggles adaptive viewing-position updates.
 	WithAdaptiveUpdate = core.WithAdaptiveUpdate
-	// WithParallelism bounds the worker pool of the parallel pipeline
-	// stages (0 = GOMAXPROCS, 1 = serial).
-	WithParallelism = core.WithParallelism
 )
 
 // Vital-sign estimation (the embedded interference, made useful).

@@ -26,7 +26,7 @@ func newIdleManager(t *testing.T) *session.Manager {
 }
 
 // writeSoakCapture generates a deterministic synthetic capture on disk,
-// the same way radarsim -format v1 does.
+// the same way radarsim does.
 func writeSoakCapture(t *testing.T, path string, seed int64, duration float64) {
 	t.Helper()
 	spec := blinkradar.DefaultSpec()

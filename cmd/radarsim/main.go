@@ -1,14 +1,13 @@
 // Command radarsim generates a synthetic radar capture and writes it to
-// disk in the .brc capture format — by default v1 (versioned header,
-// per-frame CRC, seekable index footer, torn-write recovery; see
-// internal/transport/capture.go), or the legacy v0 wire dump (stream
-// hello followed by encoded frames) with -format v0 — together with a
-// JSON ground-truth sidecar. The output can be replayed by cmd/radard
-// or cmd/radarfleet, or analysed offline.
+// disk in the .brc v1 capture format (versioned header, per-frame CRC,
+// seekable index footer, torn-write recovery; see
+// internal/transport/capture.go) together with a JSON ground-truth
+// sidecar. The output can be replayed by cmd/radard or cmd/radarfleet,
+// or analysed offline.
 //
 // Usage:
 //
-//	radarsim -out capture.brc [-truth capture.json] [-format v1] [flags]
+//	radarsim -out capture.brc [-truth capture.json] [flags]
 package main
 
 import (
@@ -54,12 +53,8 @@ func main() {
 		driving   = flag.Bool("driving", false, "on-road capture instead of lab")
 		seed      = flag.Int64("seed", 1, "scenario seed")
 		chaosSpec = flag.String("chaos", "", "fault spec applied to the written frames, e.g. seed=7,drop=0.05,nan=0.01 (see internal/chaos.ParseSpec)")
-		format    = flag.String("format", "v1", "capture format: v1 (indexed, crash-safe) or v0 (legacy hello+frames)")
 	)
 	flag.Parse()
-	if *format != "v1" && *format != "v0" {
-		log.Fatalf("unknown -format %q (want v1 or v0)", *format)
-	}
 	if *truthOut == "" {
 		*truthOut = *out + ".json"
 	}
@@ -83,7 +78,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := writeCapture(*out, *format, capture, inj); err != nil {
+	if err := writeCapture(*out, capture, inj); err != nil {
 		log.Fatal(err)
 	}
 	if inj != nil {
@@ -119,7 +114,7 @@ func buildInjector(spec string) (*chaos.Injector, error) {
 	return chaos.New(cfg)
 }
 
-func writeCapture(path, format string, capture *blinkradar.Capture, inj *chaos.Injector) error {
+func writeCapture(path string, capture *blinkradar.Capture, inj *chaos.Injector) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("create capture: %w", err)
@@ -131,26 +126,12 @@ func writeCapture(path, format string, capture *blinkradar.Capture, inj *chaos.I
 		BinSpacing: m.BinSpacing,
 		NumBins:    uint32(m.NumBins()),
 	}
-
-	var write func(out transport.Frame) error
-	var finish func() error
-	if format == "v1" {
-		// Start time 0: synthetic captures carry no wall-clock epoch, and
-		// a byte-identical file for identical flags lets CI cache the
-		// generated corpus by content.
-		cw, err := transport.NewCaptureWriter(f, hello, 0)
-		if err != nil {
-			return err
-		}
-		write = cw.WriteFrame
-		finish = cw.Close
-	} else {
-		if err := transport.EncodeHello(f, hello); err != nil {
-			return err
-		}
-		enc := transport.NewEncoder(f)
-		write = enc.Encode
-		finish = enc.Flush
+	// Start time 0: synthetic captures carry no wall-clock epoch, and a
+	// byte-identical file for identical flags lets CI cache the
+	// generated corpus by content.
+	cw, err := transport.NewCaptureWriter(f, hello, 0)
+	if err != nil {
+		return err
 	}
 
 	for k, frame := range m.Data {
@@ -160,7 +141,7 @@ func writeCapture(path, format string, capture *blinkradar.Capture, inj *chaos.I
 			Bins:            frame,
 		}
 		if inj == nil {
-			if err := write(in); err != nil {
+			if err := cw.WriteFrame(in); err != nil {
 				return err
 			}
 			continue
@@ -168,19 +149,19 @@ func writeCapture(path, format string, capture *blinkradar.Capture, inj *chaos.I
 		// Dropped frames keep their sequence number out of the file, so
 		// replaying it downstream shows the same gaps a lossy link would.
 		for _, out := range inj.Apply(in) {
-			if err := write(out); err != nil {
+			if err := cw.WriteFrame(out); err != nil {
 				return err
 			}
 		}
 	}
 	if inj != nil {
 		for _, out := range inj.Flush() {
-			if err := write(out); err != nil {
+			if err := cw.WriteFrame(out); err != nil {
 				return err
 			}
 		}
 	}
-	if err := finish(); err != nil {
+	if err := cw.Close(); err != nil {
 		return err
 	}
 	return f.Close()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"blinkradar"
+	"blinkradar/internal/iq"
 	"blinkradar/internal/session"
 )
 
@@ -87,9 +88,11 @@ func TestChaosFleetFlapRecovery(t *testing.T) {
 		}
 	}
 
+	frame := iq.MakePlanes32(capture.NumBins())
 	for k := 0; k < fleetFrames; k++ {
+		frame.FromComplex(capture.Data[k])
 		for _, id := range ids {
-			if err := m.Submit(id, capture.Data[k]); err != nil {
+			if err := m.SubmitPlanes(id, frame.I, frame.Q); err != nil {
 				t.Fatalf("submit frame %d to %s: %v", k, id, err)
 			}
 		}

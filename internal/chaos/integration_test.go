@@ -156,10 +156,9 @@ func runLoop(t *testing.T, m *rf.FrameMatrix, speed float64,
 }
 
 // newDetector builds the consumer-side pipeline used by the suite.
-// Serial selection keeps the goroutine count flat for leakCheck.
 func newDetector(t *testing.T, bins int) *core.Detector {
 	t.Helper()
-	det, err := core.NewDetector(core.DefaultConfig(), bins, 25, core.WithParallelism(1))
+	det, err := core.NewDetector(core.DefaultConfig(), bins, 25)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,9 +75,8 @@ func scoreBinRes(bin int, series []complex128, res []float64) BinScore {
 // BinSeries supplies the recent background-subtracted slow-time samples
 // of one range bin. Implementations fill buf (growing it when its
 // capacity is too small) and return the filled slice, so callers that
-// score many bins can reuse one window buffer per worker instead of
-// allocating per bin. Implementations must be safe for concurrent calls
-// with distinct buffers.
+// score many bins can reuse one window buffer instead of allocating per
+// bin.
 type BinSeries func(bin int, buf []complex128) []complex128
 
 // BinStats supplies the covariance entries of one bin's recent
@@ -117,27 +116,15 @@ type SelectScratch struct {
 // eccentricity factor) are skipped by the scoring bound and carry their
 // variance with a zero score. topK must be positive; stats may be nil.
 func SelectBin(series BinSeries, stats BinStats, numBins, guard, topK int) (BinScore, []BinScore, error) {
-	return SelectBinParallel(series, stats, numBins, guard, topK, 1)
-}
-
-// SelectBinParallel is SelectBin with the nil-stats variance pass
-// fanned out across a bounded worker pool (workers <= 0 selects
-// GOMAXPROCS). With a non-nil stats source that pass is O(bins) reads
-// and runs serially — forking workers would cost more than the reads.
-// The candidate arc scoring itself is a sequential bound-ordered scan
-// with early exit (see below), so it prunes most candidates outright
-// instead of fanning them out; results are bit-identical for any
-// worker count.
-func SelectBinParallel(series BinSeries, stats BinStats, numBins, guard, topK, workers int) (BinScore, []BinScore, error) {
 	var scr SelectScratch
-	return SelectBinScratch(&scr, series, stats, numBins, guard, topK, workers)
+	return SelectBinScratch(&scr, series, stats, numBins, guard, topK)
 }
 
-// SelectBinScratch is SelectBinParallel with caller-owned working
-// storage; repeated calls with the same scratch allocate nothing once
-// the buffers have grown to the problem size. The returned candidate
-// slice aliases the scratch.
-func SelectBinScratch(scr *SelectScratch, series BinSeries, stats BinStats, numBins, guard, topK, workers int) (BinScore, []BinScore, error) {
+// SelectBinScratch is SelectBin with caller-owned working storage;
+// repeated calls with the same scratch allocate nothing once the
+// buffers have grown to the problem size. The returned candidate slice
+// aliases the scratch.
+func SelectBinScratch(scr *SelectScratch, series BinSeries, stats BinStats, numBins, guard, topK int) (BinScore, []BinScore, error) {
 	if numBins <= guard {
 		return BinScore{}, nil, fmt.Errorf("core: no bins beyond guard (%d bins, guard %d)", numBins, guard)
 	}
@@ -146,20 +133,14 @@ func SelectBinScratch(scr *SelectScratch, series BinSeries, stats BinStats, numB
 	}
 	scr.variances = growBinScores(scr.variances, numBins-guard)
 	variances := scr.variances
-	if stats != nil {
-		for i := range variances {
+	for i := range variances {
+		if stats != nil {
 			varI, varQ, _ := stats(guard + i)
 			variances[i] = BinScore{Bin: guard + i, Variance: varI + varQ}
+		} else {
+			scr.series = series(guard+i, scr.series)
+			variances[i] = BinScore{Bin: guard + i, Variance: iq.Variance2D(scr.series)}
 		}
-	} else if err := parallelChunks(len(variances), workers, func(lo, hi int) error {
-		var buf []complex128
-		for i := lo; i < hi; i++ {
-			buf = series(guard+i, buf)
-			variances[i] = BinScore{Bin: guard + i, Variance: iq.Variance2D(buf)}
-		}
-		return nil
-	}); err != nil {
-		return BinScore{}, nil, err
 	}
 	if topK > len(variances) {
 		topK = len(variances)
@@ -186,9 +167,7 @@ func SelectBinScratch(scr *SelectScratch, series BinSeries, stats BinStats, numB
 	// Candidates are visited in descending bound order, so the moment
 	// one candidate's bound falls below the best realised score, every
 	// remaining candidate is proven a loser and is returned with its
-	// variance only, unscored. The visit order depends only on the
-	// deterministic candidate ranking, never on worker scheduling, so
-	// any worker count returns bit-identical results.
+	// variance only, unscored.
 	scr.bounds = growFloats(scr.bounds, topK)
 	scr.order = growInts(scr.order, topK)
 	bounds, order := scr.bounds, scr.order
@@ -269,11 +248,10 @@ func growInts(s []int, n int) []int {
 }
 
 // SelectBinMatrix is the offline convenience: selects the eye bin from
-// the trailing window of a preprocessed frame matrix, scoring
-// candidates across cfg.Parallelism workers. The variance ranking comes
-// from per-bin sums accumulated in one frame-major sweep — sequential
-// in memory, no per-bin series copies — so only the topK candidates
-// ever have their windows gathered.
+// the trailing window of a preprocessed frame matrix. The variance
+// ranking comes from per-bin sums accumulated in one frame-major sweep
+// — sequential in memory, no per-bin series copies — so only the topK
+// candidates ever have their windows gathered.
 func SelectBinMatrix(cfg Config, m *rf.FrameMatrix) (BinScore, error) {
 	window := cfg.SelectWindowFrames
 	if window > m.NumFrames() {
@@ -304,7 +282,7 @@ func SelectBinMatrix(cfg Config, m *rf.FrameMatrix) (BinScore, error) {
 	stats := func(bin int) (float64, float64, float64) {
 		return covFromSums(sumI[bin], sumQ[bin], sumII[bin], sumQQ[bin], sumIQ[bin], window)
 	}
-	best, _, err := SelectBinParallel(func(bin int, buf []complex128) []complex128 {
+	best, _, err := SelectBin(func(bin int, buf []complex128) []complex128 {
 		if cap(buf) < window {
 			buf = make([]complex128, window)
 		}
@@ -313,7 +291,7 @@ func SelectBinMatrix(cfg Config, m *rf.FrameMatrix) (BinScore, error) {
 			buf[k] = m.Data[start+k][bin]
 		}
 		return buf
-	}, stats, m.NumBins(), cfg.GuardBins, cfg.CandidateTopK, cfg.Parallelism)
+	}, stats, m.NumBins(), cfg.GuardBins, cfg.CandidateTopK)
 	return best, err
 }
 
@@ -521,8 +499,7 @@ func (r *binRing) size() int { return r.count }
 // stats returns one bin's centred covariance entries, recomputed
 // exactly from the stored window in one strided pass over each plane
 // (slots are visited in storage order; the sums are
-// order-independent). It satisfies the BinStats contract and is safe
-// to call concurrently with other readers — it only reads.
+// order-independent). It satisfies the BinStats contract.
 //
 //blinkradar:hotpath
 func (r *binRing) stats(bin int) (varI, varQ, covIQ float64) {
@@ -547,18 +524,10 @@ func (r *binRing) variance(bin int) float64 {
 	return varI + varQ
 }
 
-// series returns the stored samples of one bin, oldest first, in a
-// fresh slice.
-func (r *binRing) series(bin int) []complex128 {
-	return r.seriesInto(bin, nil)
-}
-
 // seriesInto fills buf with the stored samples of one bin, oldest
 // first, growing it only when its capacity is too small, and returns
 // the filled slice (widened from the float32 planes — selection
-// scoring runs in float64). It satisfies the BinSeries contract:
-// concurrent calls with distinct buffers are safe as long as no frame
-// is pushed meanwhile (readers never mutate the ring).
+// scoring runs in float64). It satisfies the BinSeries contract.
 //
 //blinkradar:hotpath
 func (r *binRing) seriesInto(bin int, buf []complex128) []complex128 {

@@ -151,51 +151,6 @@ func TestSelectBinAllZeroVariance(t *testing.T) {
 	}
 }
 
-func TestSelectBinParallelMatchesSerial(t *testing.T) {
-	// The worker-pool fan-out must pick the same winner and produce the
-	// same ranked candidates as the serial path, for any worker count.
-	const bins, window = 64, 200
-	rng := rand.New(rand.NewSource(99))
-	data := make([][]complex128, bins)
-	for b := range data {
-		data[b] = make([]complex128, window)
-		amp := 0.01 + rng.Float64()
-		for k := range data[b] {
-			ph := 0.4 * math.Sin(2*math.Pi*0.25*float64(k)/25)
-			data[b][k] = cmplx.Rect(amp, ph) + complex(rng.NormFloat64()*0.004, rng.NormFloat64()*0.004)
-		}
-	}
-	series := func(bin int, buf []complex128) []complex128 {
-		if cap(buf) < window {
-			buf = make([]complex128, window)
-		}
-		buf = buf[:window]
-		copy(buf, data[bin])
-		return buf
-	}
-	serialBest, serialCands, err := SelectBin(series, nil, bins, 4, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 3, 7, 16, 100} {
-		best, cands, err := SelectBinParallel(series, nil, bins, 4, 16, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if best != serialBest {
-			t.Fatalf("workers=%d: best %+v, serial %+v", workers, best, serialBest)
-		}
-		if len(cands) != len(serialCands) {
-			t.Fatalf("workers=%d: %d candidates, serial %d", workers, len(cands), len(serialCands))
-		}
-		for i := range cands {
-			if cands[i] != serialCands[i] {
-				t.Fatalf("workers=%d: candidate %d = %+v, serial %+v", workers, i, cands[i], serialCands[i])
-			}
-		}
-	}
-}
-
 // pushC pushes a complex frame through the ring's SoA planes, reusing
 // per-call conversion buffers (tests only).
 func pushC(r *binRing, frame []complex128) {
@@ -226,7 +181,7 @@ func TestBinRingSeriesInto(t *testing.T) {
 	if &got[0] != &buf[:1][0] {
 		t.Fatal("seriesInto must reuse the provided buffer when it fits")
 	}
-	want := r.series(1)
+	want := r.seriesInto(1, nil)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("sample %d = %v, want %v", i, got[i], want[i])
@@ -256,7 +211,7 @@ func TestBinRingSeriesOrderProperty(t *testing.T) {
 			lo = 0
 		}
 		for b := 0; b < bins; b++ {
-			got := r.series(b)
+			got := r.seriesInto(b, nil)
 			want := history[lo:]
 			if len(got) != len(want) {
 				return false
@@ -281,7 +236,7 @@ func TestBinRingReset(t *testing.T) {
 	r := newBinRing(2, 4)
 	pushC(r, []complex128{1, 2})
 	r.reset()
-	if r.count != 0 || len(r.series(0)) != 0 {
+	if r.count != 0 || len(r.seriesInto(0, nil)) != 0 {
 		t.Fatal("reset ring must be empty")
 	}
 	if r.latest(0) != 0 {
@@ -305,7 +260,7 @@ func TestBinRingVarianceMatchesBatch(t *testing.T) {
 		}
 		pushC(r, frame)
 		for b := 0; b < bins; b++ {
-			series := r.series(b)
+			series := r.seriesInto(b, nil)
 			want := iq.Variance2D(series)
 			got := r.variance(b)
 			var scale float64
@@ -335,7 +290,7 @@ func TestBinRingVarianceAfterReset(t *testing.T) {
 	pushC(r, []complex128{2 + 2i, 3 - 1i})
 	pushC(r, []complex128{4 + 4i, 5 - 3i})
 	for b := 0; b < 2; b++ {
-		want := iq.Variance2D(r.series(b))
+		want := iq.Variance2D(r.seriesInto(b, nil))
 		if got := r.variance(b); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("bin %d variance %g after reset+refill, want %g", b, got, want)
 		}

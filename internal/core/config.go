@@ -114,12 +114,6 @@ type Config struct {
 	// SettleFrames suppresses detection immediately after a restart
 	// while the tracker re-acquires.
 	SettleFrames int
-	// Parallelism bounds the worker pool used by the embarrassingly
-	// parallel stages (candidate scoring in bin selection, matrix
-	// preprocessing, batch detection). Zero selects GOMAXPROCS; the
-	// results are identical for any value, only the wall-clock time
-	// changes.
-	Parallelism int
 	// SaturationLimit clamps each I/Q component of the input to
 	// ±SaturationLimit before processing (ADC rail-out repair). Zero
 	// disables clamping — the right default for the simulated radio,
@@ -226,8 +220,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: motion sustain must be positive, got %d", c.MotionSustainFrames)
 	case c.SettleFrames < 0:
 		return fmt.Errorf("core: settle frames must be non-negative, got %d", c.SettleFrames)
-	case c.Parallelism < 0:
-		return fmt.Errorf("core: parallelism must be non-negative (0 = GOMAXPROCS), got %d", c.Parallelism)
 	case c.SaturationLimit < 0:
 		return fmt.Errorf("core: saturation limit must be non-negative (0 = off), got %g", c.SaturationLimit)
 	case c.MaxBadBinFrac < 0 || c.MaxBadBinFrac > 1:
@@ -274,10 +266,4 @@ func WithAdaptiveUpdate(enabled bool) Option {
 // WithBackgroundTau overrides the loopback-filter time constant.
 func WithBackgroundTau(sec float64) Option {
 	return func(c *Config) { c.BackgroundTauSec = sec }
-}
-
-// WithParallelism bounds the worker pool of the parallel stages
-// (0 = GOMAXPROCS, 1 = serial).
-func WithParallelism(workers int) Option {
-	return func(c *Config) { c.Parallelism = workers }
 }

@@ -415,14 +415,14 @@ func (d *Detector) pushTrace(dist float64) {
 	d.thrTrace = append(d.thrTrace, d.levd.Threshold())
 }
 
-// runSelection scores all bins over the selection ring, fanned out
-// across cfg.Parallelism workers, and records the pass duration.
+// runSelection scores all bins over the selection ring and records the
+// pass duration.
 func (d *Detector) runSelection() (BinScore, error) {
 	var start time.Time
 	if d.mStageSelect != nil {
 		start = time.Now()
 	}
-	best, _, err := SelectBinScratch(&d.selScratch, d.ring.seriesInto, d.ring.stats, d.bins, d.cfg.GuardBins, d.cfg.CandidateTopK, d.cfg.Parallelism)
+	best, _, err := SelectBinScratch(&d.selScratch, d.ring.seriesInto, d.ring.stats, d.bins, d.cfg.GuardBins, d.cfg.CandidateTopK)
 	if d.mStageSelect != nil {
 		d.mStageSelect.Observe(time.Since(start).Seconds())
 	}
@@ -522,8 +522,8 @@ func (d *Detector) checkMotionRestart(dist float64) {
 
 // restart re-runs bin selection from the current ring, re-seeds the
 // tracker and clears the motion counter. A motion restart is a rare,
-// deliberate stall: it re-runs the parallel bin sweep and accepts the
-// allocation and the WaitGroup join, so the transitive hot-path check
+// deliberate stall: it re-runs the full bin-selection sweep, whose
+// scratch buffers may still grow, so the transitive hot-path check
 // treats it as a reviewed cold branch.
 //
 //blinkradar:coldpath

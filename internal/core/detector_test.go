@@ -216,8 +216,8 @@ func TestMotionRestartPathAllocFree(t *testing.T) {
 		}
 	}
 	if !det.med.Full() {
-		t.Fatalf("median window not full after %d frames: %d/%d",
-			warm, det.med.Count(), det.med.Cap())
+		t.Fatalf("median window not full after %d frames: %d samples",
+			warm, det.med.Count())
 	}
 	next := warm
 	allocs := testing.AllocsPerRun(200, func() {

@@ -50,11 +50,11 @@ type LEVD struct {
 	refractory   float64
 	frozen       bool
 	// lagFrames is the group delay of the streaming distance-waveform
-	// smoother. Like dsp.FIRStream, a causal trailing window cannot be
-	// delay-compensated the way the offline FIRFilter.Apply path is, so
-	// features surface lagFrames after the samples that caused them;
-	// event timestamps subtract it to stay aligned with the offline
-	// (and camera ground-truth) timeline.
+	// smoother. A causal trailing window cannot look ahead the way a
+	// centred, delay-compensated offline filter does, so features
+	// surface lagFrames after the samples that caused them; event
+	// timestamps subtract it to stay aligned with the offline (and
+	// camera ground-truth) timeline.
 	lagFrames float64
 
 	// Distance-waveform smoothing.

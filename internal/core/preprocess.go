@@ -4,25 +4,20 @@ import (
 	"fmt"
 
 	"blinkradar/internal/dsp"
+	"blinkradar/internal/iq"
 	"blinkradar/internal/rf"
 )
 
 // Preprocessor implements the paper's signal-preprocessing module
 // (Section IV-B): noise reduction by a cascading filter and background
-// subtraction by a loopback filter. It operates frame by frame so the
-// same code serves the offline and real-time paths.
+// subtraction by a loopback filter. It operates frame by frame on the
+// float32 I/Q planes, so the same code serves the offline and
+// real-time paths.
 type Preprocessor struct {
-	cfg        Config
 	background *BackgroundSubtractor
-	fir        *dsp.FIRFilter
-	scratch    []complex128
-	firScratch []complex128
-
-	// Float32 SoA mirrors of the denoise cascade for the real-time
-	// planes path (ProcessPlanes). fused32 covers FIR+smoothing in one
-	// pass when the fast-time FIR is enabled; ma32 covers
-	// smoothing-only. Both nil means denoise is a no-op on this
-	// profile.
+	// fused32 covers FIR+smoothing in one pass when the fast-time FIR
+	// is enabled; ma32 covers smoothing-only. Both nil means denoise is
+	// a no-op on this profile.
 	fused32      *dsp.FusedCascade
 	ma32         *dsp.InPlaceMA32
 	planeScratch []float32
@@ -43,9 +38,10 @@ func NewPreprocessor(cfg Config, numBins int, frameRate float64) (*Preprocessor,
 	}
 	// The noise-reduction cascade: a Hamming-window low-pass FIR
 	// (paper: order 26) followed by a smoothing filter, both along the
-	// fast-time (range) axis of each frame. The FIR is only applied
-	// when the profile is long enough for the design to make sense.
-	var fir *dsp.FIRFilter
+	// fast-time (range) axis of each frame, fused into one pass per
+	// plane (window 1 degenerates to the FIR alone). The FIR is only
+	// applied when the profile is long enough for the design to make
+	// sense.
 	var fused32 *dsp.FusedCascade
 	var ma32 *dsp.InPlaceMA32
 	smooth := cfg.FastTimeSmoothBins
@@ -53,13 +49,6 @@ func NewPreprocessor(cfg Config, numBins int, frameRate float64) (*Preprocessor,
 		smooth = 1
 	}
 	if cfg.EnableFastTimeFIR && numBins > 2*cfg.FIROrder {
-		fir, err = dsp.LowPassFIR(cfg.FIROrder, cfg.FIRCutoff, dsp.Hamming)
-		if err != nil {
-			return nil, err
-		}
-		// The SoA mirror fuses the same FIR design with the fast-time
-		// smoother into one pass per plane (window 1 degenerates to the
-		// FIR alone).
 		fused32, err = dsp.NewFusedCascade(cfg.FIROrder, cfg.FIRCutoff, smooth)
 		if err != nil {
 			return nil, err
@@ -71,58 +60,27 @@ func NewPreprocessor(cfg Config, numBins int, frameRate float64) (*Preprocessor,
 		}
 	}
 	return &Preprocessor{
-		cfg:          cfg,
 		background:   bg,
-		fir:          fir,
-		scratch:      make([]complex128, numBins),
-		firScratch:   make([]complex128, numBins),
 		fused32:      fused32,
 		ma32:         ma32,
 		planeScratch: make([]float32, numBins),
 	}, nil
 }
 
-// Process denoises and background-subtracts one frame in place. All
-// intermediate buffers are owned by the preprocessor, so the per-frame
+// ProcessPlanes denoises and background-subtracts one frame of I/Q
+// planes in place. Each plane runs the fused Fig. 7 cascade (or the
+// stand-alone smoother) as a plain real-valued pass, and every
+// intermediate buffer is owned by the preprocessor, so the per-frame
 // hot path performs no allocations.
 //
 //blinkradar:hotpath
-func (p *Preprocessor) Process(frame []complex128) error {
-	if len(frame) != len(p.scratch) {
-		return errFrameBins(len(frame), len(p.scratch))
-	}
-	p.denoise(frame)
-	p.background.Apply(frame)
-	return nil
-}
-
-// denoise runs the allocation-free noise-reduction cascade (fast-time
-// FIR plus smoothing) on one frame in place. The frame length must
-// already have been validated.
-//
-//blinkradar:hotpath
-func (p *Preprocessor) denoise(frame []complex128) {
-	if p.fir != nil {
-		p.fir.ApplyComplexInto(p.firScratch, frame) // lengths match by construction
-		copy(frame, p.firScratch)
-	}
-	smoothFastTime(frame, p.scratch, p.cfg.FastTimeSmoothBins)
-}
-
-// ProcessPlanes is Process on the float32 SoA frame layout: it
-// denoises and background-subtracts one frame of I/Q planes in place.
-// This is the real-time hot path — each plane runs the fused Fig. 7
-// cascade (or the stand-alone smoother) as a plain real-valued pass,
-// and no buffer escapes the preprocessor.
-//
-//blinkradar:hotpath
 func (p *Preprocessor) ProcessPlanes(pi, pq []float32) error {
-	if len(pi) != len(p.scratch) || len(pq) != len(p.scratch) {
+	if len(pi) != len(p.planeScratch) || len(pq) != len(p.planeScratch) {
 		n := len(pi)
 		if len(pq) != n {
 			n = -1
 		}
-		return errFrameBins(n, len(p.scratch))
+		return errFrameBins(n, len(p.planeScratch))
 	}
 	p.denoisePlanes(pi, pq)
 	p.background.ApplyPlanes(pi, pq)
@@ -151,33 +109,6 @@ func (p *Preprocessor) denoisePlanes(pi, pq []float32) {
 // Reset clears the background estimate (used after a full restart).
 func (p *Preprocessor) Reset() { p.background.Reset() }
 
-// smoothFastTime applies a centred moving average of the given width
-// across range bins, writing through scratch. Width 1 is a no-op.
-//
-//blinkradar:hotpath
-func smoothFastTime(frame, scratch []complex128, width int) {
-	if width <= 1 {
-		return
-	}
-	half := width / 2
-	n := len(frame)
-	copy(scratch, frame)
-	for i := 0; i < n; i++ {
-		lo, hi := i-half, i+half
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= n {
-			hi = n - 1
-		}
-		var acc complex128
-		for j := lo; j <= hi; j++ {
-			acc += scratch[j]
-		}
-		frame[i] = acc / complex(float64(hi-lo+1), 0)
-	}
-}
-
 // BackgroundSubtractor removes static clutter with a per-bin loopback
 // filter (Section IV-B2): each bin's complex mean over a priming window
 // is estimated once and subtracted from every subsequent frame.
@@ -190,10 +121,10 @@ func smoothFastTime(frame, scratch []complex128, width int) {
 type BackgroundSubtractor struct {
 	primeFrames int
 	seen        int
-	sum         []complex128
-	mean        []complex128
-	// Float32 mirrors of the frozen mean for the SoA planes path,
-	// filled once at freeze so the hot subtraction never widens.
+	// sum accumulates the priming frames at full precision; the frozen
+	// mean is narrowed once into the float32 planes the hot subtraction
+	// reads, so it never widens.
+	sum     []complex128
 	meanI32 []float32
 	meanQ32 []float32
 }
@@ -214,42 +145,18 @@ func NewBackgroundSubtractor(numBins int, frameRate, tauSec float64) (*Backgroun
 	return &BackgroundSubtractor{
 		primeFrames: prime,
 		sum:         make([]complex128, numBins),
-		mean:        make([]complex128, numBins),
 		meanI32:     make([]float32, numBins),
 		meanQ32:     make([]float32, numBins),
 	}, nil
 }
 
-// Apply subtracts the background estimate from the frame in place.
-// During the priming window the frame is accumulated into the estimate
-// and the output is zeroed (the detector's cold start covers this
-// period anyway). The estimate divides by the frames actually
-// accumulated, so a Reset mid-prime or a capture that ends before the
-// window fills never leaves a partial sum scaled as if the window had
-// completed.
-//
-//blinkradar:hotpath
-func (b *BackgroundSubtractor) Apply(frame []complex128) {
-	if b.seen < b.primeFrames {
-		b.seen++
-		for i, v := range frame {
-			b.sum[i] += v
-			frame[i] = 0
-		}
-		if b.seen == b.primeFrames {
-			b.freeze()
-		}
-		return
-	}
-	for i, v := range frame {
-		frame[i] = v - b.mean[i]
-	}
-}
-
-// ApplyPlanes is Apply on the float32 SoA layout. Priming accumulates
-// into the shared float64 sums (narrowed samples, full-precision
-// accumulation), so a subtractor primed through either layout serves
-// both.
+// ApplyPlanes subtracts the background estimate from one frame of I/Q
+// planes in place. During the priming window the frame is accumulated
+// into the estimate (narrowed samples, full-precision accumulation) and
+// the output is zeroed (the detector's cold start covers this period
+// anyway). The estimate divides by the frames actually accumulated, so
+// a Reset mid-prime or a capture that ends before the window fills
+// never leaves a partial sum scaled as if the window had completed.
 //
 //blinkradar:hotpath
 func (b *BackgroundSubtractor) ApplyPlanes(pi, pq []float32) {
@@ -271,15 +178,14 @@ func (b *BackgroundSubtractor) ApplyPlanes(pi, pq []float32) {
 	}
 }
 
-// freeze finalises the clutter estimate from the priming sum and fills
-// the float32 mirrors used by the planes path.
+// freeze finalises the clutter estimate from the priming sum into the
+// float32 planes the subtraction reads.
 //
 //blinkradar:convert
 func (b *BackgroundSubtractor) freeze() {
 	inv := complex(1/float64(b.seen), 0)
 	for i, s := range b.sum {
 		m := s * inv
-		b.mean[i] = m
 		b.meanI32[i] = float32(real(m))
 		b.meanQ32[i] = float32(imag(m))
 	}
@@ -289,15 +195,12 @@ func (b *BackgroundSubtractor) freeze() {
 // clutter estimate is frozen.
 func (b *BackgroundSubtractor) Primed() bool { return b.seen >= b.primeFrames }
 
-// Background returns a copy of the current clutter estimate. Before the
-// priming window completes it is the mean of the frames seen so far
-// (zeros when none), not the partial sum a full window would produce.
+// Background returns a copy of the current clutter estimate at full
+// precision: the mean of the frames accumulated so far (zeros when
+// none). Before the priming window completes that is the mean of the
+// frames seen, not the partial sum a full window would produce.
 func (b *BackgroundSubtractor) Background() []complex128 {
-	out := make([]complex128, len(b.mean))
-	if b.Primed() {
-		copy(out, b.mean)
-		return out
-	}
+	out := make([]complex128, len(b.sum))
 	if b.seen == 0 {
 		return out
 	}
@@ -312,7 +215,6 @@ func (b *BackgroundSubtractor) Background() []complex128 {
 func (b *BackgroundSubtractor) Reset() {
 	for i := range b.sum {
 		b.sum[i] = 0
-		b.mean[i] = 0
 		b.meanI32[i] = 0
 		b.meanQ32[i] = 0
 	}
@@ -321,115 +223,39 @@ func (b *BackgroundSubtractor) Reset() {
 
 // PreprocessMatrix applies the full preprocessing chain to a copy of
 // the matrix and returns it, leaving the input untouched. This is the
-// offline convenience used by experiments and figures. The denoising
-// stage fans out across cfg.Parallelism workers; the result is
-// identical to a serial pass.
+// offline path behind the figures, vital-sign estimation and the
+// baselines: each frame is narrowed into planes, run through the same
+// ProcessPlanes kernel as the streaming detector, and widened back.
 func PreprocessMatrix(cfg Config, m *rf.FrameMatrix) (*rf.FrameMatrix, error) {
-	return PreprocessMatrixParallel(cfg, m, cfg.Parallelism)
-}
-
-// PreprocessMatrixParallel is PreprocessMatrix with an explicit worker
-// count (<= 0 selects GOMAXPROCS). The per-frame noise-reduction
-// cascade is embarrassingly parallel, so frames are denoised in chunks
-// by a bounded worker pool, each worker reusing its own scratch
-// buffers; the stateful background subtraction then runs as a cheap
-// serial pass in frame order. The output is bit-identical to the
-// serial path regardless of the worker count.
-func PreprocessMatrixParallel(cfg Config, m *rf.FrameMatrix, workers int) (*rf.FrameMatrix, error) {
-	if err := cfg.Validate(); err != nil {
+	p, err := NewPreprocessor(cfg, m.NumBins(), m.FrameRate)
+	if err != nil {
 		return nil, err
 	}
 	out := m.Clone()
-	frames := out.Data
-	denoise := func(lo, hi int) error {
-		p, err := NewPreprocessor(cfg, m.NumBins(), m.FrameRate)
-		if err != nil {
-			return err
+	planes := iq.MakePlanes32(m.NumBins())
+	for _, frame := range out.Data {
+		planes.FromComplex(frame)
+		if err := p.ProcessPlanes(planes.I, planes.Q); err != nil {
+			return nil, err
 		}
-		for _, frame := range frames[lo:hi] {
-			p.denoise(frame)
-		}
-		return nil
-	}
-	if err := parallelChunks(len(frames), workers, denoise); err != nil {
-		return nil, err
-	}
-	bg, err := NewBackgroundSubtractor(m.NumBins(), m.FrameRate, cfg.BackgroundTauSec)
-	if err != nil {
-		return nil, err
-	}
-	for _, frame := range frames {
-		bg.Apply(frame)
+		planes.ToComplex(frame)
 	}
 	return out, nil
 }
-
-// Cascade is the reusable form of the paper's Fig. 7 noise-reduction
-// cascade: an order-N Hamming-window low-pass FIR followed by a
-// moving-average smoother. Construct once, then Apply repeatedly with
-// caller-owned buffers — the hot path performs no allocations. Not safe
-// for concurrent use (internal buffers are shared across calls).
-//
-// The windowed-sinc FIR is linear-phase, so Apply runs the fused
-// folded-tap single-pass kernel (dsp.FusedCascade): half the multiplies
-// of the direct form and one traversal of the series instead of two.
-// The output matches the sequential FIR+smoother pipeline within
-// fold-average rounding (≤1e-12 relative; see DESIGN.md §13).
-type Cascade struct {
-	fused  *dsp.FusedCascade
-	smooth int
-	// The fused kernel cannot run in place (its FIR stage writes the
-	// output while later samples still read the input), so aliased
-	// calls detour through a reusable copy of the input.
-	scratch []float64
-}
-
-// NewCascade designs the cascade's FIR stage once so repeated
-// applications avoid redesign and window allocations.
-func NewCascade(order int, cutoff float64, smooth int) (*Cascade, error) {
-	if smooth <= 0 {
-		return nil, fmt.Errorf("core: smoothing window must be positive, got %d", smooth)
-	}
-	fused, err := dsp.NewFusedCascade(order, cutoff, smooth)
-	if err != nil {
-		return nil, err
-	}
-	return &Cascade{fused: fused, smooth: smooth}, nil
-}
-
-// Apply runs the cascade over x into dst (same length; dst may alias x).
-func (c *Cascade) Apply(dst, x []float64) error {
-	if len(dst) != len(x) {
-		return fmt.Errorf("core: destination has %d samples, input %d", len(dst), len(x))
-	}
-	if len(x) > 0 && &dst[0] == &x[0] {
-		if cap(c.scratch) < len(x) {
-			c.scratch = make([]float64, len(x))
-		}
-		mid := c.scratch[:len(x)]
-		copy(mid, x)
-		return c.fused.ApplyInto(dst, mid)
-	}
-	return c.fused.ApplyInto(dst, x)
-}
-
-// Fused exposes the underlying fused kernel for callers that drive the
-// float32 SoA path directly.
-func (c *Cascade) Fused() *dsp.FusedCascade { return c.fused }
 
 // CascadeFilter applies the paper's Fig. 7 noise-reduction cascade — an
 // order-`order` Hamming-window low-pass FIR followed by a `smooth`-point
 // moving average — to a real-valued waveform. The paper applies it to
 // the received baseband fast-time signal; experiments use it to
 // regenerate the before/after SNR comparison. For repeated application
-// use Cascade, which reuses its filter design and scratch.
+// build a dsp.FusedCascade once and call its ApplyInto.
 func CascadeFilter(x []float64, order int, cutoff float64, smooth int) ([]float64, error) {
-	c, err := NewCascade(order, cutoff, smooth)
+	c, err := dsp.NewFusedCascade(order, cutoff, smooth)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(x))
-	if err := c.Apply(out, x); err != nil {
+	if err := c.ApplyInto(out, x); err != nil {
 		return nil, err
 	}
 	return out, nil

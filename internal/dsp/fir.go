@@ -7,40 +7,29 @@ import (
 
 // FIRFilter is a finite-impulse-response filter described by its tap
 // coefficients. The zero value is unusable; construct one with a design
-// function such as LowPassFIR or NewFIRFilter.
+// function such as LowPassFIR. The pipeline filters with the folded
+// form (FoldedFIR, FusedCascade); the real-valued direct form
+// (Apply, ApplyInto) lives in this package's tests as the float64
+// oracle the folded kernels are checked against.
 type FIRFilter struct {
 	taps []float64
 }
 
-// NewFIRFilter wraps an explicit set of tap coefficients. The taps are
-// copied so the caller retains ownership of its slice.
-func NewFIRFilter(taps []float64) (*FIRFilter, error) {
-	if len(taps) == 0 {
-		return nil, fmt.Errorf("dsp: FIR filter needs at least one tap")
-	}
-	t := make([]float64, len(taps))
-	copy(t, taps)
-	return &FIRFilter{taps: t}, nil
-}
-
-// LowPassFIR designs a windowed-sinc low-pass FIR filter of the given
-// order (number of taps = order+1) with normalised cutoff frequency
-// cutoff in (0, 0.5], where 0.5 corresponds to the Nyquist frequency.
-// The window defaults to Hamming when nil, matching the order-26
-// Hamming-window filter in the paper's preprocessing cascade.
-func LowPassFIR(order int, cutoff float64, window WindowFunc) (*FIRFilter, error) {
+// LowPassFIR designs a Hamming-window windowed-sinc low-pass FIR filter
+// of the given order (number of taps = order+1) with normalised cutoff
+// frequency cutoff in (0, 0.5], where 0.5 corresponds to the Nyquist
+// frequency — the order-26 Hamming-window filter of the paper's
+// preprocessing cascade.
+func LowPassFIR(order int, cutoff float64) (*FIRFilter, error) {
 	if err := validateLength("FIR order", order); err != nil {
 		return nil, err
 	}
 	if cutoff <= 0 || cutoff > 0.5 {
 		return nil, fmt.Errorf("dsp: cutoff must be in (0, 0.5], got %g", cutoff)
 	}
-	if window == nil {
-		window = Hamming
-	}
 	n := order + 1
 	taps := make([]float64, n)
-	w := window(n)
+	w := Hamming(n)
 	mid := float64(order) / 2
 	for i := 0; i < n; i++ {
 		x := float64(i) - mid
@@ -59,14 +48,14 @@ func LowPassFIR(order int, cutoff float64, window WindowFunc) (*FIRFilter, error
 	return &FIRFilter{taps: taps}, nil
 }
 
-// HighPassFIR designs a windowed-sinc high-pass filter by spectral
-// inversion of the corresponding low-pass design. The order must be even
-// so the filter has a well-defined centre tap.
-func HighPassFIR(order int, cutoff float64, window WindowFunc) (*FIRFilter, error) {
+// HighPassFIR designs a Hamming-window windowed-sinc high-pass filter
+// by spectral inversion of the corresponding low-pass design. The order
+// must be even so the filter has a well-defined centre tap.
+func HighPassFIR(order int, cutoff float64) (*FIRFilter, error) {
 	if order%2 != 0 {
 		return nil, fmt.Errorf("dsp: high-pass FIR order must be even, got %d", order)
 	}
-	lp, err := LowPassFIR(order, cutoff, window)
+	lp, err := LowPassFIR(order, cutoff)
 	if err != nil {
 		return nil, err
 	}
@@ -129,58 +118,6 @@ func sinc(x float64) float64 {
 // Order returns the filter order (number of taps minus one).
 func (f *FIRFilter) Order() int { return len(f.taps) - 1 }
 
-// Taps returns a copy of the tap coefficients.
-func (f *FIRFilter) Taps() []float64 {
-	t := make([]float64, len(f.taps))
-	copy(t, f.taps)
-	return t
-}
-
-// Apply filters x and returns a slice of the same length. The output is
-// compensated for the filter's group delay (order/2 samples) so that
-// features in the output remain time-aligned with the input; edges are
-// handled by replicating the first and last input samples.
-func (f *FIRFilter) Apply(x []float64) []float64 {
-	out := make([]float64, len(x))
-	f.ApplyInto(out, x) // lengths match by construction
-	return out
-}
-
-// ApplyInto filters x into dst with the same delay compensation as
-// Apply, performing no allocations. dst must have the same length as x
-// and must not alias it: the filter reads neighbouring input samples
-// after their output positions have been written.
-//
-//blinkradar:hotpath
-func (f *FIRFilter) ApplyInto(dst, x []float64) error {
-	n := len(x)
-	if len(dst) != n {
-		return errSampleCount(len(dst), n)
-	}
-	if n == 0 {
-		return nil
-	}
-	if &dst[0] == &x[0] {
-		return errAliased("ApplyInto")
-	}
-	delay := f.Order() / 2
-	for i := 0; i < n; i++ {
-		var acc float64
-		for j, t := range f.taps {
-			k := i + delay - j
-			switch {
-			case k < 0:
-				k = 0
-			case k >= n:
-				k = n - 1
-			}
-			acc += t * x[k]
-		}
-		dst[i] = acc
-	}
-	return nil
-}
-
 // ApplyComplex filters a complex series by filtering the real and
 // imaginary components independently, preserving I/Q structure.
 func (f *FIRFilter) ApplyComplex(x []complex128) []complex128 {
@@ -192,8 +129,8 @@ func (f *FIRFilter) ApplyComplex(x []complex128) []complex128 {
 // ApplyComplexInto filters a complex series into dst without allocating:
 // the real and imaginary components are accumulated independently in a
 // single pass, which is arithmetically identical to splitting the series
-// and running ApplyInto on each part. dst must have the same length as x
-// and must not alias it.
+// and running the direct-form real filter on each part. dst must have
+// the same length as x and must not alias it.
 //
 //blinkradar:hotpath
 func (f *FIRFilter) ApplyComplexInto(dst, x []complex128) error {
@@ -226,18 +163,6 @@ func (f *FIRFilter) ApplyComplexInto(dst, x []complex128) error {
 	return nil
 }
 
-// FrequencyResponse evaluates the filter's complex frequency response at
-// normalised frequency fn in [0, 0.5].
-func (f *FIRFilter) FrequencyResponse(fn float64) complex128 {
-	var re, im float64
-	for i, t := range f.taps {
-		ang := 2 * math.Pi * fn * float64(i)
-		re += t * math.Cos(ang)
-		im -= t * math.Sin(ang)
-	}
-	return complex(re, im)
-}
-
 // Stream returns a streaming instance of the filter with its own delay
 // line, suitable for sample-at-a-time real-time use.
 func (f *FIRFilter) Stream() *FIRStream {
@@ -247,7 +172,7 @@ func (f *FIRFilter) Stream() *FIRStream {
 // FIRStream is a stateful, sample-at-a-time FIR filter. It is not safe
 // for concurrent use.
 //
-// Unlike FIRFilter.Apply, which shifts its output to compensate the
+// Unlike FoldedFIR.ApplyInto, which shifts its output to compensate the
 // filter group delay, a causal streaming filter cannot look ahead:
 // every output sample lags the corresponding input feature by Delay()
 // samples. Consumers that timestamp features found in the output (e.g.

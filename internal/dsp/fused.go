@@ -21,9 +21,10 @@ const foldTolerance = 1e-9
 // paths. Construct with NewFoldedFIR or FoldedLowPass; the zero value is
 // unusable.
 //
-// Output semantics match FIRFilter.ApplyInto exactly: group-delay
-// compensation by order/2 samples and edge handling by replicating the
-// first and last input samples.
+// Output semantics match the direct-form FIR (the float64 oracle in
+// this package's tests) exactly: group-delay compensation by order/2
+// samples and edge handling by replicating the first and last input
+// samples.
 type FoldedFIR struct {
 	// pairs[j] is the folded coefficient for mirror pair (j, order-j),
 	// j < len(pairs); center is the unpaired middle tap (even order
@@ -78,7 +79,7 @@ func NewFoldedFIR(taps []float64) (*FoldedFIR, error) {
 // FoldedLowPass designs a Hamming-window low-pass FIR (as LowPassFIR)
 // and folds it. This is the kernel behind the paper's Fig. 7 cascade.
 func FoldedLowPass(order int, cutoff float64) (*FoldedFIR, error) {
-	lp, err := LowPassFIR(order, cutoff, Hamming)
+	lp, err := LowPassFIR(order, cutoff)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +96,7 @@ func (f *FoldedFIR) is26() bool {
 }
 
 // ApplyInto filters x into dst with the same delay compensation and
-// edge replication as FIRFilter.ApplyInto, using the folded form. dst
+// edge replication as the direct-form FIR, using the folded form. dst
 // must have the same length as x and must not alias it.
 //
 //blinkradar:hotpath
@@ -249,7 +250,7 @@ func foldedInterior26f32(pairs []float32, center float32, dst, x []float32, kLo,
 }
 
 // foldedEdgeAt evaluates one output with both mirror indices clamped to
-// the input range, matching FIRFilter.ApplyInto's edge replication.
+// the input range, matching the direct-form FIR's edge replication.
 func foldedEdgeAt[F float32 | float64](pairs []F, center F, hasCenter bool, order int, x []F, k int) F {
 	n := len(x)
 	delay := order / 2

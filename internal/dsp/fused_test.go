@@ -11,7 +11,7 @@ import (
 // pipeline.
 func refCascade64(t *testing.T, x []float64, order int, cutoff float64, smooth int) []float64 {
 	t.Helper()
-	fir, err := LowPassFIR(order, cutoff, Hamming)
+	fir, err := LowPassFIR(order, cutoff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func maxScale(x []float64) float64 {
 func TestFoldedFIRMatchesReference(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 13, 26, 27, 64, 500} {
 		for _, order := range []int{2, 4, 13, 26} {
-			fir, err := LowPassFIR(order, 0.04, Hamming)
+			fir, err := LowPassFIR(order, 0.04)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -115,9 +115,6 @@ func (m *StreamingMedian) Median() float64 {
 // Count returns the number of values currently in the window.
 func (m *StreamingMedian) Count() int { return m.count }
 
-// Cap returns the fixed window capacity.
-func (m *StreamingMedian) Cap() int { return len(m.ring) }
-
 // Full reports whether the window holds capacity values, i.e. whether
 // the next Push will evict.
 func (m *StreamingMedian) Full() bool { return m.count == len(m.ring) }

@@ -108,8 +108,8 @@ func TestStreamingMedianReset(t *testing.T) {
 	if m.Median() != 9 {
 		t.Fatalf("median %g after single push", m.Median())
 	}
-	if m.Cap() != 4 {
-		t.Fatalf("capacity %d changed by reset", m.Cap())
+	if len(m.ring) != 4 {
+		t.Fatalf("capacity %d changed by reset", len(m.ring))
 	}
 }
 

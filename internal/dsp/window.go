@@ -6,15 +6,6 @@ import "math"
 // allocated slice of length n; n <= 0 yields an empty slice.
 type WindowFunc func(n int) []float64
 
-// Rectangular returns an n-point all-ones (boxcar) window.
-func Rectangular(n int) []float64 {
-	w := make([]float64, max(n, 0))
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
 // Hamming returns the n-point Hamming window
 // w[i] = 0.54 - 0.46*cos(2*pi*i/(n-1)), the window the paper uses for its
 // order-26 FIR noise-reduction filter.
@@ -39,23 +30,6 @@ func cosineWindow(n int, a, b float64) []float64 {
 	}
 	for i := 0; i < n; i++ {
 		w[i] = a - b*math.Cos(2*math.Pi*float64(i)/float64(n-1))
-	}
-	return w
-}
-
-// Blackman returns the n-point Blackman window.
-func Blackman(n int) []float64 {
-	if n <= 0 {
-		return nil
-	}
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := 0; i < n; i++ {
-		x := 2 * math.Pi * float64(i) / float64(n-1)
-		w[i] = 0.42 - 0.5*math.Cos(x) + 0.08*math.Cos(2*x)
 	}
 	return w
 }

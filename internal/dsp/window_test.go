@@ -7,7 +7,7 @@ import (
 )
 
 func TestWindowLengths(t *testing.T) {
-	for _, w := range []WindowFunc{Rectangular, Hamming, Hann, Blackman, Gaussian(0.4)} {
+	for _, w := range []WindowFunc{Hamming, Hann, Gaussian(0.4)} {
 		for _, n := range []int{0, 1, 2, 7, 64} {
 			got := w(n)
 			if len(got) != max(n, 0) {
@@ -22,7 +22,6 @@ func TestWindowSymmetryProperty(t *testing.T) {
 	windows := map[string]WindowFunc{
 		"hamming":  Hamming,
 		"hann":     Hann,
-		"blackman": Blackman,
 		"gaussian": Gaussian(0.4),
 	}
 	for name, w := range windows {
@@ -60,7 +59,7 @@ func TestHannEndpoints(t *testing.T) {
 }
 
 func TestSinglePointWindows(t *testing.T) {
-	for _, w := range []WindowFunc{Hamming, Hann, Blackman, Gaussian(0.3)} {
+	for _, w := range []WindowFunc{Hamming, Hann, Gaussian(0.3)} {
 		if got := w(1); len(got) != 1 || got[0] != 1 {
 			t.Fatalf("single-point window = %v, want [1]", got)
 		}

@@ -67,16 +67,6 @@ func (p Planes32) ToComplex(dst []complex128) []complex128 {
 	return dst
 }
 
-// ComplexToPlanes splits a complex series into freshly allocated
-// planes: the offline/test-path convenience mirror of FromComplex.
-//
-//blinkradar:convert
-func ComplexToPlanes(z []complex128) Planes32 {
-	p := MakePlanes32(len(z))
-	p.FromComplex(z)
-	return p
-}
-
 // MomentSums32 accumulates the five I/Q moment sums of a plane pair in
 // one pass: Σi, Σq, Σi², Σq², Σi·q. Accumulation is float64 — a
 // float32 running sum would random-walk its rounding error with the

@@ -16,9 +16,16 @@ func randCloud(seed int64, n int) []complex128 {
 	return z
 }
 
+// planesOf splits a complex series into freshly allocated planes.
+func planesOf(z []complex128) Planes32 {
+	p := MakePlanes32(len(z))
+	p.FromComplex(z)
+	return p
+}
+
 func TestPlanes32RoundTrip(t *testing.T) {
 	z := randCloud(1, 64)
-	p := ComplexToPlanes(z)
+	p := planesOf(z)
 	if p.Len() != len(z) {
 		t.Fatalf("len %d, want %d", p.Len(), len(z))
 	}
@@ -39,7 +46,7 @@ func TestPlanes32RoundTrip(t *testing.T) {
 
 func TestMomentSums32MatchesComplexMoments(t *testing.T) {
 	z := randCloud(2, 500)
-	p := ComplexToPlanes(z)
+	p := planesOf(z)
 	sumI, sumQ, sumII, sumQQ, sumIQ := MomentSums32(p.I, p.Q)
 	var wI, wQ, wII, wQQ, wIQ float64
 	for i := range z {
@@ -64,7 +71,7 @@ func TestMomentSums32MatchesComplexMoments(t *testing.T) {
 
 func TestVariance2DPlanesMatchesVariance2D(t *testing.T) {
 	z := randCloud(3, 400)
-	p := ComplexToPlanes(z)
+	p := planesOf(z)
 	want := Variance2D(z)
 	got := Variance2DPlanes(p.I, p.Q)
 	if math.Abs(got-want) > 1e-5*math.Abs(want) {
@@ -76,7 +83,7 @@ func TestVariance2DPlanesMatchesVariance2D(t *testing.T) {
 }
 
 func TestFinitePlanes(t *testing.T) {
-	p := ComplexToPlanes(randCloud(4, 16))
+	p := planesOf(randCloud(4, 16))
 	if !FinitePlanes(p.I, p.Q) {
 		t.Fatal("finite planes reported non-finite")
 	}

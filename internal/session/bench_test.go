@@ -7,16 +7,18 @@ import (
 	"testing"
 
 	"blinkradar"
+	"blinkradar/internal/iq"
 )
 
 // BenchmarkFleet measures the multi-session service layer end to end:
 // 512 concurrent sessions sharded across GOMAXPROCS workers, each frame
-// submitted through admission, queueing, and the full detection
-// pipeline. One op is one frame through one session. The derived
-// streams/core metric is how many real-time radar streams (at the
-// configured frame rate) one core sustains; the allocation budget in CI
-// is zero — the pool and the flat queues make the steady state
-// alloc-free however many sessions churn through.
+// submitted as I/Q planes through SubmitPlanes (the path ingest uses),
+// admission, queueing, and the full detection pipeline. One op is one
+// frame through one session. The derived streams/core metric is how
+// many real-time radar streams (at the configured frame rate) one core
+// sustains; the allocation budget in CI is zero — the pool and the flat
+// queues make the steady state alloc-free however many sessions churn
+// through.
 func BenchmarkFleet(b *testing.B) {
 	const (
 		sessions = 512
@@ -27,8 +29,9 @@ func BenchmarkFleet(b *testing.B) {
 	// Prime every session past cold start so the timed region measures
 	// steady state, not amortised warm-up growth.
 	for f := 0; f < prime; f++ {
+		p := bank[f%len(bank)]
 		for _, id := range ids {
-			if err := m.Submit(id, bank[f%len(bank)]); err != nil {
+			if err := m.SubmitPlanes(id, p.I, p.Q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -39,7 +42,8 @@ func BenchmarkFleet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.Submit(ids[i%sessions], bank[i%len(bank)]); err != nil {
+		f := bank[i%len(bank)]
+		if err := m.SubmitPlanes(ids[i%sessions], f.I, f.Q); err != nil {
 			b.Fatal(err)
 		}
 		pace(m, sessions*16)
@@ -82,8 +86,9 @@ func BenchmarkFleetIdle(b *testing.B) {
 		groups = sessions / active
 	}
 	for f := 0; f < prime; f++ {
+		p := bank[f%len(bank)]
 		for _, id := range ids[:groups*active] {
-			if err := m.Submit(id, bank[f%len(bank)]); err != nil {
+			if err := m.SubmitPlanes(id, p.I, p.Q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -95,7 +100,8 @@ func BenchmarkFleetIdle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := i / (active * budget) % groups
-		if err := m.Submit(ids[g*active+i%active], bank[i%len(bank)]); err != nil {
+		f := bank[i%len(bank)]
+		if err := m.SubmitPlanes(ids[g*active+i%active], f.I, f.Q); err != nil {
 			b.Fatal(err)
 		}
 		pace(m, active)
@@ -110,9 +116,10 @@ func BenchmarkFleetIdle(b *testing.B) {
 
 // benchFleet starts a manager at 25 fps with n attached sessions (closed
 // when the benchmark ends) and returns their IDs with a small bank of
-// deterministic frames: enough variation that the pipeline does real
-// work, no allocation during the timed loop.
-func benchFleet(b *testing.B, n, bins int) (*Manager, []string, [][]complex128) {
+// deterministic frames, pre-split into I/Q planes as the wire decoder
+// delivers them: enough variation that the pipeline does real work, no
+// allocation during the timed loop.
+func benchFleet(b *testing.B, n, bins int) (*Manager, []string, []iq.Planes32) {
 	b.Helper()
 	m, err := NewManager(Config{
 		NumBins:   bins,
@@ -124,14 +131,13 @@ func benchFleet(b *testing.B, n, bins int) (*Manager, []string, [][]complex128) 
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { m.Close() })
-	bank := make([][]complex128, 64)
+	bank := make([]iq.Planes32, 64)
 	for i := range bank {
-		f := make([]complex128, bins)
-		for j := range f {
+		bank[i] = iq.MakePlanes32(bins)
+		for j := 0; j < bins; j++ {
 			ph := float64(i)*0.31 + float64(j)*0.7
-			f[j] = complex(math.Cos(ph), math.Sin(ph)) * 1e-3
+			bank[i].Set(j, complex(math.Cos(ph), math.Sin(ph))*1e-3)
 		}
-		bank[i] = f
 	}
 	ids := make([]string, n)
 	for i := range ids {

@@ -152,8 +152,8 @@ type shard struct {
 }
 
 // Manager shards radar sessions across per-core workers. All methods
-// are safe for concurrent use; Submit for distinct sessions contends
-// only within a shard.
+// are safe for concurrent use; SubmitPlanes for distinct sessions
+// contends only within a shard.
 type Manager struct {
 	cfg    Config
 	shards []*shard
@@ -364,35 +364,15 @@ func (m *Manager) Detach(id string) (SessionStats, error) {
 	return stats, nil
 }
 
-// Submit offers one frame to a session. The frame is copied into the
-// session's queue; the caller may reuse the slice immediately. A full
-// queue drops the frame (accounted, and surfaced to the pipeline as a
-// gap); an empty token bucket rejects it with ErrRateLimited.
-//
-// The queue holds float32 planes, so this complex boundary narrows on
-// copy; SubmitPlanes skips the conversion entirely and is what the
-// wire-facing ingest path uses.
-//
-//blinkradar:hotpath
-func (m *Manager) Submit(id string, frame []complex128) error {
-	return m.submit(id, nil, nil, frame)
-}
-
-// SubmitPlanes is Submit for a frame already split into float32 I/Q
-// planes (the wire codec's native decode), copied into the session
-// queue with no complex materialisation; the caller may reuse both
-// slices immediately.
+// SubmitPlanes offers one frame, already split into float32 I/Q planes
+// (the wire codec's native decode), to a session. Both planes are
+// copied into the session's queue; the caller may reuse the slices
+// immediately. A full queue drops the frame (accounted, and surfaced to
+// the pipeline as a gap); an empty token bucket rejects it with
+// ErrRateLimited.
 //
 //blinkradar:hotpath
 func (m *Manager) SubmitPlanes(id string, pi, pq []float32) error {
-	return m.submit(id, pi, pq, nil)
-}
-
-// submit is the shared admission path: exactly one of (pi, pq) or
-// frame carries the payload.
-//
-//blinkradar:hotpath
-func (m *Manager) submit(id string, pi, pq []float32, frame []complex128) error {
 	if m.closed.Load() {
 		return ErrManagerClosed
 	}
@@ -407,11 +387,7 @@ func (m *Manager) submit(id string, pi, pq []float32, frame []complex128) error 
 	if s == nil {
 		return ErrSessionNotFound
 	}
-	if frame != nil {
-		if len(frame) != s.bins {
-			return ErrGeometry
-		}
-	} else if len(pi) != s.bins || len(pq) != s.bins {
+	if len(pi) != s.bins || len(pq) != s.bins {
 		return ErrGeometry
 	}
 	limit, burst := m.cfg.RateLimit, m.cfg.RateBurst
@@ -429,12 +405,7 @@ func (m *Manager) submit(id string, pi, pq []float32, frame []complex128) error 
 		m.mLimited.Inc()
 		return ErrRateLimited
 	}
-	var accepted bool
-	if frame != nil {
-		accepted = s.pushComplex(frame)
-	} else {
-		accepted = s.push(pi, pq)
-	}
+	accepted := s.push(pi, pq)
 	// A queued frame needs its session on the ready FIFO. A dropped one
 	// does not: the queue is full, so the session is already listed.
 	list := false

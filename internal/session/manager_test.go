@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"blinkradar"
+	"blinkradar/internal/iq"
 	"blinkradar/internal/obs"
 )
 
@@ -33,14 +34,19 @@ func newTestManager(t *testing.T, cfg Config) *Manager {
 	return m
 }
 
-// testFrame fills a deterministic, finite radar frame.
-func testFrame(bins int, seed int) []complex128 {
-	f := make([]complex128, bins)
-	for b := range f {
+// testFrame fills a deterministic, finite radar frame of I/Q planes.
+func testFrame(bins int, seed int) iq.Planes32 {
+	f := iq.MakePlanes32(bins)
+	for b := range f.I {
 		ph := float64(seed)*0.13 + float64(b)*0.7
-		f[b] = complex(math.Cos(ph), math.Sin(ph)) * 1e-3
+		f.Set(b, complex(math.Cos(ph), math.Sin(ph))*1e-3)
 	}
 	return f
+}
+
+// submit offers one plane frame to a session.
+func submit(m *Manager, id string, f iq.Planes32) error {
+	return m.SubmitPlanes(id, f.I, f.Q)
 }
 
 // waitFor polls cond until it holds or the deadline expires.
@@ -76,7 +82,7 @@ func TestSubmitFeedsPipeline(t *testing.T) {
 	frame := testFrame(16, 1)
 	const n = 200
 	for i := 0; i < n; i++ {
-		if err := m.Submit("car-1", frame); err != nil {
+		if err := submit(m, "car-1", frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,10 +127,10 @@ func TestAdmissionControl(t *testing.T) {
 	if _, err := m.Detach("nope"); !errors.Is(err, ErrSessionNotFound) {
 		t.Fatalf("detach of unknown id: got %v, want ErrSessionNotFound", err)
 	}
-	if err := m.Submit("nope", testFrame(16, 0)); !errors.Is(err, ErrSessionNotFound) {
+	if err := submit(m, "nope", testFrame(16, 0)); !errors.Is(err, ErrSessionNotFound) {
 		t.Fatalf("submit to unknown id: got %v, want ErrSessionNotFound", err)
 	}
-	if err := m.Submit("a", testFrame(8, 0)); !errors.Is(err, ErrGeometry) {
+	if err := submit(m, "a", testFrame(8, 0)); !errors.Is(err, ErrGeometry) {
 		t.Fatalf("wrong-geometry submit: got %v, want ErrGeometry", err)
 	}
 	if _, err := m.Detach("c"); err != nil {
@@ -213,7 +219,7 @@ func TestAttachDetachChurnAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if err := m.Submit("churn", frame); err != nil {
+		if err := submit(m, "churn", frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -256,7 +262,7 @@ func TestDetachResetsRecycledState(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := m.Submit("first", frame); err != nil {
+		if err := submit(m, "first", frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -304,22 +310,22 @@ func TestRateLimiting(t *testing.T) {
 	}
 	frame := testFrame(16, 9)
 	for i := 0; i < 5; i++ {
-		if err := m.Submit("limited", frame); err != nil {
+		if err := submit(m, "limited", frame); err != nil {
 			t.Fatalf("within burst, frame %d: %v", i, err)
 		}
 	}
-	if err := m.Submit("limited", frame); !errors.Is(err, ErrRateLimited) {
+	if err := submit(m, "limited", frame); !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("burst exhausted: got %v, want ErrRateLimited", err)
 	}
 	mu.Lock()
 	now = now.Add(300 * time.Millisecond) // refills 3 tokens at 10/s
 	mu.Unlock()
 	for i := 0; i < 3; i++ {
-		if err := m.Submit("limited", frame); err != nil {
+		if err := submit(m, "limited", frame); err != nil {
 			t.Fatalf("after refill, frame %d: %v", i, err)
 		}
 	}
-	if err := m.Submit("limited", frame); !errors.Is(err, ErrRateLimited) {
+	if err := submit(m, "limited", frame); !errors.Is(err, ErrRateLimited) {
 		t.Fatalf("refill overspent: got %v, want ErrRateLimited", err)
 	}
 	st, err := m.SessionStats("limited")
@@ -358,7 +364,7 @@ func TestBackpressureTransitions(t *testing.T) {
 	s.feedMu.Lock()
 	// Window 1: 12 accepted + 4 dropped = 25% -> widened.
 	for i := 0; i < 16; i++ {
-		if err := m.Submit("bp", frame); err != nil {
+		if err := submit(m, "bp", frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -373,7 +379,7 @@ func TestBackpressureTransitions(t *testing.T) {
 	// Window 2: queue still full, 16/16 dropped -> degraded, and the
 	// session's health reports degraded regardless of the detector.
 	for i := 0; i < 16; i++ {
-		if err := m.Submit("bp", frame); err != nil {
+		if err := submit(m, "bp", frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -400,7 +406,7 @@ func TestBackpressureTransitions(t *testing.T) {
 				before = st.Dropped
 				return st.Queued < uint64(cfg.QueueFrames)
 			})
-			if err := m.Submit("bp", frame); err != nil {
+			if err := submit(m, "bp", frame); err != nil {
 				t.Fatal(err)
 			}
 			if st, _ := m.SessionStats("bp"); st.Dropped != before {
@@ -457,7 +463,7 @@ func TestWorkerSkipsIdleSessions(t *testing.T) {
 	const n = 48 // three DrainBatchFrames batches
 	frame := testFrame(16, 4)
 	for i := 0; i < n; i++ {
-		if err := m.Submit("busy", frame); err != nil {
+		if err := submit(m, "busy", frame); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -486,7 +492,7 @@ func TestDroppedFramesSurfaceAsGaps(t *testing.T) {
 
 	s.feedMu.Lock()
 	for i := 0; i < 7; i++ { // 4 queued, 3 dropped
-		if err := m.Submit("gappy", frame); err != nil {
+		if err := submit(m, "gappy", frame); err != nil {
 			s.feedMu.Unlock()
 			t.Fatal(err)
 		}
@@ -508,7 +514,7 @@ func TestDroppedFramesSurfaceAsGaps(t *testing.T) {
 		return st.Queued == 0
 	})
 	// The next accepted frame carries the hole to the pipeline.
-	if err := m.Submit("gappy", frame); err != nil {
+	if err := submit(m, "gappy", frame); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "gap delivery", func() bool {
@@ -535,7 +541,7 @@ func TestCloseRejectsFurtherWork(t *testing.T) {
 	if err := m.Close(); !errors.Is(err, ErrManagerClosed) {
 		t.Fatalf("second close: got %v, want ErrManagerClosed", err)
 	}
-	if err := m.Submit("x", testFrame(16, 0)); !errors.Is(err, ErrManagerClosed) {
+	if err := submit(m, "x", testFrame(16, 0)); !errors.Is(err, ErrManagerClosed) {
 		t.Fatalf("submit after close: got %v, want ErrManagerClosed", err)
 	}
 	if err := m.Attach("y"); !errors.Is(err, ErrManagerClosed) {
@@ -574,7 +580,7 @@ func TestConcurrentChurnAndSubmit(t *testing.T) {
 						}
 					}
 				default:
-					err := m.Submit(id, frame)
+					err := submit(m, id, frame)
 					if err != nil && !errors.Is(err, ErrSessionNotFound) {
 						panic(err)
 					}
@@ -619,7 +625,7 @@ func TestMetricsRegistered(t *testing.T) {
 	}
 	frame := testFrame(16, 2)
 	for i := 0; i < 10; i++ {
-		if err := m.Submit("metered", frame); err != nil {
+		if err := submit(m, "metered", frame); err != nil {
 			t.Fatal(err)
 		}
 	}

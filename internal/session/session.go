@@ -109,8 +109,8 @@ type Session struct {
 	feedMu sync.Mutex
 
 	// gen increments on every recycle. A submitter captures it at map
-	// lookup and re-checks under qmu, so a Submit racing a Detach can
-	// never push into a recycled (or re-attached) session.
+	// lookup and re-checks under qmu, so a SubmitPlanes racing a Detach
+	// can never push into a recycled (or re-attached) session.
 	gen atomic.Uint64
 
 	// Lifetime accounting, readable from any goroutine.
@@ -142,48 +142,16 @@ func newSession(bins, slots int, mon *blinkradar.Monitor, windowSec float64) *Se
 	return s
 }
 
-// push enqueues one frame of I/Q planes, or — when the queue is full —
+// push enqueues one frame of I/Q planes into the next free slot,
+// stamping the gap that precedes it, or — when the queue is full —
 // drops it and folds it into the gap preceding whatever frame is
 // accepted next. Caller holds qmu.
 //
 //blinkradar:hotpath
 func (s *Session) push(pi, pq []float32) bool {
-	slot, ok := s.claimSlot()
-	if !ok {
-		return false
-	}
-	copy(s.bufI[slot*s.bins:(slot+1)*s.bins], pi)
-	copy(s.bufQ[slot*s.bins:(slot+1)*s.bins], pq)
-	return true
-}
-
-// pushComplex is push for the compatibility Submit boundary: the frame
-// is narrowed into the plane ring bin by bin. Caller holds qmu.
-//
-//blinkradar:convert -- sanctioned float64→float32 narrowing at the legacy complex Submit boundary
-//blinkradar:hotpath
-func (s *Session) pushComplex(frame []complex128) bool {
-	slot, ok := s.claimSlot()
-	if !ok {
-		return false
-	}
-	off := slot * s.bins
-	for i, z := range frame {
-		s.bufI[off+i] = float32(real(z))
-		s.bufQ[off+i] = float32(imag(z))
-	}
-	return true
-}
-
-// claimSlot reserves the next free queue slot and stamps its preceding
-// gap, or accrues a pending gap when the queue is full. Caller holds
-// qmu.
-//
-//blinkradar:hotpath
-func (s *Session) claimSlot() (int, bool) {
 	if s.n == s.slots {
 		s.pendingGap++
-		return 0, false
+		return false
 	}
 	slot := s.head + s.n
 	if slot >= s.slots {
@@ -192,7 +160,9 @@ func (s *Session) claimSlot() (int, bool) {
 	s.gaps[slot] = s.pendingGap
 	s.pendingGap = 0
 	s.n++
-	return slot, true
+	copy(s.bufI[slot*s.bins:(slot+1)*s.bins], pi)
+	copy(s.bufQ[slot*s.bins:(slot+1)*s.bins], pq)
+	return true
 }
 
 // peek returns the oldest queued frame's planes without dequeueing it.

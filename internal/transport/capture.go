@@ -87,6 +87,15 @@ type CaptureHeader struct {
 // frames durable.
 type syncer interface{ Sync() error }
 
+// TimestampMicros converts a time in seconds to microseconds, rounding
+// half-up. Truncation here is not harmless: at a non-integer frame
+// rate, flooring drifts frame timestamps by up to 1µs against the
+// FrameTime grid, so a write→read round-trip no longer reproduces the
+// recorded clock.
+func TimestampMicros(sec float64) uint64 {
+	return uint64(math.Round(sec * 1e6))
+}
+
 // CaptureWriter streams frames into a .brc v1 capture. Frames are
 // buffered and CRC-framed as written; the seekable index is emitted as
 // a footer by Close. Periodic checkpoints (every CheckpointEvery

@@ -43,6 +43,52 @@ func writeTestCapture(tb testing.TB, hello StreamHello, n int) []byte {
 	return buf.Bytes()
 }
 
+// writeV0Capture serialises a frame matrix in the legacy v0 layout — a
+// stream hello followed by encoded frames, with no index and no
+// recovery metadata — the bytes old recordings hold and CaptureReader
+// still loads.
+func writeV0Capture(tb testing.TB, m *rf.FrameMatrix) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	hello := StreamHello{FrameRate: m.FrameRate, BinSpacing: m.BinSpacing, NumBins: uint32(m.NumBins())}
+	if err := EncodeHello(&buf, hello); err != nil {
+		tb.Fatal(err)
+	}
+	enc := NewEncoder(&buf)
+	for k, bins := range m.Data {
+		f := Frame{Seq: uint64(k), TimestampMicros: TimestampMicros(m.FrameTime(k)), Bins: bins}
+		if err := enc.Encode(f); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// writeMatrixCapture writes a frame matrix through CaptureWriter,
+// stamping frames as radarsim does, and returns the finished v1 capture.
+func writeMatrixCapture(tb testing.TB, m *rf.FrameMatrix) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	hello := StreamHello{FrameRate: m.FrameRate, BinSpacing: m.BinSpacing, NumBins: uint32(m.NumBins())}
+	cw, err := NewCaptureWriter(&buf, hello, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for k, bins := range m.Data {
+		f := Frame{Seq: uint64(k), TimestampMicros: TimestampMicros(m.FrameTime(k)), Bins: bins}
+		if err := cw.WriteFrame(f); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := cw.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // checkFrames reads the capture front to back and verifies it yields
 // exactly frames 0..want-1, each bit-exact, then a clean io.EOF.
 func checkFrames(t *testing.T, cr *CaptureReader, want int) {
@@ -140,7 +186,7 @@ func TestCaptureSeek(t *testing.T) {
 }
 
 // TestCaptureReaderV0 loads a legacy hello+frames capture through the
-// new reader.
+// new reader, whole and cut at every byte past the hello.
 func TestCaptureReaderV0(t *testing.T) {
 	var buf bytes.Buffer
 	if err := EncodeHello(&buf, testHello); err != nil {
@@ -173,6 +219,23 @@ func TestCaptureReaderV0(t *testing.T) {
 		t.Fatal("v0 capture has no footer to be Indexed by")
 	}
 	checkFrames(t, cr, n)
+
+	// A damaged v0 file still serves its intact frame prefix. With no
+	// footer, a cut on a frame boundary reads as a clean end; any cut
+	// inside a frame is flagged as truncation.
+	data := buf.Bytes()
+	frameSize := frameWireSize(int(testHello.NumBins))
+	for cut := helloSize; cut < len(data); cut++ {
+		cr, err := NewCaptureReader(bytes.NewReader(data[:cut]))
+		if err != nil {
+			t.Fatalf("cut %d: open failed: %v", cut, err)
+		}
+		terr := cr.Truncated()
+		if mid := (cut-helloSize)%frameSize != 0; mid != errors.Is(terr, ErrTruncatedCapture) {
+			t.Fatalf("cut %d: truncation report %v, mid-frame cut %v", cut, terr, mid)
+		}
+		checkFrames(t, cr, (cut-helloSize)/frameSize)
+	}
 }
 
 // TestCaptureTruncationEveryByte is the boundary-cut matrix from the
@@ -330,8 +393,8 @@ func TestCaptureWriterContracts(t *testing.T) {
 	}
 }
 
-// TestCaptureReadMatrix checks the matrix convenience against the v0
-// writer's output and a v1 capture of the same frames.
+// TestCaptureReadMatrix checks the matrix convenience against a legacy
+// v0 capture of known frames.
 func TestCaptureReadMatrix(t *testing.T) {
 	m, err := rf.NewFrameMatrix(20, 8, 25, 0.0107)
 	if err != nil {
@@ -342,11 +405,7 @@ func TestCaptureReadMatrix(t *testing.T) {
 			m.Data[k][i] = complex(float64(k), float64(i))
 		}
 	}
-	var v0 bytes.Buffer
-	if err := WriteCapture(&v0, m); err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range map[string][]byte{"v0": v0.Bytes()} {
+	for name, data := range map[string][]byte{"v0": writeV0Capture(t, m)} {
 		cr, err := NewCaptureReader(bytes.NewReader(data))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -373,7 +432,8 @@ func TestCaptureReadMatrix(t *testing.T) {
 
 // TestWriteCaptureTimestampRounding is the regression test for the
 // floor-vs-round bug: at a non-integer frame period (30 fps → 33333.3µs)
-// flooring drifts odd frames 1µs early against the FrameTime grid.
+// flooring drifts odd frames 1µs early against the FrameTime grid. The
+// frames go through CaptureWriter stamped as radarsim stamps them.
 func TestWriteCaptureTimestampRounding(t *testing.T) {
 	if got := TimestampMicros(2.0 / 30.0); got != 66667 {
 		t.Fatalf("TimestampMicros(2/30) = %d, want 66667 (floor would give 66666)", got)
@@ -385,11 +445,7 @@ func TestWriteCaptureTimestampRounding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteCapture(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	cr, err := NewCaptureReader(bytes.NewReader(buf.Bytes()))
+	cr, err := NewCaptureReader(bytes.NewReader(writeMatrixCapture(t, m)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,30 +458,5 @@ func TestWriteCaptureTimestampRounding(t *testing.T) {
 		if f.TimestampMicros != want {
 			t.Fatalf("frame %d timestamp %dµs, want %dµs (drift %d)", k, f.TimestampMicros, want, int64(f.TimestampMicros)-int64(want))
 		}
-	}
-}
-
-// TestReadCaptureV0AllOrError pins the legacy reader's contract: any
-// damage fails the whole read — no partial recovery on that path.
-func TestReadCaptureV0AllOrError(t *testing.T) {
-	m, err := rf.NewFrameMatrix(10, 4, 25, 0.0107)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteCapture(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	if _, err := ReadCapture(bytes.NewReader(data)); err != nil {
-		t.Fatalf("clean capture: %v", err)
-	}
-	if _, err := ReadCapture(bytes.NewReader(data[:len(data)-7])); err == nil {
-		t.Fatal("torn v0 capture must fail ReadCapture wholesale")
-	}
-	corrupt := append([]byte{}, data...)
-	corrupt[helloSize+headerSize+1] ^= 0xff
-	if _, err := ReadCapture(bytes.NewReader(corrupt)); err == nil {
-		t.Fatal("corrupt v0 capture must fail ReadCapture wholesale")
 	}
 }

@@ -416,6 +416,11 @@ func readFrameWire(r io.Reader, header []byte, payload *[]byte, expectBins uint3
 	}
 	body := (*payload)[:size]
 	if _, err := io.ReadFull(r, body); err != nil {
+		if err == io.EOF {
+			// The header promised a payload: a stream ending here is
+			// cut mid-frame, not at a clean boundary.
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, 0, errReadPayload(err)
 	}
 	crc := crc32.ChecksumIEEE(header)

@@ -131,11 +131,11 @@ func TestCaptureFileRoundTrip(t *testing.T) {
 			m.Data[k][b] = complex(float64(float32(rng.NormFloat64())), float64(float32(rng.NormFloat64())))
 		}
 	}
-	var buf bytes.Buffer
-	if err := WriteCapture(&buf, m); err != nil {
+	cr, err := NewCaptureReader(bytes.NewReader(writeMatrixCapture(t, m)))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadCapture(&buf)
+	got, err := cr.ReadMatrix()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +151,18 @@ func TestCaptureFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadCaptureEmpty checks that a frameless legacy capture (a hello
+// and nothing else) opens but yields no matrix.
 func TestReadCaptureEmpty(t *testing.T) {
 	var buf bytes.Buffer
 	if err := EncodeHello(&buf, StreamHello{FrameRate: 25, BinSpacing: 0.01, NumBins: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadCapture(&buf); err == nil {
+	cr, err := NewCaptureReader(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cr.ReadMatrix(); err == nil {
 		t.Fatal("frameless capture must be rejected")
 	}
 }
