@@ -10,13 +10,16 @@
 // exactly the code path production runs while keeping exact visibility
 // into per-session accounting. The verdict checks, per connection:
 //
-//   - exact loss accounting: every frame the injector emitted was
-//     accepted by the daemon (Submitted == emitted), fed through the
-//     detection pipeline (Processed == Submitted), and none were lost
-//     to backpressure (Dropped == 0) or rate limiting (Limited == 0);
+//   - exact loss accounting: every frame the injector emitted, less
+//     the late ones the ingest rule discards (a Seq not above the last
+//     one sent on the connection: duplicates, reordered stragglers),
+//     was accepted by the daemon (Submitted == emitted − late), fed
+//     through the detection pipeline (Processed == Submitted), and none
+//     were lost to backpressure (Dropped == 0) or rate limiting
+//     (Limited == 0);
 //   - gap agreement: the sequence gaps the daemon reported upstream
-//     (GapFrames) equal a client-side replay of the ingest gap rule
-//     over the exact frame order sent;
+//     (GapFrames) equal a client-side replay of the ingest gap and
+//     late rules over the exact frame order sent;
 //   - recovery: after the last flap, the session ends back at
 //     HealthTracking — every session gets a clean tail of at least
 //     ColdStartFrames+slack fault-free frames to converge in;
@@ -50,6 +53,7 @@ import (
 	"blinkradar"
 	"blinkradar/internal/chaos"
 	"blinkradar/internal/ingest"
+	"blinkradar/internal/iq"
 	"blinkradar/internal/session"
 	"blinkradar/internal/transport"
 )
@@ -135,17 +139,19 @@ type Verdict struct {
 	Connections int  `json:"connections"`
 
 	// Frame accounting, summed over all sessions. Emitted counts what
-	// the clients sent after fault injection; Accepted/Processed/
-	// Dropped/Limited are the manager's fleet totals. A green soak has
-	// Emitted == Accepted == Processed and zero Dropped/Limited.
+	// the clients sent after fault injection and Late the frames among
+	// them the ingest rule discards; Accepted/Processed/Dropped/Limited
+	// are the manager's fleet totals. A green soak has
+	// Emitted − Late == Accepted == Processed and zero Dropped/Limited.
 	FramesEmitted   uint64 `json:"frames_emitted"`
+	FramesLate      uint64 `json:"frames_late"`
 	FramesAccepted  uint64 `json:"frames_accepted"`
 	FramesProcessed uint64 `json:"frames_processed"`
 	FramesDropped   uint64 `json:"frames_dropped"`
 	FramesLimited   uint64 `json:"frames_limited"`
 
-	// Gap agreement: what the clients' replay of the ingest gap rule
-	// predicts vs what the sessions reported via NoteGap.
+	// Gap agreement: what the clients' replay of the ingest gap and
+	// late rules predicts vs what the sessions reported via NoteGap.
 	GapFramesExpected uint64 `json:"gap_frames_expected"`
 	GapFramesSeen     uint64 `json:"gap_frames_seen"`
 
@@ -182,6 +188,7 @@ type corpusEntry struct {
 // sessionResult is one pump goroutine's accounting.
 type sessionResult struct {
 	emitted        uint64
+	late           uint64
 	expectedGaps   uint64
 	seenGaps       uint64
 	captureSeconds float64
@@ -327,6 +334,7 @@ func buildVerdict(cfg soakConfig, mgr *session.Manager, results []sessionResult,
 	for _, r := range results {
 		v.Connections += r.connections
 		v.FramesEmitted += r.emitted
+		v.FramesLate += r.late
 		v.GapFramesExpected += r.expectedGaps
 		v.GapFramesSeen += r.seenGaps
 		v.CaptureSeconds += r.captureSeconds
@@ -344,8 +352,9 @@ func buildVerdict(cfg soakConfig, mgr *session.Manager, results []sessionResult,
 	if st.Sessions != 0 {
 		violations = append(violations, fmt.Sprintf("fleet: %d sessions still attached after soak", st.Sessions))
 	}
-	if st.Frames != v.FramesEmitted {
-		violations = append(violations, fmt.Sprintf("fleet: clients emitted %d frames but the manager accounted %d", v.FramesEmitted, st.Frames))
+	if st.Frames != v.FramesEmitted-v.FramesLate {
+		violations = append(violations, fmt.Sprintf("fleet: clients emitted %d frames (%d late) but the manager accounted %d",
+			v.FramesEmitted, v.FramesLate, st.Frames))
 	}
 	if st.Processed+st.Dropped != st.Frames {
 		violations = append(violations, fmt.Sprintf("fleet: processed %d + dropped %d != accepted %d", st.Processed, st.Dropped, st.Frames))
@@ -450,9 +459,13 @@ func loadCapture(path string, logger *log.Logger) (corpusEntry, error) {
 		if err != nil {
 			return corpusEntry{}, fmt.Errorf("capture %s frame %d: %w", path, i, err)
 		}
-		// Next reuses its decode scratch; replaying needs owned bins.
-		fr.Bins = append([]complex128(nil), fr.Bins...)
-		e.frames = append(e.frames, fr)
+		// Next reuses its planes, and the injector and encoder take
+		// complex frames: widen each frame once, into owned bins.
+		e.frames = append(e.frames, transport.Frame{
+			Seq:             fr.Seq,
+			TimestampMicros: fr.TimestampMicros,
+			Bins:            iq.Planes32{I: fr.I, Q: fr.Q}.ToComplex(make([]complex128, len(fr.I))),
+		})
 	}
 	e.seconds = float64(len(e.frames)) / e.hello.FrameRate
 	return e, nil
@@ -545,16 +558,20 @@ func (p *pump) segment(ctx context.Context, res *sessionResult, lo, hi, stopIdx 
 	}
 	enc := transport.NewEncoder(conn)
 
-	// Client-side replay of the ingest gap rule, reset per connection
-	// exactly like the server's per-session decoder state.
+	// Client-side replay of the ingest gap and late rules, reset per
+	// connection exactly like the server's per-session decoder state.
 	var lastSeq uint64
 	haveSeq := false
-	var emitted, expGaps, sinceThrottle uint64
+	var emitted, late, expGaps, sinceThrottle uint64
 	send := func(f transport.Frame) error {
-		if haveSeq && f.Seq > lastSeq+1 {
-			expGaps += f.Seq - lastSeq - 1
+		if haveSeq && f.Seq <= lastSeq {
+			late++
+		} else {
+			if haveSeq && f.Seq > lastSeq+1 {
+				expGaps += f.Seq - lastSeq - 1
+			}
+			lastSeq, haveSeq = f.Seq, true
 		}
-		lastSeq, haveSeq = f.Seq, true
 		emitted++
 		sinceThrottle++
 		return enc.Encode(f)
@@ -587,7 +604,7 @@ func (p *pump) segment(ctx context.Context, res *sessionResult, lo, hi, stopIdx 
 		}
 		if sinceThrottle >= 64 {
 			sinceThrottle = 0
-			if err := p.throttle(ctx, enc, id, emitted); err != nil {
+			if err := p.throttle(ctx, enc, id, emitted-late); err != nil {
 				return fail("throttle: %v", err)
 			}
 		}
@@ -596,12 +613,13 @@ func (p *pump) segment(ctx context.Context, res *sessionResult, lo, hi, stopIdx 
 		return fail("flush: %v", err)
 	}
 	res.emitted += emitted
+	res.late += late
 	res.expectedGaps += expGaps
 
 	// Drain before disconnecting: a flap must not race the queue, or
 	// Detach folds still-queued frames into Dropped and the loss
 	// accounting can no longer distinguish a bug from the race.
-	if err := p.drain(ctx, id, emitted); err != nil {
+	if err := p.drain(ctx, id, emitted-late); err != nil {
 		return fail("drain: %v", err)
 	}
 	conn.Close()
@@ -611,8 +629,8 @@ func (p *pump) segment(ctx context.Context, res *sessionResult, lo, hi, stopIdx 
 	}
 	res.seenGaps += st.GapFrames
 
-	if st.Submitted != emitted {
-		fail("sent %d frames, daemon submitted %d", emitted, st.Submitted)
+	if st.Submitted != emitted-late {
+		fail("sent %d frames (%d late), daemon submitted %d", emitted, late, st.Submitted)
 	}
 	if st.Dropped != 0 {
 		fail("%d frames dropped to backpressure", st.Dropped)
@@ -658,13 +676,13 @@ func (p *pump) dial(ctx context.Context) (net.Conn, error) {
 
 // throttle flushes buffered frames and, when too much of this
 // connection's output is still unprocessed, waits for the daemon to
-// catch up. The bound counts queued frames plus frames still in the
-// socket (emitted but not yet submitted): between throttle points at
-// most 65 more frames can be sent, so holding the outstanding total at
-// half the queue keeps the session's queue from ever filling — which
-// would drop frames and make real loss indistinguishable from
-// self-inflicted backpressure.
-func (p *pump) throttle(ctx context.Context, enc *transport.Encoder, id string, emitted uint64) error {
+// catch up. The bound counts queued frames plus in-order frames still
+// in the socket (inOrder − Submitted; late frames never reach the
+// queue): between throttle points at most 65 more frames can be sent,
+// so holding the outstanding total at half the queue keeps the
+// session's queue from ever filling — which would drop frames and make
+// real loss indistinguishable from self-inflicted backpressure.
+func (p *pump) throttle(ctx context.Context, enc *transport.Encoder, id string, inOrder uint64) error {
 	if err := enc.Flush(); err != nil {
 		return err
 	}
@@ -677,7 +695,7 @@ func (p *pump) throttle(ctx context.Context, enc *transport.Encoder, id string, 
 			// frames are parked in the socket. Wait for admission.
 		case err != nil:
 			return err
-		case st.Queued+(emitted-st.Submitted) <= high:
+		case st.Queued+(inOrder-st.Submitted) <= high:
 			return nil
 		}
 		if !sleepCtx(ctx, 200*time.Microsecond) {
@@ -687,8 +705,9 @@ func (p *pump) throttle(ctx context.Context, enc *transport.Encoder, id string, 
 }
 
 // drain waits until the daemon has accepted and fully processed every
-// frame this connection sent, so closing it cannot lose queued work.
-func (p *pump) drain(ctx context.Context, id string, emitted uint64) error {
+// in-order frame this connection sent, so closing it cannot lose queued
+// work.
+func (p *pump) drain(ctx context.Context, id string, inOrder uint64) error {
 	for {
 		st, err := p.mgr.SessionStats(id)
 		switch {
@@ -696,11 +715,11 @@ func (p *pump) drain(ctx context.Context, id string, emitted uint64) error {
 			// Not attached yet (hello still in flight) — keep waiting.
 		case err != nil:
 			return err
-		case st.Submitted >= emitted && st.Queued == 0:
+		case st.Submitted >= inOrder && st.Queued == 0:
 			return nil
 		}
 		if !sleepCtx(ctx, 200*time.Microsecond) {
-			return fmt.Errorf("deadline with %d frames expected, session state %+v (%v)", emitted, st, err)
+			return fmt.Errorf("deadline with %d frames expected, session state %+v (%v)", inOrder, st, err)
 		}
 	}
 }

@@ -103,8 +103,13 @@ func TestSoakSmallFleet(t *testing.T) {
 	if v.Recovered != 24 {
 		t.Errorf("Recovered = %d, want 24", v.Recovered)
 	}
-	if v.FramesEmitted == 0 || v.FramesProcessed != v.FramesEmitted {
-		t.Errorf("processed %d of %d emitted frames", v.FramesProcessed, v.FramesEmitted)
+	// The dup/reorder spec sends late frames, which ingest discards;
+	// everything else is processed.
+	if v.FramesLate == 0 {
+		t.Error("dup/reorder chaos produced no late frames; the injectors were not engaged")
+	}
+	if v.FramesEmitted == 0 || v.FramesProcessed != v.FramesEmitted-v.FramesLate {
+		t.Errorf("processed %d of %d emitted frames (%d late)", v.FramesProcessed, v.FramesEmitted, v.FramesLate)
 	}
 	if v.FramesDropped != 0 || v.FramesLimited != 0 {
 		t.Errorf("dropped %d, limited %d, want 0/0", v.FramesDropped, v.FramesLimited)

@@ -5,9 +5,10 @@
 //
 // The link is resilient: if radard restarts (ignition cycle, daemon
 // upgrade), radarwatch reconnects with exponential backoff, records
-// the outage as a sequence gap, and rebuilds its pipeline if the
-// stream comes back with a different geometry. An optional admin port
-// exposes the monitor's own /metrics, /healthz and pprof.
+// the outage as a sequence gap, discards late (duplicate or reordered)
+// frames, and rebuilds its pipeline if the stream comes back with a
+// different geometry. An optional admin port exposes the monitor's own
+// /metrics, /healthz and pprof.
 //
 // Usage:
 //
@@ -102,19 +103,19 @@ func main() {
 		},
 	})
 
-	err := client.Run(ctx, func(f transport.Frame) error {
-		if got := monitor.Detector().NumBins(); got != len(f.Bins) {
+	err := client.Run(ctx, func(f transport.PlaneFrame) error {
+		if got := monitor.Detector().NumBins(); got != len(f.I) {
 			// Mid-stream geometry change without a reconnect (the
 			// radio was reconfigured under the daemon): rebuild, as a
 			// hello change would.
-			fmt.Printf("frame width changed (%d -> %d bins); resetting pipeline\n", got, len(f.Bins))
+			fmt.Printf("frame width changed (%d -> %d bins); resetting pipeline\n", got, len(f.I))
 			h, _ := client.Hello()
-			h.NumBins = uint32(len(f.Bins))
+			h.NumBins = uint32(len(f.I))
 			if err := buildMonitor(h); err != nil {
 				return err
 			}
 		}
-		ev, ok, assessment, err := monitor.Feed(f.Bins)
+		ev, ok, assessment, err := monitor.FeedPlanes(f.I, f.Q)
 		if err != nil {
 			return err
 		}
@@ -146,8 +147,8 @@ func main() {
 	})
 
 	stats := client.Stats()
-	fmt.Printf("session: %d frames, %d reconnects, %d frames lost in %d gaps, %d corrupt frames resynced\n",
-		stats.Frames, stats.Reconnects, stats.SeqGapFrames, stats.SeqGaps, stats.Resyncs)
+	fmt.Printf("session: %d frames, %d reconnects, %d frames lost in %d gaps, %d late frames discarded, %d corrupt frames resynced\n",
+		stats.Frames, stats.Reconnects, stats.SeqGapFrames, stats.SeqGaps, stats.LateFrames, stats.Resyncs)
 	if monitor != nil {
 		in := monitor.InputStats()
 		fmt.Printf("pipeline: health %s, %d frames rejected, %d bins repaired, %d gap resets\n",

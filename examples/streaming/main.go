@@ -51,7 +51,7 @@ func main() {
 	go func() { serverDone <- server.Serve(ctx, ln) }()
 
 	// The monitor side: dial, read the stream geometry, run the
-	// real-time detector on every received frame.
+	// real-time detector on every received frame's float32 I/Q planes.
 	dialCtx, dialCancel := context.WithTimeout(ctx, 5*time.Second)
 	defer dialCancel()
 	client, err := transport.Dial(dialCtx, ln.Addr().String())
@@ -67,8 +67,8 @@ func main() {
 		log.Fatal(err)
 	}
 	var events []blinkradar.BlinkEvent
-	err = client.Run(ctx, func(f transport.Frame) error {
-		ev, ok, err := detector.Feed(f.Bins)
+	err = client.Run(ctx, func(f transport.PlaneFrame) error {
+		ev, ok, err := detector.FeedPlanes(f.I, f.Q)
 		if err != nil {
 			return err
 		}

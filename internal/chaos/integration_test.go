@@ -18,11 +18,12 @@ import (
 
 // The chaos integration suite runs the full radard→radarwatch loop —
 // paced MatrixSource, Server with a fault hook or a faulted listener,
-// ReconnectingClient feeding a core.Detector — under each injector and
-// asserts the recovery invariants: no panic, no goroutine leak, exact
-// seq-gap accounting where the fault is deterministic, and a return to
-// HealthTracking within the documented bound (ColdStartFrames accepted
-// clean frames, plus a small selection-retry slack).
+// ReconnectingClient feeding core.Detector.FeedPlanes — under each
+// injector and asserts the recovery invariants: no panic, no goroutine
+// leak, exact seq-gap accounting where the fault is deterministic, and
+// a return to HealthTracking within the documented bound
+// (ColdStartFrames accepted clean frames, plus a small selection-retry
+// slack).
 
 // recoveryBound is the documented re-acquisition bound checked by the
 // suite: cold start refills the ring (ColdStartFrames) and selection
@@ -99,7 +100,7 @@ func (r loopResult) missingInRange() uint64 {
 // leak shows up in leakCheck, not as a hung test.
 func runLoop(t *testing.T, m *rf.FrameMatrix, speed float64,
 	tune func(*transport.Server), wrap func(net.Listener) net.Listener,
-	ccfg transport.ReconnectConfig, onFrame func(transport.Frame) error) loopResult {
+	ccfg transport.ReconnectConfig, onFrame func(transport.PlaneFrame) error) loopResult {
 	t.Helper()
 	src := transport.NewMatrixSource(m, true, false)
 	if err := src.SetSpeed(speed); err != nil {
@@ -140,7 +141,7 @@ func runLoop(t *testing.T, m *rf.FrameMatrix, speed float64,
 		ccfg.Rand = rand.New(rand.NewSource(0x5EED))
 	}
 	rc := transport.NewReconnectingClient(addr, ccfg)
-	res.runErr = rc.Run(context.Background(), func(f transport.Frame) error {
+	res.runErr = rc.Run(context.Background(), func(f transport.PlaneFrame) error {
 		if len(res.delivered) == 0 || f.Seq < res.minSeq {
 			res.minSeq = f.Seq
 		}
@@ -185,7 +186,7 @@ func TestChaosDropBurstExactAccounting(t *testing.T) {
 	res := runLoop(t, m, 20,
 		func(s *transport.Server) { s.SetFrameHook(inj.Apply) }, nil,
 		transport.ReconnectConfig{OnSeqGap: det.NoteGap},
-		func(f transport.Frame) error { _, _, err := det.Feed(f.Bins); return err },
+		func(f transport.PlaneFrame) error { _, _, err := det.FeedPlanes(f.I, f.Q); return err },
 	)
 	if res.stats.Frames == 0 {
 		t.Fatalf("no frames delivered: run %v serve %v", res.runErr, res.serveErr)
@@ -234,11 +235,11 @@ func TestChaosLongGapReacquires(t *testing.T) {
 			})
 		}, nil,
 		transport.ReconnectConfig{OnSeqGap: det.NoteGap},
-		func(f transport.Frame) error {
+		func(f transport.PlaneFrame) error {
 			if f.Seq < gapStart && det.Health() == core.HealthTracking {
 				sawTrackingBeforeGap = true
 			}
-			_, _, err := det.Feed(f.Bins)
+			_, _, err := det.FeedPlanes(f.I, f.Q)
 			if f.Seq >= gapEnd {
 				if framesAfterReset >= 0 {
 					framesAfterReset++
@@ -285,7 +286,7 @@ func TestChaosCorruptStreamResync(t *testing.T) {
 			})
 		},
 		transport.ReconnectConfig{Resync: true, OnSeqGap: det.NoteGap},
-		func(f transport.Frame) error { _, _, err := det.Feed(f.Bins); return err },
+		func(f transport.PlaneFrame) error { _, _, err := det.FeedPlanes(f.I, f.Q); return err },
 	)
 	if res.stats.Resyncs == 0 {
 		t.Fatalf("corrupted stream produced no resyncs (frames %d, run %v)", res.stats.Frames, res.runErr)
@@ -313,7 +314,7 @@ func TestChaosConnectionReset(t *testing.T) {
 			return WrapListener(ln, ConnFaults{Seed: 5, ResetAfterBytes: 120_000, ResetConns: 1})
 		},
 		transport.ReconnectConfig{OnSeqGap: det.NoteGap},
-		func(f transport.Frame) error { _, _, err := det.Feed(f.Bins); return err },
+		func(f transport.PlaneFrame) error { _, _, err := det.FeedPlanes(f.I, f.Q); return err },
 	)
 	if res.stats.Reconnects < 1 {
 		t.Fatalf("injected reset produced no reconnect: run %v serve %v", res.runErr, res.serveErr)
@@ -350,8 +351,8 @@ func TestChaosPoisonedBinsDegrade(t *testing.T) {
 	res := runLoop(t, m, 20,
 		func(s *transport.Server) { s.SetFrameHook(inj.Apply) }, nil,
 		transport.ReconnectConfig{OnSeqGap: det.NoteGap},
-		func(f transport.Frame) error {
-			_, _, err := det.Feed(f.Bins)
+		func(f transport.PlaneFrame) error {
+			_, _, err := det.FeedPlanes(f.I, f.Q)
 			if det.Health() == core.HealthDegraded {
 				sawDegraded = true
 			}
@@ -393,12 +394,12 @@ func TestChaosBinCountChange(t *testing.T) {
 	res := runLoop(t, m, 20,
 		func(s *transport.Server) { s.SetFrameHook(inj.Apply) }, nil,
 		transport.ReconnectConfig{OnSeqGap: det.NoteGap},
-		func(f transport.Frame) error {
-			if len(f.Bins) != det.NumBins() {
-				det = newDetector(t, len(f.Bins))
+		func(f transport.PlaneFrame) error {
+			if len(f.I) != det.NumBins() {
+				det = newDetector(t, len(f.I))
 				rebuilds++
 			}
-			_, _, err := det.Feed(f.Bins)
+			_, _, err := det.FeedPlanes(f.I, f.Q)
 			return err
 		},
 	)
@@ -414,9 +415,12 @@ func TestChaosBinCountChange(t *testing.T) {
 }
 
 // TestChaosDuplicatesAndReorder injects duplicate and swapped frames
-// and checks the loop absorbs them — dups and reorders surface as epoch
-// resets in the client accounting, never as a panic or a stuck
-// pipeline.
+// and checks the loop absorbs them exactly: every sequence number is
+// delivered at most once and in increasing order, dups and reordered
+// stragglers are counted as late frames (never as epoch resets on this
+// single connection), and each hole a swap opens is reported once, so
+// the client and detector gap counts equal the sequence numbers never
+// delivered — no inflated gap counts.
 func TestChaosDuplicatesAndReorder(t *testing.T) {
 	leakCheck(t)
 	m, _ := chaosCapture(t, 1200, 7)
@@ -432,14 +436,30 @@ func TestChaosDuplicatesAndReorder(t *testing.T) {
 	res := runLoop(t, m, 20,
 		func(s *transport.Server) { s.SetFrameHook(inj.Apply) }, nil,
 		transport.ReconnectConfig{OnSeqGap: det.NoteGap},
-		func(f transport.Frame) error { _, _, err := det.Feed(f.Bins); return err },
+		func(f transport.PlaneFrame) error { _, _, err := det.FeedPlanes(f.I, f.Q); return err },
 	)
 	st := inj.Stats()
 	if st.Duplicated == 0 || st.Reordered == 0 {
 		t.Fatalf("injector applied no dup/reorder faults: %+v", st)
 	}
-	if res.stats.EpochResets == 0 {
-		t.Fatal("duplicates/reorders should register as epoch resets in the client accounting")
+	for seq, n := range res.delivered {
+		if n != 1 {
+			t.Fatalf("seq %d delivered %d times, want once", seq, n)
+		}
+	}
+	if res.stats.Connects != 1 {
+		t.Fatalf("%d connections, want the single one this fault model keeps", res.stats.Connects)
+	}
+	if res.stats.LateFrames == 0 || res.stats.EpochResets != 0 {
+		t.Fatalf("late frames %d, epoch resets %d: want dups/reorders counted late, none as resets",
+			res.stats.LateFrames, res.stats.EpochResets)
+	}
+	missing := res.missingInRange()
+	if res.stats.SeqGapFrames != missing {
+		t.Fatalf("client gap accounting %d != %d missing seqs", res.stats.SeqGapFrames, missing)
+	}
+	if got := det.InputStats().GapFrames; got != res.stats.SeqGapFrames {
+		t.Fatalf("detector gap accounting %d != client %d", got, res.stats.SeqGapFrames)
 	}
 	if h := det.Health(); h != core.HealthTracking {
 		t.Fatalf("detector ended %v, want tracking", h)

@@ -63,29 +63,6 @@ func TestHighPassFIRBlocksDC(t *testing.T) {
 	}
 }
 
-func TestBandPassFIR(t *testing.T) {
-	fir, err := BandPassFIR(40, 0.1, 0.2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	centre := cmplx.Abs(fir.FrequencyResponse(0.15))
-	if !approxEqual(centre, 1, 0.05) {
-		t.Errorf("centre gain %g, want ~1", centre)
-	}
-	if g := cmplx.Abs(fir.FrequencyResponse(0.01)); g > 0.1 {
-		t.Errorf("low stopband gain %g, want < 0.1", g)
-	}
-	if g := cmplx.Abs(fir.FrequencyResponse(0.4)); g > 0.1 {
-		t.Errorf("high stopband gain %g, want < 0.1", g)
-	}
-	if _, err := BandPassFIR(40, 0.3, 0.2, nil); err == nil {
-		t.Error("inverted band must be rejected")
-	}
-	if _, err := BandPassFIR(41, 0.1, 0.2, nil); err == nil {
-		t.Error("odd order must be rejected")
-	}
-}
-
 func TestFIRApplyDelayCompensated(t *testing.T) {
 	// A filtered impulse must peak at the impulse position, not
 	// shifted by the group delay.
@@ -122,39 +99,14 @@ func TestFIRApplyConstant(t *testing.T) {
 	}
 }
 
-func TestFIRApplyComplexMatchesParts(t *testing.T) {
-	fir, err := LowPassFIR(12, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]complex128, 40)
-	re := make([]float64, len(x))
-	im := make([]float64, len(x))
-	for i := range x {
-		re[i] = math.Sin(float64(i) / 3)
-		im[i] = math.Cos(float64(i) / 5)
-		x[i] = complex(re[i], im[i])
-	}
-	got := fir.ApplyComplex(x)
-	wantRe := fir.Apply(re)
-	wantIm := fir.Apply(im)
-	for i := range got {
-		if !approxEqual(real(got[i]), wantRe[i], 1e-12) || !approxEqual(imag(got[i]), wantIm[i], 1e-12) {
-			t.Fatalf("sample %d mismatch", i)
-		}
-	}
-}
-
 func TestFIRApplyIntoMatchesApply(t *testing.T) {
 	fir, err := LowPassFIR(14, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := make([]float64, 64)
-	cx := make([]complex128, 64)
 	for i := range x {
 		x[i] = math.Sin(float64(i) / 4)
-		cx[i] = complex(x[i], math.Cos(float64(i)/7))
 	}
 	dst := make([]float64, len(x))
 	if err := fir.ApplyInto(dst, x); err != nil {
@@ -165,22 +117,12 @@ func TestFIRApplyIntoMatchesApply(t *testing.T) {
 			t.Fatalf("sample %d = %g, want %g", i, dst[i], v)
 		}
 	}
-	cdst := make([]complex128, len(cx))
-	if err := fir.ApplyComplexInto(cdst, cx); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range fir.ApplyComplex(cx) {
-		if cdst[i] != v {
-			t.Fatalf("complex sample %d = %v, want %v", i, cdst[i], v)
-		}
-	}
-	// The Into variants are the allocation-free hot path.
+	// The Into variant is allocation-free.
 	allocs := testing.AllocsPerRun(100, func() {
 		fir.ApplyInto(dst, x)
-		fir.ApplyComplexInto(cdst, cx)
 	})
 	if allocs != 0 {
-		t.Fatalf("Into variants allocate %.1f objects/run, want 0", allocs)
+		t.Fatalf("ApplyInto allocates %.1f objects/run, want 0", allocs)
 	}
 }
 
@@ -196,66 +138,9 @@ func TestFIRApplyIntoErrors(t *testing.T) {
 	if err := fir.ApplyInto(x, x); err == nil {
 		t.Fatal("aliased destination must be rejected")
 	}
-	cx := make([]complex128, 10)
-	if err := fir.ApplyComplexInto(make([]complex128, 9), cx); err == nil {
-		t.Fatal("complex length mismatch must be rejected")
-	}
-	if err := fir.ApplyComplexInto(cx, cx); err == nil {
-		t.Fatal("complex aliased destination must be rejected")
-	}
 	// Empty inputs are a no-op, not an error.
 	if err := fir.ApplyInto(nil, nil); err != nil {
 		t.Fatal(err)
-	}
-	if err := fir.ApplyComplexInto(nil, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFIRStreamDelay(t *testing.T) {
-	fir, err := LowPassFIR(26, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := fir.Stream()
-	if s.Delay() != 13 {
-		t.Fatalf("order-26 stream delay %d, want 13", s.Delay())
-	}
-	// An impulse pushed through the causal stream peaks Delay() samples
-	// later — the lag Delay() promises to consumers.
-	peakAt, peakVal := -1, 0.0
-	for i := 0; i < 60; i++ {
-		in := 0.0
-		if i == 20 {
-			in = 1
-		}
-		if out := s.Push(in); out > peakVal {
-			peakVal, peakAt = out, i
-		}
-	}
-	if peakAt != 20+s.Delay() {
-		t.Fatalf("stream impulse peak at %d, want %d", peakAt, 20+s.Delay())
-	}
-}
-
-func TestFIRStreamSteadyState(t *testing.T) {
-	// After the delay line fills, the streaming filter's output on a
-	// constant input equals the DC gain.
-	fir, err := LowPassFIR(10, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := fir.Stream()
-	var last float64
-	for i := 0; i < 50; i++ {
-		last = s.Push(3)
-	}
-	if !approxEqual(last, 3, 1e-9) {
-		t.Fatalf("steady state %g, want 3", last)
-	}
-	s.Reset()
-	if out := s.Push(3); approxEqual(out, 3, 1e-9) {
-		t.Fatal("reset stream should not instantly reach steady state")
 	}
 }
 

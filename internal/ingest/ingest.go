@@ -41,7 +41,8 @@ type Options struct {
 
 // Serve accepts streams on ln until ctx is cancelled, running each
 // through mgr. The connection is the session: its remote address is the
-// session ID, a decoded sequence gap becomes Manager.NoteGap, EOF (or
+// session ID, a decoded sequence gap becomes Manager.NoteGap, a late
+// frame (Seq not above the last submitted one) is discarded, EOF (or
 // any stream error) detaches. Serve owns ln and closes it on ctx
 // cancellation; it returns once the accept loop, its helper
 // goroutines, and every in-flight connection goroutine have joined
@@ -143,6 +144,12 @@ func ServeStream(ctx context.Context, conn net.Conn, mgr *session.Manager, opts 
 		f, err := dec.DecodePlanes()
 		if err != nil {
 			return err
+		}
+		if haveSeq && f.Seq <= lastSeq {
+			// Late (a duplicate or a reordered straggler): its hole was
+			// already reported, so the pipeline sees strictly
+			// increasing sequence numbers.
+			continue
 		}
 		if haveSeq && f.Seq > lastSeq+1 {
 			mgr.NoteGap(id, f.Seq-lastSeq-1)

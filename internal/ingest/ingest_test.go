@@ -129,3 +129,53 @@ func TestServeStreamHelloTimeout(t *testing.T) {
 		t.Fatalf("%d attaches for a stream that sent no hello", st.Attaches)
 	}
 }
+
+// TestServeStreamDiscardsLateFrames sends a swapped pair (0,1,2,4,3,5,6):
+// nothing is lost, 3 arrives late. The hole before 4 is reported once
+// and 3 is discarded before SubmitPlanes, so the pipeline sees strictly
+// increasing sequence numbers — no second, phantom gap after 3.
+func TestServeStreamDiscardsLateFrames(t *testing.T) {
+	seqs := []uint64{0, 1, 2, 4, 3, 5, 6}
+	mgr := newTestManager(t, len(seqs))
+	detached := make(chan session.SessionStats, 1)
+	client, done := serve(t, mgr, Options{
+		NumBins:  testBins,
+		OnDetach: func(id string, st session.SessionStats) { detached <- st },
+	})
+	if err := transport.EncodeHello(client, transport.StreamHello{FrameRate: 25, BinSpacing: 0.05, NumBins: testBins}); err != nil {
+		t.Fatalf("hello refused: %v", err)
+	}
+	enc := transport.NewEncoder(client)
+	bins := make([]complex128, testBins)
+	for _, seq := range seqs {
+		bins[0] = complex(float64(seq), 1)
+		if err := enc.Encode(transport.Frame{Seq: seq, TimestampMicros: seq * 40000, Bins: bins}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Detach discards queued frames, so close only once the six in-order
+	// frames are fed.
+	id := client.LocalAddr().String()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, err := mgr.SessionStats(id)
+		if err == nil && st.Submitted >= 6 && st.Queued == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("session %q never drained 6 frames: %+v, %v", id, st, err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	client.Close()
+	if err := result(t, done); !errors.Is(err, io.EOF) {
+		t.Fatalf("ServeStream ended with %v, want EOF", err)
+	}
+	st := <-detached
+	if st.GapFrames != 1 || st.Processed != 6 || st.Submitted != 6 {
+		t.Fatalf("detach accounting %+v, want 1 gap frame and 6 frames submitted and processed", st)
+	}
+}

@@ -21,8 +21,9 @@ type Circle struct {
 // points with a vanishing covariance determinant).
 var ErrDegenerateFit = errors.New("iq: degenerate circle fit")
 
-// moments holds the centred second- and third-order moments shared by
-// the algebraic fits, following Chernov's formulation.
+// moments holds the centred second- and third-order moments of
+// Chernov's formulation of the Pratt fit, shared by the batch and
+// sliding-window fits.
 type moments struct {
 	meanI, meanQ    float64
 	mxx, myy, mxy   float64
@@ -67,18 +68,17 @@ func computeMoments(z []complex128) (moments, error) {
 	return m, nil
 }
 
-// circle converts a characteristic root x into a Circle, translating
-// the centre back from centred coordinates. radiusExtra adds the
-// root-dependent term that differs between Pratt (+2x) and Taubin (+0).
-// RMSE is left zero for the caller to fill in.
-func (m moments) circle(x, radiusExtra float64) (Circle, error) {
+// circle converts Pratt's characteristic root x into a Circle,
+// translating the centre back from centred coordinates. RMSE is left
+// zero for the caller to fill in.
+func (m moments) circle(x float64) (Circle, error) {
 	det := x*x - x*m.mz + m.covXY
 	if det == 0 || math.IsNaN(det) || math.IsInf(det, 0) {
 		return Circle{}, ErrDegenerateFit
 	}
 	ci := (m.mxz*(m.myy-x) - m.myz*m.mxy) / det / 2
 	cq := (m.myz*(m.mxx-x) - m.mxz*m.mxy) / det / 2
-	r2 := ci*ci + cq*cq + m.mz + radiusExtra
+	r2 := ci*ci + cq*cq + m.mz + 2*x
 	if r2 <= 0 || math.IsNaN(r2) {
 		return Circle{}, ErrDegenerateFit
 	}
@@ -88,10 +88,10 @@ func (m moments) circle(x, radiusExtra float64) (Circle, error) {
 	}, nil
 }
 
-// finish converts a characteristic root x into a Circle and stamps the
-// exact sample-based RMSE.
-func (m moments) finish(z []complex128, x, radiusExtra float64) (Circle, error) {
-	c, err := m.circle(x, radiusExtra)
+// finish converts Pratt's characteristic root x into a Circle and
+// stamps the exact sample-based RMSE.
+func (m moments) finish(z []complex128, x float64) (Circle, error) {
+	c, err := m.circle(x)
 	if err != nil {
 		return Circle{}, err
 	}
@@ -148,8 +148,7 @@ func FitCirclePratt(z []complex128) (Circle, error) {
 	if err != nil {
 		return Circle{}, err
 	}
-	x := m.prattRoot()
-	return m.finish(z, x, 2*x)
+	return m.finish(z, m.prattRoot())
 }
 
 // prattRoot solves Pratt's characteristic polynomial
@@ -179,71 +178,4 @@ func (m moments) prattRoot() float64 {
 		x, y = xNew, yNew
 	}
 	return x
-}
-
-// FitCircleTaubin fits a circle using Taubin's method, a slightly
-// different algebraic normalisation with near-identical accuracy to
-// Pratt. Provided for cross-validation in tests and ablations.
-func FitCircleTaubin(z []complex128) (Circle, error) {
-	m, err := computeMoments(z)
-	if err != nil {
-		return Circle{}, err
-	}
-	return m.finish(z, m.taubinRoot(), 0)
-}
-
-// taubinRoot solves Taubin's characteristic polynomial by the same
-// guarded Newton iteration as prattRoot.
-func (m moments) taubinRoot() float64 {
-	a3 := 4 * m.mz
-	a2 := -3*m.mz*m.mz - m.mzz
-	a1 := m.varZ*m.mz + 4*m.covXY*m.mz - m.mxz*m.mxz - m.myz*m.myz
-	a0 := m.mxz*(m.mxz*m.myy-m.myz*m.mxy) + m.myz*(m.myz*m.mxx-m.mxz*m.mxy) - m.varZ*m.covXY
-	a22 := a2 + a2
-	a33 := a3 + a3 + a3
-
-	x := 0.0
-	y := a0
-	for iter := 0; iter < 50; iter++ {
-		dy := a1 + x*(a22+a33*x)
-		if dy == 0 {
-			break
-		}
-		xNew := x - y/dy
-		if xNew == x || math.IsNaN(xNew) || math.IsInf(xNew, 0) {
-			break
-		}
-		yNew := a0 + xNew*(a1+xNew*(a2+xNew*a3))
-		if math.Abs(yNew) >= math.Abs(y) {
-			break
-		}
-		x, y = xNew, yNew
-	}
-	return x
-}
-
-// FitCircleKasa fits a circle with the Kåsa linear least-squares method.
-// It is the cheapest of the three fits but biased toward smaller radii
-// on short arcs; included as an ablation baseline.
-func FitCircleKasa(z []complex128) (Circle, error) {
-	m, err := computeMoments(z)
-	if err != nil {
-		return Circle{}, err
-	}
-	det := 2 * m.covXY
-	if det == 0 {
-		return Circle{}, ErrDegenerateFit
-	}
-	ci := (m.mxz*m.myy - m.myz*m.mxy) / det
-	cq := (m.myz*m.mxx - m.mxz*m.mxy) / det
-	r2 := ci*ci + cq*cq + m.mz
-	if r2 <= 0 || math.IsNaN(r2) {
-		return Circle{}, ErrDegenerateFit
-	}
-	c := Circle{
-		Center: complex(ci+m.meanI, cq+m.meanQ),
-		Radius: math.Sqrt(r2),
-	}
-	c.RMSE = radialRMSE(z, c)
-	return c, nil
 }

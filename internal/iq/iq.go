@@ -1,7 +1,7 @@
 // Package iq provides complex in-phase/quadrature signal utilities:
 // amplitude and phase extraction, phase unwrapping, two-dimensional
-// variance of I/Q point clouds, and algebraic circle fitting (Kåsa,
-// Pratt and Taubin). BlinkRadar's core insight is that eye reflections
+// variance of I/Q point clouds, and Pratt's algebraic circle fit.
+// BlinkRadar's core insight is that eye reflections
 // trace arc-shaped trajectories in the I/Q plane — the dynamic vector
 // rotating around the static multipath vector — so the eye's range bin
 // is found by 2-D variance and the blink waveform is recovered as the

@@ -1,7 +1,7 @@
 package iq
 
 // SlidingMoments maintains, under push and evict, the raw power sums a
-// Pratt or Taubin circle fit needs over a sliding window of I/Q
+// Pratt circle fit needs over a sliding window of I/Q
 // samples: with x = I, y = Q and z = x^2 + y^2 it tracks
 // Σx, Σy, Σxx, Σxy, Σyy, Σxz, Σyz and Σzz. The centred moments of
 // Chernov's formulation are recovered from these sums in O(1), so the
@@ -188,8 +188,7 @@ func (s *SlidingMoments) FitPratt() (Circle, error) {
 		return Circle{}, ErrDegenerateFit
 	}
 	m := s.moments()
-	x := m.prattRoot()
-	c, err := m.circle(x, 2*x)
+	c, err := m.circle(m.prattRoot())
 	if err != nil {
 		return Circle{}, err
 	}
@@ -224,19 +223,4 @@ func (s *SlidingMoments) FitPrattExcluding(sub *SlidingMoments) (Circle, error) 
 		szz: s.szz - sub.szz,
 	}
 	return d.FitPratt()
-}
-
-// FitTaubin is FitPratt with Taubin's normalisation, for
-// cross-validation in tests and ablations.
-func (s *SlidingMoments) FitTaubin() (Circle, error) {
-	if s.n < 3 {
-		return Circle{}, ErrDegenerateFit
-	}
-	m := s.moments()
-	c, err := m.circle(m.taubinRoot(), 0)
-	if err != nil {
-		return Circle{}, err
-	}
-	c.RMSE = m.rmseEstimate(c)
-	return c, nil
 }

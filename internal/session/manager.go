@@ -59,26 +59,9 @@ type Config struct {
 	// QueueFrames is each session's frame-queue depth (default 64).
 	QueueFrames int
 	// RateLimit is the per-session sustained frame budget in frames
-	// per second; 0 disables rate limiting.
+	// per second; 0 disables rate limiting. The token bucket holds
+	// rateBurstSec seconds of it.
 	RateLimit float64
-	// RateBurst is the token-bucket depth (default 2×RateLimit).
-	RateBurst float64
-	// DropWindowFrames is the backpressure evaluation window: the drop
-	// fraction is measured over this many submitted frames (default
-	// 256).
-	DropWindowFrames int
-	// WidenAtDropFrac escalates a session to PressureWidened when its
-	// drop fraction reaches this value (default 0.25).
-	WidenAtDropFrac float64
-	// DegradeAtDropFrac escalates to PressureDegraded (default 0.5).
-	DegradeAtDropFrac float64
-	// WidenFactor multiplies the assessment window while widened
-	// (default 2).
-	WidenFactor float64
-	// DrainBatchFrames bounds how many frames a worker feeds one
-	// session before moving to the next, so a busy stream cannot
-	// starve its shard-mates (default 16).
-	DrainBatchFrames int
 	// Registry, when non-nil, exports fleet metrics.
 	Registry *obs.Registry
 	// Now supplies the rate-limiter clock (default time.Now); tests
@@ -92,6 +75,27 @@ type Config struct {
 	OnAssessment func(id string, a blinkradar.Assessment)
 }
 
+// Fixed tuning of the rate limiter, the backpressure ladder and the
+// shard scheduler.
+const (
+	// rateBurstSec is the token-bucket depth in seconds of RateLimit.
+	rateBurstSec = 2
+	// dropWindowFrames is the backpressure evaluation window: the drop
+	// fraction is measured over this many submitted frames.
+	dropWindowFrames = 256
+	// widenAtDropFrac escalates a session to PressureWidened when its
+	// drop fraction reaches this value.
+	widenAtDropFrac = 0.25
+	// degradeAtDropFrac escalates a session to PressureDegraded.
+	degradeAtDropFrac = 0.5
+	// widenFactor multiplies the assessment window while widened.
+	widenFactor = 2
+	// drainBatchFrames bounds how many frames a worker feeds one session
+	// before moving to the next, so a busy stream cannot starve its
+	// shard-mates.
+	drainBatchFrames = 16
+)
+
 func (c Config) withDefaults() Config {
 	if c.Core == (blinkradar.Config{}) {
 		c.Core = blinkradar.DefaultConfig()
@@ -104,24 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueFrames <= 0 {
 		c.QueueFrames = 64
-	}
-	if c.DropWindowFrames <= 0 {
-		c.DropWindowFrames = 256
-	}
-	if c.WidenAtDropFrac <= 0 {
-		c.WidenAtDropFrac = 0.25
-	}
-	if c.DegradeAtDropFrac <= 0 {
-		c.DegradeAtDropFrac = 0.5
-	}
-	if c.WidenFactor < 1 {
-		c.WidenFactor = 2
-	}
-	if c.RateLimit > 0 && c.RateBurst <= 0 {
-		c.RateBurst = 2 * c.RateLimit
-	}
-	if c.DrainBatchFrames <= 0 {
-		c.DrainBatchFrames = 16
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -313,7 +299,7 @@ func (m *Manager) Attach(id string) error {
 		m.mPoolMisses.Inc()
 	}
 	s.id = id
-	s.tokens = m.cfg.RateBurst
+	s.tokens = rateBurstSec * m.cfg.RateLimit
 	s.lastRefill = m.cfg.Now()
 	sh.mu.Lock()
 	sh.sessions[id] = s
@@ -390,7 +376,7 @@ func (m *Manager) SubmitPlanes(id string, pi, pq []float32) error {
 	if len(pi) != s.bins || len(pq) != s.bins {
 		return ErrGeometry
 	}
-	limit, burst := m.cfg.RateLimit, m.cfg.RateBurst
+	limit := m.cfg.RateLimit
 	s.qmu.Lock()
 	if s.gen.Load() != gen {
 		// The session was detached (and possibly recycled for another
@@ -398,7 +384,7 @@ func (m *Manager) SubmitPlanes(id string, pi, pq []float32) error {
 		s.qmu.Unlock()
 		return ErrSessionNotFound
 	}
-	if limit > 0 && !s.takeToken(m.cfg.Now(), limit, burst) {
+	if limit > 0 && !s.takeToken(m.cfg.Now(), limit) {
 		s.qmu.Unlock()
 		s.limited.Add(1)
 		m.frLimited.Add(1)
@@ -414,7 +400,7 @@ func (m *Manager) SubmitPlanes(id string, pi, pq []float32) error {
 		list = !s.listed
 		s.listed = true
 	}
-	from, to, changed := s.noteSubmit(accepted, m.cfg.DropWindowFrames, m.cfg.WidenAtDropFrac, m.cfg.DegradeAtDropFrac)
+	from, to, changed := s.noteSubmit(accepted)
 	if changed {
 		// Posted under qmu, so the worker's re-list check sees the span.
 		m.applyPressure(s, from, to)
@@ -440,7 +426,7 @@ func (m *Manager) SubmitPlanes(id string, pi, pq []float32) error {
 func (m *Manager) applyPressure(s *Session, from, to PressureState) {
 	span := m.cfg.WindowSec
 	if to >= PressureWidened {
-		span = m.cfg.WindowSec * m.cfg.WidenFactor
+		span = m.cfg.WindowSec * widenFactor
 	}
 	s.wantWindow.Store(math.Float64bits(span))
 	if to > from {
@@ -613,7 +599,7 @@ func (sh *shard) run() {
 }
 
 // drainReady takes the whole ready FIFO and gives each session on it
-// one DrainBatchFrames batch. A session that drainSession keeps listed
+// one drainBatchFrames batch. A session that drainSession keeps listed
 // goes back on the tail, behind everything listed meanwhile, so a busy
 // stream cannot starve its shard-mates. It reports whether the take
 // found anything.
@@ -678,7 +664,7 @@ func (sh *shard) drainSession(s *Session) bool {
 	}
 	cfg := &sh.mgr.cfg
 	fed := 0
-	for fed < cfg.DrainBatchFrames {
+	for fed < drainBatchFrames {
 		pi, pq, gap, ok := s.peek()
 		if !ok {
 			break

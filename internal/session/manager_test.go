@@ -297,8 +297,7 @@ func TestRateLimiting(t *testing.T) {
 	now := time.Unix(1000, 0)
 	cfg := testConfig()
 	cfg.Shards = 1
-	cfg.RateLimit = 10
-	cfg.RateBurst = 5
+	cfg.RateLimit = 2.5 // a two-second bucket holds 5 tokens
 	cfg.Now = func() time.Time {
 		mu.Lock()
 		defer mu.Unlock()
@@ -318,7 +317,7 @@ func TestRateLimiting(t *testing.T) {
 		t.Fatalf("burst exhausted: got %v, want ErrRateLimited", err)
 	}
 	mu.Lock()
-	now = now.Add(300 * time.Millisecond) // refills 3 tokens at 10/s
+	now = now.Add(1200 * time.Millisecond) // refills 3 tokens at 2.5/s
 	mu.Unlock()
 	for i := 0; i < 3; i++ {
 		if err := submit(m, "limited", frame); err != nil {
@@ -343,16 +342,13 @@ func TestRateLimiting(t *testing.T) {
 // TestBackpressureTransitions drives the full graceful-degradation
 // ladder deterministically: the worker is parked on the session's feed
 // lock so queue overflow is exact, then released so drop-free windows
-// step the level back down.
+// step the level back down. The queue holds ¾ of the evaluation window,
+// so a window submitted against a parked worker drops exactly 25%.
 func TestBackpressureTransitions(t *testing.T) {
 	cfg := testConfig()
 	cfg.Shards = 1
 	cfg.WindowSec = 2
-	cfg.WidenFactor = 2
-	cfg.QueueFrames = 12
-	cfg.DropWindowFrames = 16
-	cfg.WidenAtDropFrac = 0.25
-	cfg.DegradeAtDropFrac = 0.5
+	cfg.QueueFrames = dropWindowFrames * 3 / 4
 	m := newTestManager(t, cfg)
 	if err := m.Attach("bp"); err != nil {
 		t.Fatal(err)
@@ -362,8 +358,8 @@ func TestBackpressureTransitions(t *testing.T) {
 
 	// Park the worker: nothing drains while we overflow the queue.
 	s.feedMu.Lock()
-	// Window 1: 12 accepted + 4 dropped = 25% -> widened.
-	for i := 0; i < 16; i++ {
+	// Window 1: 192 accepted + 64 dropped = 25% -> widened.
+	for i := 0; i < dropWindowFrames; i++ {
 		if err := submit(m, "bp", frame); err != nil {
 			t.Fatal(err)
 		}
@@ -376,9 +372,9 @@ func TestBackpressureTransitions(t *testing.T) {
 		s.feedMu.Unlock()
 		t.Fatalf("widened window %g s, want 4 (2 s × factor 2)", st.WindowSec)
 	}
-	// Window 2: queue still full, 16/16 dropped -> degraded, and the
+	// Window 2: queue still full, 256/256 dropped -> degraded, and the
 	// session's health reports degraded regardless of the detector.
-	for i := 0; i < 16; i++ {
+	for i := 0; i < dropWindowFrames; i++ {
 		if err := submit(m, "bp", frame); err != nil {
 			t.Fatal(err)
 		}
@@ -396,7 +392,7 @@ func TestBackpressureTransitions(t *testing.T) {
 	// Recovery: drop-free evaluation windows step down one level each.
 	cleanWindow := func() {
 		t.Helper()
-		for i := 0; i < 16; i++ {
+		for i := 0; i < dropWindowFrames; i++ {
 			var before uint64
 			waitFor(t, "queue space", func() bool {
 				st, err := m.SessionStats("bp")
@@ -460,7 +456,7 @@ func TestWorkerSkipsIdleSessions(t *testing.T) {
 	// stalled worker must be freed before Close waits for it.
 	t.Cleanup(release)
 
-	const n = 48 // three DrainBatchFrames batches
+	const n = 3 * drainBatchFrames
 	frame := testFrame(16, 4)
 	for i := 0; i < n; i++ {
 		if err := submit(m, "busy", frame); err != nil {

@@ -31,8 +31,8 @@ const (
 	// PressureNormal: drops, if any, are below the widen threshold.
 	PressureNormal PressureState = iota
 	// PressureWidened: sustained drops; the assessment window has been
-	// widened by the configured factor so enough blinks still land in
-	// each window for the rate feature to be meaningful.
+	// widened by widenFactor so enough blinks still land in each window
+	// for the rate feature to be meaningful.
 	PressureWidened
 	// PressureDegraded: severe drops; the session's health is reported
 	// as degraded and its assessments should not be trusted.
@@ -198,14 +198,15 @@ func (s *Session) commitPop() {
 	s.qmu.Unlock()
 }
 
-// takeToken refills from the wall clock and spends one token. Caller
-// holds qmu.
+// takeToken refills from the wall clock at rate tokens per second, up
+// to rateBurstSec seconds' worth, and spends one token. Caller holds
+// qmu.
 //
 //blinkradar:hotpath
-func (s *Session) takeToken(now time.Time, rate, burst float64) bool {
+func (s *Session) takeToken(now time.Time, rate float64) bool {
 	if el := now.Sub(s.lastRefill).Seconds(); el > 0 {
 		s.tokens += el * rate
-		if s.tokens > burst {
+		if burst := rateBurstSec * rate; s.tokens > burst {
 			s.tokens = burst
 		}
 		s.lastRefill = now
@@ -223,12 +224,12 @@ func (s *Session) takeToken(now time.Time, rate, burst float64) bool {
 // window. Returns the level transition, if any. Caller holds qmu.
 //
 //blinkradar:hotpath
-func (s *Session) noteSubmit(accepted bool, evalWindow int, widenFrac, degradeFrac float64) (from, to PressureState, changed bool) {
+func (s *Session) noteSubmit(accepted bool) (from, to PressureState, changed bool) {
 	s.winSubmitted++
 	if !accepted {
 		s.winDropped++
 	}
-	if s.winSubmitted < evalWindow {
+	if s.winSubmitted < dropWindowFrames {
 		return 0, 0, false
 	}
 	frac := float64(s.winDropped) / float64(s.winSubmitted)
@@ -236,9 +237,9 @@ func (s *Session) noteSubmit(accepted bool, evalWindow int, widenFrac, degradeFr
 	cur := PressureState(s.pressure.Load())
 	next := cur
 	switch {
-	case frac >= degradeFrac:
+	case frac >= degradeAtDropFrac:
 		next = PressureDegraded
-	case frac >= widenFrac:
+	case frac >= widenAtDropFrac:
 		if next < PressureWidened {
 			next = PressureWidened
 		}

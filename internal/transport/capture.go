@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 
+	"blinkradar/internal/iq"
 	"blinkradar/internal/rf"
 )
 
@@ -246,8 +247,8 @@ func (cw *CaptureWriter) Close() error {
 // wrapping ErrTruncatedCapture. Frames are CRC-validated on every
 // read, whether reached sequentially or via the index.
 //
-// The reader is single-goroutine; Next returns a frame whose Bins
-// slice is reused by the following Next or Seek.
+// The reader is single-goroutine; Next returns a frame whose I/Q
+// planes are reused by the following Next or Seek.
 type CaptureReader struct {
 	r      io.ReadSeeker
 	br     *bufio.Reader
@@ -262,7 +263,8 @@ type CaptureReader struct {
 
 	scratchHeader []byte
 	scratchBody   []byte
-	bins          []complex128
+	planeI        []float32
+	planeQ        []float32
 }
 
 // NewCaptureReader opens a capture. The constructor validates the
@@ -281,7 +283,8 @@ func NewCaptureReader(r io.ReadSeeker) (*CaptureReader, error) {
 	if err := cr.readHeader(); err != nil {
 		return nil, err
 	}
-	cr.bins = make([]complex128, cr.header.Hello.NumBins)
+	cr.planeI = make([]float32, cr.header.Hello.NumBins)
+	cr.planeQ = make([]float32, cr.header.Hello.NumBins)
 	if cr.header.Version >= 1 {
 		if cr.loadFooter() {
 			return cr, nil
@@ -434,11 +437,12 @@ func (cr *CaptureReader) loadFooter() bool {
 	return true
 }
 
-// scanIndex rebuilds the frame index by decoding the CRC-framed
-// stream front to back, stopping at the first damage — a cut frame, a
-// corrupt CRC, or the (possibly damaged) footer bytes. Everything
-// before the stop is intact and becomes the readable prefix; unless
-// the stop is a cleanly indexed end of file, Truncated reports it.
+// scanIndex rebuilds the frame index by validating the CRC-framed
+// stream front to back (samples are never decoded), stopping at the
+// first damage — a cut frame, a corrupt CRC, or the (possibly damaged)
+// footer bytes. Everything before the stop is intact and becomes the
+// readable prefix; unless the stop is a cleanly indexed end of file,
+// Truncated reports it.
 func (cr *CaptureReader) scanIndex() {
 	cr.offsets = cr.offsets[:0]
 	cr.indexed = false
@@ -457,7 +461,7 @@ func (cr *CaptureReader) scanIndex() {
 				break
 			}
 		}
-		f, n, err := readFrame(cr.br, cr.scratchHeader, &cr.scratchBody, cr.bins, cr.header.Hello.NumBins)
+		_, n, err := readFrameWire(cr.br, cr.scratchHeader, &cr.scratchBody, cr.header.Hello.NumBins)
 		if errors.Is(err, io.EOF) {
 			if cr.header.Version >= 1 {
 				// Frames ended without a footer: the Close never landed.
@@ -475,8 +479,7 @@ func (cr *CaptureReader) scanIndex() {
 			return
 		}
 		cr.offsets = append(cr.offsets, off)
-		off += int64(n)
-		_ = f
+		off += int64(frameWireSize(n))
 	}
 	// Footer reached by scanning — it exists but failed validation in
 	// loadFooter (or this reader skipped the fast path): the frames are
@@ -498,26 +501,26 @@ func (cr *CaptureReader) Seek(k int) error {
 }
 
 // Next returns the next frame in sequence, or io.EOF past the last
-// intact frame. The returned Bins slice is owned by the reader and
+// intact frame. The returned I/Q planes are owned by the reader and
 // overwritten by the following Next; callers that keep frames copy
 // them. Every frame is CRC-validated as it is read.
 //
 //blinkradar:hotpath
-func (cr *CaptureReader) Next() (Frame, error) {
+func (cr *CaptureReader) Next() (PlaneFrame, error) {
 	if cr.pos >= len(cr.offsets) {
-		return Frame{}, io.EOF
+		return PlaneFrame{}, io.EOF
 	}
 	if !cr.aligned {
 		if err := cr.align(); err != nil {
-			return Frame{}, err
+			return PlaneFrame{}, err
 		}
 	}
-	f, _, err := readFrame(cr.br, cr.scratchHeader, &cr.scratchBody, cr.bins, cr.header.Hello.NumBins)
+	f, err := readFramePlanes(cr.br, cr.scratchHeader, &cr.scratchBody, cr.planeI, cr.planeQ, cr.header.Hello.NumBins)
 	if err != nil {
 		// Only reachable when a (CRC-valid) footer pointed at bytes that
 		// do not decode — treat it like any other tail damage.
 		cr.aligned = false
-		return Frame{}, errIndexedFrame(cr.pos, err)
+		return PlaneFrame{}, errIndexedFrame(cr.pos, err)
 	}
 	cr.pos++
 	return f, nil
@@ -552,6 +555,7 @@ func (cr *CaptureReader) ReadMatrix() (*rf.FrameMatrix, error) {
 
 // ReadMatrixFrom is ReadMatrix starting at frame index start (seek via
 // the index, then sequential decode to the end of the intact frames).
+// Each frame's planes are widened straight into its matrix row.
 func (cr *CaptureReader) ReadMatrixFrom(start int) (*rf.FrameMatrix, error) {
 	if start < 0 || start >= len(cr.offsets) {
 		return nil, fmt.Errorf("transport: start frame %d outside the %d intact frames", start, len(cr.offsets))
@@ -569,7 +573,7 @@ func (cr *CaptureReader) ReadMatrixFrom(start int) (*rf.FrameMatrix, error) {
 		if err != nil {
 			return nil, err
 		}
-		copy(m.Data[k], f.Bins)
+		iq.Planes32{I: f.I, Q: f.Q}.ToComplex(m.Data[k])
 	}
 	return m, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"blinkradar/internal/iq"
 	"blinkradar/internal/rf"
 )
 
@@ -89,6 +90,12 @@ func writeMatrixCapture(tb testing.TB, m *rf.FrameMatrix) []byte {
 	return buf.Bytes()
 }
 
+// widen returns a plane frame's samples as complex values, the form
+// the encode side writes, for bit-exact comparisons.
+func widen(f PlaneFrame) []complex128 {
+	return iq.Planes32{I: f.I, Q: f.Q}.ToComplex(make([]complex128, len(f.I)))
+}
+
 // checkFrames reads the capture front to back and verifies it yields
 // exactly frames 0..want-1, each bit-exact, then a clean io.EOF.
 func checkFrames(t *testing.T, cr *CaptureReader, want int) {
@@ -108,9 +115,10 @@ func checkFrames(t *testing.T, cr *CaptureReader, want int) {
 		if f.Seq != ref.Seq || f.TimestampMicros != ref.TimestampMicros {
 			t.Fatalf("frame %d header mismatch: %+v", k, f)
 		}
+		got := widen(f)
 		for i := range ref.Bins {
-			if f.Bins[i] != ref.Bins[i] {
-				t.Fatalf("frame %d bin %d = %v, want %v", k, i, f.Bins[i], ref.Bins[i])
+			if got[i] != ref.Bins[i] {
+				t.Fatalf("frame %d bin %d = %v, want %v", k, i, got[i], ref.Bins[i])
 			}
 		}
 	}

@@ -5,31 +5,18 @@ import (
 	"fmt"
 	"net"
 	"time"
-
-	"blinkradar/internal/obs"
 )
 
 // Client consumes a radar frame stream from a radard server and feeds a
-// per-frame callback — typically core.Detector.Feed — on the caller's
-// goroutine.
+// per-frame callback — typically core.Detector.FeedPlanes — on the
+// caller's goroutine. It is one connection and keeps no sequence or
+// metric accounting of its own; ReconnectingClient owns that.
 type Client struct {
 	conn  net.Conn
 	dec   *Decoder
 	hello StreamHello
 
-	lastSeq uint64
-	haveSeq bool
-
 	readTimeout time.Duration
-	seenResyncs uint64
-	seenSkipped uint64
-
-	// Metrics (nil-safe no-ops until SetRegistry attaches a registry).
-	mFrames      *obs.Counter
-	mSeqGaps     *obs.Counter
-	mGapFrames   *obs.Counter
-	mResyncs     *obs.Counter
-	mResyncBytes *obs.Counter
 }
 
 // Dial connects to a radar server and reads the stream hello.
@@ -57,22 +44,6 @@ func Dial(ctx context.Context, addr string) (*Client, error) {
 	return &Client{conn: conn, dec: NewDecoder(conn), hello: hello}, nil
 }
 
-// SetRegistry attaches an observability registry. Call before reading
-// frames. Exported metrics:
-//
-//	transport_client_frames_received_total  frames decoded from the wire
-//	transport_client_seq_gaps_total         discontinuities in Frame.Seq
-//	transport_client_seq_gap_frames_total   frames lost across all gaps
-//	transport_client_resyncs_total          corrupt frames skipped in-stream
-//	transport_client_resync_bytes_total     garbage bytes discarded realigning
-func (c *Client) SetRegistry(r *obs.Registry) {
-	c.mFrames = r.Counter("transport_client_frames_received_total")
-	c.mSeqGaps = r.Counter("transport_client_seq_gaps_total")
-	c.mGapFrames = r.Counter("transport_client_seq_gap_frames_total")
-	c.mResyncs = r.Counter("transport_client_resyncs_total")
-	c.mResyncBytes = r.Counter("transport_client_resync_bytes_total")
-}
-
 // Hello returns the stream geometry announced by the server.
 func (c *Client) Hello() StreamHello { return c.hello }
 
@@ -97,58 +68,34 @@ func (c *Client) EnableResync() {
 // discarded on this connection.
 func (c *Client) Resyncs() (frames, bytesSkipped uint64) { return c.dec.Resyncs() }
 
-// harvestResyncs moves new decoder resync accounting into the metrics.
-func (c *Client) harvestResyncs() {
-	frames, skipped := c.dec.Resyncs()
-	if d := frames - c.seenResyncs; d > 0 {
-		c.mResyncs.Add(d)
-		c.seenResyncs = frames
-	}
-	if d := skipped - c.seenSkipped; d > 0 {
-		c.mResyncBytes.Add(d)
-		c.seenSkipped = skipped
-	}
-}
-
-// Next reads the next frame. It honours the context by closing the
-// connection on cancellation, which unblocks the pending read.
-func (c *Client) Next(ctx context.Context) (Frame, error) {
+// Next reads the next frame into decoder-owned I/Q planes, valid until
+// the following Next. It honours the context by closing the connection
+// on cancellation, which unblocks the pending read.
+func (c *Client) Next(ctx context.Context) (PlaneFrame, error) {
 	if err := ctx.Err(); err != nil {
-		return Frame{}, err
+		return PlaneFrame{}, err
 	}
 	stop := context.AfterFunc(ctx, func() { c.conn.Close() })
 	defer stop()
 	if c.readTimeout > 0 {
 		if err := c.conn.SetReadDeadline(time.Now().Add(c.readTimeout)); err != nil {
-			return Frame{}, fmt.Errorf("transport: set read deadline: %w", err)
+			return PlaneFrame{}, fmt.Errorf("transport: set read deadline: %w", err)
 		}
 	}
-	f, err := c.dec.Decode()
-	c.harvestResyncs()
+	f, err := c.dec.DecodePlanes()
 	if err != nil {
 		if ctx.Err() != nil {
-			return Frame{}, ctx.Err()
+			return PlaneFrame{}, ctx.Err()
 		}
-		return Frame{}, err
+		return PlaneFrame{}, err
 	}
-	c.mFrames.Inc()
-	if c.haveSeq && f.Seq > c.lastSeq+1 {
-		c.mSeqGaps.Inc()
-		c.mGapFrames.Add(f.Seq - c.lastSeq - 1)
-	}
-	c.lastSeq = f.Seq
-	c.haveSeq = true
 	return f, nil
 }
 
-// LastSeq returns the sequence number of the most recent frame and
-// whether any frame has been read yet.
-func (c *Client) LastSeq() (uint64, bool) { return c.lastSeq, c.haveSeq }
-
 // Run pulls frames until the context is cancelled or the stream ends,
-// invoking fn for each. A non-nil error from fn stops the loop and is
-// returned.
-func (c *Client) Run(ctx context.Context, fn func(Frame) error) error {
+// invoking fn for each; the frame's planes are valid only during the
+// call. A non-nil error from fn stops the loop and is returned.
+func (c *Client) Run(ctx context.Context, fn func(PlaneFrame) error) error {
 	for {
 		f, err := c.Next(ctx)
 		if err != nil {

@@ -201,7 +201,7 @@ func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{r: bufio.NewReader(r), header: make([]byte, headerSize)}
 }
 
-// EnableResync makes Decode recover from corrupt frames by scanning
+// EnableResync makes DecodePlanes recover from corrupt frames by scanning
 // forward to the next frame boundary instead of failing the stream.
 // Intended for live links, where tearing the connection down over one
 // damaged packet costs a reconnect and every frame in between.
@@ -218,23 +218,6 @@ func (d *Decoder) SetExpectedBins(n uint32) { d.expectBins = n }
 // inter-frame garbage bytes were discarded while realigning.
 func (d *Decoder) Resyncs() (frames, bytesSkipped uint64) {
 	return d.resyncs, d.skippedByte
-}
-
-// Decode reads one frame. It returns io.EOF (possibly wrapped) when the
-// stream ends cleanly at a packet boundary. With resync enabled,
-// corrupt frames are skipped transparently (see Resyncs for the
-// accounting); otherwise they surface as errors matching
-// ErrCorruptFrame.
-func (d *Decoder) Decode() (Frame, error) {
-	f, err := d.decodeOnce()
-	for err != nil && d.resync && errors.Is(err, ErrCorruptFrame) {
-		d.resyncs++
-		if serr := d.seekMagic(); serr != nil {
-			return Frame{}, serr
-		}
-		f, err = d.decodeOnce()
-	}
-	return f, err
 }
 
 // seekMagic discards bytes until the reader is positioned at a
@@ -271,17 +254,10 @@ func (d *Decoder) seekMagic() error {
 	}
 }
 
-// decodeOnce reads one frame at the current stream position.
-func (d *Decoder) decodeOnce() (Frame, error) {
-	f, _, err := readFrame(d.r, d.header, &d.buf, nil, d.expectBins)
-	return f, err
-}
-
 // PlaneFrame is one radar frame decoded into struct-of-arrays float32
 // I/Q planes — the exact representation the wire carries and the
-// detection pipeline consumes, so a planes decode is bit-identical to
-// DecodeFrame followed by narrowing, with no complex128 widening round
-// trip in between.
+// detection pipeline consumes, so every read path hands out the wire's
+// samples bit for bit, with no complex128 widening round trip.
 type PlaneFrame struct {
 	// Seq is the monotonically increasing frame sequence number.
 	Seq uint64
@@ -295,8 +271,11 @@ type PlaneFrame struct {
 }
 
 // DecodePlanes reads one frame into decoder-owned I/Q planes, valid
-// until the next DecodePlanes call. Error and resync semantics match
-// Decode exactly.
+// until the next DecodePlanes call. It returns io.EOF (possibly
+// wrapped) when the stream ends cleanly at a packet boundary. With
+// resync enabled, corrupt frames are skipped transparently (see
+// Resyncs for the accounting); otherwise they surface as errors
+// matching ErrCorruptFrame.
 func (d *Decoder) DecodePlanes() (PlaneFrame, error) {
 	f, err := d.decodePlanesOnce()
 	for err != nil && d.resync && errors.Is(err, ErrCorruptFrame) {
@@ -314,7 +293,7 @@ func (d *Decoder) DecodePlanes() (PlaneFrame, error) {
 //
 //blinkradar:hotpath
 func (d *Decoder) decodePlanesOnce() (PlaneFrame, error) {
-	f, _, err := readFramePlanes(d.r, d.header, &d.buf, d.planeI, d.planeQ, d.expectBins)
+	f, err := readFramePlanes(d.r, d.header, &d.buf, d.planeI, d.planeQ, d.expectBins)
 	if err == nil {
 		d.planeI, d.planeQ = f.I, f.Q
 	}
@@ -324,50 +303,18 @@ func (d *Decoder) decodePlanesOnce() (PlaneFrame, error) {
 // frameWireSize is the encoded size of a frame with n bins.
 func frameWireSize(n int) int { return headerSize + n*8 + 4 }
 
-// readFrame decodes one CRC-framed frame from r at its current
-// position, using the caller's scratch: header must be headerSize
-// bytes, *payload is grown as needed, and bins — when its capacity
-// suffices — receives the samples without allocating (pass nil to
-// always allocate fresh bins). It reports the number of wire bytes
-// consumed by a successful decode; decode failures return the same
-// error classes as Decoder.Decode (io.EOF at a clean boundary,
-// ErrCorruptFrame wrapping for framing damage, plain errors for I/O
-// truncation mid-frame).
+// readFramePlanes decodes one CRC-framed frame from r at its current
+// position into struct-of-arrays float32 planes, the wire's own sample
+// representation: each bin's I and Q values land bit-for-bit, with no
+// float64 round trip. header must be headerSize bytes, *payload is
+// grown as needed, and pi and pq are reused when their capacity
+// suffices (pass nil to allocate). Failures are readFrameWire's.
 //
 //blinkradar:hotpath
-func readFrame(r io.Reader, header []byte, payload *[]byte, bins []complex128, expectBins uint32) (Frame, int, error) {
+func readFramePlanes(r io.Reader, header []byte, payload *[]byte, pi, pq []float32, expectBins uint32) (PlaneFrame, error) {
 	body, n, err := readFrameWire(r, header, payload, expectBins)
 	if err != nil {
-		return Frame{}, 0, err
-	}
-	if cap(bins) < n {
-		bins = make([]complex128, n) //blinkvet:ignore hotpathalloc -- grow-once: callers pass a geometry-sized buffer (or nil to opt into allocation)
-	}
-	f := Frame{
-		Seq:             binary.BigEndian.Uint64(header[4:]),
-		TimestampMicros: binary.BigEndian.Uint64(header[12:]),
-		Bins:            bins[:n],
-	}
-	off := 0
-	for i := range f.Bins {
-		re := math.Float32frombits(binary.BigEndian.Uint32(body[off:]))
-		im := math.Float32frombits(binary.BigEndian.Uint32(body[off+4:]))
-		f.Bins[i] = complex(float64(re), float64(im))
-		off += 8
-	}
-	return f, frameWireSize(n), nil
-}
-
-// readFramePlanes is readFrame decoding into struct-of-arrays float32
-// planes, the wire's own sample representation: each bin's I and Q
-// values land bit-for-bit, with no float64 round trip. pi and pq are
-// reused when their capacity suffices (pass nil to allocate).
-//
-//blinkradar:hotpath
-func readFramePlanes(r io.Reader, header []byte, payload *[]byte, pi, pq []float32, expectBins uint32) (PlaneFrame, int, error) {
-	body, n, err := readFrameWire(r, header, payload, expectBins)
-	if err != nil {
-		return PlaneFrame{}, 0, err
+		return PlaneFrame{}, err
 	}
 	if cap(pi) < n || cap(pq) < n {
 		pi = make([]float32, n) //blinkvet:ignore hotpathalloc -- grow-once: callers pass geometry-sized planes (or nil to opt into allocation)
@@ -385,12 +332,15 @@ func readFramePlanes(r io.Reader, header []byte, payload *[]byte, pi, pq []float
 		f.Q[i] = math.Float32frombits(binary.BigEndian.Uint32(body[off+4:]))
 		off += 8
 	}
-	return f, frameWireSize(n), nil
+	return f, nil
 }
 
 // readFrameWire reads and validates one frame's header, payload and
 // CRC, returning the payload body (sample area plus trailing CRC) and
-// the bin count. Shared by the complex and planes decoders.
+// the bin count. Failures are io.EOF at a clean boundary,
+// ErrCorruptFrame wrapping for framing damage, and plain errors for
+// I/O truncation mid-frame. readFramePlanes decodes the body; the
+// capture index scan only needs the validation.
 //
 //blinkradar:hotpath
 func readFrameWire(r io.Reader, header []byte, payload *[]byte, expectBins uint32) ([]byte, int, error) {

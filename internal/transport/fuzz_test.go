@@ -53,10 +53,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		var consumed int
 		for {
-			fr, err := dec.Decode()
+			pf, err := dec.DecodePlanes()
 			if err != nil {
 				break // EOF, truncation, or (strict mode) corruption
 			}
+			fr := Frame{Seq: pf.Seq, TimestampMicros: pf.TimestampMicros, Bins: widen(pf)}
 			n := len(fr.Bins)
 			if n < 1 || n > MaxBins {
 				t.Fatalf("decoded frame with %d bins, want 1..%d", n, MaxBins)
@@ -73,15 +74,16 @@ func FuzzDecodeFrame(f *testing.F) {
 			// Payloads are float32 on the wire, so a decoded frame
 			// re-encodes bit-exactly.
 			redec := NewDecoder(bytes.NewReader(frameBytes(t, fr)))
-			back, err := redec.Decode()
+			back, err := redec.DecodePlanes()
 			if err != nil {
 				t.Fatalf("re-decoding an accepted frame: %v", err)
 			}
-			if back.Seq != fr.Seq || back.TimestampMicros != fr.TimestampMicros || len(back.Bins) != n {
+			if back.Seq != fr.Seq || back.TimestampMicros != fr.TimestampMicros || len(back.I) != n {
 				t.Fatalf("round trip changed the frame: %+v != %+v", back, fr)
 			}
+			backBins := widen(back)
 			for i := range fr.Bins {
-				a, b := fr.Bins[i], back.Bins[i]
+				a, b := fr.Bins[i], backBins[i]
 				same := func(x, y float64) bool {
 					return math.Float64bits(x) == math.Float64bits(y)
 				}
@@ -196,8 +198,8 @@ func FuzzCaptureReader(f *testing.F) {
 				}
 				break
 			}
-			if len(fr.Bins) != int(h.Hello.NumBins) {
-				t.Fatalf("frame %d has %d bins, header pins %d", read, len(fr.Bins), h.Hello.NumBins)
+			if len(fr.I) != int(h.Hello.NumBins) || len(fr.Q) != int(h.Hello.NumBins) {
+				t.Fatalf("frame %d has %d/%d bins, header pins %d", read, len(fr.I), len(fr.Q), h.Hello.NumBins)
 			}
 			read++
 			if read > cr.NumFrames() {
@@ -268,9 +270,9 @@ func FuzzCaptureRoundTrip(f *testing.F) {
 				if fr.Seq != frames[k].Seq || fr.TimestampMicros != frames[k].TimestampMicros {
 					t.Fatalf("frame %d header mismatch", k)
 				}
-				for i := range fr.Bins {
-					if fr.Bins[i] != frames[k].Bins[i] {
-						t.Fatalf("frame %d bin %d: %v != %v", k, i, fr.Bins[i], frames[k].Bins[i])
+				for i, got := range widen(fr) {
+					if got != frames[k].Bins[i] {
+						t.Fatalf("frame %d bin %d: %v != %v", k, i, got, frames[k].Bins[i])
 					}
 				}
 			}

@@ -91,7 +91,8 @@ type ReconnectConfig struct {
 	// frames lost. Consumers use it to tell their pipeline about the
 	// gap (e.g. core.Detector.NoteGap) so slow-time state is not
 	// silently concatenated across it. Epoch resets (sequence moving
-	// backwards) do not fire it: no loss can be attributed.
+	// backwards across a reconnect) and late frames do not fire it: no
+	// loss can be attributed to either.
 	OnSeqGap func(missed uint64)
 	// OnConnect, when non-nil, runs after every successful dial with
 	// the announced geometry and whether this is a reconnect. A non-nil
@@ -130,9 +131,14 @@ type ReconnectStats struct {
 	SeqGaps uint64
 	// SeqGapFrames totals the frames lost across all gaps.
 	SeqGapFrames uint64
-	// EpochResets counts sequence numbers moving backwards — the
-	// daemon restarted its counter, so no loss can be attributed.
+	// EpochResets counts connections whose first frame stepped the
+	// sequence backwards — the daemon restarted its counter, so no loss
+	// can be attributed. That frame is delivered.
 	EpochResets uint64
+	// LateFrames counts frames discarded because, within a connection,
+	// their Seq was not above the last delivered one (duplicates and
+	// reordered stragglers). Their holes were already reported as gaps.
+	LateFrames uint64
 	// Frames counts frames delivered to the callback.
 	Frames uint64
 	// Resyncs counts corrupt frames skipped in-stream (Resync mode).
@@ -164,6 +170,7 @@ type ReconnectingClient struct {
 	mSeqGaps      *obs.Counter
 	mGapFrames    *obs.Counter
 	mEpochResets  *obs.Counter
+	mLate         *obs.Counter
 	mResyncs      *obs.Counter
 	mResyncBytes  *obs.Counter
 }
@@ -193,6 +200,7 @@ func NewReconnectingClient(addr string, cfg ReconnectConfig) *ReconnectingClient
 		rc.mSeqGaps = r.Counter("transport_client_seq_gaps_total")
 		rc.mGapFrames = r.Counter("transport_client_seq_gap_frames_total")
 		rc.mEpochResets = r.Counter("transport_epoch_resets_total")
+		rc.mLate = r.Counter("transport_client_late_frames_total")
 		rc.mResyncs = r.Counter("transport_client_resyncs_total")
 		rc.mResyncBytes = r.Counter("transport_client_resync_bytes_total")
 	}
@@ -224,9 +232,11 @@ func (e *callbackError) Unwrap() error { return e.err }
 // Run connects and pulls frames, reconnecting with exponential backoff
 // whenever the stream drops, until the context is cancelled, fn or a
 // geometry callback returns an error, or MaxConsecutiveFailures dial
-// attempts fail in a row. Frames are delivered in order; frames missed
-// while disconnected surface in Stats as sequence gaps.
-func (rc *ReconnectingClient) Run(ctx context.Context, fn func(Frame) error) error {
+// attempts fail in a row. Within a connection fn sees strictly
+// increasing sequence numbers: late frames are counted and discarded.
+// Frames missed in-stream or while disconnected surface in Stats as
+// sequence gaps. The frame's planes are valid only during the call.
+func (rc *ReconnectingClient) Run(ctx context.Context, fn func(PlaneFrame) error) error {
 	backoff := rc.cfg.Backoff.Initial
 	failures := 0
 	for {
@@ -269,8 +279,13 @@ func (rc *ReconnectingClient) Run(ctx context.Context, fn func(Frame) error) err
 			return err
 		}
 
-		err = c.Run(ctx, func(f Frame) error {
-			rc.trackSeq(f.Seq)
+		first := true
+		err = c.Run(ctx, func(f PlaneFrame) error {
+			deliver := rc.admit(f.Seq, first)
+			first = false
+			if !deliver {
+				return nil
+			}
 			if err := fn(f); err != nil {
 				return &callbackError{err}
 			}
@@ -325,23 +340,32 @@ func (rc *ReconnectingClient) connected(h StreamHello) error {
 	return nil
 }
 
-// trackSeq maintains gap accounting across frames and reconnects.
-func (rc *ReconnectingClient) trackSeq(seq uint64) {
+// admit applies the sequence rule to one frame and reports whether it
+// is delivered. Within a connection, a frame whose Seq is not above the
+// last delivered one is late: counted and discarded, so every hole is
+// reported once. On a connection's first frame (first) a backward step
+// is an epoch reset instead, and the frame is delivered.
+func (rc *ReconnectingClient) admit(seq uint64, first bool) bool {
 	var gap uint64
 	rc.mu.Lock()
-	rc.stats.Frames++
 	switch {
-	case !rc.haveSeq:
-	case seq > rc.lastSeq+1:
+	case !rc.haveSeq, seq == rc.lastSeq+1:
+	case seq > rc.lastSeq:
 		gap = seq - rc.lastSeq - 1
 		rc.stats.SeqGaps++
 		rc.stats.SeqGapFrames += gap
 		rc.mSeqGaps.Inc()
 		rc.mGapFrames.Add(gap)
-	case seq <= rc.lastSeq:
+	case first:
 		rc.stats.EpochResets++
 		rc.mEpochResets.Inc()
+	default:
+		rc.stats.LateFrames++
+		rc.mLate.Inc()
+		rc.mu.Unlock()
+		return false
 	}
+	rc.stats.Frames++
 	rc.lastSeq = seq
 	rc.haveSeq = true
 	rc.mu.Unlock()
@@ -349,6 +373,7 @@ func (rc *ReconnectingClient) trackSeq(seq uint64) {
 	if gap > 0 && rc.cfg.OnSeqGap != nil {
 		rc.cfg.OnSeqGap(gap)
 	}
+	return true
 }
 
 // harvestResyncs folds one connection's resync accounting into the

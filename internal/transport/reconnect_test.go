@@ -71,7 +71,7 @@ func TestReconnectingClientSurvivesServerRestart(t *testing.T) {
 	defer cancelClient()
 	runDone := make(chan error, 1)
 	go func() {
-		runDone <- rc.Run(clientCtx, func(f Frame) error {
+		runDone <- rc.Run(clientCtx, func(f PlaneFrame) error {
 			mu.Lock()
 			seqs = append(seqs, f.Seq)
 			mu.Unlock()
@@ -201,7 +201,7 @@ func TestReconnectingClientHelloChange(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
-		runDone <- rc.Run(ctx, func(f Frame) error {
+		runDone <- rc.Run(ctx, func(f PlaneFrame) error {
 			select {
 			case got <- f.Seq:
 			default:
@@ -264,7 +264,7 @@ func TestReconnectingClientGivesUp(t *testing.T) {
 		DialTimeout:            200 * time.Millisecond,
 		MaxConsecutiveFailures: 3,
 	})
-	err = rc.Run(context.Background(), func(Frame) error { return nil })
+	err = rc.Run(context.Background(), func(PlaneFrame) error { return nil })
 	if err == nil {
 		t.Fatal("run against a dead address must eventually fail")
 	}
@@ -292,7 +292,7 @@ func TestReconnectingClientCallbackErrorStops(t *testing.T) {
 		Backoff:     fastBackoff(),
 		DialTimeout: time.Second,
 	})
-	err = rc.Run(context.Background(), func(Frame) error { return sentinel })
+	err = rc.Run(context.Background(), func(PlaneFrame) error { return sentinel })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("run returned %v, want the consumer error", err)
 	}
@@ -344,5 +344,95 @@ func TestJitterDeterministicSeed(t *testing.T) {
 	rc := NewReconnectingClient("127.0.0.1:0", ReconnectConfig{Backoff: fastBackoff()})
 	if rc.rng == nil {
 		t.Fatal("nil ReconnectConfig.Rand left the client without a jitter source")
+	}
+}
+
+// serveSeqs accepts one connection per entry of conns on ln and writes
+// the stream hello plus one frame per listed sequence number, in that
+// order, then closes it; the listener closes after the last one.
+func serveSeqs(ln net.Listener, conns [][]uint64) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		defer ln.Close()
+		for _, seqs := range conns {
+			c, err := ln.Accept()
+			if err != nil {
+				done <- err
+				return
+			}
+			err = EncodeHello(c, StreamHello{FrameRate: 25, BinSpacing: 0.0107, NumBins: 2})
+			enc := NewEncoder(c)
+			for _, seq := range seqs {
+				if err == nil {
+					err = enc.Encode(Frame{Seq: seq, Bins: []complex128{complex(float64(seq), 0), 1i}})
+				}
+			}
+			if err == nil {
+				err = enc.Flush()
+			}
+			c.Close()
+			if err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	return done
+}
+
+// TestReconnectingClientLateFramesAndEpochReset pins the sequence rule:
+// within a connection a swapped pair (0,1,2,4,3,5,6) reports the hole
+// once and discards the straggler as late, so the callback sees
+// strictly increasing sequence numbers; a reconnect whose first frame
+// steps back is one epoch reset, and that frame is delivered.
+func TestReconnectingClientLateFramesAndEpochReset(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := serveSeqs(ln, [][]uint64{{0, 1, 2, 4, 3, 5, 6}, {2, 3}})
+
+	var gaps []uint64
+	rc := NewReconnectingClient(ln.Addr().String(), ReconnectConfig{
+		Backoff:                fastBackoff(),
+		DialTimeout:            time.Second,
+		MaxConsecutiveFailures: 2,
+		OnSeqGap:               func(missed uint64) { gaps = append(gaps, missed) },
+	})
+	var seqs []uint64
+	err = rc.Run(context.Background(), func(f PlaneFrame) error {
+		if f.I[0] != float32(f.Seq) {
+			t.Errorf("frame %d carries the samples of frame %g", f.Seq, f.I[0])
+		}
+		seqs = append(seqs, f.Seq)
+		return nil
+	})
+	if err == nil {
+		t.Fatal("run against a closed listener must eventually give up")
+	}
+	if serr := <-served; serr != nil {
+		t.Fatal(serr)
+	}
+
+	want := []uint64{0, 1, 2, 4, 5, 6, 2, 3}
+	if len(seqs) != len(want) {
+		t.Fatalf("delivered %v, want %v", seqs, want)
+	}
+	for i := range want {
+		if seqs[i] != want[i] {
+			t.Fatalf("delivered %v, want %v", seqs, want)
+		}
+	}
+	if len(gaps) != 1 || gaps[0] != 1 {
+		t.Errorf("OnSeqGap saw %v, want one 1-frame gap", gaps)
+	}
+	st := rc.Stats()
+	if st.LateFrames != 1 || st.SeqGaps != 1 || st.SeqGapFrames != 1 {
+		t.Errorf("late %d, gaps %d (%d frames), want 1, 1 (1)", st.LateFrames, st.SeqGaps, st.SeqGapFrames)
+	}
+	if st.EpochResets != 1 || st.Reconnects != 1 || st.Frames != uint64(len(want)) {
+		t.Errorf("epoch resets %d, reconnects %d, frames %d, want 1, 1, %d",
+			st.EpochResets, st.Reconnects, st.Frames, len(want))
 	}
 }

@@ -38,10 +38,10 @@ func TestDecoderResyncSkipsCorruptFrame(t *testing.T) {
 
 	// Strict mode: the stream dies at the damaged frame.
 	dec := NewDecoder(bytes.NewReader(corrupt))
-	if f, err := dec.Decode(); err != nil || f.Seq != 0 {
+	if f, err := dec.DecodePlanes(); err != nil || f.Seq != 0 {
 		t.Fatalf("first frame: %v, %v", f, err)
 	}
-	if _, err := dec.Decode(); !errors.Is(err, ErrCorruptFrame) {
+	if _, err := dec.DecodePlanes(); !errors.Is(err, ErrCorruptFrame) {
 		t.Fatalf("strict decode of corrupt frame: %v, want ErrCorruptFrame", err)
 	}
 
@@ -50,7 +50,7 @@ func TestDecoderResyncSkipsCorruptFrame(t *testing.T) {
 	dec.EnableResync()
 	var seqs []uint64
 	for {
-		f, err := dec.Decode()
+		f, err := dec.DecodePlanes()
 		if err != nil {
 			if err != io.EOF {
 				t.Fatalf("resync decode: %v", err)
@@ -88,7 +88,7 @@ func TestDecoderResyncDiscardsInterFrameGarbage(t *testing.T) {
 	dec.EnableResync()
 	var seqs []uint64
 	for {
-		f, err := dec.Decode()
+		f, err := dec.DecodePlanes()
 		if err != nil {
 			break
 		}
@@ -115,10 +115,10 @@ func TestDecoderExpectedBinsStopsPhantomPayload(t *testing.T) {
 	// the tail frame is lost to a truncation error.
 	dec := NewDecoder(bytes.NewReader(corrupt))
 	dec.EnableResync()
-	if f, err := dec.Decode(); err != nil || f.Seq != 0 {
+	if f, err := dec.DecodePlanes(); err != nil || f.Seq != 0 {
 		t.Fatalf("first frame: %v, %v", f, err)
 	}
-	if _, err := dec.Decode(); err == nil || errors.Is(err, io.EOF) {
+	if _, err := dec.DecodePlanes(); err == nil || errors.Is(err, io.EOF) {
 		t.Fatalf("unpinned decode: %v, want a truncation error", err)
 	}
 
@@ -129,7 +129,7 @@ func TestDecoderExpectedBinsStopsPhantomPayload(t *testing.T) {
 	dec.SetExpectedBins(2)
 	var seqs []uint64
 	for {
-		f, err := dec.Decode()
+		f, err := dec.DecodePlanes()
 		if err != nil {
 			break
 		}
