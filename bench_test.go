@@ -65,7 +65,7 @@ func BenchmarkFig6RangeProfile(b *testing.B) {
 // BenchmarkFig7NoiseReduction times the noise-reduction cascade itself:
 // the Fig. 7 waveforms are built once outside the timed loop and a
 // reusable fused cascade filters them into a caller-owned buffer, so
-// the loop body is the pipeline's actual per-profile denoising cost.
+// the loop body is the figure's per-profile denoising cost.
 func BenchmarkFig7NoiseReduction(b *testing.B) {
 	clean, noisy := experiments.Fig7Waveforms(1)
 	cascade, err := dsp.NewFusedCascade(26, 0.04, 50)
@@ -412,30 +412,6 @@ func BenchmarkDetectorFeedComplex(b *testing.B) {
 	}
 }
 
-// BenchmarkFusedCascade isolates the fused float32 Fig. 7 kernel (the
-// folded Hamming FIR with the in-line ring moving average) on one
-// 2048-sample profile — the same shape Fig7NoiseReduction pushes
-// through the float64 reference cascade.
-func BenchmarkFusedCascade(b *testing.B) {
-	_, noisy := experiments.Fig7Waveforms(1)
-	fused, err := dsp.NewFusedCascade(26, 0.04, 50)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := make([]float32, len(noisy))
-	for i, v := range noisy {
-		x[i] = float32(v)
-	}
-	dst := make([]float32, len(x))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := fused.ApplyInto32(dst, x); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkOfflineDetect60s(b *testing.B) {
 	capture := benchCapture(b, 60)
 	b.ReportAllocs()
@@ -448,8 +424,8 @@ func BenchmarkOfflineDetect60s(b *testing.B) {
 }
 
 // BenchmarkPreprocessorProcess isolates the per-frame preprocessing
-// cost on the float32 I/Q planes the detector feeds it; with reused
-// scratch buffers it must run allocation-free.
+// (background subtraction) cost on the float32 I/Q planes the detector
+// feeds it; it must run allocation-free.
 func BenchmarkPreprocessorProcess(b *testing.B) {
 	capture := benchCapture(b, 20)
 	bins := capture.Frames.NumBins()

@@ -1,9 +1,9 @@
 // Package core implements BlinkRadar's detection pipeline — the paper's
 // primary contribution. The stages mirror Section IV:
 //
-//  1. preprocessing: a cascading noise-reduction filter (order-26
-//     Hamming-window low-pass FIR plus a smoothing filter) and
-//     loopback-filter background subtraction;
+//  1. preprocessing: loopback-filter background subtraction (the
+//     paper's Fig. 7 noise-reduction cascade serves only its figure;
+//     see Preprocessor);
 //  2. eye range-bin identification by the 2-D I/Q variance of each bin,
 //     exploiting embedded respiration/BCG interference;
 //  3. viewing-position tracking by Pratt circle fitting with adaptive
@@ -67,22 +67,6 @@ type Config struct {
 	// DistanceSmoothFrames is the moving-average width applied to the
 	// distance waveform before extremum detection.
 	DistanceSmoothFrames int
-	// FIROrder and FIRCutoff configure the slow-time low-pass FIR
-	// stage of the preprocessing cascade (paper: order 26, Hamming).
-	FIROrder int
-	// FIRCutoff is the normalised cutoff in (0, 0.5].
-	FIRCutoff float64
-	// FastTimeSmoothBins is the smoothing width across range bins
-	// applied per frame (the paper's 50-point smoother, scaled to the
-	// profile length used here). Width 1 disables smoothing — the
-	// right choice when the radio already delivers pulse-compressed
-	// profiles, where extra smoothing only widens reflector tails into
-	// neighbouring bins.
-	FastTimeSmoothBins int
-	// EnableFastTimeFIR applies the low-pass FIR across range bins of
-	// every frame. As with the smoother, enable it only for raw
-	// (uncompressed) profiles.
-	EnableFastTimeFIR bool
 	// BackgroundTauSec is the priming duration, in seconds, of the
 	// loopback background filter that removes static clutter. The
 	// clutter estimate is frozen after priming.
@@ -152,9 +136,6 @@ func DefaultConfig() Config {
 		MinThresholdFrac:       0.025,
 		RefractorySec:          0.50,
 		DistanceSmoothFrames:   3,
-		FIROrder:               26,
-		FIRCutoff:              0.34,
-		FastTimeSmoothBins:     1,
 		BackgroundTauSec:       1.0,
 		GuardBins:              8,
 		SelectWindowFrames:     100,
@@ -198,10 +179,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: refractory period must be non-negative, got %g", c.RefractorySec)
 	case c.DistanceSmoothFrames <= 0:
 		return fmt.Errorf("core: distance smoothing must be positive, got %d", c.DistanceSmoothFrames)
-	case c.FIROrder <= 0 || c.FIRCutoff <= 0 || c.FIRCutoff > 0.5:
-		return fmt.Errorf("core: invalid FIR design order=%d cutoff=%g", c.FIROrder, c.FIRCutoff)
-	case c.FastTimeSmoothBins <= 0:
-		return fmt.Errorf("core: fast-time smoothing must be positive, got %d", c.FastTimeSmoothBins)
 	case c.BackgroundTauSec <= 0:
 		return fmt.Errorf("core: background time constant must be positive, got %g", c.BackgroundTauSec)
 	case c.GuardBins < 0:
@@ -240,16 +217,6 @@ func WithThresholdK(k float64) Option {
 	return func(c *Config) { c.ThresholdK = k }
 }
 
-// WithColdStart overrides the cold-start length in frames.
-func WithColdStart(frames int) Option {
-	return func(c *Config) { c.ColdStartFrames = frames }
-}
-
-// WithFitWindow overrides the arc-fit window length in frames.
-func WithFitWindow(frames int) Option {
-	return func(c *Config) { c.FitWindowFrames = frames }
-}
-
 // WithAdaptiveUpdate enables or disables periodic viewing-position
 // refits and bin reselection (the paper's adaptive update; disabling it
 // is the ablation of Section "Real-time Eye-Blink Detection").
@@ -261,9 +228,4 @@ func WithAdaptiveUpdate(enabled bool) Option {
 			c.RestartVarRatio = 1e12
 		}
 	}
-}
-
-// WithBackgroundTau overrides the loopback-filter time constant.
-func WithBackgroundTau(sec float64) Option {
-	return func(c *Config) { c.BackgroundTauSec = sec }
 }

@@ -26,8 +26,6 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"threshold frac", func(c *Config) { c.MinThresholdFrac = 1 }},
 		{"refractory", func(c *Config) { c.RefractorySec = -1 }},
 		{"distance smooth", func(c *Config) { c.DistanceSmoothFrames = 0 }},
-		{"fir", func(c *Config) { c.FIRCutoff = 0.9 }},
-		{"fast-time smooth", func(c *Config) { c.FastTimeSmoothBins = 0 }},
 		{"background tau", func(c *Config) { c.BackgroundTauSec = 0 }},
 		{"guard bins", func(c *Config) { c.GuardBins = -1 }},
 		{"select window", func(c *Config) { c.SelectWindowFrames = 5 }},
@@ -37,6 +35,11 @@ func TestConfigValidateRejections(t *testing.T) {
 		{"restart ratio", func(c *Config) { c.RestartVarRatio = 1 }},
 		{"motion sustain", func(c *Config) { c.MotionSustainFrames = 0 }},
 		{"settle", func(c *Config) { c.SettleFrames = -1 }},
+		{"saturation", func(c *Config) { c.SaturationLimit = -1 }},
+		{"bad-bin frac", func(c *Config) { c.MaxBadBinFrac = -0.1 }},
+		{"bad-bin frac high", func(c *Config) { c.MaxBadBinFrac = 1.1 }},
+		{"max gap", func(c *Config) { c.MaxGapFrames = 0 }},
+		{"degraded", func(c *Config) { c.DegradedAfterRejects = 0 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -54,18 +57,6 @@ func TestOptions(t *testing.T) {
 	WithThresholdK(7)(&cfg)
 	if cfg.ThresholdK != 7 {
 		t.Fatal("WithThresholdK did not apply")
-	}
-	WithColdStart(99)(&cfg)
-	if cfg.ColdStartFrames != 99 {
-		t.Fatal("WithColdStart did not apply")
-	}
-	WithFitWindow(321)(&cfg)
-	if cfg.FitWindowFrames != 321 {
-		t.Fatal("WithFitWindow did not apply")
-	}
-	WithBackgroundTau(2.5)(&cfg)
-	if cfg.BackgroundTauSec != 2.5 {
-		t.Fatal("WithBackgroundTau did not apply")
 	}
 	WithAdaptiveUpdate(false)(&cfg)
 	if cfg.ReselectIntervalFrames < 1<<29 {

@@ -7,8 +7,8 @@ import (
 
 // FIRFilter is a finite-impulse-response filter described by its tap
 // coefficients. The zero value is unusable; construct one with a design
-// function such as LowPassFIR. The pipeline filters with the folded
-// form (FoldedFIR, FusedCascade); the real-valued direct form
+// function such as LowPassFIR. The Fig. 7 cascade filters with the
+// folded form (FoldedFIR, FusedCascade); the real-valued direct form
 // (Apply, ApplyInto) lives in this package's tests as the float64
 // oracle the folded kernels are checked against.
 type FIRFilter struct {

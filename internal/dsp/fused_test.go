@@ -141,65 +141,9 @@ func TestFusedCascadeMatchesSequential64(t *testing.T) {
 	}
 }
 
-// TestFusedCascade32ErrorBudget pins the float32 SoA path to the
-// documented end-to-end budget: within 1e-5 of the float64 sequential
-// reference, relative to the series' peak magnitude (DESIGN.md §13).
-func TestFusedCascade32ErrorBudget(t *testing.T) {
-	const order, cutoff, smooth = 26, 0.04, 50
-	c, err := NewFusedCascade(order, cutoff, smooth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(0); seed < 5; seed++ {
-		x := randSeries(seed, 2048)
-		want := refCascade64(t, x, order, cutoff, smooth)
-		x32 := make([]float32, len(x))
-		for i, v := range x {
-			x32[i] = float32(v)
-		}
-		got := make([]float32, len(x))
-		if err := c.ApplyInto32(got, x32); err != nil {
-			t.Fatal(err)
-		}
-		scale := maxScale(want)
-		for i := range want {
-			if rel := math.Abs(float64(got[i])-want[i]) / scale; rel > 1e-5 {
-				t.Fatalf("seed=%d sample %d: float32 %g vs float64 %g (rel %g)",
-					seed, i, got[i], want[i], rel)
-			}
-		}
-	}
-}
-
-func TestFusedCascadeSubtraction(t *testing.T) {
-	c, err := NewFusedCascade(26, 0.04, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randSeries(3, 300)
-	x32 := make([]float32, len(x))
-	for i, v := range x {
-		x32[i] = float32(v)
-	}
-	plain := make([]float32, len(x))
-	shifted := make([]float32, len(x))
-	const sub = float32(0.75)
-	if err := c.ApplyInto32(plain, x32); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.ApplySubInto32(shifted, x32, sub); err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain {
-		if d := (plain[i] - sub) - shifted[i]; d != 0 {
-			t.Fatalf("sample %d: subtraction not a pure shift (diff %g)", i, d)
-		}
-	}
-}
-
 func TestFusedCascadeAliasing(t *testing.T) {
 	// The FIR stage writes dst while later outputs still read x, so the
-	// fused cascade must reject aliasing on every path.
+	// fused cascade must reject aliasing.
 	c, err := NewFusedCascade(26, 0.04, 50)
 	if err != nil {
 		t.Fatal(err)
@@ -208,13 +152,6 @@ func TestFusedCascadeAliasing(t *testing.T) {
 	if err := c.ApplyInto(buf, buf); err == nil {
 		t.Fatal("aliased ApplyInto must be rejected")
 	}
-	buf32 := make([]float32, 400)
-	if err := c.ApplyInto32(buf32, buf32); err == nil {
-		t.Fatal("aliased ApplyInto32 must be rejected")
-	}
-	if err := c.ApplySubInto32(buf32, buf32, 0.5); err == nil {
-		t.Fatal("aliased ApplySubInto32 must be rejected")
-	}
 	// FoldedFIR alone rejects aliasing too, like FIRFilter.
 	fir, err := FoldedLowPass(26, 0.04)
 	if err != nil {
@@ -222,9 +159,6 @@ func TestFusedCascadeAliasing(t *testing.T) {
 	}
 	if err := fir.ApplyInto(buf, buf); err == nil {
 		t.Fatal("FoldedFIR.ApplyInto must reject aliasing")
-	}
-	if err := fir.ApplyInto32(buf32, buf32); err == nil {
-		t.Fatal("FoldedFIR.ApplyInto32 must reject aliasing")
 	}
 }
 
@@ -235,24 +169,12 @@ func TestFusedCascadeAllocFree(t *testing.T) {
 	}
 	x := randSeries(5, 2048)
 	dst := make([]float64, len(x))
-	x32 := make([]float32, len(x))
-	dst32 := make([]float32, len(x))
-	for i, v := range x {
-		x32[i] = float32(v)
-	}
 	if allocs := testing.AllocsPerRun(50, func() {
 		if err := c.ApplyInto(dst, x); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
 		t.Fatalf("ApplyInto allocates %.1f objects/run, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(50, func() {
-		if err := c.ApplySubInto32(dst32, x32, 0.1); err != nil {
-			t.Fatal(err)
-		}
-	}); allocs != 0 {
-		t.Fatalf("ApplySubInto32 allocates %.1f objects/run, want 0", allocs)
 	}
 }
 
@@ -275,10 +197,9 @@ func TestFusedCascadeErrors(t *testing.T) {
 	}
 }
 
-// FuzzFusedCascade drives random series through the fused float32 path
-// and checks it against the sequential float64 oracle within the
-// documented error budget, for arbitrary lengths and window/order
-// combinations.
+// FuzzFusedCascade drives random series through the fused cascade and
+// checks it against the sequential float64 oracle within fold-average
+// rounding, for arbitrary lengths and window/order combinations.
 func FuzzFusedCascade(f *testing.F) {
 	f.Add(int64(1), uint8(128), uint8(26), uint8(50))
 	f.Add(int64(2), uint8(3), uint8(4), uint8(2))
@@ -296,38 +217,20 @@ func FuzzFusedCascade(f *testing.F) {
 		}
 		x := randSeries(seed, n)
 		want := refCascade64(t, x, order, 0.04, smooth)
-		x32 := make([]float32, n)
-		for i, v := range x {
-			x32[i] = float32(v)
-		}
-		got := make([]float32, n)
-		if err := c.ApplyInto32(got, x32); err != nil {
+		got := make([]float64, n)
+		if err := c.ApplyInto(got, x); err != nil {
 			t.Fatal(err)
 		}
-		// The float32 error budget is relative to the INPUT scale: the
-		// dominant term is eps32·max|x| from narrowing the samples,
-		// carried through a linear cascade with bounded per-stage gain.
-		// Background subtraction can cancel the output to far below
-		// max|x| (e.g. n=27, order=26, smooth=60 — regression corpus
+		// The rounding budget is relative to the INPUT scale: the
+		// smoother can cancel the output to far below max|x| (e.g.
+		// n=27, order=26, smooth=60 — regression corpus
 		// 722c17465a77c9b7), where an output-relative bound would
-		// spuriously amplify that fixed absolute error.
+		// spuriously amplify a fixed absolute error.
 		scale := math.Max(maxScale(want), maxScale(x))
 		for i := range want {
-			if rel := math.Abs(float64(got[i])-want[i]) / scale; rel > 1e-5 {
-				t.Fatalf("n=%d order=%d smooth=%d sample %d: float32 %g vs float64 %g (rel %g)",
+			if rel := math.Abs(got[i]-want[i]) / scale; rel > 1e-12 {
+				t.Fatalf("n=%d order=%d smooth=%d sample %d: fused %g vs oracle %g (rel %g)",
 					n, order, smooth, i, got[i], want[i], rel)
-			}
-		}
-		// The float64 fused path sits within fold-average rounding of
-		// the oracle.
-		got64 := make([]float64, n)
-		if err := c.ApplyInto(got64, x); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if rel := math.Abs(got64[i]-want[i]) / scale; rel > 1e-12 {
-				t.Fatalf("n=%d order=%d smooth=%d sample %d: fused64 %g vs oracle %g (rel %g)",
-					n, order, smooth, i, got64[i], want[i], rel)
 			}
 		}
 	})

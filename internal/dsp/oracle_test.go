@@ -6,8 +6,8 @@ import (
 )
 
 // This file holds the direct-form float64 FIR, the oracle of DESIGN.md
-// §13's error budget: the folded kernels (FoldedFIR, FusedCascade) and
-// their float32 images are checked against it, never the reverse.
+// §13's error budget: the folded kernels (FoldedFIR, FusedCascade) are
+// checked against it, never the reverse.
 
 // NewFIRFilter wraps an explicit set of tap coefficients. The taps are
 // copied so the caller retains ownership of its slice.

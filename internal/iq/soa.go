@@ -6,11 +6,12 @@ import "math"
 // pipeline: the in-phase and quadrature components of a complex series
 // stored as two separate float32 planes. Splitting the components keeps
 // each plane's memory traffic half of the equivalent []complex128 and
-// lets the per-plane DSP kernels (dsp.FusedCascade and friends) run as
-// plain real-valued passes instead of complex arithmetic. Precision
-// policy: raw radar samples carry far fewer significant bits than a
-// float32 mantissa, so the planes hold samples and every accumulated
-// statistic is kept in float64 (see MomentSums32).
+// lets the per-plane kernels (sanitize, background subtraction, the
+// bin-selection ring) run as plain real-valued passes instead of complex
+// arithmetic. Precision policy: raw radar samples carry far fewer
+// significant bits than a float32 mantissa, so the planes hold samples
+// and every accumulated statistic is kept in float64 (see
+// MomentSums32).
 type Planes32 struct {
 	I []float32
 	Q []float32
