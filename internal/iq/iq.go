@@ -42,21 +42,30 @@ func UnwrapPhases(z []complex128) []float64 {
 // slice.
 func Unwrap(phase []float64) []float64 {
 	out := make([]float64, len(phase))
+	copy(out, phase)
+	UnwrapInPlace(out)
+	return out
+}
+
+// UnwrapInPlace is Unwrap overwriting its input, for callers that own
+// the buffer.
+func UnwrapInPlace(phase []float64) {
 	if len(phase) == 0 {
-		return out
+		return
 	}
-	out[0] = phase[0]
+	prev := phase[0] // the wrapped value, before any offset
 	offset := 0.0
 	for i := 1; i < len(phase); i++ {
-		d := phase[i] - phase[i-1]
+		p := phase[i]
+		d := p - prev
 		if d > math.Pi {
 			offset -= 2 * math.Pi
 		} else if d < -math.Pi {
 			offset += 2 * math.Pi
 		}
-		out[i] = phase[i] + offset
+		phase[i] = p + offset
+		prev = p
 	}
-	return out
 }
 
 // Mean returns the centroid of the samples, or 0 for an empty slice.

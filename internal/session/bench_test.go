@@ -69,8 +69,8 @@ func BenchmarkFleet(b *testing.B) {
 // visits every session on each wake pays for all 4,096 here; one that
 // visits only sessions with queued frames pays for the 8. One op is one
 // frame. The streaming group moves on every budget frames per session,
-// keeping each session short of the Monitor's 30-s vitals window (whose
-// estimator allocates per update), so the CI allocation budget is zero.
+// keeping each session short of the Monitor's 30-s vitals window, so
+// every op does the same work. The CI allocation budget is zero.
 func BenchmarkFleetIdle(b *testing.B) {
 	const (
 		sessions = 4096

@@ -56,7 +56,11 @@ type Config struct {
 	// hash-unlucky shard rejects rather than silently serving a
 	// disproportionate share with one core.
 	MaxSessionsPerShard int
-	// QueueFrames is each session's frame-queue depth (default 64).
+	// QueueFrames is the most frames a session's queue holds (default
+	// 64); a frame submitted to a full queue is dropped. Storage grows
+	// on demand up to this depth while frames wait and shrinks back
+	// once the backlog clears, so an idle or paced session holds only
+	// a couple of frames' worth.
 	QueueFrames int
 	// RateLimit is the per-session sustained frame budget in frames
 	// per second; 0 disables rate limiting. The token bucket holds
@@ -94,6 +98,9 @@ const (
 	// before moving to the next, so a busy stream cannot starve its
 	// shard-mates.
 	drainBatchFrames = 16
+	// minQueueSlots is the frame storage a session's queue starts with
+	// and never shrinks below.
+	minQueueSlots = 2
 )
 
 func (c Config) withDefaults() Config {

@@ -2,7 +2,10 @@ package session
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
+	"runtime/metrics"
 	"sync"
 	"testing"
 	"time"
@@ -639,4 +642,251 @@ func TestMetricsRegistered(t *testing.T) {
 	if got := reg.Gauge(shardGaugeName(sh.idx) + "_sessions").Value(); got != 1 {
 		t.Fatalf("shard session gauge = %g, want 1", got)
 	}
+}
+
+// queuedFrame returns the i-th oldest queued frame of s, indexed as
+// peek indexes the oldest.
+func queuedFrame(s *Session, i int) (pi, pq []float32, gap uint64) {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	slot := (s.head + i) % len(s.gaps)
+	off := 2 * slot * s.bins
+	return s.buf[off : off+s.bins], s.buf[off+s.bins : off+2*s.bins], s.gaps[slot]
+}
+
+// storage returns the number of frame slots s currently holds.
+func storage(s *Session) int {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	return len(s.gaps)
+}
+
+// markedFrame is a frame whose samples identify it: bin b of frame k
+// holds I = k + b/100 and Q = -I.
+func markedFrame(bins, k int) iq.Planes32 {
+	f := iq.MakePlanes32(bins)
+	for b := range f.I {
+		f.I[b] = float32(k) + float32(b)/100
+		f.Q[b] = -f.I[b]
+	}
+	return f
+}
+
+// TestQueueGrowsToCapAndDropsAtCap parks the worker on the session's
+// feed lock, as TestWorkerSkipsIdleSessions does, and fills the queue:
+// storage doubles from minQueueSlots to QueueFrames, and only a submit
+// to a queue holding QueueFrames frames is dropped.
+func TestQueueGrowsToCapAndDropsAtCap(t *testing.T) {
+	cfg := testConfig()
+	cfg.Shards = 1
+	m := newTestManager(t, cfg)
+	if err := m.Attach("deep"); err != nil {
+		t.Fatal(err)
+	}
+	s := lookup(t, m, "deep")
+	if got := storage(s); got != minQueueSlots {
+		t.Fatalf("new session holds %d slots, want %d", got, minQueueSlots)
+	}
+	s.feedMu.Lock()
+	var once sync.Once
+	release := func() { once.Do(s.feedMu.Unlock) }
+	t.Cleanup(release)
+
+	const depth = 64
+	want := minQueueSlots
+	for k := 0; k <= depth; k++ {
+		if err := submit(m, "deep", markedFrame(16, k)); err != nil {
+			t.Fatal(err)
+		}
+		if k < depth && k+1 > want {
+			want *= 2
+		}
+		if got := storage(s); got != want {
+			t.Fatalf("after %d submits: %d slots, want %d", k+1, got, want)
+		}
+	}
+	st, err := m.SessionStats("deep")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Submitted != depth+1 || st.Dropped != 1 || st.Queued != depth {
+		t.Fatalf("at the cap: %+v, want %d submitted, 1 dropped, %d queued", st, depth+1, depth)
+	}
+	for k := 0; k < depth; k++ {
+		pi, pq, gap := queuedFrame(s, k)
+		last := len(pi) - 1
+		if pi[0] != float32(k) || pq[0] != -float32(k) || pi[last] != float32(k)+float32(last)/100 || pq[last] != -pi[last] || gap != 0 {
+			t.Fatalf("queued frame %d: I[0] %g Q[0] %g I[%d] %g Q[%d] %g gap %d", k, pi[0], pq[0], last, pi[last], last, pq[last], gap)
+		}
+	}
+
+	release()
+	waitFor(t, "the queued frames to feed", func() bool {
+		st, err := m.SessionStats("deep")
+		return err == nil && st.Processed == depth && st.Queued == 0
+	})
+	// The drop rides on the next accepted frame as a one-frame gap.
+	if err := submit(m, "deep", markedFrame(16, depth+1)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the frame after the drop to feed", func() bool {
+		st, err := m.SessionStats("deep")
+		return err == nil && st.Processed == depth+1
+	})
+	s.feedMu.Lock()
+	gaps := s.mon.InputStats().GapFrames
+	s.feedMu.Unlock()
+	if gaps != 1 {
+		t.Fatalf("pipeline heard of %d lost frames, want the 1 dropped", gaps)
+	}
+}
+
+// TestQueueResizeKeepsPeekedFrame grows the queue under a frame the
+// worker has peeked: the peeked planes must survive the move, and the
+// queue must go on from the next frame with its gap.
+func TestQueueResizeKeepsPeekedFrame(t *testing.T) {
+	const bins = 16
+	s := newSession(bins, 64, nil, 2)
+	s.qmu.Lock()
+	s.push(markedFrame(bins, 0).I, markedFrame(bins, 0).Q)
+	s.qmu.Unlock()
+	pi, pq, _, ok := s.peek()
+	if !ok {
+		t.Fatal("peek of a one-frame queue found nothing")
+	}
+	s.qmu.Lock()
+	s.pendingGap = 3
+	for k := 1; len(s.gaps) == minQueueSlots; k++ {
+		f := markedFrame(bins, k)
+		if !s.push(f.I, f.Q) {
+			t.Fatalf("push %d dropped below the cap", k)
+		}
+	}
+	s.qmu.Unlock()
+	s.commitPop()
+	want := markedFrame(bins, 0)
+	for b := range want.I {
+		if pi[b] != want.I[b] || pq[b] != want.Q[b] {
+			t.Fatalf("peeked bin %d now (%g, %g), want frame 0's (%g, %g)", b, pi[b], pq[b], want.I[b], want.Q[b])
+		}
+	}
+	pi, pq, gap, ok := s.peek()
+	want = markedFrame(bins, 1)
+	if !ok || gap != 3 || pi[0] != want.I[0] || pq[bins-1] != want.Q[bins-1] {
+		t.Fatalf("next peek: ok %v gap %d I[0] %g Q[%d] %g, want frame 1 after a 3-frame gap", ok, gap, pi[0], bins-1, pq[bins-1])
+	}
+}
+
+// TestQueueShrinksAfterQuietWindow lets a burst grow a queue, then
+// checks that one evaluation window of paced frames gives the storage
+// back, with the accounting exact throughout.
+func TestQueueShrinksAfterQuietWindow(t *testing.T) {
+	cfg := testConfig()
+	cfg.Shards = 1
+	m := newTestManager(t, cfg)
+	if err := m.Attach("burst"); err != nil {
+		t.Fatal(err)
+	}
+	s := lookup(t, m, "burst")
+	submitted := uint64(0)
+	check := func(what string) {
+		t.Helper()
+		st, err := m.SessionStats("burst")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Submitted != submitted || st.Submitted != st.Processed+st.Dropped+st.Queued || st.Dropped != 0 {
+			t.Fatalf("%s: accounting %+v, want %d submitted, none dropped", what, st, submitted)
+		}
+	}
+	paced := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := submit(m, "burst", testFrame(16, i)); err != nil {
+				t.Fatal(err)
+			}
+			submitted++
+			waitFor(t, "paced frame to feed", func() bool {
+				st, err := m.SessionStats("burst")
+				return err == nil && st.Queued == 0
+			})
+			check("paced")
+		}
+	}
+	const burst = 40
+	// Paced frames up to the burst keep the queue at its minimum; the
+	// burst then closes the first evaluation window.
+	paced(dropWindowFrames - burst)
+	if got := storage(s); got != minQueueSlots {
+		t.Fatalf("paced queue holds %d slots, want %d", got, minQueueSlots)
+	}
+	s.feedMu.Lock()
+	for i := 0; i < burst; i++ {
+		if err := submit(m, "burst", testFrame(16, i)); err != nil {
+			s.feedMu.Unlock()
+			t.Fatal(err)
+		}
+		submitted++
+	}
+	check("burst")
+	got := storage(s)
+	s.feedMu.Unlock()
+	if got != 64 {
+		t.Fatalf("a %d-frame burst left %d slots, want 64", burst, got)
+	}
+	waitFor(t, "burst to drain", func() bool {
+		st, err := m.SessionStats("burst")
+		return err == nil && st.Queued == 0
+	})
+	paced(dropWindowFrames - 1)
+	if got := storage(s); got != 64 {
+		t.Fatalf("queue shrank to %d slots before its quiet window closed", got)
+	}
+	paced(1)
+	if got := storage(s); got != minQueueSlots {
+		t.Fatalf("after a quiet window: %d slots, want %d", got, minQueueSlots)
+	}
+}
+
+// TestSessionFootprint is the per-session memory tripwire: 64 paced
+// sessions past cold start and bin selection must hold at most
+// 200 KiB of live heap each. Per-session estimator scratch or a queue
+// kept at its full depth would break it.
+func TestSessionFootprint(t *testing.T) {
+	const sessions, frames, bins = 64, 300, 150
+	base := liveHeap()
+	m := newTestManager(t, Config{NumBins: bins, FrameRate: 25})
+	ids := make([]string, sessions)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("cab-%02d", i)
+		if err := m.Attach(ids[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < frames; k++ {
+		f := testFrame(bins, k)
+		for _, id := range ids {
+			if err := submit(m, id, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, "frames to feed", func() bool { return m.Stats().Queued == 0 })
+	}
+	if st := m.Stats(); st.Processed != sessions*frames {
+		t.Fatalf("processed %d frames, want %d", st.Processed, sessions*frames)
+	}
+	perSession := float64(liveHeap()-base) / 1024 / sessions
+	runtime.KeepAlive(m)
+	t.Logf("%.1f KiB of live heap per session", perSession)
+	if perSession > 200 {
+		t.Fatalf("%.1f KiB of live heap per session, budget 200 KiB", perSession)
+	}
+}
+
+// liveHeap forces a collection and returns the live heap it found.
+func liveHeap() uint64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }

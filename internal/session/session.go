@@ -52,9 +52,9 @@ func (p PressureState) String() string {
 	}
 }
 
-// Session is one attached radar stream: a pooled Monitor plus a fixed
-// frame queue between the submitting goroutine (transport reader) and
-// the shard worker that feeds the pipeline. All state is recycled on
+// Session is one attached radar stream: a pooled Monitor plus a frame
+// queue between the submitting goroutine (transport reader) and the
+// shard worker that feeds the pipeline. All state is recycled on
 // detach; the struct is only ever allocated on a pool miss.
 type Session struct {
 	id string
@@ -63,18 +63,22 @@ type Session struct {
 	// touch it. Health() is the one documented cross-goroutine-safe call.
 	mon *blinkradar.Monitor //blinkradar:confined feed
 
-	// Frame queue: a flat ring of slots×bins samples held as float32
-	// I/Q planes — the wire's own representation, so queueing a decoded
-	// frame is two plain copies with no complex widening. Slot i carries
-	// gaps[i], the frames known lost immediately before it (upstream
-	// sequence gaps plus local backpressure drops), delivered to the
-	// pipeline as NoteGap before the frame is fed so slow-time state is
-	// never silently concatenated across a hole.
+	// Frame queue: a ring of len(gaps) slots, each holding one frame's
+	// float32 I/Q planes back to back in buf — the wire's own
+	// representation, so queueing a decoded frame is two plain copies
+	// with no complex widening. Slot i carries gaps[i], the frames known
+	// lost immediately before it (upstream sequence gaps plus local
+	// backpressure drops), delivered to the pipeline as NoteGap before
+	// the frame is fed so slow-time state is never silently
+	// concatenated across a hole. Storage starts at minQueueSlots and
+	// grows by doubling while frames wait, up to slots; peak, the
+	// deepest the queue has been since the last evaluation-window close,
+	// decides when it shrinks back.
 	qmu        sync.Mutex
-	bufI       []float32
-	bufQ       []float32
+	buf        []float32
 	gaps       []uint64
 	head, n    int
+	peak       int
 	slots      int
 	bins       int
 	pendingGap uint64
@@ -131,44 +135,67 @@ type Session struct {
 func newSession(bins, slots int, mon *blinkradar.Monitor, windowSec float64) *Session {
 	s := &Session{
 		mon:   mon,
-		bufI:  make([]float32, bins*slots),
-		bufQ:  make([]float32, bins*slots),
-		gaps:  make([]uint64, slots),
 		slots: slots,
 		bins:  bins,
 	}
+	s.resize(min(minQueueSlots, slots))
 	s.appliedWindow = windowSec
 	s.wantWindow.Store(math.Float64bits(windowSec))
 	return s
 }
 
 // push enqueues one frame of I/Q planes into the next free slot,
-// stamping the gap that precedes it, or — when the queue is full —
-// drops it and folds it into the gap preceding whatever frame is
-// accepted next. Caller holds qmu.
+// stamping the gap that precedes it. A full queue below its slots cap
+// first doubles its storage; at the cap the frame is dropped and folded
+// into the gap preceding whatever frame is accepted next. Caller holds
+// qmu.
 //
 //blinkradar:hotpath
 func (s *Session) push(pi, pq []float32) bool {
-	if s.n == s.slots {
-		s.pendingGap++
-		return false
+	if s.n == len(s.gaps) {
+		if s.n == s.slots {
+			s.pendingGap++
+			return false
+		}
+		s.resize(min(2*s.n, s.slots))
 	}
 	slot := s.head + s.n
-	if slot >= s.slots {
-		slot -= s.slots
+	if slot >= len(s.gaps) {
+		slot -= len(s.gaps)
 	}
 	s.gaps[slot] = s.pendingGap
 	s.pendingGap = 0
 	s.n++
-	copy(s.bufI[slot*s.bins:(slot+1)*s.bins], pi)
-	copy(s.bufQ[slot*s.bins:(slot+1)*s.bins], pq)
+	off := 2 * slot * s.bins
+	copy(s.buf[off:off+s.bins], pi)
+	copy(s.buf[off+s.bins:off+2*s.bins], pq)
 	return true
+}
+
+// resize moves the queued frames, oldest first, into new storage of
+// size slots, where they occupy slots 0..n-1. The replaced storage is
+// never written again, so a frame the worker is feeding from a peek
+// stays intact; its copy lands in slot 0, which the next commitPop
+// frees. Caller holds qmu.
+//
+//blinkradar:coldpath
+func (s *Session) resize(size int) {
+	buf := make([]float32, 2*size*s.bins)
+	gaps := make([]uint64, size)
+	for i := 0; i < s.n; i++ {
+		slot := (s.head + i) % len(s.gaps)
+		copy(buf[2*i*s.bins:2*(i+1)*s.bins], s.buf[2*slot*s.bins:2*(slot+1)*s.bins])
+		gaps[i] = s.gaps[slot]
+	}
+	s.buf, s.gaps, s.head = buf, gaps, 0
 }
 
 // peek returns the oldest queued frame's planes without dequeueing it.
 // The slot stays occupied until commitPop, so a concurrent push can
-// never write over a frame the worker is feeding: push only touches
-// slot head+n with n < slots, which is never head while n ≥ 1.
+// never write over a frame the worker is feeding: push writes only
+// slot head+n with n < len(gaps), which is never head while n ≥ 1, and
+// a resize copies the frame out and leaves the storage peek returned
+// untouched.
 //
 //blinkradar:hotpath
 func (s *Session) peek() (pi, pq []float32, gap uint64, ok bool) {
@@ -177,10 +204,10 @@ func (s *Session) peek() (pi, pq []float32, gap uint64, ok bool) {
 		s.qmu.Unlock()
 		return nil, nil, 0, false
 	}
-	slot := s.head
-	pi = s.bufI[slot*s.bins : (slot+1)*s.bins]
-	pq = s.bufQ[slot*s.bins : (slot+1)*s.bins]
-	gap = s.gaps[slot]
+	off := 2 * s.head * s.bins
+	pi = s.buf[off : off+s.bins]
+	pq = s.buf[off+s.bins : off+2*s.bins]
+	gap = s.gaps[s.head]
 	s.qmu.Unlock()
 	return pi, pq, gap, true
 }
@@ -191,7 +218,7 @@ func (s *Session) peek() (pi, pq []float32, gap uint64, ok bool) {
 func (s *Session) commitPop() {
 	s.qmu.Lock()
 	s.head++
-	if s.head == s.slots {
+	if s.head == len(s.gaps) {
 		s.head = 0
 	}
 	s.n--
@@ -221,7 +248,11 @@ func (s *Session) takeToken(now time.Time, rate float64) bool {
 // noteSubmit advances the backpressure evaluation window and, at its
 // end, moves the pressure level: up to whatever the drop fraction
 // demands immediately, down one level only after a completely clean
-// window. Returns the level transition, if any. Caller holds qmu.
+// window. The window's end also shrinks a queue that stayed at or
+// below a quarter of its storage throughout, to the smallest power of
+// two holding twice its peak, so a warm-up burst's storage is given
+// back after one quiet window. Returns the level transition, if any.
+// Caller holds qmu.
 //
 //blinkradar:hotpath
 func (s *Session) noteSubmit(accepted bool) (from, to PressureState, changed bool) {
@@ -229,9 +260,20 @@ func (s *Session) noteSubmit(accepted bool) (from, to PressureState, changed boo
 	if !accepted {
 		s.winDropped++
 	}
+	s.peak = max(s.peak, s.n)
 	if s.winSubmitted < dropWindowFrames {
 		return 0, 0, false
 	}
+	if 4*s.peak <= len(s.gaps) {
+		size := minQueueSlots
+		for size < 2*s.peak {
+			size <<= 1
+		}
+		if size < len(s.gaps) {
+			s.resize(size)
+		}
+	}
+	s.peak = 0
 	frac := float64(s.winDropped) / float64(s.winSubmitted)
 	s.winSubmitted, s.winDropped = 0, 0
 	cur := PressureState(s.pressure.Load())
@@ -293,7 +335,7 @@ func (s *Session) recycle(windowSec float64) (SessionStats, uint64) {
 	s.gen.Add(1)
 	discarded := uint64(s.n)
 	s.dropped.Add(discarded)
-	s.head, s.n = 0, 0
+	s.head, s.n, s.peak = 0, 0, 0
 	s.pendingGap = 0
 	s.tokens = 0
 	s.lastRefill = time.Time{}

@@ -9,11 +9,18 @@
 // around its Pratt-fitted centre — displacement maps linearly to phase
 // (Eq. 9) — and reads the respiration and heartbeat fundamentals from
 // the spectrum of that displacement waveform.
+//
+// Every session runs an estimator, so an update allocates nothing: it
+// borrows its working buffers (about 110 KiB for a 30-s window, most of
+// it the zero-padded spectrum) from a package sync.Pool for the length
+// of the update, and the FFT reuses dsp's cached twiddle tables. The
+// pool keeps roughly one scratch per P alive, not one per session.
 package vitals
 
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"blinkradar/internal/dsp"
 	"blinkradar/internal/iq"
@@ -59,6 +66,37 @@ const minWindowSec = 15.0
 // bin sampled at fps frames per second. The series should already be
 // background-subtracted (static clutter removed).
 func EstimateFromSeries(series []complex128, fps float64) (Estimate, error) {
+	scr := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(scr)
+	return scr.estimate(series, fps)
+}
+
+// scratch is the estimator's working storage. Its buffers grow to the
+// largest window analysed and are then reused. Estimators borrow one
+// from scratchPool for the length of an update, so a Monitor between
+// updates holds none of it.
+type scratch struct {
+	series   []complex128 // a Monitor's window, oldest first
+	disp     []float64    // angles, unwrapped in place, then detrended
+	prefix   []float64
+	hann     []float64 // the Hann window of len(hann) points
+	spectrum []complex128
+	power    []float64 // |X[k]|² of the non-negative frequencies
+	band     []float64
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// grow resizes s to n elements, reallocating only when its capacity is
+// too small.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func (s *scratch) estimate(series []complex128, fps float64) (Estimate, error) {
 	if fps <= 0 {
 		return Estimate{}, fmt.Errorf("vitals: fps must be positive, got %g", fps)
 	}
@@ -72,42 +110,63 @@ func EstimateFromSeries(series []complex128, fps float64) (Estimate, error) {
 	if err != nil {
 		return Estimate{}, fmt.Errorf("vitals: arc fit: %w", err)
 	}
-	angles := make([]float64, len(series))
+	n := len(series)
+	disp := grow(s.disp, n)
+	s.disp = disp
 	for i, z := range series {
 		d := z - c.Center
-		angles[i] = math.Atan2(imag(d), real(d))
+		disp[i] = math.Atan2(imag(d), real(d))
 	}
-	disp := iq.Unwrap(angles)
+	iq.UnwrapInPlace(disp)
 	// Remove drift slower than any plausible breath: posture settling
 	// and tracker wander otherwise dominate the lowest respiration
-	// bins. A 10 s moving-average baseline acts as a gentle high-pass
-	// at ~0.1 Hz.
-	baseline, err := dsp.MovingAverage(disp, int(10*fps)|1)
-	if err != nil {
-		return Estimate{}, fmt.Errorf("vitals: detrend: %w", err)
+	// bins. A 10 s centred moving-average baseline, shrinking at the
+	// edges, acts as a gentle high-pass at ~0.1 Hz. Its prefix sums
+	// round as dsp.MovingAverage's do; a running sum would not.
+	half := (int(10*fps) | 1) / 2
+	prefix := grow(s.prefix, n+1)
+	s.prefix = prefix
+	prefix[0] = 0
+	for i, v := range disp {
+		prefix[i+1] = prefix[i] + v
 	}
 	for i := range disp {
-		disp[i] -= baseline[i]
+		lo, hi := max(i-half, 0), min(i+half, n-1)
+		disp[i] -= (prefix[hi+1] - prefix[lo]) / float64(hi-lo+1)
 	}
 
-	// Zero-pad to a power of two for frequency resolution.
-	n := dsp.NextPow2(4 * len(disp))
-	padded := make([]float64, n)
-	copy(padded, dsp.ApplyWindow(disp, dsp.Hann(len(disp))))
-	power := dsp.PowerSpectrum(padded)
-	freqs := dsp.FFTFreq(n, fps)
+	// Hann-window and zero-pad to a power of two for frequency
+	// resolution.
+	if len(s.hann) != n {
+		s.hann = dsp.Hann(n)
+	}
+	nfft := dsp.NextPow2(4 * n)
+	spec := grow(s.spectrum, nfft)
+	s.spectrum = spec
+	for i, v := range disp {
+		spec[i] = complex(v*s.hann[i], 0)
+	}
+	clear(spec[n:])
+	dsp.FFTInPlace(spec)
+	power := grow(s.power, nfft/2+1)
+	s.power = power
+	for i := range power {
+		re, im := real(spec[i]), imag(spec[i])
+		power[i] = re*re + im*im
+	}
 
 	var est Estimate
-	est.RespirationHz, est.RespirationSNR = bandPeak(power, freqs, RespLowHz, RespHighHz, nil)
+	est.RespirationHz, est.RespirationSNR = s.bandPeak(power, fps, nfft, RespLowHz, RespHighHz, nil)
 	// Exclude respiration harmonics from the heart band: breathing at
 	// rate f leaks power at 2f..5f which can sit inside 0.8-2 Hz.
-	var exclude []float64
+	var harmonics [5]float64
+	exclude := harmonics[:0]
 	if est.RespirationHz > 0 {
 		for h := 2.0; h <= 6; h++ {
 			exclude = append(exclude, est.RespirationHz*h)
 		}
 	}
-	est.HeartHz, est.HeartSNR = bandPeak(power, freqs, HeartLowHz, HeartHighHz, exclude)
+	est.HeartHz, est.HeartSNR = s.bandPeak(power, fps, nfft, HeartLowHz, HeartHighHz, exclude)
 	return est, nil
 }
 
@@ -115,18 +174,20 @@ func EstimateFromSeries(series []complex128, fps float64) (Estimate, error) {
 // peak may sit before it is rejected as leakage.
 const harmonicGuardHz = 0.06
 
-// bandPeak finds the strongest spectral peak in [lo, hi] hertz,
-// skipping bins within harmonicGuardHz of any excluded frequency. It
-// returns (0, 0) when the band is empty or the peak does not rise above
-// the in-band median.
-func bandPeak(power, freqs []float64, lo, hi float64, exclude []float64) (float64, float64) {
-	var inBand []float64
+// bandPeak finds the strongest peak in [lo, hi] hertz of power, the
+// non-negative half of an nfft-point spectrum at fps, skipping bins
+// within harmonicGuardHz of any excluded frequency. It returns (0, 0)
+// when the band is empty or the peak does not rise above the in-band
+// median.
+func (s *scratch) bandPeak(power []float64, fps float64, nfft int, lo, hi float64, exclude []float64) (float64, float64) {
+	band := s.band[:0]
 	bestIdx := -1
-	for i, f := range freqs {
+	for i, p := range power {
+		f := float64(i) * fps / float64(nfft)
 		if f < lo || f > hi {
 			continue
 		}
-		inBand = append(inBand, power[i])
+		band = append(band, p)
 		skip := false
 		for _, ex := range exclude {
 			if math.Abs(f-ex) < harmonicGuardHz {
@@ -137,14 +198,15 @@ func bandPeak(power, freqs []float64, lo, hi float64, exclude []float64) (float6
 		if skip {
 			continue
 		}
-		if bestIdx < 0 || power[i] > power[bestIdx] {
+		if bestIdx < 0 || p > power[bestIdx] {
 			bestIdx = i
 		}
 	}
-	if bestIdx < 0 || len(inBand) == 0 {
+	s.band = band
+	if bestIdx < 0 || len(band) == 0 {
 		return 0, 0
 	}
-	med := dsp.Median(inBand)
+	med := dsp.PercentileInPlace(band, 50)
 	if med <= 0 {
 		return 0, 0
 	}
@@ -153,7 +215,7 @@ func bandPeak(power, freqs []float64, lo, hi float64, exclude []float64) (float6
 		// No clear line in the band.
 		return 0, 0
 	}
-	return freqs[bestIdx], snr
+	return float64(bestIdx) * fps / float64(nfft), snr
 }
 
 // Monitor accumulates slow-time samples of a tracked bin and produces
@@ -205,16 +267,12 @@ func (m *Monitor) Push(z complex128) (Estimate, bool) {
 		return Estimate{}, false
 	}
 	m.sincePos = 0
-	series := make([]complex128, 0, m.count)
-	start := m.pos - m.count
-	for i := 0; i < m.count; i++ {
-		idx := start + i
-		if idx < 0 {
-			idx += len(m.buf)
-		}
-		series = append(series, m.buf[idx%len(m.buf)])
-	}
-	est, err := EstimateFromSeries(series, m.fps)
+	scr := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(scr)
+	scr.series = grow(scr.series, len(m.buf))
+	k := copy(scr.series, m.buf[m.pos:])
+	copy(scr.series[k:], m.buf[:m.pos])
+	est, err := scr.estimate(scr.series, m.fps)
 	if err != nil {
 		return Estimate{}, false
 	}
