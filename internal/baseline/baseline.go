@@ -40,84 +40,47 @@ func NaiveBinSelect(m *rf.FrameMatrix, guard int) (int, error) {
 	return best, nil
 }
 
-// Config parameterises the waveform baselines. Thresholds follow the
-// same K-times-robust-sigma rule as the main pipeline so the comparison
-// is about the waveform, not the rule.
+// Config selects the waveform baselines' range bin. The detection rule
+// is the main pipeline's: the core configuration's K-times-robust-sigma
+// threshold with core's smoothing, detrend and refractory constants, so
+// the comparison is about the waveform, not the rule.
 type Config struct {
-	// ThresholdK is the detection threshold multiplier.
-	ThresholdK float64
-	// SmoothFrames is the waveform moving-average width.
-	SmoothFrames int
-	// RefractorySec merges triggers closer than this.
-	RefractorySec float64
-	// DetrendFrames is the trailing-median detrend window.
-	DetrendFrames int
 	// UseVarianceBinSelect selects the bin with BlinkRadar's variance
 	// method instead of the naive amplitude peak.
 	UseVarianceBinSelect bool
 }
 
-// DefaultConfig mirrors the main pipeline's LEVD settings.
-func DefaultConfig() Config {
-	return Config{
-		ThresholdK:    5,
-		SmoothFrames:  3,
-		RefractorySec: 0.5,
-		DetrendFrames: 25,
-	}
-}
-
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
-	switch {
-	case c.ThresholdK <= 0:
-		return fmt.Errorf("baseline: threshold multiplier must be positive, got %g", c.ThresholdK)
-	case c.SmoothFrames <= 0:
-		return fmt.Errorf("baseline: smoothing width must be positive, got %d", c.SmoothFrames)
-	case c.RefractorySec < 0:
-		return fmt.Errorf("baseline: refractory must be non-negative, got %g", c.RefractorySec)
-	case c.DetrendFrames <= 2:
-		return fmt.Errorf("baseline: detrend window must exceed 2, got %d", c.DetrendFrames)
-	}
-	return nil
-}
-
 // selectBin picks the analysis bin per the configuration.
-func selectBin(cfg Config, coreCfg core.Config, pre *rf.FrameMatrix) (int, error) {
+func selectBin(cfg Config, pre *rf.FrameMatrix) (int, error) {
 	if cfg.UseVarianceBinSelect {
-		best, err := core.SelectBinMatrix(coreCfg, pre)
+		best, err := core.SelectBinMatrix(pre)
 		if err != nil {
 			return 0, err
 		}
 		return best.Bin, nil
 	}
-	return NaiveBinSelect(pre, coreCfg.GuardBins)
+	return NaiveBinSelect(pre, core.GuardBins)
 }
 
-// detectOnWaveform runs the shared extremum-threshold rule on a scalar
-// waveform sampled at fps and returns detected events.
-func detectOnWaveform(cfg Config, w []float64, fps float64, bin int) ([]core.BlinkEvent, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	smoothed, err := dsp.MovingAverage(w, cfg.SmoothFrames)
+// detectOnWaveform runs the shared extremum-threshold rule, at
+// thresholdK times the robust sigma, on a scalar waveform sampled at
+// fps and returns detected events.
+func detectOnWaveform(thresholdK float64, w []float64, fps float64, bin int) ([]core.BlinkEvent, error) {
+	smoothed, err := dsp.MovingAverage(w, core.DistanceSmoothFrames)
 	if err != nil {
 		return nil, err
 	}
 	// Trailing-median detrend, offline form.
 	resid := make([]float64, len(smoothed))
 	for i := range smoothed {
-		lo := i - cfg.DetrendFrames
-		if lo < 0 {
-			lo = 0
-		}
+		lo := max(i-core.DetrendWindowFrames, 0)
 		resid[i] = smoothed[i] - dsp.Median(smoothed[lo:i+1])
 	}
 	sigma := 1.4826 * dsp.MAD(resid)
 	if sigma == 0 {
 		return nil, nil
 	}
-	thr := cfg.ThresholdK * sigma
+	thr := thresholdK * sigma
 	ext := dsp.LocalExtrema(resid)
 	var events []core.BlinkEvent
 	last := math.Inf(-1)
@@ -127,7 +90,7 @@ func detectOnWaveform(cfg Config, w []float64, fps float64, bin int) ([]core.Bli
 			continue
 		}
 		t := float64(ext[i-1].Index) / fps
-		if t-last < cfg.RefractorySec {
+		if t-last < core.RefractorySec {
 			if t > last {
 				last = t
 			}
@@ -151,16 +114,12 @@ func detectOnWaveform(cfg Config, w []float64, fps float64, bin int) ([]core.Bli
 // bin's |z| waveform replaces the distance-from-viewing-position
 // waveform, so phase information is discarded.
 func DetectAmplitude(cfg Config, coreCfg core.Config, m *rf.FrameMatrix) ([]core.BlinkEvent, error) {
-	pre, err := core.PreprocessMatrix(coreCfg, m)
-	if err != nil {
-		return nil, err
-	}
-	bin, err := selectBin(cfg, coreCfg, pre)
+	pre, bin, err := prepare(cfg, coreCfg, m)
 	if err != nil {
 		return nil, err
 	}
 	amp := iq.Amplitudes(pre.SlowTime(bin))
-	return detectOnWaveform(cfg, amp, m.FrameRate, bin)
+	return detectOnWaveform(coreCfg.ThresholdK, amp, m.FrameRate, bin)
 }
 
 // DetectPhase runs the phase-only baseline over a capture: the bin's
@@ -168,14 +127,24 @@ func DetectAmplitude(cfg Config, coreCfg core.Config, m *rf.FrameMatrix) ([]core
 // half of the blink signature and leaving the detector exposed to every
 // phase-modulating interference (respiration, BCG, vibration).
 func DetectPhase(cfg Config, coreCfg core.Config, m *rf.FrameMatrix) ([]core.BlinkEvent, error) {
-	pre, err := core.PreprocessMatrix(coreCfg, m)
-	if err != nil {
-		return nil, err
-	}
-	bin, err := selectBin(cfg, coreCfg, pre)
+	pre, bin, err := prepare(cfg, coreCfg, m)
 	if err != nil {
 		return nil, err
 	}
 	ph := iq.UnwrapPhases(pre.SlowTime(bin))
-	return detectOnWaveform(cfg, ph, m.FrameRate, bin)
+	return detectOnWaveform(coreCfg.ThresholdK, ph, m.FrameRate, bin)
+}
+
+// prepare validates the core configuration, preprocesses a copy of the
+// capture and picks the analysis bin.
+func prepare(cfg Config, coreCfg core.Config, m *rf.FrameMatrix) (*rf.FrameMatrix, int, error) {
+	if err := coreCfg.Validate(); err != nil {
+		return nil, 0, err
+	}
+	pre, err := core.PreprocessMatrix(m)
+	if err != nil {
+		return nil, 0, err
+	}
+	bin, err := selectBin(cfg, pre)
+	return pre, bin, err
 }

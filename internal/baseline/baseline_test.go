@@ -48,7 +48,7 @@ func TestNaiveBinSelectLocksOntoClutter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin, err := NaiveBinSelect(cap.Frames, core.DefaultConfig().GuardBins)
+	bin, err := NaiveBinSelect(cap.Frames, core.GuardBins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,22 +57,20 @@ func TestNaiveBinSelectLocksOntoClutter(t *testing.T) {
 	}
 }
 
+// TestConfigValidate checks that the baselines validate the core
+// configuration whose threshold multiplier they share.
 func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
+	m, err := rf.NewFrameMatrix(60, 20, 25, 0.01)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []func(*Config){
-		func(c *Config) { c.ThresholdK = 0 },
-		func(c *Config) { c.SmoothFrames = 0 },
-		func(c *Config) { c.RefractorySec = -1 },
-		func(c *Config) { c.DetrendFrames = 1 },
+	bad := core.DefaultConfig()
+	bad.ThresholdK = 0
+	if _, err := DetectAmplitude(Config{}, bad, m); err == nil {
+		t.Error("amplitude baseline accepted a zero threshold multiplier")
 	}
-	for i, mutate := range cases {
-		cfg := DefaultConfig()
-		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
-		}
+	if _, err := DetectPhase(Config{UseVarianceBinSelect: true}, bad, m); err == nil {
+		t.Error("phase baseline accepted a zero threshold multiplier")
 	}
 }
 
@@ -86,8 +84,7 @@ func TestAmplitudeBaselineWithVarianceSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bcfg := DefaultConfig()
-	bcfg.UseVarianceBinSelect = true
+	bcfg := Config{UseVarianceBinSelect: true}
 	events, err := DetectAmplitude(bcfg, core.DefaultConfig(), cap.Frames)
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +117,7 @@ func TestBaselinesUnderperformFullPipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 		fullSum += eval.Match(truth, full, 0).Accuracy()
-		naive, err := DetectAmplitude(DefaultConfig(), coreCfg, cap.Frames)
+		naive, err := DetectAmplitude(Config{}, coreCfg, cap.Frames)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,8 +136,7 @@ func TestPhaseBaselineRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bcfg := DefaultConfig()
-	bcfg.UseVarianceBinSelect = true
+	bcfg := Config{UseVarianceBinSelect: true}
 	if _, err := DetectPhase(bcfg, core.DefaultConfig(), cap.Frames); err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,6 @@ func TestChaosFleetFlapRecovery(t *testing.T) {
 		NumBins:   40,
 		FrameRate: 25,
 		WindowSec: 60,
-		Core:      blinkradar.DefaultConfig(),
 		Shards:    4,
 		// Submissions are uniform (one frame per session per round), so
 		// the starved-shard worst case under the global pace bound below
@@ -162,7 +161,7 @@ func TestChaosFleetFlapRecovery(t *testing.T) {
 		}
 		if st.Health != blinkradar.HealthTracking {
 			t.Fatalf("%s health %v after %d clean frames (recovery bound %d)",
-				id, st.Health, want, recoveryBound(cfg.Core))
+				id, st.Health, want, recoveryBound)
 		}
 		final, err := m.Detach(id)
 		if err != nil {
@@ -172,7 +171,7 @@ func TestChaosFleetFlapRecovery(t *testing.T) {
 			t.Fatalf("%s final accounting broken: %+v", id, final)
 		}
 	}
-	if n := m.Sessions(); n != 0 {
+	if n := m.Stats().Sessions; n != 0 {
 		t.Fatalf("%d sessions still attached after full detach", n)
 	}
 }

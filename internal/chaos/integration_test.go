@@ -28,7 +28,7 @@ import (
 // recoveryBound is the documented re-acquisition bound checked by the
 // suite: cold start refills the ring (ColdStartFrames) and selection
 // may need a few extra frames if the first pass is degenerate.
-func recoveryBound(cfg core.Config) int { return cfg.ColdStartFrames + 10 }
+const recoveryBound = core.ColdStartFrames + 10
 
 // chaosCapture builds the synthetic face capture used across the suite:
 // 40 bins at 25 fps, static clutter, a face return at bin 20 carrying
@@ -215,8 +215,9 @@ func TestChaosDropBurstExactAccounting(t *testing.T) {
 }
 
 // TestChaosLongGapReacquires cuts a deterministic 80-frame hole — wider
-// than MaxGapFrames — and checks the detector discards tracking state
-// and is back to HealthTracking within the documented bound.
+// than the detector's 50-frame gap bridge — and checks the detector
+// discards tracking state and is back to HealthTracking within the
+// documented bound.
 func TestChaosLongGapReacquires(t *testing.T) {
 	leakCheck(t)
 	const gapStart, gapEnd = 600, 680
@@ -263,9 +264,8 @@ func TestChaosLongGapReacquires(t *testing.T) {
 	if in.GapResets != 1 {
 		t.Fatalf("gap resets %d, want exactly 1", in.GapResets)
 	}
-	bound := recoveryBound(det.Config())
-	if recoveredAfter < 0 || recoveredAfter > bound {
-		t.Fatalf("recovered after %d clean frames, documented bound is %d", recoveredAfter, bound)
+	if recoveredAfter < 0 || recoveredAfter > recoveryBound {
+		t.Fatalf("recovered after %d clean frames, documented bound is %d", recoveredAfter, recoveryBound)
 	}
 }
 
@@ -330,8 +330,8 @@ func TestChaosConnectionReset(t *testing.T) {
 // TestChaosPoisonedBinsDegrade poisons a deterministic window of frames
 // past the repair threshold and checks the degraded-mode contract:
 // every poisoned frame rejected, HealthDegraded entered, tracking state
-// discarded once the run exceeds MaxGapFrames, and full recovery on
-// clean input.
+// discarded once the run exceeds the 50-frame gap bridge, and full
+// recovery on clean input.
 func TestChaosPoisonedBinsDegrade(t *testing.T) {
 	leakCheck(t)
 	const poisonStart, poisonEnd = 500, 580
@@ -367,7 +367,7 @@ func TestChaosPoisonedBinsDegrade(t *testing.T) {
 		t.Fatal("80 consecutive rejects never reached HealthDegraded")
 	}
 	if in.GapResets != 1 {
-		t.Fatalf("gap resets %d, want exactly 1 (reject run exceeds MaxGapFrames)", in.GapResets)
+		t.Fatalf("gap resets %d, want exactly 1 (reject run exceeds the 50-frame gap bridge)", in.GapResets)
 	}
 	if h := det.Health(); h != core.HealthTracking {
 		t.Fatalf("detector ended %v, want tracking", h)

@@ -23,18 +23,14 @@ type BinScore struct {
 	Score float64
 }
 
-// ScoreBin evaluates one bin's slow-time window. The paper first ranks
-// bins by 2-D variance, then validates with the arc fit that also
-// yields the viewing position; combining both here folds that
-// validation into a single score. One moment accumulation over the
-// window feeds the variance, the Pratt fit and the eccentricity; only
-// the trimmed residual and the angular extent still walk the samples.
-func ScoreBin(bin int, series []complex128) BinScore {
-	return scoreBinRes(bin, series, make([]float64, len(series)))
-}
-
-// scoreBinRes is ScoreBin with a caller-owned residual buffer for the
-// trimmed arc fit (len(res) == len(series)).
+// scoreBinRes evaluates one bin's slow-time window, using res
+// (len(res) == len(series)) as the trimmed arc fit's working storage.
+// The paper first ranks bins by 2-D variance, then validates with the
+// arc fit that also yields the viewing position; combining both here
+// folds that validation into a single score. One moment accumulation
+// over the window feeds the variance, the Pratt fit and the
+// eccentricity; only the trimmed residual and the angular extent still
+// walk the samples.
 func scoreBinRes(bin int, series []complex128, res []float64) BinScore {
 	var mom iq.SlidingMoments
 	mom.Accumulate(series)
@@ -252,11 +248,8 @@ func growInts(s []int, n int) []int {
 // ranking comes from per-bin sums accumulated in one frame-major sweep
 // — sequential in memory, no per-bin series copies — so only the topK
 // candidates ever have their windows gathered.
-func SelectBinMatrix(cfg Config, m *rf.FrameMatrix) (BinScore, error) {
-	window := cfg.SelectWindowFrames
-	if window > m.NumFrames() {
-		window = m.NumFrames()
-	}
+func SelectBinMatrix(m *rf.FrameMatrix) (BinScore, error) {
+	window := min(selectWindowFrames, m.NumFrames())
 	start := m.NumFrames() - window
 	bins := m.NumBins()
 	// One backing array for all five per-bin sums: the sweep below is
@@ -291,7 +284,7 @@ func SelectBinMatrix(cfg Config, m *rf.FrameMatrix) (BinScore, error) {
 			buf[k] = m.Data[start+k][bin]
 		}
 		return buf
-	}, stats, m.NumBins(), cfg.GuardBins, cfg.CandidateTopK)
+	}, stats, m.NumBins(), GuardBins, candidateTopK)
 	return best, err
 }
 
@@ -521,14 +514,6 @@ func (r *binRing) stats(bin int) (varI, varQ, covIQ float64) {
 		siq += i * q
 	}
 	return covFromSums(si, sq, sii, sqq, siq, r.count)
-}
-
-// variance returns the total 2-D variance of one bin's stored window.
-//
-//blinkradar:hotpath
-func (r *binRing) variance(bin int) float64 {
-	varI, varQ, _ := r.stats(bin)
-	return varI + varQ
 }
 
 // seriesInto fills buf with the stored samples of one bin (>= lo),

@@ -9,60 +9,77 @@ func TestDefaultConfigValid(t *testing.T) {
 }
 
 func TestConfigValidateRejections(t *testing.T) {
+	validate := func(mutate func(*Config)) func() error {
+		return func() error {
+			cfg := DefaultConfig()
+			mutate(&cfg)
+			return cfg.Validate()
+		}
+	}
+	// The tracker's fit window and centre blend are fixed constants, not
+	// Config fields; the tracker the detector builds from them still
+	// refuses the values Validate used to.
+	tracker := func(window int, blend float64) func() error {
+		return func() error {
+			_, err := NewTracker(window, DefaultConfig().RefitIntervalFrames, ColdStartFrames, blend)
+			return err
+		}
+	}
 	cases := []struct {
-		name   string
-		mutate func(*Config)
+		name  string
+		apply func() error
 	}{
-		{"cold start", func(c *Config) { c.ColdStartFrames = 1 }},
-		{"fit window", func(c *Config) { c.FitWindowFrames = 2 }},
-		{"refit interval", func(c *Config) { c.RefitIntervalFrames = 0 }},
-		{"centre blend", func(c *Config) { c.CenterBlend = 0 }},
-		{"centre blend high", func(c *Config) { c.CenterBlend = 1.5 }},
-		{"detrend", func(c *Config) { c.DetrendWindowFrames = 1 }},
-		{"threshold", func(c *Config) { c.ThresholdK = 0 }},
-		{"tail guard", func(c *Config) { c.TailGuardK = -1 }},
-		{"sigma window", func(c *Config) { c.SigmaWindowSec = 0 }},
-		{"min threshold", func(c *Config) { c.MinThreshold = -1 }},
-		{"threshold frac", func(c *Config) { c.MinThresholdFrac = 1 }},
-		{"refractory", func(c *Config) { c.RefractorySec = -1 }},
-		{"distance smooth", func(c *Config) { c.DistanceSmoothFrames = 0 }},
-		{"background tau", func(c *Config) { c.BackgroundTauSec = 0 }},
-		{"guard bins", func(c *Config) { c.GuardBins = -1 }},
-		{"select window", func(c *Config) { c.SelectWindowFrames = 5 }},
-		{"candidates", func(c *Config) { c.CandidateTopK = 0 }},
-		{"reselect", func(c *Config) { c.ReselectIntervalFrames = 0 }},
-		{"switch ratio", func(c *Config) { c.SwitchScoreRatio = 0.5 }},
-		{"restart ratio", func(c *Config) { c.RestartVarRatio = 1 }},
-		{"motion sustain", func(c *Config) { c.MotionSustainFrames = 0 }},
-		{"settle", func(c *Config) { c.SettleFrames = -1 }},
-		{"saturation", func(c *Config) { c.SaturationLimit = -1 }},
-		{"bad-bin frac", func(c *Config) { c.MaxBadBinFrac = -0.1 }},
-		{"bad-bin frac high", func(c *Config) { c.MaxBadBinFrac = 1.1 }},
-		{"max gap", func(c *Config) { c.MaxGapFrames = 0 }},
-		{"degraded", func(c *Config) { c.DegradedAfterRejects = 0 }},
+		{"fit window", tracker(2, centerBlend)},
+		{"refit interval", validate(func(c *Config) { c.RefitIntervalFrames = 0 })},
+		{"centre blend", tracker(FitWindowFrames, 0)},
+		{"centre blend high", tracker(FitWindowFrames, 1.5)},
+		{"threshold", validate(func(c *Config) { c.ThresholdK = 0 })},
+		{"reselect", validate(func(c *Config) { c.ReselectIntervalFrames = 0 })},
+		{"restart ratio", validate(func(c *Config) { c.RestartVarRatio = 1 })},
+		{"saturation", validate(func(c *Config) { c.SaturationLimit = -1 })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig()
-			tc.mutate(&cfg)
-			if err := cfg.Validate(); err == nil {
+			if err := tc.apply(); err == nil {
 				t.Fatal("invalid config accepted")
 			}
 		})
 	}
 }
 
+// TestOptions checks the two ablations' settings, which callers apply
+// as field overrides on their own copy of DefaultConfig: each one
+// validates and reaches the stage it controls.
 func TestOptions(t *testing.T) {
-	cfg := DefaultConfig()
-	WithThresholdK(7)(&cfg)
-	if cfg.ThresholdK != 7 {
-		t.Fatal("WithThresholdK did not apply")
+	m, _ := syntheticCapture(t, 600, nil, 7)
+	run := func(cfg Config) *Detector {
+		t.Helper()
+		det, err := NewDetector(cfg, m.NumBins(), m.FrameRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range m.Data {
+			if _, _, err := det.Feed(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return det
 	}
-	WithAdaptiveUpdate(false)(&cfg)
-	if cfg.ReselectIntervalFrames < 1<<29 {
-		t.Fatal("WithAdaptiveUpdate(false) should push reselects out")
+
+	threshold := DefaultConfig()
+	threshold.ThresholdK = 7
+	if k := run(threshold).levd.k; k != 7 {
+		t.Fatalf("LEVD multiplier %g, want the overridden 7", k)
 	}
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("adaptive-off config invalid: %v", err)
+
+	off := DefaultConfig()
+	off.RefitIntervalFrames = 1 << 30
+	off.ReselectIntervalFrames = 1 << 30
+	off.RestartVarRatio = 1e12
+	if got := run(off).tracker.fitCount; got != 1 {
+		t.Fatalf("adaptive update off: %d viewing-position fits, want only the first", got)
+	}
+	if got := run(DefaultConfig()).tracker.fitCount; got < 2 {
+		t.Fatalf("adaptive update on: %d viewing-position fits, want periodic refits", got)
 	}
 }

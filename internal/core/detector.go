@@ -92,17 +92,13 @@ type Detector struct {
 const allocSampleEvery = 256
 
 // NewDetector builds a detector for frames with numBins range bins at
-// frameRate frames per second. Options override DefaultConfig-derived
-// settings of cfg.
-func NewDetector(cfg Config, numBins int, frameRate float64, opts ...Option) (*Detector, error) {
-	for _, o := range opts {
-		o(&cfg)
-	}
+// frameRate frames per second.
+func NewDetector(cfg Config, numBins int, frameRate float64) (*Detector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if numBins <= cfg.GuardBins {
-		return nil, fmt.Errorf("core: need more than %d guard bins, got %d bins", cfg.GuardBins, numBins)
+	if numBins <= GuardBins {
+		return nil, fmt.Errorf("core: need more than %d guard bins, got %d bins", GuardBins, numBins)
 	}
 	if frameRate <= 0 {
 		return nil, fmt.Errorf("core: frame rate must be positive, got %g", frameRate)
@@ -111,7 +107,7 @@ func NewDetector(cfg Config, numBins int, frameRate float64, opts ...Option) (*D
 	if err != nil {
 		return nil, err
 	}
-	tracker, err := NewTracker(cfg.FitWindowFrames, cfg.RefitIntervalFrames, cfg.ColdStartFrames, cfg.CenterBlend)
+	tracker, err := NewTracker(FitWindowFrames, cfg.RefitIntervalFrames, ColdStartFrames, centerBlend)
 	if err != nil {
 		return nil, err
 	}
@@ -119,10 +115,7 @@ func NewDetector(cfg Config, numBins int, frameRate float64, opts ...Option) (*D
 	if err != nil {
 		return nil, err
 	}
-	window := cfg.SelectWindowFrames
-	if window < cfg.ColdStartFrames {
-		window = cfg.ColdStartFrames
-	}
+	window := max(selectWindowFrames, ColdStartFrames)
 	med, err := dsp.NewStreamingMedian(int(frameRate*2) + 1)
 	if err != nil {
 		return nil, err
@@ -132,7 +125,7 @@ func NewDetector(cfg Config, numBins int, frameRate float64, opts ...Option) (*D
 		fps:      frameRate,
 		bins:     numBins,
 		pre:      pre,
-		ring:     newBinRing(numBins, cfg.GuardBins, window),
+		ring:     newBinRing(numBins, GuardBins, window),
 		tracker:  tracker,
 		levd:     levd,
 		bin:      -1,
@@ -356,7 +349,7 @@ func (d *Detector) feedCur(timed bool, start time.Time) (BlinkEvent, bool, error
 		// Gate on the ring, not the absolute frame count, so that a
 		// post-gap re-acquisition waits for a full window of clean
 		// frames rather than firing on a near-empty ring.
-		if d.ring.size() >= d.cfg.ColdStartFrames {
+		if d.ring.size() >= ColdStartFrames {
 			d.selectBin(false)
 		}
 		d.pushTrace(0)
@@ -385,7 +378,7 @@ func (d *Detector) feedCur(timed bool, start time.Time) (BlinkEvent, bool, error
 		}
 	}
 	d.levd.SetFrozen(!d.matured && d.everMatured)
-	d.levd.SetFloor(d.cfg.MinThresholdFrac * d.tracker.Radius())
+	d.levd.SetFloor(minThresholdFrac * d.tracker.Radius())
 	ev, fired := d.levd.Push(dist, d.frame)
 	if timed {
 		d.mStageTrack.Observe(time.Since(trackStart).Seconds())
@@ -422,7 +415,7 @@ func (d *Detector) runSelection() (BinScore, error) {
 	if d.mStageSelect != nil {
 		start = time.Now()
 	}
-	best, _, err := SelectBinScratch(&d.selScratch, d.ring.seriesInto, d.ring.stats, d.bins, d.cfg.GuardBins, d.cfg.CandidateTopK)
+	best, _, err := SelectBinScratch(&d.selScratch, d.ring.seriesInto, d.ring.stats, d.bins, GuardBins, candidateTopK)
 	if d.mStageSelect != nil {
 		d.mStageSelect.Observe(time.Since(start).Seconds())
 	}
@@ -434,7 +427,7 @@ func (d *Detector) runSelection() (BinScore, error) {
 func (d *Detector) seedTracker() {
 	d.seriesBuf = d.ring.seriesInto(d.bin, d.seriesBuf)
 	d.tracker.Reset()
-	d.tracker.Seed(tail(d.seriesBuf, d.cfg.FitWindowFrames))
+	d.tracker.Seed(tail(d.seriesBuf, FitWindowFrames))
 }
 
 // selectBin runs eye-bin identification over the selection ring and
@@ -453,7 +446,7 @@ func (d *Detector) selectBin(reselect bool) {
 	d.levd.Reset()
 	d.setHealth(HealthTracking)
 	if reselect {
-		d.settleUntil = d.frame + d.cfg.SettleFrames
+		d.settleUntil = d.frame + settleFrames
 	}
 }
 
@@ -471,7 +464,7 @@ func (d *Detector) maybeReselect() {
 	if best.Bin == d.bin {
 		return
 	}
-	if best.Score > d.cfg.SwitchScoreRatio*current.Score {
+	if best.Score > switchScoreRatio*current.Score {
 		// Demand persistence: a challenger must win two consecutive
 		// evaluations, or transient interference would churn the
 		// tracker through bins and keep it perpetually immature.
@@ -487,7 +480,7 @@ func (d *Detector) maybeReselect() {
 		d.matured = false
 		d.seedTracker()
 		d.levd.Reset()
-		d.settleUntil = d.frame + d.cfg.SettleFrames
+		d.settleUntil = d.frame + settleFrames
 	}
 }
 
@@ -515,7 +508,7 @@ func (d *Detector) checkMotionRestart(dist float64) {
 	} else if d.sustain > 0 {
 		d.sustain--
 	}
-	if d.sustain >= d.cfg.MotionSustainFrames {
+	if d.sustain >= motionSustainFrames {
 		d.restart()
 	}
 }
@@ -555,8 +548,8 @@ func (d *Detector) Flush() (BlinkEvent, bool) {
 
 // Detect runs the full pipeline over a recorded capture and returns all
 // detected blinks. It is the offline entry point used by experiments.
-func Detect(cfg Config, m *rf.FrameMatrix, opts ...Option) ([]BlinkEvent, *Detector, error) {
-	det, err := NewDetector(cfg, m.NumBins(), m.FrameRate, opts...)
+func Detect(cfg Config, m *rf.FrameMatrix) ([]BlinkEvent, *Detector, error) {
+	det, err := NewDetector(cfg, m.NumBins(), m.FrameRate)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// FuzzLEVD drives the blink detector with arbitrary distance waveforms
-// and checks its structural invariants: it never panics, event times
-// are non-negative and non-decreasing, durations stay inside the
-// physiological clamp, and confidence always exceeds one (an event
-// fires only above threshold).
+// FuzzLEVD drives the blink detector with arbitrary distance waveforms,
+// NaN samples included, and checks its structural invariants: it never
+// panics, event times are non-negative and non-decreasing, durations
+// stay inside the physiological clamp, and confidence always exceeds
+// one (an event fires only above threshold).
 func FuzzLEVD(f *testing.F) {
 	ramp := make([]byte, 0, 512*8)
 	for i := 0; i < 512; i++ {
@@ -23,6 +23,13 @@ func FuzzLEVD(f *testing.F) {
 	f.Add(ramp)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f}) // +Inf sample
+	// One NaN sample, then enough finite ones to evict it from the
+	// detrend window.
+	nan := binary.LittleEndian.AppendUint64(nil, math.Float64bits(math.NaN()))
+	for i := 0; i < 40; i++ {
+		nan = binary.LittleEndian.AppendUint64(nan, math.Float64bits(0.001*float64(i%5)))
+	}
+	f.Add(nan)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const fps = 100.0
 		l, err := NewLEVD(DefaultConfig(), fps)
@@ -55,10 +62,10 @@ func FuzzLEVD(f *testing.F) {
 		}
 		for i := 0; i < n; i++ {
 			d := math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
-			if math.IsNaN(d) || math.IsInf(d, 0) {
+			if math.IsInf(d, 0) {
 				// The tracker feeds the detector |z - center|, which is
-				// finite by construction; clamp rather than skip so the
-				// stream keeps exercising state transitions.
+				// never infinite; clamp rather than skip so the stream
+				// keeps exercising state transitions.
 				d = 0
 			}
 			if ev, ok := l.Push(d, i); ok {

@@ -3,15 +3,25 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+
+	"blinkradar/internal/dsp"
 )
 
 func sqrtFast(v float64) float64 { return math.Sqrt(v) }
 
-// maxBlinkExtent is the longest plausible single blink in seconds;
-// threshold crossings inside this window of a blink onset are treated
-// as edges of the same blink.
-const maxBlinkExtent = 1.2
+const (
+	// maxBlinkExtent is the longest plausible single blink in seconds;
+	// threshold crossings inside this window of a blink onset are
+	// treated as edges of the same blink.
+	maxBlinkExtent = 1.2
+	// smoothLagFrames is the group delay of the streaming
+	// distance-waveform smoother. A causal trailing window cannot look
+	// ahead the way a centred, delay-compensated offline filter does,
+	// so features surface smoothLagFrames after the samples that caused
+	// them; event timestamps subtract it to stay aligned with the
+	// offline (and camera ground-truth) timeline.
+	smoothLagFrames = (DistanceSmoothFrames - 1) / 2
+)
 
 // BlinkEvent is one detected eye blink.
 type BlinkEvent struct {
@@ -47,37 +57,22 @@ type LEVD struct {
 	minThreshold float64
 	floor        float64
 	fps          float64
-	refractory   float64
 	frozen       bool
-	// lagFrames is the group delay of the streaming distance-waveform
-	// smoother. A causal trailing window cannot look ahead the way a
-	// centred, delay-compensated offline filter does, so features
-	// surface lagFrames after the samples that caused them; event
-	// timestamps subtract it to stay aligned with the offline (and
-	// camera ground-truth) timeline.
-	lagFrames float64
 
 	// Distance-waveform smoothing.
-	smoothBuf []float64
+	smoothBuf [DistanceSmoothFrames]float64
 	smoothPos int
 	smoothCnt int
 
 	// Trailing moving-median detrend.
-	trendRing   []float64
-	trendSorted []float64
-	trendPos    int
-	trendCnt    int
+	trend *dsp.StreamingMedian
 
 	// Rolling robust sigma of the residual.
-	sigmaBuf    []float64
-	sigmaPos    int
-	sigmaCnt    int
-	sigmaSorted []float64 // sorted mirror of sigmaBuf[:sigmaCnt]
-	sigma       float64
-	tail80      float64
-	tailGuardK  float64
-	sinceSigma  int
-	sigmaEvery  int
+	sigmaWin   *dsp.StreamingMedian
+	sigma      float64
+	tail80     float64
+	sinceSigma int
+	sigmaEvery int
 
 	// Extremum tracking.
 	prev     float64
@@ -108,23 +103,21 @@ func NewLEVD(cfg Config, fps float64) (*LEVD, error) {
 	if fps <= 0 {
 		return nil, fmt.Errorf("core: fps must be positive, got %g", fps)
 	}
-	sigmaWin := int(cfg.SigmaWindowSec * fps)
-	if sigmaWin < 10 {
-		sigmaWin = 10
+	trend, err := dsp.NewStreamingMedian(DetrendWindowFrames)
+	if err != nil {
+		return nil, err
+	}
+	sigmaWin, err := dsp.NewStreamingMedian(max(int(sigmaWindowSec*fps), 10))
+	if err != nil {
+		return nil, err
 	}
 	return &LEVD{
 		k:            cfg.ThresholdK,
-		tailGuardK:   cfg.TailGuardK,
-		minThreshold: cfg.MinThreshold,
+		minThreshold: minThreshold,
 		fps:          fps,
-		refractory:   cfg.RefractorySec,
-		lagFrames:    float64((cfg.DistanceSmoothFrames - 1) / 2),
-		smoothBuf:    make([]float64, cfg.DistanceSmoothFrames),
-		trendRing:    make([]float64, cfg.DetrendWindowFrames),
-		trendSorted:  make([]float64, 0, cfg.DetrendWindowFrames),
-		sigmaBuf:     make([]float64, sigmaWin),
+		trend:        trend,
+		sigmaWin:     sigmaWin,
 		sigmaEvery:   int(fps),
-		sigmaSorted:  make([]float64, 0, sigmaWin),
 		lastEvent:    math.Inf(-1),
 	}, nil
 }
@@ -137,7 +130,7 @@ func (l *LEVD) Threshold() float64 {
 	// has heavy-tailed deviation statistics that a MAD underestimates.
 	// Keeping the threshold above a high quantile of recent baseline
 	// deviations suppresses those periodic false crossings.
-	if t := l.tailGuardK * l.tail80; t > thr {
+	if t := tailGuardK * l.tail80; t > thr {
 		thr = t
 	}
 	if thr < l.minThreshold {
@@ -166,8 +159,7 @@ func (l *LEVD) SetFrozen(frozen bool) { l.frozen = frozen }
 // once the tracker first matures, so the centre-convergence transient
 // does not linger in the threshold estimate.
 func (l *LEVD) ResetSigma() {
-	l.sigmaPos, l.sigmaCnt = 0, 0
-	l.sigmaSorted = l.sigmaSorted[:0]
+	l.sigmaWin.Reset()
 	l.sigma = 0
 	l.tail80 = 0
 	l.sinceSigma = 0
@@ -192,7 +184,7 @@ func (l *LEVD) Push(d float64, frame int) (BlinkEvent, bool) {
 	l.step(r)
 	// Emit the pending event once its bump has stopped ringing: no
 	// above-threshold extremum for a full refractory period.
-	if l.havePending && float64(frame)/l.fps-l.lastEvent > l.refractory {
+	if l.havePending && float64(frame)/l.fps-l.lastEvent > RefractorySec {
 		return l.finalizePending(), true
 	}
 	return BlinkEvent{}, false
@@ -239,74 +231,42 @@ func (l *LEVD) smooth(d float64) float64 {
 }
 
 // detrend maintains the trailing moving median and returns it once the
-// window has filled enough to be meaningful. The sorted mirror of the
-// ring is edited with copy-based insert/remove inside its pre-allocated
-// capacity (cap == DetrendWindowFrames, fixed at construction), so the
-// per-frame path never reallocates.
+// window has filled enough to be meaningful.
 //
 //blinkradar:hotpath
 func (l *LEVD) detrend(v float64) (float64, bool) {
-	w := len(l.trendRing)
-	if l.trendCnt == w {
-		old := l.trendRing[l.trendPos]
-		i := sort.SearchFloat64s(l.trendSorted, old)
-		copy(l.trendSorted[i:], l.trendSorted[i+1:])
-		l.trendSorted = l.trendSorted[:len(l.trendSorted)-1]
-	} else {
-		l.trendCnt++
-	}
-	l.trendRing[l.trendPos] = v
-	l.trendPos = (l.trendPos + 1) % w
-	i := sort.SearchFloat64s(l.trendSorted, v)
-	l.trendSorted = l.trendSorted[:len(l.trendSorted)+1]
-	copy(l.trendSorted[i+1:], l.trendSorted[i:])
-	l.trendSorted[i] = v
-	if l.trendCnt < w/2 {
+	l.trend.Push(v)
+	if l.trend.Count() < DetrendWindowFrames/2 {
 		return 0, false
 	}
-	return l.trendSorted[len(l.trendSorted)/2], true
+	return l.trend.Median(), true
 }
 
 // updateSigma maintains the rolling MAD-based sigma estimate. The
-// window ring keeps a sorted mirror, edited with copy-based
-// insert/remove inside its pre-allocated capacity (the same idiom as
-// detrend's median window), so each recomputation reads order
-// statistics instead of sorting: the median is one indexed load, and
-// the MAD plus 80th-percentile deviation come from a single outward
-// two-pointer merge from the median — the absolute deviations of a
-// sorted array are the merge of two sorted runs, one descending to the
-// left of the median and one ascending to the right. The estimates are
-// bit-identical to the sort-based implementation (same multisets, same
-// ranks) at a fraction of the cost: O(log n) search plus one memmove
-// per frame and one O(n) branch-light scan per recomputation, against
-// two O(n log n) sorts.
+// window is a StreamingMedian, so each recomputation reads order
+// statistics from its sorted view instead of sorting: the median is
+// one indexed load, and the MAD plus 80th-percentile deviation come
+// from a single outward two-pointer merge from the median — the
+// absolute deviations of a sorted array are the merge of two sorted
+// runs, one descending to the left of the median and one ascending to
+// the right. The estimates are bit-identical to the sort-based
+// implementation (same multisets, same ranks) at a fraction of the
+// cost: O(log n) search plus one memmove per frame and one O(n)
+// branch-light scan per recomputation, against two O(n log n) sorts.
 //
 //blinkradar:hotpath
 func (l *LEVD) updateSigma(v float64) {
-	if l.sigmaCnt == len(l.sigmaBuf) {
-		old := l.sigmaBuf[l.sigmaPos]
-		i := sort.SearchFloat64s(l.sigmaSorted, old)
-		copy(l.sigmaSorted[i:], l.sigmaSorted[i+1:])
-		l.sigmaSorted = l.sigmaSorted[:len(l.sigmaSorted)-1]
-	} else {
-		l.sigmaCnt++
-	}
-	l.sigmaBuf[l.sigmaPos] = v
-	l.sigmaPos = (l.sigmaPos + 1) % len(l.sigmaBuf)
-	i := sort.SearchFloat64s(l.sigmaSorted, v)
-	l.sigmaSorted = l.sigmaSorted[:len(l.sigmaSorted)+1]
-	copy(l.sigmaSorted[i+1:], l.sigmaSorted[i:])
-	l.sigmaSorted[i] = v
+	l.sigmaWin.Push(v)
 	l.sinceSigma++
 	if l.sinceSigma < l.sigmaEvery && l.sigma > 0 {
 		return
 	}
 	l.sinceSigma = 0
-	n := l.sigmaCnt
+	s := l.sigmaWin.Sorted()
+	n := len(s)
 	if n < 10 {
 		return
 	}
-	s := l.sigmaSorted
 	med := s[n/2]
 	// Outward merge over the deviations |s[i]-med|: rank 0 is the
 	// median itself (deviation 0), then each step consumes the smaller
@@ -392,8 +352,8 @@ func (l *LEVD) onExtremum(e extremum) {
 	// apex — either lies within the blink interval, whereas the later
 	// extremum of a reopening pair can trail the blink entirely. The
 	// smoother's group delay is subtracted so streaming timestamps match
-	// the offline timeline (see the lagFrames field).
-	t := (float64(prevIdx) - l.lagFrames) / l.fps
+	// the offline timeline (see smoothLagFrames).
+	t := (float64(prevIdx) - smoothLagFrames) / l.fps
 	if t < 0 {
 		t = 0
 	}
@@ -407,7 +367,7 @@ func (l *LEVD) onExtremum(e extremum) {
 	// detection ~1.2 s after an unusually long closure, which the
 	// duration gate keeps out of the blink-rate statistics.
 	samePending := l.havePending && t-l.pendingStart < maxBlinkExtent
-	if t-l.lastEvent < l.refractory || samePending {
+	if t-l.lastEvent < RefractorySec || samePending {
 		if t > l.lastEvent {
 			l.lastEvent = t
 		}
@@ -432,8 +392,7 @@ func (l *LEVD) onExtremum(e extremum) {
 func (l *LEVD) Reset() {
 	l.havePending = false
 	l.smoothPos, l.smoothCnt = 0, 0
-	l.trendPos, l.trendCnt = 0, 0
-	l.trendSorted = l.trendSorted[:0]
+	l.trend.Reset()
 	l.havePrev = false
 	l.haveExt = false
 	l.dir = 0
@@ -469,7 +428,7 @@ func (l *LEVD) ResetFull() {
 // guaranteed to have seen every event belonging to it (assuming the
 // ringing bound holds; pathological sustained ringing can exceed it).
 func (l *LEVD) DeliveryLagSec() float64 {
-	return maxBlinkExtent + l.refractory + (l.lagFrames+2)/l.fps
+	return maxBlinkExtent + RefractorySec + (smoothLagFrames+2)/l.fps
 }
 
 func clamp(v, lo, hi float64) float64 {

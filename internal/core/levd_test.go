@@ -7,20 +7,15 @@ import (
 )
 
 // levdForTest builds an LEVD with a small detrend/sigma setup at 25 fps.
-func levdForTest(t *testing.T, mutate func(*Config)) *LEVD {
+func levdForTest(t *testing.T) *LEVD {
 	t.Helper()
-	cfg := DefaultConfig()
-	// A clean separation floor: these tests exercise the detection
-	// mechanics, not threshold statistics.
-	cfg.MinThreshold = 0.1
-	cfg.MinThresholdFrac = 0
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	l, err := NewLEVD(cfg, 25)
+	l, err := NewLEVD(DefaultConfig(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A clean separation floor: these tests exercise the detection
+	// mechanics, not threshold statistics.
+	l.minThreshold = 0.1
 	return l
 }
 
@@ -59,7 +54,7 @@ func syntheticWaveform(n int, noise float64, bumps []int, bumpAmp float64, bumpW
 }
 
 func TestLEVDDetectsBumps(t *testing.T) {
-	l := levdForTest(t, nil)
+	l := levdForTest(t)
 	bumps := []int{200, 350, 500, 700}
 	w := syntheticWaveform(900, 0.004, bumps, 0.3, 8, 1)
 	events := feedWaveform(l, w)
@@ -80,7 +75,7 @@ func TestLEVDDetectsBumps(t *testing.T) {
 }
 
 func TestLEVDQuietSignalNoEvents(t *testing.T) {
-	l := levdForTest(t, nil)
+	l := levdForTest(t)
 	w := syntheticWaveform(1500, 0.005, nil, 0, 0, 2)
 	if events := feedWaveform(l, w); len(events) != 0 {
 		t.Fatalf("%d false events on pure noise", len(events))
@@ -110,7 +105,7 @@ func TestLEVDQuietSignalDefaultFloors(t *testing.T) {
 func TestLEVDRefractoryMergesDoubleEdges(t *testing.T) {
 	// One wide bump (slow closure and reopening) must yield exactly
 	// one event, with a duration reflecting its extent.
-	l := levdForTest(t, nil)
+	l := levdForTest(t)
 	w := syntheticWaveform(800, 0.003, []int{400}, 0.4, 12, 3)
 	events := feedWaveform(l, w)
 	if len(events) != 1 {
@@ -124,8 +119,8 @@ func TestLEVDRefractoryMergesDoubleEdges(t *testing.T) {
 func TestLEVDDurationSeparatesWidths(t *testing.T) {
 	// Drowsy-length bumps must report longer durations than short
 	// awake blinks.
-	short := feedWaveform(levdForTest(t, nil), syntheticWaveform(600, 0.003, []int{300}, 0.4, 6, 4))
-	long := feedWaveform(levdForTest(t, nil), syntheticWaveform(600, 0.003, []int{300}, 0.4, 20, 4))
+	short := feedWaveform(levdForTest(t), syntheticWaveform(600, 0.003, []int{300}, 0.4, 6, 4))
+	long := feedWaveform(levdForTest(t), syntheticWaveform(600, 0.003, []int{300}, 0.4, 20, 4))
 	if len(short) != 1 || len(long) < 1 {
 		t.Fatalf("events %d/%d, want 1 and >=1", len(short), len(long))
 	}
@@ -142,7 +137,7 @@ func TestLEVDDurationSeparatesWidths(t *testing.T) {
 }
 
 func TestLEVDSigmaRobustToSparseOutliers(t *testing.T) {
-	l := levdForTest(t, nil)
+	l := levdForTest(t)
 	w := syntheticWaveform(1200, 0.004, []int{300, 600, 900}, 0.5, 8, 5)
 	feedWaveform(l, w)
 	// Sigma must reflect the noise floor, not the 0.5 bumps.
@@ -152,14 +147,13 @@ func TestLEVDSigmaRobustToSparseOutliers(t *testing.T) {
 }
 
 func TestLEVDThresholdFloors(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MinThreshold = 0.25
-	l, err := NewLEVD(cfg, 25)
+	l, err := NewLEVD(DefaultConfig(), 25)
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.minThreshold = 0.25
 	if got := l.Threshold(); got != 0.25 {
-		t.Fatalf("threshold %g, want MinThreshold floor 0.25", got)
+		t.Fatalf("threshold %g, want minThreshold floor 0.25", got)
 	}
 	l.SetFloor(0.4)
 	if got := l.Threshold(); got != 0.4 {
@@ -168,7 +162,7 @@ func TestLEVDThresholdFloors(t *testing.T) {
 }
 
 func TestLEVDFrozenSigma(t *testing.T) {
-	l := levdForTest(t, nil)
+	l := levdForTest(t)
 	feedWaveform(l, syntheticWaveform(600, 0.004, nil, 0, 0, 6))
 	sigma := l.Sigma()
 	if sigma == 0 {
@@ -188,7 +182,7 @@ func TestLEVDFrozenSigma(t *testing.T) {
 }
 
 func TestLEVDResetSigma(t *testing.T) {
-	l := levdForTest(t, nil)
+	l := levdForTest(t)
 	feedWaveform(l, syntheticWaveform(600, 0.004, nil, 0, 0, 9))
 	if l.Sigma() == 0 {
 		t.Fatal("sigma not primed")
@@ -201,7 +195,7 @@ func TestLEVDResetSigma(t *testing.T) {
 
 func TestLEVDFlushPending(t *testing.T) {
 	// A bump right at the stream end must still come out via Flush.
-	l := levdForTest(t, nil)
+	l := levdForTest(t)
 	w := syntheticWaveform(520, 0.003, []int{500}, 0.4, 8, 10)
 	var live int
 	for i, v := range w {
@@ -219,7 +213,7 @@ func TestLEVDFlushPending(t *testing.T) {
 }
 
 func TestLEVDTimestampAtOnset(t *testing.T) {
-	l := levdForTest(t, nil)
+	l := levdForTest(t)
 	const bumpAt = 400
 	w := syntheticWaveform(700, 0.002, []int{bumpAt}, 0.5, 10, 11)
 	events := feedWaveform(l, w)

@@ -38,7 +38,7 @@ type Preprocessor struct {
 
 // NewPreprocessor builds a preprocessor for profiles with the given
 // number of range bins at the given frame rate, priming its clutter
-// estimate over cfg.BackgroundTauSec seconds of frames.
+// estimate over BackgroundTauSec seconds of frames.
 func NewPreprocessor(cfg Config, numBins int, frameRate float64) (*Preprocessor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -46,12 +46,8 @@ func NewPreprocessor(cfg Config, numBins int, frameRate float64) (*Preprocessor,
 	if numBins <= 0 || frameRate <= 0 {
 		return nil, fmt.Errorf("core: bins and frame rate must be positive, got %d, %g", numBins, frameRate)
 	}
-	prime := int(cfg.BackgroundTauSec * frameRate)
-	if prime < 1 {
-		prime = 1
-	}
 	return &Preprocessor{
-		primeFrames: prime,
+		primeFrames: max(int(BackgroundTauSec*frameRate), 1),
 		sum:         make([]complex128, numBins),
 		meanI32:     make([]float32, numBins),
 		meanQ32:     make([]float32, numBins),
@@ -108,26 +104,6 @@ func (p *Preprocessor) freeze() {
 	}
 }
 
-// Primed reports whether the priming window has completed and the
-// clutter estimate is frozen.
-func (p *Preprocessor) Primed() bool { return p.seen >= p.primeFrames }
-
-// Background returns a copy of the current clutter estimate at full
-// precision: the mean of the frames accumulated so far (zeros when
-// none). Before the priming window completes that is the mean of the
-// frames seen, not the partial sum a full window would produce.
-func (p *Preprocessor) Background() []complex128 {
-	out := make([]complex128, len(p.sum))
-	if p.seen == 0 {
-		return out
-	}
-	inv := complex(1/float64(p.seen), 0)
-	for i, s := range p.sum {
-		out[i] = s * inv
-	}
-	return out
-}
-
 // Reset clears the clutter estimate so the next frames re-prime it
 // (used after a full restart).
 func (p *Preprocessor) Reset() {
@@ -144,8 +120,8 @@ func (p *Preprocessor) Reset() {
 // offline path behind the figures, vital-sign estimation and the
 // baselines: each frame is narrowed into planes, run through the same
 // ProcessPlanes kernel as the streaming detector, and widened back.
-func PreprocessMatrix(cfg Config, m *rf.FrameMatrix) (*rf.FrameMatrix, error) {
-	p, err := NewPreprocessor(cfg, m.NumBins(), m.FrameRate)
+func PreprocessMatrix(m *rf.FrameMatrix) (*rf.FrameMatrix, error) {
+	p, err := NewPreprocessor(DefaultConfig(), m.NumBins(), m.FrameRate)
 	if err != nil {
 		return nil, err
 	}

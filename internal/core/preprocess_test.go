@@ -22,13 +22,24 @@ func planesOf(z []complex128) iq.Planes32 {
 // clutter estimate primes over tauSec seconds.
 func newPreprocessor(t *testing.T, bins int, tauSec float64) *Preprocessor {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.BackgroundTauSec = tauSec
-	p, err := NewPreprocessor(cfg, bins, 25)
+	p, err := NewPreprocessor(DefaultConfig(), bins, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.primeFrames = max(int(tauSec*25), 1)
 	return p
+}
+
+// background is the clutter estimate at full precision: the mean of
+// the frames accumulated so far (zeros when none).
+func background(p *Preprocessor) []complex128 {
+	out := make([]complex128, len(p.sum))
+	for i, s := range p.sum {
+		if p.seen > 0 {
+			out[i] = s / complex(float64(p.seen), 0)
+		}
+	}
+	return out
 }
 
 // process runs one frame through p, failing the test on error.
@@ -53,8 +64,8 @@ func TestBackgroundSubtractorRemovesStatic(t *testing.T) {
 			t.Fatalf("bin %d residual %v after static scene", b, v)
 		}
 	}
-	// Background accessor matches the scene.
-	for b, v := range p.Background() {
+	// The clutter estimate matches the scene.
+	for b, v := range background(p) {
 		if cmplx.Abs(v-static[b]) > 1e-9 {
 			t.Fatalf("background[%d] = %v, want %v", b, v, static[b])
 		}
@@ -98,9 +109,9 @@ func TestBackgroundSubtractorErrors(t *testing.T) {
 		t.Fatal("zero rate must be rejected")
 	}
 	cfg := DefaultConfig()
-	cfg.BackgroundTauSec = 0
+	cfg.ThresholdK = 0
 	if _, err := NewPreprocessor(cfg, 3, 25); err == nil {
-		t.Fatal("zero tau must be rejected")
+		t.Fatal("invalid config must be rejected")
 	}
 }
 
@@ -114,7 +125,8 @@ func randomPlaneFrames(n, bins int, seed int64) []iq.Planes32 {
 	for k := range frames {
 		frames[k] = iq.MakePlanes32(bins)
 		for b := 0; b < bins; b++ {
-			frames[k].Set(b, complex(rng.NormFloat64(), rng.NormFloat64()))
+			frames[k].I[b] = float32(rng.NormFloat64())
+			frames[k].Q[b] = float32(rng.NormFloat64())
 		}
 	}
 	return frames
@@ -197,7 +209,7 @@ func TestPreprocessMatrixLeavesInputIntact(t *testing.T) {
 		}
 	}
 	before := m.Data[10][5]
-	out, err := PreprocessMatrix(DefaultConfig(), m)
+	out, err := PreprocessMatrix(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,10 +252,10 @@ func TestBackgroundSubtractorPartialPriming(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		process(t, p, planesOf([]complex128{complex(float64(i), 0), 4 - 2i}))
 	}
-	if p.Primed() {
+	if p.seen >= p.primeFrames {
 		t.Fatal("5 of 25 frames must not complete priming")
 	}
-	got := p.Background()
+	got := background(p)
 	// Bin 0 saw 0..4, mean 2; bin 1 saw a constant.
 	if cmplx.Abs(got[0]-2) > 1e-12 {
 		t.Fatalf("partial background[0] = %v, want 2", got[0])
@@ -253,7 +265,7 @@ func TestBackgroundSubtractorPartialPriming(t *testing.T) {
 	}
 	// Empty subtractor reports zeros, not NaNs.
 	p.Reset()
-	for _, v := range p.Background() {
+	for _, v := range background(p) {
 		if v != 0 {
 			t.Fatalf("empty background must be zero, got %v", v)
 		}
@@ -279,7 +291,7 @@ func TestPreprocessorResetMidPriming(t *testing.T) {
 		load(sceneA)
 		process(t, p, frame)
 	}
-	if p.Primed() {
+	if p.seen >= p.primeFrames {
 		t.Fatal("10 of 25 frames must not complete priming")
 	}
 	p.Reset()
@@ -297,12 +309,12 @@ func TestPreprocessorResetMidPriming(t *testing.T) {
 			}
 		}
 	}
-	if !p.Primed() {
+	if p.seen < p.primeFrames {
 		t.Fatal("25 post-reset frames must complete priming")
 	}
 	// The frozen estimate is scene B alone — scene A's partial sum must
 	// not leak in — so a scene-B frame cancels exactly.
-	for b, v := range p.Background() {
+	for b, v := range background(p) {
 		if want := sceneB.At(b); cmplx.Abs(v-want) > 1e-12 {
 			t.Fatalf("background[%d] = %v, want %v (pre-reset frames leaked)", b, v, want)
 		}

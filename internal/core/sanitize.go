@@ -25,14 +25,6 @@ type InputStats struct {
 // InputStats returns the sanitization counters.
 func (d *Detector) InputStats() InputStats { return d.in }
 
-// isFinite reports whether both components of c are finite.
-//
-//blinkradar:hotpath
-func isFinite(c complex128) bool {
-	re, im := real(c), imag(c)
-	return !math.IsNaN(re) && !math.IsInf(re, 0) && !math.IsNaN(im) && !math.IsInf(im, 0)
-}
-
 // finite32 reports whether v is finite. NaN survives float64→float32
 // narrowing and ±Inf stays infinite, so checking the narrowed sample
 // catches exactly what the complex-path sweep would — except a finite
@@ -48,7 +40,7 @@ func finite32(v float32) bool {
 // sanitizeFrame validates and repairs the raw frame's I/Q planes in
 // place. Non-finite bins are patched with the last accepted value for
 // that bin (zero before any frame has been accepted); when more than
-// MaxBadBinFrac of the frame is non-finite the frame is rejected whole.
+// maxBadBinFrac of the frame is non-finite the frame is rejected whole.
 // With SaturationLimit > 0, component magnitudes beyond the limit are
 // clamped (ADC rail-out repair); a finite float64 component beyond
 // ±MaxFloat32 arrives here already narrowed to Inf and is repaired
@@ -74,7 +66,7 @@ func (d *Detector) sanitizeFrame(pi, pq []float32) bool {
 		}
 	}
 	if bad > 0 {
-		if float64(bad) > d.cfg.MaxBadBinFrac*float64(len(pi)) {
+		if float64(bad) > maxBadBinFrac*float64(len(pi)) {
 			return false
 		}
 		for i := range pi {
@@ -121,17 +113,17 @@ func (d *Detector) sanitizeFrame(pi, pq []float32) bool {
 }
 
 // noteReject accounts one discarded frame. A reject run longer than
-// MaxGapFrames is an input gap like any other (the slow-time series has
+// maxGapFrames is an input gap like any other (the slow-time series has
 // a hole), so it forces re-acquisition; a run reaching
-// DegradedAfterRejects flags the stream itself as unusable.
+// degradedAfterRejects flags the stream itself as unusable.
 func (d *Detector) noteReject() {
 	d.in.Rejected++
 	d.mFramesRejected.Inc()
 	d.consecRejects++
-	if d.consecRejects == d.cfg.MaxGapFrames+1 {
+	if d.consecRejects == maxGapFrames+1 {
 		d.reacquire()
 	}
-	if d.consecRejects >= d.cfg.DegradedAfterRejects {
+	if d.consecRejects >= degradedAfterRejects {
 		d.setHealth(HealthDegraded)
 	}
 }
@@ -158,8 +150,8 @@ func (d *Detector) noteAccept() {
 }
 
 // NoteGap informs the detector that missed frames were lost upstream
-// (e.g. a transport sequence gap). Gaps of at most MaxGapFrames are
-// bridged: the slow-time filters absorb the discontinuity. Longer gaps
+// (e.g. a transport sequence gap). Gaps of at most maxGapFrames (50
+// frames, 2 s at 25 fps) are bridged: the slow-time filters absorb the discontinuity. Longer gaps
 // discard tracking state and re-run cold start — concatenating across a
 // multi-second hole would hand the tracker and threshold estimator a
 // phantom step. The background clutter estimate is deliberately kept:
@@ -173,7 +165,7 @@ func (d *Detector) NoteGap(missed uint64) {
 	}
 	d.in.GapFrames += missed
 	d.mGapFrames.Add(missed)
-	if missed > uint64(d.cfg.MaxGapFrames) {
+	if missed > uint64(maxGapFrames) {
 		d.reacquire()
 	}
 }

@@ -29,7 +29,7 @@ func TestDetectorRepairsSparseNonFinite(t *testing.T) {
 		t.Fatalf("health %s after clean warmup, want tracking", det.Health())
 	}
 	// Poison a handful of bins per frame — NaN and both infinities —
-	// staying under MaxBadBinFrac so each frame is repaired, not
+	// staying under maxBadBinFrac so each frame is repaired, not
 	// rejected. The detector must keep tracking straight through.
 	for k := 150; k < 250; k++ {
 		frame := append([]complex128(nil), m.Data[k]...)
@@ -111,16 +111,16 @@ func TestDetectorDegradedEntryAndExit(t *testing.T) {
 	for i := range poison {
 		poison[i] = complex(math.NaN(), 0)
 	}
-	for i := 0; i < cfg.DegradedAfterRejects+cfg.MaxGapFrames+5; i++ {
+	for i := 0; i < degradedAfterRejects+maxGapFrames+5; i++ {
 		if _, _, err := det.Feed(poison); err != nil {
 			t.Fatal(err)
 		}
-		if i+1 == cfg.DegradedAfterRejects && det.Health() != HealthDegraded {
+		if i+1 == degradedAfterRejects && det.Health() != HealthDegraded {
 			t.Fatalf("health %s after %d rejects, want degraded", det.Health(), i+1)
 		}
 	}
-	// The run crossed both thresholds: DegradedAfterRejects flagged the
-	// stream, and MaxGapFrames forced re-acquisition (Degraded outranks
+	// The run crossed both thresholds: degradedAfterRejects flagged the
+	// stream, and maxGapFrames forced re-acquisition (Degraded outranks
 	// the transient Reacquiring state, so the reset is visible only in
 	// the counter).
 	if det.Health() != HealthDegraded {
@@ -138,7 +138,7 @@ func TestDetectorDegradedEntryAndExit(t *testing.T) {
 	if det.Health() != HealthReacquiring {
 		t.Fatalf("health %s after first clean frame, want reacquiring", det.Health())
 	}
-	feedClean(t, det, m.Data, 151, cfg.ColdStartFrames+10)
+	feedClean(t, det, m.Data, 151, ColdStartFrames+10)
 	if det.Health() != HealthTracking {
 		t.Fatalf("health %s after recovery window, want tracking", det.Health())
 	}
@@ -157,7 +157,7 @@ func TestDetectorDegradedBeforeFirstSelection(t *testing.T) {
 	for i := range poison {
 		poison[i] = complex(math.Inf(1), math.NaN())
 	}
-	for i := 0; i < cfg.DegradedAfterRejects+cfg.MaxGapFrames+5; i++ {
+	for i := 0; i < degradedAfterRejects+maxGapFrames+5; i++ {
 		if _, _, err := det.Feed(poison); err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func TestDetectorAllZeroFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	zero := make([]complex128, 40)
-	for i := 0; i < cfg.ColdStartFrames*3; i++ {
+	for i := 0; i < ColdStartFrames*3; i++ {
 		ev, ok, err := det.Feed(zero)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
@@ -199,7 +199,7 @@ func TestDetectorAllZeroFrames(t *testing.T) {
 	if det.Health() == HealthDegraded {
 		t.Fatal("all-zero input is valid and must not degrade the stream")
 	}
-	if z, _, ok := det.CurrentSample(); ok && !isFinite(z) {
+	if z, _, ok := det.CurrentSample(); ok && (cmplx.IsNaN(z) || cmplx.IsInf(z)) {
 		t.Fatalf("non-finite internal sample %v on zero input", z)
 	}
 }

@@ -230,14 +230,8 @@ func (t *Tracker) Mature() bool {
 	return t.count >= n
 }
 
-// Center returns the current viewing position and whether a fit exists.
-func (t *Tracker) Center() (complex128, bool) { return t.center, t.haveFit }
-
 // Radius returns the current fitted radius (0 before the first fit).
 func (t *Tracker) Radius() float64 { return t.radius }
-
-// FitCount returns how many successful fits have been performed.
-func (t *Tracker) FitCount() int { return t.fitCount }
 
 // Reset clears the window and the fit for a restart on the same
 // stream. The fit count survives, so a re-seeded tracker blends its

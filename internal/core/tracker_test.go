@@ -39,7 +39,7 @@ func TestTrackerRecoversCircleCenter(t *testing.T) {
 	if !tracking {
 		t.Fatal("tracker never produced distances")
 	}
-	c, ok := tr.Center()
+	c, ok := tr.center, tr.haveFit
 	if !ok {
 		t.Fatal("no centre after 600 samples")
 	}
@@ -55,7 +55,7 @@ func TestTrackerRecoversCircleCenter(t *testing.T) {
 	if !tr.Mature() {
 		t.Fatal("tracker should be mature after filling its window")
 	}
-	if tr.FitCount() == 0 {
+	if tr.fitCount == 0 {
 		t.Fatal("no fits recorded")
 	}
 }
@@ -84,7 +84,7 @@ func TestTrackerSeedStartsImmediately(t *testing.T) {
 		history[i] = arcSample(0, 2, float64(i)*0.01, 0.005, rng)
 	}
 	tr.Seed(history)
-	if _, ok := tr.Center(); !ok {
+	if !tr.haveFit {
 		t.Fatal("seeded tracker should have a fit")
 	}
 	if _, ok := tr.Push(arcSample(0, 2, 0.5, 0.005, rng)); !ok {
@@ -99,7 +99,7 @@ func TestTrackerReset(t *testing.T) {
 		tr.Push(arcSample(0, 1, float64(i)*0.01, 0.01, rng))
 	}
 	tr.Reset()
-	if _, ok := tr.Center(); ok {
+	if tr.haveFit {
 		t.Fatal("reset tracker should have no fit")
 	}
 	if tr.Mature() {
@@ -232,8 +232,8 @@ func TestTrackerRenormalizeInPlace(t *testing.T) {
 		if dGot != dRef || okGot != okRef {
 			t.Fatalf("push %d: distance %v/%v, reference %v/%v", i, dGot, okGot, dRef, okRef)
 		}
-		cGot, _ := got.Center()
-		cRef, _ := ref.Center()
+		cGot := got.center
+		cRef := ref.center
 		if cGot != cRef || got.Radius() != ref.Radius() {
 			t.Fatalf("push %d: centre %v radius %v, reference %v %v", i, cGot, got.Radius(), cRef, ref.Radius())
 		}
@@ -241,7 +241,7 @@ func TestTrackerRenormalizeInPlace(t *testing.T) {
 			t.Fatalf("push %d: moment sums %+v, reference %+v", i, got.mom, ref.mom)
 		}
 	}
-	if got.FitCount() == 0 {
+	if got.fitCount == 0 {
 		t.Fatal("tracker never fitted")
 	}
 }

@@ -1,8 +1,8 @@
 // Package dsp provides the digital-signal-processing substrate used by
-// BlinkRadar: FFTs, FIR filter design, window functions, smoothing,
-// detrending, descriptive statistics, peak finding and spectrogram
-// computation. Everything is implemented from scratch on top of the
-// standard library so the module has no external dependencies.
+// BlinkRadar: FFTs, FIR filter design, window functions, smoothing, a
+// streaming median, descriptive statistics and peak finding. Everything
+// is implemented from scratch on top of the standard library so the
+// module has no external dependencies.
 package dsp
 
 import (
@@ -21,22 +21,13 @@ import (
 func FFT(x []complex128) []complex128 {
 	out := make([]complex128, len(x))
 	copy(out, x)
-	fftInPlace(out, false)
+	fftInPlace(out)
 	return out
 }
 
 // FFTInPlace overwrites x with its discrete Fourier transform: FFT
 // without the copy, for callers that own a reusable buffer.
-func FFTInPlace(x []complex128) { fftInPlace(x, false) }
-
-// IFFT computes the inverse discrete Fourier transform of x, normalised
-// by 1/N, and returns a newly allocated slice.
-func IFFT(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	fftInPlace(out, true)
-	return out
-}
+func FFTInPlace(x []complex128) { fftInPlace(x) }
 
 // FFTReal transforms a real-valued signal. It is a convenience wrapper
 // that widens the input to complex and calls FFT.
@@ -45,31 +36,25 @@ func FFTReal(x []float64) []complex128 {
 	for i, v := range x {
 		c[i] = complex(v, 0)
 	}
-	fftInPlace(c, false)
+	fftInPlace(c)
 	return c
 }
 
-// fftInPlace dispatches on the length of x. Inverse transforms are
-// normalised by 1/N.
-func fftInPlace(x []complex128, inverse bool) {
+// fftInPlace dispatches on the length of x.
+func fftInPlace(x []complex128) {
 	n := len(x)
 	if n <= 1 {
 		return
 	}
 	if n&(n-1) == 0 {
-		radix2(x, inverse)
+		radix2(x, false)
 	} else {
-		bluestein(x, inverse)
-	}
-	if inverse {
-		scale := 1 / float64(n)
-		for i := range x {
-			x[i] *= complex(scale, 0)
-		}
+		bluestein(x)
 	}
 }
 
-// radix2 runs an iterative in-place radix-2 Cooley-Tukey FFT.
+// radix2 runs an iterative in-place radix-2 Cooley-Tukey FFT, or its
+// unnormalised inverse (Bluestein's convolution step).
 // len(x) must be a power of two. The bit-reversal swaps and per-stage
 // twiddles come from a table cached per size and direction, so each
 // butterfly costs one complex multiply.
@@ -139,18 +124,14 @@ func radix2Table(n int, inverse bool) *fftTable {
 
 // bluestein implements the chirp-z transform reduction of an arbitrary
 // length DFT to a power-of-two circular convolution.
-func bluestein(x []complex128, inverse bool) {
+func bluestein(x []complex128) {
 	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// Chirp factors: w[k] = exp(sign * i*pi*k^2/n).
+	// Chirp factors: w[k] = exp(-i*pi*k^2/n).
 	chirp := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		// k*k may overflow for huge n; use modular arithmetic on 2n.
 		kk := (int64(k) * int64(k)) % int64(2*n)
-		angle := sign * math.Pi * float64(kk) / float64(n)
+		angle := -math.Pi * float64(kk) / float64(n)
 		chirp[k] = cmplx.Exp(complex(0, angle))
 	}
 	m := 1
@@ -213,74 +194,6 @@ func NextPow2(n int) int {
 		return 1
 	}
 	return 1 << uint(bits.Len(uint(n-1)))
-}
-
-// Convolve computes the full linear convolution of a and b
-// (length len(a)+len(b)-1) directly. For long inputs prefer
-// FFTConvolve.
-func Convolve(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	out := make([]float64, len(a)+len(b)-1)
-	for i, av := range a {
-		for j, bv := range b {
-			out[i+j] += av * bv
-		}
-	}
-	return out
-}
-
-// FFTConvolve computes the same full linear convolution as Convolve but
-// via the FFT, which is asymptotically faster for long inputs.
-func FFTConvolve(a, b []float64) []float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return nil
-	}
-	n := len(a) + len(b) - 1
-	m := NextPow2(n)
-	fa := make([]complex128, m)
-	fb := make([]complex128, m)
-	for i, v := range a {
-		fa[i] = complex(v, 0)
-	}
-	for i, v := range b {
-		fb[i] = complex(v, 0)
-	}
-	radix2(fa, false)
-	radix2(fb, false)
-	for i := range fa {
-		fa[i] *= fb[i]
-	}
-	radix2(fa, true)
-	out := make([]float64, n)
-	scale := 1 / float64(m)
-	for i := 0; i < n; i++ {
-		out[i] = real(fa[i]) * scale
-	}
-	return out
-}
-
-// Goertzel evaluates the DFT of x at a single normalised frequency
-// k/n (k need not be an integer) using the Goertzel recurrence. It is
-// cheaper than a full FFT when only a handful of bins are needed.
-func Goertzel(x []float64, k float64) complex128 {
-	n := float64(len(x))
-	if len(x) == 0 {
-		return 0
-	}
-	w := 2 * math.Pi * k / n
-	cw := math.Cos(w)
-	coeff := 2 * cw
-	var s0, s1, s2 float64
-	for _, v := range x {
-		s0 = v + coeff*s1 - s2
-		s2 = s1
-		s1 = s0
-	}
-	re := s1*cw - s2
-	im := s1 * math.Sin(w)
-	return complex(re, im)
 }
 
 // validateLength returns an error for non-positive lengths; shared by the

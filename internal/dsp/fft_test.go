@@ -52,15 +52,19 @@ func TestFFTSinusoidPeak(t *testing.T) {
 }
 
 func TestIFFTInvertsFFT(t *testing.T) {
-	// Round trip for power-of-two (radix-2) and arbitrary (Bluestein)
-	// lengths.
+	// The inverse radix-2 kernel, unnormalised, is the last step of
+	// every Bluestein transform: scaled by 1/n it must undo FFT.
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{1, 2, 16, 64, 3, 7, 12, 100, 129} {
+	for _, n := range []int{2, 16, 64, 256} {
 		x := make([]complex128, n)
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		back := IFFT(FFT(x))
+		back := FFT(x)
+		radix2(back, true)
+		for i := range back {
+			back[i] /= complex(float64(n), 0)
+		}
 		for i := range x {
 			if !complexApproxEqual(back[i], x[i], 1e-8) {
 				t.Fatalf("n=%d sample %d: got %v want %v", n, i, back[i], x[i])
@@ -139,84 +143,12 @@ func TestNextPow2(t *testing.T) {
 	}
 }
 
-func TestConvolveMatchesFFTConvolve(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := make([]float64, 1+rng.Intn(40))
-		b := make([]float64, 1+rng.Intn(40))
-		for i := range a {
-			a[i] = rng.NormFloat64()
-		}
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		direct := Convolve(a, b)
-		fast := FFTConvolve(a, b)
-		if len(direct) != len(fast) {
-			return false
-		}
-		for i := range direct {
-			if !approxEqual(direct[i], fast[i], 1e-8) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConvolveKnown(t *testing.T) {
-	got := Convolve([]float64{1, 2}, []float64{3, 4, 5})
-	want := []float64{3, 10, 13, 10}
-	if len(got) != len(want) {
-		t.Fatalf("length %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !approxEqual(got[i], want[i], floatTol) {
-			t.Fatalf("index %d: got %g want %g", i, got[i], want[i])
-		}
-	}
-}
-
-func TestConvolveEmpty(t *testing.T) {
-	if Convolve(nil, []float64{1}) != nil {
-		t.Error("Convolve(nil, x) should be nil")
-	}
-	if FFTConvolve([]float64{1}, nil) != nil {
-		t.Error("FFTConvolve(x, nil) should be nil")
-	}
-}
-
-func TestGoertzelMatchesFFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const n = 64
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	spec := FFTReal(x)
-	for _, k := range []int{0, 1, 5, 31} {
-		g := Goertzel(x, float64(k))
-		if !complexApproxEqual(g, spec[k], 1e-8) {
-			t.Fatalf("bin %d: Goertzel %v, FFT %v", k, g, spec[k])
-		}
-	}
-}
-
-func TestGoertzelEmpty(t *testing.T) {
-	if Goertzel(nil, 1) != 0 {
-		t.Error("Goertzel of empty input should be 0")
-	}
-}
-
 func TestFFTEmpty(t *testing.T) {
 	if got := FFT(nil); len(got) != 0 {
 		t.Errorf("FFT(nil) returned %d samples", len(got))
 	}
-	if got := IFFT([]complex128{}); len(got) != 0 {
-		t.Errorf("IFFT(empty) returned %d samples", len(got))
+	if got := FFT([]complex128{}); len(got) != 0 {
+		t.Errorf("FFT(empty) returned %d samples", len(got))
 	}
 }
 
@@ -254,16 +186,12 @@ func refRadix2(x []complex128, inverse bool) {
 }
 
 // refBluestein is bluestein over refRadix2.
-func refBluestein(x []complex128, inverse bool) {
+func refBluestein(x []complex128) {
 	n := len(x)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
 	chirp := make([]complex128, n)
 	for k := 0; k < n; k++ {
 		kk := (int64(k) * int64(k)) % int64(2*n)
-		chirp[k] = cmplx.Exp(complex(0, sign*math.Pi*float64(kk)/float64(n)))
+		chirp[k] = cmplx.Exp(complex(0, -math.Pi*float64(kk)/float64(n)))
 	}
 	m := NextPow2(2*n - 1)
 	a := make([]complex128, m)
@@ -290,19 +218,12 @@ func refBluestein(x []complex128, inverse bool) {
 
 // refTransform is fftInPlace over the reference kernels, returning a
 // transformed copy.
-func refTransform(x []complex128, inverse bool) []complex128 {
+func refTransform(x []complex128) []complex128 {
 	out := append([]complex128(nil), x...)
-	n := len(out)
-	if n&(n-1) == 0 {
-		refRadix2(out, inverse)
+	if n := len(out); n&(n-1) == 0 {
+		refRadix2(out, false)
 	} else {
-		refBluestein(out, inverse)
-	}
-	if inverse {
-		scale := 1 / float64(n)
-		for i := range out {
-			out[i] *= complex(scale, 0)
-		}
+		refBluestein(out)
 	}
 	return out
 }
@@ -318,24 +239,29 @@ func TestFFTTablesMatchRecurrence(t *testing.T) {
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		for _, inverse := range []bool{false, true} {
-			got := FFT(x)
-			if inverse {
-				got = IFFT(x)
-			}
-			want := refTransform(x, inverse)
+		check := func(inverse bool, got, want []complex128) {
+			t.Helper()
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("n=%d inverse=%v bin %d: %v, recurrence gives %v", n, inverse, i, got[i], want[i])
 				}
 			}
 		}
+		check(false, FFT(x), refTransform(x))
+		if n&(n-1) == 0 {
+			// Bluestein's inverse convolution step.
+			got := append([]complex128(nil), x...)
+			want := append([]complex128(nil), x...)
+			radix2(got, true)
+			refRadix2(want, true)
+			check(true, got, want)
+		}
 	}
 	x := make([]complex128, 64)
 	x[3] = 1
 	in := append([]complex128(nil), x...)
 	FFTInPlace(x)
-	want := refTransform(in, false)
+	want := refTransform(in)
 	for i := range want {
 		if x[i] != want[i] {
 			t.Fatalf("FFTInPlace bin %d: %v, want %v", i, x[i], want[i])

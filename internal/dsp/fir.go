@@ -48,25 +48,6 @@ func LowPassFIR(order int, cutoff float64) (*FIRFilter, error) {
 	return &FIRFilter{taps: taps}, nil
 }
 
-// HighPassFIR designs a Hamming-window windowed-sinc high-pass filter
-// by spectral inversion of the corresponding low-pass design. The order
-// must be even so the filter has a well-defined centre tap.
-func HighPassFIR(order int, cutoff float64) (*FIRFilter, error) {
-	if order%2 != 0 {
-		return nil, fmt.Errorf("dsp: high-pass FIR order must be even, got %d", order)
-	}
-	lp, err := LowPassFIR(order, cutoff)
-	if err != nil {
-		return nil, err
-	}
-	taps := lp.taps
-	for i := range taps {
-		taps[i] = -taps[i]
-	}
-	taps[order/2] += 1
-	return &FIRFilter{taps: taps}, nil
-}
-
 // sinc is the normalised sinc function sin(pi x)/(pi x).
 func sinc(x float64) float64 {
 	if x == 0 {
@@ -75,6 +56,3 @@ func sinc(x float64) float64 {
 	px := math.Pi * x
 	return math.Sin(px) / px
 }
-
-// Order returns the filter order (number of taps minus one).
-func (f *FIRFilter) Order() int { return len(f.taps) - 1 }

@@ -115,9 +115,10 @@ func (m *StreamingMedian) Median() float64 {
 // Count returns the number of values currently in the window.
 func (m *StreamingMedian) Count() int { return m.count }
 
-// Full reports whether the window holds capacity values, i.e. whether
-// the next Push will evict.
-func (m *StreamingMedian) Full() bool { return m.count == len(m.ring) }
+// Sorted returns the window's values in ascending order, for order
+// statistics beyond the median. The slice aliases the window: it is
+// valid until the next Push or Reset and must not be modified.
+func (m *StreamingMedian) Sorted() []float64 { return m.sorted[:m.count] }
 
 // Reset empties the window.
 func (m *StreamingMedian) Reset() {

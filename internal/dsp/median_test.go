@@ -23,8 +23,8 @@ func batchMedianRef(window []float64) float64 {
 }
 
 // driveMedian pushes stream through a StreamingMedian and a plain
-// window slice side by side, checking the median, the eviction report
-// and the fill state after every push. Values are canonicalised the
+// window slice side by side, checking the median, the eviction report,
+// the count and the sorted view after every push. Values are canonicalised the
 // same way Push canonicalises them.
 func driveMedian(t *testing.T, stream []float64, capacity int) {
 	t.Helper()
@@ -48,11 +48,15 @@ func driveMedian(t *testing.T, stream []float64, capacity int) {
 		if m.Count() != len(window) {
 			t.Fatalf("push %d: count %d, window %d", i, m.Count(), len(window))
 		}
-		if m.Full() != (len(window) == capacity) {
-			t.Fatalf("push %d: Full = %v with %d/%d values", i, m.Full(), len(window), capacity)
-		}
 		// Exact equality: the structure moves values, it never
 		// recomputes them, so there is no tolerance to grant.
+		sorted := append([]float64(nil), window...)
+		sort.Float64s(sorted)
+		for j, v := range m.Sorted() {
+			if v != sorted[j] {
+				t.Fatalf("push %d: sorted view %v, want %v", i, m.Sorted(), sorted)
+			}
+		}
 		got, want := m.Median(), batchMedianRef(window)
 		if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 			t.Fatalf("push %d: median %g, batch reference %g (window %v)", i, got, want, window)
@@ -99,8 +103,8 @@ func TestStreamingMedianReset(t *testing.T) {
 		m.Push(float64(i))
 	}
 	m.Reset()
-	if m.Count() != 0 || m.Full() || m.Median() != 0 {
-		t.Fatalf("reset left count=%d full=%v median=%g", m.Count(), m.Full(), m.Median())
+	if m.Count() != 0 || len(m.Sorted()) != 0 || m.Median() != 0 {
+		t.Fatalf("reset left count=%d sorted=%v median=%g", m.Count(), m.Sorted(), m.Median())
 	}
 	if m.Push(9) {
 		t.Fatal("first push after reset reported an eviction")

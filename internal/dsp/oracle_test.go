@@ -5,9 +5,10 @@ import (
 	"math"
 )
 
-// This file holds the direct-form float64 FIR, the oracle of DESIGN.md
-// §13's error budget: the folded kernels (FoldedFIR, FusedCascade) are
-// checked against it, never the reverse.
+// This file holds the direct-form float64 FIR and the running-sum moving
+// average, the oracles of DESIGN.md §13's error budget: the folded
+// kernels (FoldedFIR, FusedCascade) are checked against them, never the
+// reverse.
 
 // NewFIRFilter wraps an explicit set of tap coefficients. The taps are
 // copied so the caller retains ownership of its slice.
@@ -45,7 +46,7 @@ func (f *FIRFilter) ApplyInto(dst, x []float64) error {
 	if &dst[0] == &x[0] {
 		return errAliased("ApplyInto")
 	}
-	delay := f.Order() / 2
+	delay := (len(f.taps) - 1) / 2
 	for i := 0; i < n; i++ {
 		var acc float64
 		for j, t := range f.taps {
@@ -73,4 +74,46 @@ func (f *FIRFilter) FrequencyResponse(fn float64) complex128 {
 		im -= t * math.Sin(ang)
 	}
 	return complex(re, im)
+}
+
+// MovingAverageInto smooths x into dst with the same centred,
+// edge-shrinking window as MovingAverage, performing no allocations: the
+// window sum is maintained incrementally instead of through a prefix
+// array. dst must have the same length as x and must not alias it.
+func MovingAverageInto(dst, x []float64, window int) error {
+	if err := validateLength("smoothing window", window); err != nil {
+		return err
+	}
+	n := len(x)
+	if len(dst) != n {
+		return errSampleCount(len(dst), n)
+	}
+	if n == 0 {
+		return nil
+	}
+	if &dst[0] == &x[0] {
+		return errAliased("MovingAverageInto")
+	}
+	half := window / 2
+	lo, hi := 0, half
+	if hi >= n {
+		hi = n - 1
+	}
+	var sum float64
+	for i := lo; i <= hi; i++ {
+		sum += x[i]
+	}
+	dst[0] = sum / float64(hi-lo+1)
+	for i := 1; i < n; i++ {
+		if nhi := i + half; nhi < n && nhi > hi {
+			sum += x[nhi]
+			hi = nhi
+		}
+		if nlo := i - half; nlo > lo {
+			sum -= x[lo]
+			lo = nlo
+		}
+		dst[i] = sum / float64(hi-lo+1)
+	}
+	return nil
 }

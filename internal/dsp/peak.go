@@ -160,20 +160,3 @@ func enforceDistance(peaks []Peak, minDistance int) []Peak {
 	}
 	return out
 }
-
-// ZeroCrossings counts the number of sign changes in x, ignoring exact
-// zeros. It provides a cheap dominant-frequency sanity check in tests.
-func ZeroCrossings(x []float64) int {
-	count := 0
-	prev := 0.0
-	for _, v := range x {
-		if v == 0 {
-			continue
-		}
-		if prev != 0 && (v > 0) != (prev > 0) {
-			count++
-		}
-		prev = v
-	}
-	return count
-}

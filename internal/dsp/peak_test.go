@@ -98,34 +98,3 @@ func TestFindPeaksMinDistance(t *testing.T) {
 		t.Fatalf("surviving peak at %d, want the taller one near 20", got)
 	}
 }
-
-func TestZeroCrossings(t *testing.T) {
-	cases := []struct {
-		x    []float64
-		want int
-	}{
-		{[]float64{1, -1, 1, -1}, 3},
-		{[]float64{1, 0, -1}, 1}, // zeros are skipped
-		{[]float64{1, 2, 3}, 0},
-		{nil, 0},
-	}
-	for _, tc := range cases {
-		if got := ZeroCrossings(tc.x); got != tc.want {
-			t.Errorf("ZeroCrossings(%v) = %d, want %d", tc.x, got, tc.want)
-		}
-	}
-}
-
-func TestZeroCrossingsSinusoid(t *testing.T) {
-	// A sinusoid with k cycles crosses zero ~2k times.
-	n := 1000
-	k := 7
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = math.Sin(2 * math.Pi * float64(k) * float64(i) / float64(n))
-	}
-	got := ZeroCrossings(x)
-	if got < 2*k-2 || got > 2*k+2 {
-		t.Fatalf("zero crossings %d, want ~%d", got, 2*k)
-	}
-}

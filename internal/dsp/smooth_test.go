@@ -129,114 +129,3 @@ func TestMovingAverageIntoErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestMovingAverageComplex(t *testing.T) {
-	x := []complex128{complex(0, 6), complex(3, 0), complex(6, 6)}
-	got, err := MovingAverageComplex(x, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !complexApproxEqual(got[1], complex(3, 4), 1e-9) {
-		t.Fatalf("middle sample %v, want (3+4i)", got[1])
-	}
-}
-
-func TestExponentialSmoother(t *testing.T) {
-	if _, err := NewExponentialSmoother(0); err == nil {
-		t.Fatal("alpha 0 must be rejected")
-	}
-	if _, err := NewExponentialSmoother(1.5); err == nil {
-		t.Fatal("alpha > 1 must be rejected")
-	}
-	s, err := NewExponentialSmoother(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Push(10); got != 10 {
-		t.Fatalf("first push %g, want direct 10", got)
-	}
-	if got := s.Push(0); got != 5 {
-		t.Fatalf("second push %g, want 5", got)
-	}
-	if s.Value() != 5 {
-		t.Fatalf("value %g, want 5", s.Value())
-	}
-	s.Reset()
-	if got := s.Push(4); got != 4 {
-		t.Fatalf("after reset, first push %g, want 4", got)
-	}
-}
-
-func TestSlidingWindowStats(t *testing.T) {
-	w, err := NewSlidingWindow(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Push(1)
-	w.Push(2)
-	if w.Full() {
-		t.Fatal("window should not be full at 2/3")
-	}
-	w.Push(3)
-	if !w.Full() || w.Len() != 3 {
-		t.Fatalf("len=%d full=%v, want 3/true", w.Len(), w.Full())
-	}
-	if !approxEqual(w.Mean(), 2, floatTol) {
-		t.Fatalf("mean %g, want 2", w.Mean())
-	}
-	w.Push(4) // evicts 1 -> {2,3,4}
-	if !approxEqual(w.Mean(), 3, floatTol) {
-		t.Fatalf("mean after eviction %g, want 3", w.Mean())
-	}
-	vals := w.Values()
-	want := []float64{2, 3, 4}
-	for i := range want {
-		if vals[i] != want[i] {
-			t.Fatalf("values %v, want %v", vals, want)
-		}
-	}
-	w.Reset()
-	if w.Len() != 0 || w.Mean() != 0 || w.Std() != 0 {
-		t.Fatal("reset window should be empty with zero stats")
-	}
-}
-
-func TestSlidingWindowMatchesDirectProperty(t *testing.T) {
-	// Streaming mean/variance equal the direct computation over the
-	// retained suffix.
-	f := func(seed int64, rawCap uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		capacity := int(rawCap)%20 + 1
-		w, err := NewSlidingWindow(capacity)
-		if err != nil {
-			return false
-		}
-		var all []float64
-		for i := 0; i < 50; i++ {
-			v := rng.NormFloat64() * 10
-			all = append(all, v)
-			w.Push(v)
-			lo := len(all) - capacity
-			if lo < 0 {
-				lo = 0
-			}
-			suffix := all[lo:]
-			if !approxEqual(w.Mean(), Mean(suffix), 1e-6) {
-				return false
-			}
-			if !approxEqual(w.Variance(), Variance(suffix), 1e-6*(1+Variance(suffix))) && len(suffix) > 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNewSlidingWindowError(t *testing.T) {
-	if _, err := NewSlidingWindow(0); err == nil {
-		t.Fatal("zero capacity must be rejected")
-	}
-}

@@ -5,51 +5,6 @@ import (
 	"sort"
 )
 
-// sqrt is a trivial indirection so smooth.go can avoid importing math.
-func sqrt(v float64) float64 { return math.Sqrt(v) }
-
-// Mean returns the arithmetic mean of x, or 0 for an empty slice.
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range x {
-		sum += v
-	}
-	return sum / float64(len(x))
-}
-
-// Variance returns the population variance of x, or 0 for fewer than two
-// samples.
-func Variance(x []float64) float64 {
-	if len(x) < 2 {
-		return 0
-	}
-	m := Mean(x)
-	var acc float64
-	for _, v := range x {
-		d := v - m
-		acc += d * d
-	}
-	return acc / float64(len(x))
-}
-
-// Std returns the population standard deviation of x.
-func Std(x []float64) float64 { return math.Sqrt(Variance(x)) }
-
-// RMS returns the root-mean-square of x, or 0 for an empty slice.
-func RMS(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	var acc float64
-	for _, v := range x {
-		acc += v * v
-	}
-	return math.Sqrt(acc / float64(len(x)))
-}
-
 // Median returns the median of x, or 0 for an empty slice. The input is
 // not modified.
 func Median(x []float64) float64 { return Percentile(x, 50) }
@@ -134,49 +89,6 @@ func ArgMax(x []float64) int {
 	return best
 }
 
-// DemeanInPlace subtracts the mean from x in place and returns x.
-func DemeanInPlace(x []float64) []float64 {
-	m := Mean(x)
-	for i := range x {
-		x[i] -= m
-	}
-	return x
-}
-
-// DetrendLinear removes the least-squares straight-line fit from x and
-// returns a new slice, leaving the input untouched. It is used to strip
-// slow posture drift before variance estimation.
-func DetrendLinear(x []float64) []float64 {
-	n := len(x)
-	out := make([]float64, n)
-	if n < 2 {
-		copy(out, x)
-		return out
-	}
-	// Least squares fit y = a + b*t with t = 0..n-1.
-	var sumT, sumY, sumTY, sumTT float64
-	for i, v := range x {
-		t := float64(i)
-		sumT += t
-		sumY += v
-		sumTY += t * v
-		sumTT += t * t
-	}
-	fn := float64(n)
-	den := fn*sumTT - sumT*sumT
-	var a, b float64
-	if den != 0 {
-		b = (fn*sumTY - sumT*sumY) / den
-		a = (sumY - b*sumT) / fn
-	} else {
-		a = sumY / fn
-	}
-	for i, v := range x {
-		out[i] = v - (a + b*float64(i))
-	}
-	return out
-}
-
 // SNRdB estimates the signal-to-noise ratio in decibels between a clean
 // reference and an observed noisy version of it:
 // 10*log10(P_signal / P_noise) with noise = observed - reference.
@@ -199,42 +111,4 @@ func SNRdB(reference, observed []float64) float64 {
 		return math.Inf(-1)
 	}
 	return 10 * math.Log10(pSig/pNoise)
-}
-
-// CrossCorrelateAtLag computes the normalised cross-correlation of a and
-// b at the given integer lag (b shifted right by lag relative to a). The
-// result is in [-1, 1]; degenerate inputs give 0.
-func CrossCorrelateAtLag(a, b []float64, lag int) float64 {
-	var sa, sb, sab, saa, sbb float64
-	var count int
-	for i := range a {
-		j := i - lag
-		if j < 0 || j >= len(b) {
-			continue
-		}
-		sa += a[i]
-		sb += b[j]
-		count++
-	}
-	if count < 2 {
-		return 0
-	}
-	ma := sa / float64(count)
-	mb := sb / float64(count)
-	for i := range a {
-		j := i - lag
-		if j < 0 || j >= len(b) {
-			continue
-		}
-		da := a[i] - ma
-		db := b[j] - mb
-		sab += da * db
-		saa += da * da
-		sbb += db * db
-	}
-	den := math.Sqrt(saa * sbb)
-	if den == 0 {
-		return 0
-	}
-	return sab / den
 }

@@ -2,37 +2,8 @@ package dsp
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
-
-func TestMeanVarianceStd(t *testing.T) {
-	cases := []struct {
-		name     string
-		x        []float64
-		mean     float64
-		variance float64
-	}{
-		{"empty", nil, 0, 0},
-		{"single", []float64{7}, 7, 0},
-		{"pair", []float64{1, 3}, 2, 1},
-		{"mixed", []float64{2, 4, 4, 4, 5, 5, 7, 9}, 5, 4},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := Mean(tc.x); !approxEqual(got, tc.mean, floatTol) {
-				t.Errorf("Mean = %g, want %g", got, tc.mean)
-			}
-			if got := Variance(tc.x); !approxEqual(got, tc.variance, floatTol) {
-				t.Errorf("Variance = %g, want %g", got, tc.variance)
-			}
-			if got := Std(tc.x); !approxEqual(got, math.Sqrt(tc.variance), floatTol) {
-				t.Errorf("Std = %g, want %g", got, math.Sqrt(tc.variance))
-			}
-		})
-	}
-}
 
 func TestMedianPercentile(t *testing.T) {
 	x := []float64{5, 1, 3, 2, 4}
@@ -84,59 +55,6 @@ func TestMinMaxArgMax(t *testing.T) {
 	}
 }
 
-func TestRMS(t *testing.T) {
-	if got := RMS([]float64{3, 4}); !approxEqual(got, math.Sqrt(12.5), floatTol) {
-		t.Fatalf("RMS %g", got)
-	}
-	if RMS(nil) != 0 {
-		t.Fatal("RMS of empty should be 0")
-	}
-}
-
-func TestDetrendLinearRemovesLineProperty(t *testing.T) {
-	// Any pure line detrends to ~zero.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := rng.NormFloat64() * 10
-		b := rng.NormFloat64()
-		n := 10 + rng.Intn(100)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = a + b*float64(i)
-		}
-		for _, v := range DetrendLinear(x) {
-			if math.Abs(v) > 1e-6*(1+math.Abs(a)+math.Abs(b)*float64(n)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDetrendLinearPreservesResidual(t *testing.T) {
-	// Detrending a line plus sinusoid keeps the sinusoid's power.
-	n := 200
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = 5 + 0.3*float64(i) + math.Sin(2*math.Pi*float64(i)/20)
-	}
-	out := DetrendLinear(x)
-	if got := RMS(out); !approxEqual(got, math.Sqrt(0.5), 0.05) {
-		t.Fatalf("residual RMS %g, want ~%g", got, math.Sqrt(0.5))
-	}
-}
-
-func TestDemeanInPlace(t *testing.T) {
-	x := []float64{1, 2, 3}
-	DemeanInPlace(x)
-	if !approxEqual(Mean(x), 0, floatTol) {
-		t.Fatalf("mean after demean %g", Mean(x))
-	}
-}
-
 func TestSNRdB(t *testing.T) {
 	ref := []float64{1, 1, 1, 1}
 	if got := SNRdB(ref, ref); !math.IsInf(got, 1) {
@@ -149,35 +67,5 @@ func TestSNRdB(t *testing.T) {
 	}
 	if got := SNRdB(nil, noisy); got != 0 {
 		t.Fatalf("empty reference SNR %g, want 0", got)
-	}
-}
-
-func TestCrossCorrelateAtLag(t *testing.T) {
-	n := 64
-	a := make([]float64, n)
-	for i := range a {
-		a[i] = math.Sin(float64(i) / 3)
-	}
-	if got := CrossCorrelateAtLag(a, a, 0); !approxEqual(got, 1, 1e-9) {
-		t.Fatalf("self correlation %g, want 1", got)
-	}
-	neg := make([]float64, n)
-	for i := range neg {
-		neg[i] = -a[i]
-	}
-	if got := CrossCorrelateAtLag(a, neg, 0); !approxEqual(got, -1, 1e-9) {
-		t.Fatalf("anti correlation %g, want -1", got)
-	}
-	// Shifted copy correlates best at the matching lag.
-	shift := 5
-	b := make([]float64, n)
-	for i := shift; i < n; i++ {
-		b[i-shift] = a[i]
-	}
-	if c0, cs := CrossCorrelateAtLag(a, b, 0), CrossCorrelateAtLag(a, b, shift); cs <= c0 {
-		t.Fatalf("lag %d correlation %g not above lag 0 %g", shift, cs, c0)
-	}
-	if got := CrossCorrelateAtLag([]float64{1}, []float64{1}, 0); got != 0 {
-		t.Fatalf("degenerate correlation %g, want 0", got)
 	}
 }

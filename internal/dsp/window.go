@@ -2,10 +2,6 @@ package dsp
 
 import "math"
 
-// WindowFunc generates an n-point window. Implementations return a newly
-// allocated slice of length n; n <= 0 yields an empty slice.
-type WindowFunc func(n int) []float64
-
 // Hamming returns the n-point Hamming window
 // w[i] = 0.54 - 0.46*cos(2*pi*i/(n-1)), the window the paper uses for its
 // order-26 FIR noise-reduction filter.
@@ -32,26 +28,4 @@ func cosineWindow(n int, a, b float64) []float64 {
 		w[i] = a - b*math.Cos(2*math.Pi*float64(i)/float64(n-1))
 	}
 	return w
-}
-
-// Gaussian returns an n-point Gaussian window with standard deviation
-// sigma expressed as a fraction of half the window length (sigma <= 0.5
-// is typical).
-func Gaussian(sigma float64) WindowFunc {
-	return func(n int) []float64 {
-		if n <= 0 {
-			return nil
-		}
-		w := make([]float64, n)
-		if n == 1 {
-			w[0] = 1
-			return w
-		}
-		half := float64(n-1) / 2
-		for i := 0; i < n; i++ {
-			x := (float64(i) - half) / (sigma * half)
-			w[i] = math.Exp(-0.5 * x * x)
-		}
-		return w
-	}
 }

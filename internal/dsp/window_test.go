@@ -1,13 +1,12 @@
 package dsp
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
 
 func TestWindowLengths(t *testing.T) {
-	for _, w := range []WindowFunc{Hamming, Hann, Gaussian(0.4)} {
+	for _, w := range []func(int) []float64{Hamming, Hann} {
 		for _, n := range []int{0, 1, 2, 7, 64} {
 			got := w(n)
 			if len(got) != max(n, 0) {
@@ -19,10 +18,9 @@ func TestWindowLengths(t *testing.T) {
 
 func TestWindowSymmetryProperty(t *testing.T) {
 	// All supported windows are symmetric: w[i] == w[n-1-i].
-	windows := map[string]WindowFunc{
-		"hamming":  Hamming,
-		"hann":     Hann,
-		"gaussian": Gaussian(0.4),
+	windows := map[string]func(int) []float64{
+		"hamming": Hamming,
+		"hann":    Hann,
 	}
 	for name, w := range windows {
 		f := func(raw uint8) bool {
@@ -59,22 +57,9 @@ func TestHannEndpoints(t *testing.T) {
 }
 
 func TestSinglePointWindows(t *testing.T) {
-	for _, w := range []WindowFunc{Hamming, Hann, Gaussian(0.3)} {
+	for _, w := range []func(int) []float64{Hamming, Hann} {
 		if got := w(1); len(got) != 1 || got[0] != 1 {
 			t.Fatalf("single-point window = %v, want [1]", got)
 		}
-	}
-}
-
-func TestGaussianPeaksAtCentre(t *testing.T) {
-	w := Gaussian(0.3)(21)
-	if peak := ArgMax(w); peak != 10 {
-		t.Fatalf("Gaussian peak at %d, want 10", peak)
-	}
-	if w[0] >= w[10] {
-		t.Fatal("Gaussian edges should fall below the centre")
-	}
-	if math.Abs(w[10]-1) > 1e-12 {
-		t.Fatalf("Gaussian centre %g, want 1", w[10])
 	}
 }

@@ -198,39 +198,6 @@ func NewCDF(values []float64) (*CDF, error) {
 	return &CDF{sorted: s}, nil
 }
 
-// At returns P(X <= x).
-func (c *CDF) At(x float64) float64 {
-	i := sort.SearchFloat64s(c.sorted, x)
-	for i < len(c.sorted) && c.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(c.sorted))
-}
-
-// Quantile returns the q-th quantile (0 <= q <= 1) by nearest-rank.
-func (c *CDF) Quantile(q float64) float64 {
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	idx := int(q * float64(len(c.sorted)))
-	if idx >= len(c.sorted) {
-		idx = len(c.sorted) - 1
-	}
-	return c.sorted[idx]
-}
-
-// Median returns the 50th percentile.
-func (c *CDF) Median() float64 { return c.Quantile(0.5) }
-
-// Min and Max return the support bounds.
-func (c *CDF) Min() float64 { return c.sorted[0] }
-
-// Max returns the largest sample.
-func (c *CDF) Max() float64 { return c.sorted[len(c.sorted)-1] }
-
 // Points returns (value, cumulative probability) pairs for plotting.
 func (c *CDF) Points() (xs, ps []float64) {
 	xs = make([]float64, len(c.sorted))

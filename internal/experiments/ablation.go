@@ -52,7 +52,7 @@ func runBaselineVariant(coreCfg core.Config, detect func(*scenario.Capture) ([]c
 }
 
 // runFull evaluates the complete pipeline over the same population.
-func runFull(cfg core.Config, opts ...core.Option) ([]float64, error) {
+func runFull(cfg core.Config) ([]float64, error) {
 	var accs []float64
 	for id := 1; id <= ablationSubjects; id++ {
 		for sess := 0; sess < SessionsPerSubject; sess++ {
@@ -61,7 +61,7 @@ func runFull(cfg core.Config, opts ...core.Option) ([]float64, error) {
 			if err != nil {
 				return nil, err
 			}
-			events, _, err := core.Detect(cfg, cap.Frames, opts...)
+			events, _, err := core.Detect(cfg, cap.Frames)
 			if err != nil {
 				return nil, err
 			}
@@ -80,7 +80,7 @@ func AblationBinSelection(cfg core.Config) (AblationResult, error) {
 	if err != nil {
 		return AblationResult{}, err
 	}
-	bcfg := baseline.DefaultConfig() // naive amplitude-peak bin
+	bcfg := baseline.Config{} // naive amplitude-peak bin
 	variant, err := runBaselineVariant(cfg, func(cap *scenario.Capture) ([]core.BlinkEvent, error) {
 		return baseline.DetectAmplitude(bcfg, cfg, cap.Frames)
 	})
@@ -104,8 +104,7 @@ func AblationWaveform(cfg core.Config) (ablations []AblationResult, err error) {
 		return nil, err
 	}
 	fullSummary := Summarize(full)
-	bcfg := baseline.DefaultConfig()
-	bcfg.UseVarianceBinSelect = true
+	bcfg := baseline.Config{UseVarianceBinSelect: true}
 
 	amp, err := runBaselineVariant(cfg, func(cap *scenario.Capture) ([]core.BlinkEvent, error) {
 		return baseline.DetectAmplitude(bcfg, cfg, cap.Frames)
@@ -142,7 +141,11 @@ func AblationAdaptiveUpdate(cfg core.Config) (AblationResult, error) {
 	if err != nil {
 		return AblationResult{}, err
 	}
-	variant, err := runFull(cfg, core.WithAdaptiveUpdate(false))
+	off := cfg
+	off.RefitIntervalFrames = 1 << 30
+	off.ReselectIntervalFrames = 1 << 30
+	off.RestartVarRatio = 1e12
+	variant, err := runFull(off)
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -164,7 +167,9 @@ func AblationThreshold(cfg core.Config) ([]AblationResult, error) {
 	fullSummary := Summarize(full)
 	var out []AblationResult
 	for _, k := range []float64{2.5, 10} {
-		variant, err := runFull(cfg, core.WithThresholdK(k))
+		kcfg := cfg
+		kcfg.ThresholdK = k
+		variant, err := runFull(kcfg)
 		if err != nil {
 			return nil, err
 		}

@@ -239,8 +239,7 @@ func Fig8(seed int64) (Fig8Result, error) {
 	if err != nil {
 		return Fig8Result{}, err
 	}
-	cfg := core.DefaultConfig()
-	after, err := core.PreprocessMatrix(cfg, cap.Frames)
+	after, err := core.PreprocessMatrix(cap.Frames)
 	if err != nil {
 		return Fig8Result{}, err
 	}
@@ -248,7 +247,7 @@ func Fig8(seed int64) (Fig8Result, error) {
 	staticBins := []int{0, 1, 2}
 	var res Fig8Result
 	// Skip the priming frames in the "after" accounting.
-	skip := int(cfg.BackgroundTauSec*cap.Frames.FrameRate) + 1
+	skip := int(core.BackgroundTauSec*cap.Frames.FrameRate) + 1
 	for _, b := range staticBins {
 		for k, frame := range cap.Frames.Data {
 			p := cmplx.Abs(frame[b])
@@ -388,16 +387,15 @@ func Fig10(seed int64) (Fig10Result, error) {
 	if err != nil {
 		return Fig10Result{}, err
 	}
-	cfg := core.DefaultConfig()
-	pre, err := core.PreprocessMatrix(cfg, cap.Frames)
+	pre, err := core.PreprocessMatrix(cap.Frames)
 	if err != nil {
 		return Fig10Result{}, err
 	}
-	best, err := core.SelectBinMatrix(cfg, pre)
+	best, err := core.SelectBinMatrix(pre)
 	if err != nil {
 		return Fig10Result{}, err
 	}
-	skip := int(cfg.BackgroundTauSec*cap.Frames.FrameRate) + 1
+	skip := int(core.BackgroundTauSec*cap.Frames.FrameRate) + 1
 	eyeSeries := pre.SlowTime(cap.EyeBin)[skip:]
 	eyeVar := iq.Variance2D(eyeSeries)
 	// Strongest bin far from any reflector (>1.3 m).

@@ -36,7 +36,7 @@ type ExtVitalsRow struct {
 // ExtVitals runs the blink pipeline's own preprocessing and bin
 // selection, then estimates vital signs from the selected bin for every
 // subject.
-func ExtVitals(cfg core.Config) (ExtVitalsResult, error) {
+func ExtVitals() (ExtVitalsResult, error) {
 	var res ExtVitalsResult
 	for id := 1; id <= DefaultSubjects; id++ {
 		spec := SessionSpec(id, 9, scenario.Lab, func(s *scenario.Spec) {
@@ -46,15 +46,15 @@ func ExtVitals(cfg core.Config) (ExtVitalsResult, error) {
 		if err != nil {
 			return res, err
 		}
-		pre, err := core.PreprocessMatrix(cfg, cap.Frames)
+		pre, err := core.PreprocessMatrix(cap.Frames)
 		if err != nil {
 			return res, err
 		}
-		best, err := core.SelectBinMatrix(cfg, pre)
+		best, err := core.SelectBinMatrix(pre)
 		if err != nil {
 			return res, err
 		}
-		skip := int(cfg.BackgroundTauSec*cap.Frames.FrameRate) + 1
+		skip := int(core.BackgroundTauSec*cap.Frames.FrameRate) + 1
 		est, err := vitals.EstimateFromSeries(pre.SlowTime(best.Bin)[skip:], cap.Frames.FrameRate)
 		if err != nil {
 			return res, fmt.Errorf("subject %d: %w", id, err)

@@ -111,7 +111,7 @@ func TestServeStreamDefaultHelloTimeout(t *testing.T) {
 	if st.Submitted != frames || st.Processed != frames || st.Dropped != 0 || st.Limited != 0 || st.GapFrames != gap {
 		t.Fatalf("detach accounting %+v, want %d submitted and processed, 0 dropped, %d gap frames", st, frames, gap)
 	}
-	if n := mgr.Sessions(); n != 0 {
+	if n := mgr.Stats().Sessions; n != 0 {
 		t.Fatalf("%d sessions attached after the stream ended", n)
 	}
 }

@@ -153,16 +153,6 @@ func eccentricityOf(varI, varQ, covIQ float64) float64 {
 	return math.Sqrt(1 - l2/l1)
 }
 
-// DistancesFrom returns |z[i] - center| for each sample: the relative
-// distance waveform the tracker feeds to the LEVD detector.
-func DistancesFrom(z []complex128, center complex128) []float64 {
-	out := make([]float64, len(z))
-	for i, c := range z {
-		out[i] = cmplx.Abs(c - center)
-	}
-	return out
-}
-
 // AngularExtent returns the angle in radians subtended at center by the
 // sample cloud: the spread between the minimum and maximum sample angle
 // measured around center. It quantifies how much of the fitted circle an

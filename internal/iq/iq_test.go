@@ -146,16 +146,6 @@ func TestEccentricity(t *testing.T) {
 	}
 }
 
-func TestDistancesFrom(t *testing.T) {
-	z := []complex128{1, 1i, -1}
-	d := DistancesFrom(z, 0)
-	for i, v := range d {
-		if !approx(v, 1, 1e-12) {
-			t.Fatalf("distance %d = %g, want 1", i, v)
-		}
-	}
-}
-
 func TestAngularExtent(t *testing.T) {
 	// A 90-degree arc subtends pi/2 at its centre.
 	var arc []complex128

@@ -62,22 +62,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add increments the gauge by delta (not atomic against concurrent
-// Add/Set races losing an update, but each store is itself atomic; use
-// Set from a single writer when exactness matters).
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
 // Value returns the current value (0 on a nil gauge).
 func (g *Gauge) Value() float64 {
 	if g == nil {

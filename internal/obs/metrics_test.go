@@ -17,7 +17,6 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	}
 	var g *Gauge
 	g.Set(3)
-	g.Add(1)
 	if g.Value() != 0 {
 		t.Fatal("nil gauge must read 0")
 	}
@@ -48,9 +47,8 @@ func TestCounterGauge(t *testing.T) {
 	}
 	g := r.Gauge("depth")
 	g.Set(2.5)
-	g.Add(-1)
-	if g.Value() != 1.5 {
-		t.Fatalf("gauge %g, want 1.5", g.Value())
+	if g.Value() != 2.5 {
+		t.Fatalf("gauge %g, want 2.5", g.Value())
 	}
 }
 
@@ -89,7 +87,7 @@ func TestConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				r.Counter("c").Inc()
-				r.Gauge("g").Add(1)
+				r.Gauge("g").Set(float64(j))
 				r.Histogram("h", DefLatencyBuckets()).Observe(0.001)
 			}
 		}()
@@ -98,8 +96,8 @@ func TestConcurrentUse(t *testing.T) {
 	if got := r.Counter("c").Value(); got != 8000 {
 		t.Fatalf("counter %d, want 8000", got)
 	}
-	if got := r.Gauge("g").Value(); got != 8000 {
-		t.Fatalf("gauge %g, want 8000", got)
+	if got := r.Gauge("g").Value(); got != 999 {
+		t.Fatalf("gauge %g, want 999 (every writer's last value)", got)
 	}
 	if got := r.Histogram("h", nil).Count(); got != 8000 {
 		t.Fatalf("histogram count %d, want 8000", got)

@@ -175,13 +175,6 @@ func NewEyelid(blinks []Blink) *Eyelid {
 	return &Eyelid{blinks: b}
 }
 
-// Blinks returns a copy of the underlying blink events.
-func (e *Eyelid) Blinks() []Blink {
-	out := make([]Blink, len(e.blinks))
-	copy(out, e.blinks)
-	return out
-}
-
 // Closure returns the lid closure fraction in [0, 1] at time t.
 func (e *Eyelid) Closure(t float64) float64 {
 	// Binary search for the last blink starting at or before t.
@@ -209,38 +202,4 @@ func (e *Eyelid) Closure(t float64) float64 {
 		p := (frac - openBeg) / (1 - openBeg)
 		return 0.5 * (1 + math.Cos(math.Pi*p))
 	}
-}
-
-// CountInWindow returns the number of blinks starting within
-// [from, from+window).
-func CountInWindow(blinks []Blink, from, window float64) int {
-	count := 0
-	for _, b := range blinks {
-		if b.Start >= from && b.Start < from+window {
-			count++
-		}
-	}
-	return count
-}
-
-// RatePerMinute returns the mean blink rate of the event sequence over
-// the given capture duration in seconds.
-func RatePerMinute(blinks []Blink, duration float64) float64 {
-	if duration <= 0 {
-		return 0
-	}
-	return float64(len(blinks)) / duration * 60
-}
-
-// MeanDuration returns the mean blink duration of the sequence, or 0
-// when empty.
-func MeanDuration(blinks []Blink) float64 {
-	if len(blinks) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, b := range blinks {
-		sum += b.Duration
-	}
-	return sum / float64(len(blinks))
 }

@@ -7,6 +7,24 @@ import (
 	"testing/quick"
 )
 
+// ratePerMinute is the mean blink rate over a capture of duration
+// seconds.
+func ratePerMinute(blinks []Blink, duration float64) float64 {
+	return float64(len(blinks)) / duration * 60
+}
+
+// meanDuration is the mean blink duration, or 0 when empty.
+func meanDuration(blinks []Blink) float64 {
+	if len(blinks) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, b := range blinks {
+		sum += b.Duration
+	}
+	return sum / float64(len(blinks))
+}
+
 func TestGenerateBlinksStatistics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, state := range []State{Awake, Drowsy} {
@@ -15,11 +33,11 @@ func TestGenerateBlinksStatistics(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rate := RatePerMinute(blinks, 600)
+		rate := ratePerMinute(blinks, 600)
 		if math.Abs(rate-stats.RatePerMin) > stats.RatePerMin*0.3 {
 			t.Errorf("%v rate %g/min, want ~%g", state, rate, stats.RatePerMin)
 		}
-		dur := MeanDuration(blinks)
+		dur := meanDuration(blinks)
 		if math.Abs(dur-stats.MeanDuration) > stats.MeanDuration*0.4 {
 			t.Errorf("%v mean duration %g, want ~%g", state, dur, stats.MeanDuration)
 		}
@@ -40,11 +58,11 @@ func TestDrowsyBlinksLongerAndMoreFrequent(t *testing.T) {
 	if len(drowsy) <= len(awake) {
 		t.Errorf("drowsy blinks %d not above awake %d", len(drowsy), len(awake))
 	}
-	if MeanDuration(drowsy) <= MeanDuration(awake) {
-		t.Errorf("drowsy duration %g not above awake %g", MeanDuration(drowsy), MeanDuration(awake))
+	if meanDuration(drowsy) <= meanDuration(awake) {
+		t.Errorf("drowsy duration %g not above awake %g", meanDuration(drowsy), meanDuration(awake))
 	}
-	if MeanDuration(drowsy) < 0.4 {
-		t.Errorf("drowsy mean duration %g below the 400 ms threshold the paper cites", MeanDuration(drowsy))
+	if meanDuration(drowsy) < 0.4 {
+		t.Errorf("drowsy mean duration %g below the 400 ms threshold the paper cites", meanDuration(drowsy))
 	}
 }
 
@@ -133,16 +151,6 @@ func TestEyelidClosureBoundedProperty(t *testing.T) {
 	}
 }
 
-func TestCountInWindow(t *testing.T) {
-	blinks := []Blink{{Start: 1}, {Start: 5}, {Start: 59}, {Start: 61}}
-	if got := CountInWindow(blinks, 0, 60); got != 3 {
-		t.Fatalf("count %d, want 3", got)
-	}
-	if got := CountInWindow(blinks, 60, 60); got != 1 {
-		t.Fatalf("count %d, want 1", got)
-	}
-}
-
 func TestRespirationAndHeartbeatBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	r := NewRespiration(rng)
@@ -192,7 +200,7 @@ func TestBodyMotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bm.Shifts()) == 0 {
+	if len(bm.shifts) == 0 {
 		t.Fatal("no posture shifts over 10 minutes")
 	}
 	if got := bm.Displacement(0); got != 0 {

@@ -149,13 +149,6 @@ func GenerateBodyMotion(cfg BodyMotionConfig, duration float64, rng *rand.Rand) 
 	return &BodyMotion{shifts: shifts}, nil
 }
 
-// Shifts returns a copy of the posture shifts.
-func (b *BodyMotion) Shifts() []PostureShift {
-	out := make([]PostureShift, len(b.shifts))
-	copy(out, b.shifts)
-	return out
-}
-
 // Displacement returns the cumulative posture displacement in metres at
 // time t. Each shift ramps in with a raised-cosine profile.
 func (b *BodyMotion) Displacement(t float64) float64 {

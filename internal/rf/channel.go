@@ -162,9 +162,6 @@ func NewChannel(cfg ChannelConfig, seed int64) (*Channel, error) {
 	}, nil
 }
 
-// Config returns the channel configuration.
-func (ch *Channel) Config() ChannelConfig { return ch.cfg }
-
 // Render simulates a capture of the given duration over the supplied
 // reflectors and returns the resulting frame matrix (Eq. 6: each
 // reflector contributes alpha_p * exp(-j*4*pi*fc*R_p/c) spread over the

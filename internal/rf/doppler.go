@@ -77,35 +77,3 @@ func ComputeRangeDoppler(m *FrameMatrix, start, frames int, carrierHz float64) (
 		BinSpacing: m.BinSpacing,
 	}, nil
 }
-
-// Peak returns the (velocity, range, power) of the strongest cell,
-// optionally excluding the zero-Doppler row where static clutter lives.
-func (rd *RangeDopplerMap) Peak(excludeStatic bool) (velocity, rangeM, power float64) {
-	best := -1.0
-	for d, row := range rd.Power {
-		if excludeStatic && rd.Velocities[d] == 0 {
-			continue
-		}
-		for b, p := range row {
-			if p > best {
-				best = p
-				velocity = rd.Velocities[d]
-				rangeM = (float64(b) + 0.5) * rd.BinSpacing
-			}
-		}
-	}
-	return velocity, rangeM, best
-}
-
-// RangeProfile returns the zero-Doppler power per range bin — the
-// static scene, equivalent to Fig. 6(b).
-func (rd *RangeDopplerMap) RangeProfile() []float64 {
-	for d, v := range rd.Velocities {
-		if v == 0 {
-			out := make([]float64, len(rd.Power[d]))
-			copy(out, rd.Power[d])
-			return out
-		}
-	}
-	return nil
-}

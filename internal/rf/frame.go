@@ -1,9 +1,6 @@
 package rf
 
-import (
-	"fmt"
-	"math/cmplx"
-)
+import "fmt"
 
 // FrameMatrix is the fundamental radar data product: a complex baseband
 // range profile per frame. Data[k][b] is the I/Q sample of range bin b
@@ -49,11 +46,6 @@ func (m *FrameMatrix) NumBins() int {
 // FrameTime returns the capture time in seconds of frame k.
 func (m *FrameMatrix) FrameTime(k int) float64 {
 	return float64(k) / m.FrameRate
-}
-
-// BinDistance returns the range in metres at the centre of bin b.
-func (m *FrameMatrix) BinDistance(b int) float64 {
-	return (float64(b) + 0.5) * m.BinSpacing
 }
 
 // DistanceBin returns the bin index containing range r, clamped to the
@@ -105,35 +97,6 @@ func (m *FrameMatrix) MeanPowerPerBin() []float64 {
 	return out
 }
 
-// VariancePerBin returns the slow-time 2-D I/Q variance of each bin:
-// the statistic the paper maximises to find the eye's range bin.
-func (m *FrameMatrix) VariancePerBin() []float64 {
-	frames := m.NumFrames()
-	bins := m.NumBins()
-	out := make([]float64, bins)
-	if frames < 2 {
-		return out
-	}
-	for b := 0; b < bins; b++ {
-		var sumRe, sumIm, sumSq float64
-		for _, frame := range m.Data {
-			re, im := real(frame[b]), imag(frame[b])
-			sumRe += re
-			sumIm += im
-			sumSq += re*re + im*im
-		}
-		n := float64(frames)
-		meanRe := sumRe / n
-		meanIm := sumIm / n
-		v := sumSq/n - (meanRe*meanRe + meanIm*meanIm)
-		if v < 0 {
-			v = 0
-		}
-		out[b] = v
-	}
-	return out
-}
-
 // Clone returns a deep copy of the matrix.
 func (m *FrameMatrix) Clone() *FrameMatrix {
 	cp, err := NewFrameMatrix(m.NumFrames(), m.NumBins(), m.FrameRate, m.BinSpacing)
@@ -145,29 +108,4 @@ func (m *FrameMatrix) Clone() *FrameMatrix {
 		copy(cp.Data[k], frame)
 	}
 	return cp
-}
-
-// Slice returns a view of frames [from, to) sharing the underlying
-// storage with the receiver.
-func (m *FrameMatrix) Slice(from, to int) (*FrameMatrix, error) {
-	if from < 0 || to > m.NumFrames() || from >= to {
-		return nil, fmt.Errorf("rf: invalid frame slice [%d, %d) of %d frames", from, to, m.NumFrames())
-	}
-	return &FrameMatrix{
-		Data:       m.Data[from:to],
-		FrameRate:  m.FrameRate,
-		BinSpacing: m.BinSpacing,
-	}, nil
-}
-
-// TotalPower returns the sum of |Data[k][b]|^2 over the whole matrix.
-func (m *FrameMatrix) TotalPower() float64 {
-	var acc float64
-	for _, frame := range m.Data {
-		for _, c := range frame {
-			a := cmplx.Abs(c)
-			acc += a * a
-		}
-	}
-	return acc
 }

@@ -98,19 +98,6 @@ func (p Pulse) Waveform(sampleRate float64) ([]float64, error) {
 	return out, nil
 }
 
-// RangeResolution returns the paper's range resolution delta-r = c/(2B):
-// about 10.7 cm for the 1.4 GHz bandwidth. Note that range *bin spacing*
-// of the sampled profile is finer (set by the receiver sampling), which
-// is how the system distinguishes eye motion from chest motion a few
-// bins away.
-func (p Pulse) RangeResolution() float64 {
-	return SpeedOfLight / (2 * p.BandwidthHz)
-}
-
-// SpectrumPeakHz returns the centre frequency of the transmitted
-// spectrum, which for this modulation is simply the carrier.
-func (p Pulse) SpectrumPeakHz() float64 { return p.CarrierHz }
-
 // Validate reports whether the pulse parameters are physically usable.
 func (p Pulse) Validate() error {
 	switch {

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"testing"
 
-	"blinkradar"
 	"blinkradar/internal/iq"
 )
 
@@ -125,7 +124,6 @@ func benchFleet(b *testing.B, n, bins int) (*Manager, []string, []iq.Planes32) {
 		NumBins:   bins,
 		FrameRate: 25,
 		WindowSec: 60,
-		Core:      blinkradar.DefaultConfig(),
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -136,7 +134,8 @@ func benchFleet(b *testing.B, n, bins int) (*Manager, []string, []iq.Planes32) {
 		bank[i] = iq.MakePlanes32(bins)
 		for j := 0; j < bins; j++ {
 			ph := float64(i)*0.31 + float64(j)*0.7
-			bank[i].Set(j, complex(math.Cos(ph), math.Sin(ph))*1e-3)
+			bank[i].I[j] = float32(math.Cos(ph) * 1e-3)
+			bank[i].Q[j] = float32(math.Sin(ph) * 1e-3)
 		}
 	}
 	ids := make([]string, n)

@@ -41,11 +41,9 @@ type Config struct {
 	// FrameRate is the slow-time frame rate in frames per second.
 	FrameRate float64
 	// WindowSec is the base assessment-window span (default 60, the
-	// paper's setting).
+	// paper's setting). Every session runs the paper-faithful
+	// blinkradar.DefaultConfig() pipeline.
 	WindowSec float64
-	// Core is the detection pipeline configuration. The zero value
-	// selects the paper-faithful blinkradar.DefaultConfig().
-	Core blinkradar.Config
 	// Shards is the number of worker shards (default GOMAXPROCS).
 	// Sessions map to shards by ID hash, so a session's frames are
 	// always fed by the same goroutine.
@@ -75,8 +73,6 @@ type Config struct {
 	// It must be fast and must not call Manager methods (the worker
 	// holds the session's feed lock).
 	OnBlink func(id string, ev blinkradar.BlinkEvent)
-	// OnAssessment is OnBlink's counterpart for window assessments.
-	OnAssessment func(id string, a blinkradar.Assessment)
 }
 
 // Fixed tuning of the rate limiter, the backpressure ladder and the
@@ -104,9 +100,6 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.Core == (blinkradar.Config{}) {
-		c.Core = blinkradar.DefaultConfig()
-	}
 	if c.WindowSec <= 0 {
 		c.WindowSec = 60
 	}
@@ -195,9 +188,10 @@ func NewManager(cfg Config) (*Manager, error) {
 	if cfg.FrameRate <= 0 {
 		return nil, fmt.Errorf("session: FrameRate must be positive, got %g", cfg.FrameRate)
 	}
-	// Probe-build one monitor now so a bad core config fails loudly at
-	// construction, not on the first attach.
-	if _, err := blinkradar.NewMonitor(cfg.Core, cfg.NumBins, cfg.FrameRate, cfg.WindowSec); err != nil {
+	// Probe-build one monitor now so a geometry no Monitor can track
+	// (all guard bins) fails loudly at construction, not on every
+	// attach.
+	if _, err := newMonitor(cfg); err != nil {
 		return nil, err
 	}
 	m := &Manager{
@@ -240,6 +234,11 @@ func NewManager(cfg Config) (*Manager, error) {
 		}()
 	}
 	return m, nil
+}
+
+// newMonitor builds one session's Monitor.
+func newMonitor(cfg Config) (*blinkradar.Monitor, error) {
+	return blinkradar.NewMonitor(blinkradar.DefaultConfig(), cfg.NumBins, cfg.FrameRate, cfg.WindowSec)
 }
 
 // shardGaugeName is the per-shard metric name prefix.
@@ -297,7 +296,7 @@ func (m *Manager) Attach(id string) error {
 		m.poolHits.Add(1)
 		m.mPoolHits.Inc()
 	} else {
-		mon, err := blinkradar.NewMonitor(m.cfg.Core, m.cfg.NumBins, m.cfg.FrameRate, m.cfg.WindowSec)
+		mon, err := newMonitor(m.cfg)
 		if err != nil {
 			return err
 		}
@@ -537,14 +536,6 @@ func (m *Manager) Stats() ManagerStats {
 	return st
 }
 
-// Sessions returns the number of sessions currently attached.
-func (m *Manager) Sessions() int {
-	m.admit.Lock()
-	n := m.nSessions
-	m.admit.Unlock()
-	return n
-}
-
 // Close stops every shard worker and waits for them. Attached sessions
 // are not detached; their queues simply stop draining. Close is
 // idempotent in effect but returns ErrManagerClosed after the first
@@ -696,9 +687,6 @@ func (sh *shard) drainSession(s *Session) bool {
 		}
 		if a != nil {
 			s.assessments.Add(1)
-			if cfg.OnAssessment != nil {
-				cfg.OnAssessment(s.id, *a)
-			}
 		}
 	}
 	s.qmu.Lock()

@@ -22,7 +22,6 @@ func testConfig() Config {
 		NumBins:   16,
 		FrameRate: 25,
 		WindowSec: 2,
-		Core:      blinkradar.DefaultConfig(),
 		Shards:    2,
 	}
 }
@@ -42,7 +41,8 @@ func testFrame(bins int, seed int) iq.Planes32 {
 	f := iq.MakePlanes32(bins)
 	for b := range f.I {
 		ph := float64(seed)*0.13 + float64(b)*0.7
-		f.Set(b, complex(math.Cos(ph), math.Sin(ph))*1e-3)
+		f.I[b] = float32(math.Cos(ph) * 1e-3)
+		f.Q[b] = float32(math.Sin(ph) * 1e-3)
 	}
 	return f
 }
@@ -145,6 +145,38 @@ func TestAdmissionControl(t *testing.T) {
 	if got := m.Stats().Rejects; got != 1 {
 		t.Fatalf("rejects counter %d, want 1", got)
 	}
+}
+
+// TestNewManagerRejectsBadGeometry pins the construction-time checks:
+// a geometry no Monitor can track fails in NewManager, not on every
+// Attach. Eight bins are all guard bins, leaving none to select.
+func TestNewManagerRejectsBadGeometry(t *testing.T) {
+	cases := []struct {
+		name      string
+		bins      int
+		frameRate float64
+	}{
+		{"zero bins", 0, 25},
+		{"negative bins", -4, 25},
+		{"guard bins only", 8, 25},
+		{"zero frame rate", 16, 0},
+		{"negative frame rate", 16, -25},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			cfg.NumBins = tc.bins
+			cfg.FrameRate = tc.frameRate
+			m, err := NewManager(cfg)
+			if err == nil {
+				m.Close()
+				t.Fatalf("NewManager accepted %d bins at %g fps", tc.bins, tc.frameRate)
+			}
+		})
+	}
+	cfg := testConfig()
+	cfg.NumBins = 9
+	newTestManager(t, cfg)
 }
 
 func TestPerShardAdmissionLimit(t *testing.T) {

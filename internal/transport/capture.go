@@ -99,8 +99,8 @@ func TimestampMicros(sec float64) uint64 {
 
 // CaptureWriter streams frames into a .brc v1 capture. Frames are
 // buffered and CRC-framed as written; the seekable index is emitted as
-// a footer by Close. Periodic checkpoints (every CheckpointEvery
-// frames, or explicit Checkpoint calls) flush — and, when the
+// a footer by Close. Periodic checkpoints (every 256 frames, or
+// explicit Checkpoint calls) flush — and, when the
 // destination supports it, fsync — so a crash mid-capture loses at
 // most the frames since the last checkpoint: everything before it is
 // recoverable by CaptureReader's torn-tail scan even though the
@@ -113,7 +113,7 @@ type CaptureWriter struct {
 	start   uint64
 	offsets []int64
 	off     int64
-	every   int
+	every   int // automatic checkpoint period in frames
 	since   int
 	closed  bool
 }
@@ -152,13 +152,6 @@ func NewCaptureWriter(w io.Writer, hello StreamHello, startMicros uint64) (*Capt
 	return cw, nil
 }
 
-// SetCheckpointEvery changes the automatic checkpoint period in frames
-// (default 256); zero or negative disables automatic checkpoints.
-func (cw *CaptureWriter) SetCheckpointEvery(n int) { cw.every = n }
-
-// NumFrames reports the frames written so far.
-func (cw *CaptureWriter) NumFrames() int { return len(cw.offsets) }
-
 // WriteFrame appends one frame. The geometry is pinned: a frame whose
 // bin count differs from the header's is refused.
 func (cw *CaptureWriter) WriteFrame(f Frame) error {
@@ -174,7 +167,7 @@ func (cw *CaptureWriter) WriteFrame(f Frame) error {
 	cw.offsets = append(cw.offsets, cw.off)
 	cw.off += int64(frameWireSize(len(f.Bins)))
 	cw.since++
-	if cw.every > 0 && cw.since >= cw.every {
+	if cw.since >= cw.every {
 		return cw.Checkpoint()
 	}
 	return nil
@@ -543,19 +536,15 @@ func errIndexedFrame(k int, err error) error {
 	return fmt.Errorf("transport: indexed frame %d does not decode: %v: %w", k, err, ErrTruncatedCapture)
 }
 
-// ReadMatrix decodes every intact frame into a frame matrix. It
-// rewinds first, so it can be called at any point; a capture holding
-// no intact frames is an error. Timestamps are not carried over — the
+// ReadMatrixFrom decodes the intact frames from index start on into a
+// frame matrix (seek via the index, then sequential decode to the end
+// of the intact frames). It seeks first, so it can be called at any
+// point; a start outside the intact frames — including any start on a
+// capture holding none — is an error. Each frame's planes are widened
+// straight into its matrix row. Timestamps are not carried over — the
 // matrix derives slow time from its frame rate, which is exact for
 // radarsim captures and a documented approximation for chaos-damaged
 // ones (dropped frames compress the timeline).
-func (cr *CaptureReader) ReadMatrix() (*rf.FrameMatrix, error) {
-	return cr.ReadMatrixFrom(0)
-}
-
-// ReadMatrixFrom is ReadMatrix starting at frame index start (seek via
-// the index, then sequential decode to the end of the intact frames).
-// Each frame's planes are widened straight into its matrix row.
 func (cr *CaptureReader) ReadMatrixFrom(start int) (*rf.FrameMatrix, error) {
 	if start < 0 || start >= len(cr.offsets) {
 		return nil, fmt.Errorf("transport: start frame %d outside the %d intact frames", start, len(cr.offsets))

@@ -354,7 +354,7 @@ func TestCaptureCrashBeforeClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cw.SetCheckpointEvery(2)
+	cw.every = 2
 	const n = 7
 	for k := 0; k < n; k++ {
 		if err := cw.WriteFrame(testFrame(k, int(testHello.NumBins))); err != nil {
@@ -418,7 +418,7 @@ func TestCaptureReadMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := cr.ReadMatrix()
+		got, err := cr.ReadMatrixFrom(0)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

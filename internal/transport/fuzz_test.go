@@ -246,7 +246,7 @@ func FuzzCaptureRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cw.SetCheckpointEvery(int(seed)%5 + 1)
+		cw.every = int(seed)%5 + 1
 		for _, fr := range frames {
 			if err := cw.WriteFrame(fr); err != nil {
 				t.Fatal(err)

@@ -135,7 +135,7 @@ func TestCaptureFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cr.ReadMatrix()
+	got, err := cr.ReadMatrixFrom(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestReadCaptureEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cr.ReadMatrix(); err == nil {
+	if _, err := cr.ReadMatrixFrom(0); err == nil {
 		t.Fatal("frameless capture must be rejected")
 	}
 }

@@ -194,15 +194,3 @@ func (v *Vibration) At(t float64) float64 {
 	frac := pos - float64(lo)
 	return v.samples[lo]*(1-frac) + v.samples[lo+1]*frac
 }
-
-// RMS returns the root-mean-square of the rendered waveform.
-func (v *Vibration) RMS() float64 {
-	if len(v.samples) == 0 {
-		return 0
-	}
-	var acc float64
-	for _, s := range v.samples {
-		acc += s * s
-	}
-	return math.Sqrt(acc / float64(len(v.samples)))
-}

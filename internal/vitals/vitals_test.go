@@ -147,16 +147,15 @@ func scenarioSeries(t testing.TB) (scenario.Spec, []complex128, float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultConfig()
-	pre, err := core.PreprocessMatrix(cfg, cap.Frames)
+	pre, err := core.PreprocessMatrix(cap.Frames)
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := core.SelectBinMatrix(cfg, pre)
+	best, err := core.SelectBinMatrix(pre)
 	if err != nil {
 		t.Fatal(err)
 	}
-	skip := int(cfg.BackgroundTauSec*cap.Frames.FrameRate) + 1
+	skip := int(core.BackgroundTauSec*cap.Frames.FrameRate) + 1
 	return spec, pre.SlowTime(best.Bin)[skip:], cap.Frames.FrameRate
 }
 

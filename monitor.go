@@ -75,11 +75,11 @@ type Assessment struct {
 // NewMonitor builds a monitor for frames with numBins range bins at
 // frameRate frames per second, assessing drowsiness over windows of
 // windowSec seconds (the paper uses 60).
-func NewMonitor(cfg Config, numBins int, frameRate, windowSec float64, opts ...Option) (*Monitor, error) {
+func NewMonitor(cfg Config, numBins int, frameRate, windowSec float64) (*Monitor, error) {
 	if windowSec <= 0 {
 		return nil, fmt.Errorf("blinkradar: window must be positive, got %g", windowSec)
 	}
-	det, err := NewDetector(cfg, numBins, frameRate, opts...)
+	det, err := NewDetector(cfg, numBins, frameRate)
 	if err != nil {
 		return nil, err
 	}
