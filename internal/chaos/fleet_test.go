@@ -3,6 +3,7 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,6 +39,25 @@ func fleetDrain(t *testing.T, m *session.Manager) {
 }
 
 func TestChaosFleetFlapRecovery(t *testing.T) {
+	fleetFlapRecovery(t, nil)
+}
+
+// TestChaosFleetFlapRecoveryOnTime runs the same flap scenario on a
+// manager clock that advances one frame period per round, as a fleet of
+// live radars sends: every session whose queue is empty when its frame
+// arrives has it fed on the submitting goroutine, so frames go both
+// ways across the flaps, and the accounting, pool and health checks
+// must hold unchanged.
+func TestChaosFleetFlapRecoveryOnTime(t *testing.T) {
+	var clock atomic.Int64
+	st := fleetFlapRecovery(t, &clock)
+	t.Logf("%d of %d frames fed inline", st.Inline, st.Processed)
+}
+
+// fleetFlapRecovery runs the flap scenario and returns the manager's
+// final accounting. A non-nil clock becomes the manager clock, in
+// nanoseconds, advanced one frame period per round.
+func fleetFlapRecovery(t *testing.T, clock *atomic.Int64) session.ManagerStats {
 	if testing.Short() {
 		t.Skip("fleet scenario feeds ~180k frames")
 	}
@@ -57,6 +77,9 @@ func TestChaosFleetFlapRecovery(t *testing.T) {
 		// capacity well above that so scheduler skew (single-core CI)
 		// cannot turn the paced load into backpressure drops.
 		QueueFrames: 256,
+	}
+	if clock != nil {
+		cfg.Now = func() time.Time { return time.Unix(0, clock.Load()) }
 	}
 	m, err := session.NewManager(cfg)
 	if err != nil {
@@ -88,7 +111,11 @@ func TestChaosFleetFlapRecovery(t *testing.T) {
 	}
 
 	frame := iq.MakePlanes32(capture.NumBins())
+	var inlineAtFlap uint64
 	for k := 0; k < fleetFrames; k++ {
+		if clock != nil {
+			clock.Add(int64(time.Second / 25))
+		}
 		frame.FromComplex(capture.Data[k])
 		for _, id := range ids {
 			if err := m.SubmitPlanes(id, frame.I, frame.Q); err != nil {
@@ -97,6 +124,7 @@ func TestChaosFleetFlapRecovery(t *testing.T) {
 		}
 		pace()
 		if k == fleetFlapAt {
+			inlineAtFlap = m.Stats().Inline
 			// Kill and immediately re-attach half the fleet. The detach
 			// stats are each first segment's final accounting and must
 			// balance exactly even with frames still queued (they fold
@@ -133,6 +161,9 @@ func TestChaosFleetFlapRecovery(t *testing.T) {
 	}
 	if ms.Frames != ms.Processed+ms.Dropped {
 		t.Fatalf("fleet-level accounting broken: %+v", ms)
+	}
+	if clock != nil && (inlineAtFlap == 0 || ms.Inline == inlineAtFlap) {
+		t.Fatalf("on-time frames fed inline: %d before the flap, %d in all; want some on both sides", inlineAtFlap, ms.Inline)
 	}
 
 	// Every session — survivor or rejoiner — must be healthy again and
@@ -174,4 +205,5 @@ func TestChaosFleetFlapRecovery(t *testing.T) {
 	if n := m.Stats().Sessions; n != 0 {
 		t.Fatalf("%d sessions still attached after full detach", n)
 	}
+	return ms
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	"time"
 
 	"blinkradar/internal/iq"
 )
@@ -24,7 +25,7 @@ func BenchmarkFleet(b *testing.B) {
 		bins     = 40
 		prime    = 160 // frames fed per session before timing starts
 	)
-	m, ids, bank := benchFleet(b, sessions, bins)
+	m, ids, bank := benchFleet(b, sessions, bins, nil)
 	// Prime every session past cold start so the timed region measures
 	// steady state, not amortised warm-up growth.
 	for f := 0; f < prime; f++ {
@@ -61,6 +62,56 @@ func BenchmarkFleet(b *testing.B) {
 	}
 }
 
+// BenchmarkFleetPaced is BenchmarkFleet at the frame rate: a fake
+// clock advances one 40-ms frame period per round of the 512 sessions,
+// so every frame after a session's first arrives on time and is fed on
+// the submitting goroutine, with no queue copy and no worker wake. One
+// op is one frame through one session, fed serially on the benchmark
+// goroutine, so ns/op is not comparable with BenchmarkFleet's. The CI
+// allocation budget is zero.
+func BenchmarkFleetPaced(b *testing.B) {
+	const (
+		sessions = 512
+		bins     = 40
+		prime    = 160
+	)
+	clk := newFakeClock()
+	m, ids, bank := benchFleet(b, sessions, bins, clk.now)
+	for f := 0; f < prime; f++ {
+		clk.advance(framePeriod)
+		p := bank[f%len(bank)]
+		for _, id := range ids {
+			if err := m.SubmitPlanes(id, p.I, p.Q); err != nil {
+				b.Fatal(err)
+			}
+		}
+		pace(m, sessions*16)
+	}
+	waitIdle(b, m)
+	inline := m.Stats().Inline
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%sessions == 0 {
+			clk.advance(framePeriod)
+		}
+		f := bank[i%len(bank)]
+		if err := m.SubmitPlanes(ids[i%sessions], f.I, f.Q); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	waitIdle(b, m)
+
+	// A worker still finishing its last drain when the timed loop
+	// starts holds one session's feed lock: at most one queued frame
+	// per shard.
+	if got := m.Stats().Inline - inline; got+uint64(len(m.shards)) < uint64(b.N) {
+		b.Fatalf("%d of %d paced frames fed inline", got, b.N)
+	}
+}
+
 // BenchmarkFleetIdle measures what attached but silent sessions cost
 // the streaming ones: 4,096 sessions are attached and frames flow to 8
 // of them at a time, at most 8 frames ahead of the workers, so a worker
@@ -78,7 +129,7 @@ func BenchmarkFleetIdle(b *testing.B) {
 		bins     = 40
 		prime    = 160
 	)
-	m, ids, bank := benchFleet(b, sessions, bins)
+	m, ids, bank := benchFleet(b, sessions, bins, nil)
 	// Prime, past cold start, the groups that will stream.
 	groups := (b.N + active*budget - 1) / (active * budget)
 	if groups > sessions/active {
@@ -113,17 +164,18 @@ func BenchmarkFleetIdle(b *testing.B) {
 	}
 }
 
-// benchFleet starts a manager at 25 fps with n attached sessions (closed
-// when the benchmark ends) and returns their IDs with a small bank of
-// deterministic frames, pre-split into I/Q planes as the wire decoder
-// delivers them: enough variation that the pipeline does real work, no
-// allocation during the timed loop.
-func benchFleet(b *testing.B, n, bins int) (*Manager, []string, []iq.Planes32) {
+// benchFleet starts a manager at 25 fps on clock now (nil: the wall
+// clock) with n attached sessions (closed when the benchmark ends) and
+// returns their IDs with a small bank of deterministic frames, pre-split
+// into I/Q planes as the wire decoder delivers them: enough variation
+// that the pipeline does real work, no allocation during the timed loop.
+func benchFleet(b *testing.B, n, bins int, now func() time.Time) (*Manager, []string, []iq.Planes32) {
 	b.Helper()
 	m, err := NewManager(Config{
 		NumBins:   bins,
 		FrameRate: 25,
 		WindowSec: 60,
+		Now:       now,
 	})
 	if err != nil {
 		b.Fatal(err)

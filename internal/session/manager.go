@@ -45,8 +45,9 @@ type Config struct {
 	// blinkradar.DefaultConfig() pipeline.
 	WindowSec float64
 	// Shards is the number of worker shards (default GOMAXPROCS).
-	// Sessions map to shards by ID hash, so a session's frames are
-	// always fed by the same goroutine.
+	// Sessions map to shards by ID hash, so a session's queued frames
+	// are always fed by the same worker; its on-time frames are fed by
+	// the goroutine that submits them (see SubmitPlanes).
 	Shards int
 	// MaxSessions caps attached sessions process-wide; 0 = unlimited.
 	MaxSessions int
@@ -66,12 +67,15 @@ type Config struct {
 	RateLimit float64
 	// Registry, when non-nil, exports fleet metrics.
 	Registry *obs.Registry
-	// Now supplies the rate-limiter clock (default time.Now); tests
-	// inject a fake.
+	// Now supplies the manager clock (default time.Now): the rate
+	// limiter refills from it, and SubmitPlanes judges by it whether a
+	// frame arrived on time. Tests inject a fake.
 	Now func() time.Time
-	// OnBlink, when non-nil, runs on the shard worker for every blink.
-	// It must be fast and must not call Manager methods (the worker
-	// holds the session's feed lock).
+	// OnBlink, when non-nil, runs for every blink on whichever
+	// goroutine fed the frame: the shard worker, or the SubmitPlanes
+	// caller for an on-time frame. Either way the feeder holds the
+	// session's feed lock, so OnBlink must be fast and must not call
+	// Manager methods.
 	OnBlink func(id string, ev blinkradar.BlinkEvent)
 }
 
@@ -143,6 +147,9 @@ type shard struct {
 type Manager struct {
 	cfg    Config
 	shards []*shard
+	// halfPeriod is half a frame period: a frame submitted at least
+	// this long after the session's previous submit is on time.
+	halfPeriod time.Duration
 
 	// admit serialises attach/detach and guards the free lists and the
 	// session count. Churn is not the hot path; frames are.
@@ -163,6 +170,7 @@ type Manager struct {
 	frDropped  atomic.Uint64
 	frLimited  atomic.Uint64
 	frDone     atomic.Uint64
+	frInline   atomic.Uint64
 	widens     atomic.Uint64
 	degrades   atomic.Uint64
 
@@ -195,9 +203,10 @@ func NewManager(cfg Config) (*Manager, error) {
 		return nil, err
 	}
 	m := &Manager{
-		cfg:    cfg,
-		shards: make([]*shard, cfg.Shards),
-		stop:   make(chan struct{}),
+		cfg:        cfg,
+		shards:     make([]*shard, cfg.Shards),
+		halfPeriod: time.Duration(float64(time.Second) / (2 * cfg.FrameRate)),
+		stop:       make(chan struct{}),
 	}
 	if r := cfg.Registry; r != nil {
 		m.mAttaches = r.Counter("session_attaches_total")
@@ -357,11 +366,21 @@ func (m *Manager) Detach(id string) (SessionStats, error) {
 }
 
 // SubmitPlanes offers one frame, already split into float32 I/Q planes
-// (the wire codec's native decode), to a session. Both planes are
-// copied into the session's queue; the caller may reuse the slices
-// immediately. A full queue drops the frame (accounted, and surfaced to
-// the pipeline as a gap); an empty token bucket rejects it with
-// ErrRateLimited.
+// (the wire codec's native decode), to a session. A frame that arrives
+// on time, at least half a frame period by Config.Now after the
+// session's previous submit, is fed through the session's pipeline on
+// the caller's goroutine before SubmitPlanes returns, provided no frame
+// is queued ahead of it and no feed of the session is in progress. Any
+// other frame is copied into the session's queue for its shard worker.
+// Either way the caller may reuse the slices immediately. A full queue
+// drops the frame (accounted, and surfaced to the pipeline as a gap);
+// an empty token bucket rejects it with ErrRateLimited.
+//
+// Live radars send at the frame rate, so their frames arrive on time;
+// backlogs, replays and catch-up bursts arrive early and keep the
+// shard workers' parallelism. A stream that falls behind sends its next
+// frames early, so they queue and overload still reaches the
+// backpressure ladder.
 //
 //blinkradar:hotpath
 func (m *Manager) SubmitPlanes(id string, pi, pq []float32) error {
@@ -382,7 +401,7 @@ func (m *Manager) SubmitPlanes(id string, pi, pq []float32) error {
 	if len(pi) != s.bins || len(pq) != s.bins {
 		return ErrGeometry
 	}
-	limit := m.cfg.RateLimit
+	now := m.cfg.Now()
 	s.qmu.Lock()
 	if s.gen.Load() != gen {
 		// The session was detached (and possibly recycled for another
@@ -390,37 +409,53 @@ func (m *Manager) SubmitPlanes(id string, pi, pq []float32) error {
 		s.qmu.Unlock()
 		return ErrSessionNotFound
 	}
-	if limit > 0 && !s.takeToken(m.cfg.Now(), limit) {
+	onTime := !s.lastSubmit.IsZero() && now.Sub(s.lastSubmit) >= m.halfPeriod
+	s.lastSubmit = now
+	if limit := m.cfg.RateLimit; limit > 0 && !s.takeToken(now, limit) {
+		s.limited++
 		s.qmu.Unlock()
-		s.limited.Add(1)
 		m.frLimited.Add(1)
 		m.mLimited.Inc()
 		return ErrRateLimited
 	}
-	accepted := s.push(pi, pq)
-	// A queued frame needs its session on the ready FIFO. A dropped one
-	// does not: the queue is full, so the session is already listed.
-	list := false
-	if accepted {
+	// Inline: with n == 0 there is no queued frame to overtake, and
+	// holding feedMu keeps the worker out until this frame is fed.
+	// TryLock never waits under qmu, so the lock order stays feedMu →
+	// qmu.
+	inline := onTime && s.n == 0 && s.feedMu.TryLock()
+	accepted, list := true, false
+	var gap uint64
+	switch {
+	case inline:
+		gap, s.pendingGap = s.pendingGap, 0
+		s.processed++
+	case s.push(pi, pq):
+		// A queued frame needs its session on the ready FIFO.
 		sh.queued.Add(1)
 		list = !s.listed
 		s.listed = true
+	default:
+		// Dropped: the queue is full, so the session is already listed.
+		accepted = false
+		s.dropped++
 	}
-	from, to, changed := s.noteSubmit(accepted)
-	if changed {
-		// Posted under qmu, so the worker's re-list check sees the span.
+	s.submitted++
+	if from, to, changed := s.noteSubmit(accepted); changed {
 		m.applyPressure(s, from, to)
 	}
 	s.qmu.Unlock()
-	s.submitted.Add(1)
 	m.framesIn.Add(1)
 	m.mFrames.Inc()
-	if !accepted {
-		s.dropped.Add(1)
+	switch {
+	case inline:
+		m.frDone.Add(1)
+		m.frInline.Add(1)
+		m.feed(s, pi, pq, gap) //blinkvet:ignore hotpathalloc -- the Monitor feed allocates only on a window-span change or a vitals-pool miss; CI gates this path at 0 allocs/op through BenchmarkFleetPaced
+		s.feedMu.Unlock()
+	case !accepted:
 		m.frDropped.Add(1)
 		m.mDropped.Inc()
-	}
-	if list {
+	case list:
 		sh.enqueue(s)
 		sh.wakeWorker()
 	}
@@ -428,7 +463,7 @@ func (m *Manager) SubmitPlanes(id string, pi, pq []float32) error {
 }
 
 // applyPressure records a level transition and posts the window span it
-// implies; the shard worker applies the span to the monitor.
+// implies; the next frame's feed applies the span to the monitor.
 func (m *Manager) applyPressure(s *Session, from, to PressureState) {
 	span := m.cfg.WindowSec
 	if to >= PressureWidened {
@@ -470,8 +505,8 @@ func (m *Manager) NoteGap(id string, missed uint64) error {
 		return ErrSessionNotFound
 	}
 	s.pendingGap += missed
+	s.gapFrames += missed
 	s.qmu.Unlock()
-	s.gapFrames.Add(missed)
 	return nil
 }
 
@@ -480,13 +515,22 @@ func (m *Manager) SessionStats(id string) (SessionStats, error) {
 	sh := m.shardFor(id)
 	sh.mu.RLock()
 	s := sh.sessions[id]
+	var gen uint64
+	if s != nil {
+		gen = s.gen.Load()
+	}
 	sh.mu.RUnlock()
 	if s == nil {
 		return SessionStats{}, ErrSessionNotFound
 	}
+	s.qmu.Lock()
+	if s.gen.Load() != gen {
+		s.qmu.Unlock()
+		return SessionStats{}, ErrSessionNotFound
+	}
 	st := s.snapshot()
+	s.qmu.Unlock()
 	st.ID = id
-	st.Queued = uint64(s.queued())
 	return st, nil
 }
 
@@ -506,6 +550,9 @@ type ManagerStats struct {
 	// Frames, Dropped, Limited, Processed count frames across all
 	// sessions' lifetimes (detached sessions included).
 	Frames, Dropped, Limited, Processed uint64
+	// Inline counts the processed frames that were fed on the
+	// submitting goroutine because they arrived on time.
+	Inline uint64
 	// Widens and Degrades count backpressure escalations.
 	Widens, Degrades uint64
 }
@@ -524,6 +571,7 @@ func (m *Manager) Stats() ManagerStats {
 		Dropped:    m.frDropped.Load(),
 		Limited:    m.frLimited.Load(),
 		Processed:  m.frDone.Load(),
+		Inline:     m.frInline.Load(),
 		Widens:     m.widens.Load(),
 		Degrades:   m.degrades.Load(),
 	}
@@ -643,55 +691,64 @@ func (sh *shard) publishGauges() {
 // drainSession feeds one bounded batch from a session's queue through
 // its pipeline. peek/commitPop bracket each feed so the slot cannot be
 // overwritten mid-feed; feedMu keeps detach from recycling state under
-// the worker — making this the worker-side entry of the feed domain.
+// the worker, and keeps an on-time submit from feeding ahead of the
+// batch — making this the worker-side entry of the feed domain.
 //
 // It then decides, under qmu, whether the session stays listed: while
-// frames remain, or while a window span that submit posted (under qmu,
-// with the frame that triggered it) is not yet applied. A submit reads
-// listed under the same lock, so a frame queued after the decision
-// lists the session anew. Reports whether to re-list.
+// frames remain. A submit reads listed under the same lock, so a frame
+// queued after the decision lists the session anew. Reports whether to
+// re-list.
 //
 //blinkradar:entry feed
 func (sh *shard) drainSession(s *Session) bool {
 	s.feedMu.Lock()
 	defer s.feedMu.Unlock()
+	for fed := 0; fed < drainBatchFrames; fed++ {
+		pi, pq, gap, ok := s.peek()
+		if !ok {
+			break
+		}
+		sh.mgr.feed(s, pi, pq, gap)
+		s.commitPop()
+		sh.queued.Add(-1)
+		sh.mgr.frDone.Add(1)
+	}
+	s.qmu.Lock()
+	more := s.n > 0
+	s.listed = more
+	s.qmu.Unlock()
+	return more
+}
+
+// feed runs one frame through a session's pipeline, the one feed body
+// of both feeders: the shard worker for a queued frame and a submitter
+// for an on-time one, each holding feedMu. It applies a window span the
+// backpressure controller posted, tells the pipeline about the frames
+// lost before this one, feeds the frame and counts what the pipeline
+// returned. The caller counts the frame itself, under qmu, where it
+// leaves the queue or skips it.
+//
+//blinkradar:entry feed
+func (m *Manager) feed(s *Session, pi, pq []float32, gap uint64) {
 	if want := s.loadWantWindow(); want != s.appliedWindow {
 		if err := s.mon.SetWindowSec(want); err == nil {
 			s.appliedWindow = want
 		}
 	}
-	cfg := &sh.mgr.cfg
-	fed := 0
-	for fed < drainBatchFrames {
-		pi, pq, gap, ok := s.peek()
-		if !ok {
-			break
-		}
-		if gap > 0 {
-			s.mon.NoteGap(gap)
-		}
-		ev, okEv, a, err := s.mon.FeedPlanes(pi, pq)
-		s.commitPop()
-		sh.queued.Add(-1)
-		s.processed.Add(1)
-		sh.mgr.frDone.Add(1)
-		fed++
-		if err != nil {
-			s.assessErrs.Add(1)
-		}
-		if okEv {
-			s.blinks.Add(1)
-			if cfg.OnBlink != nil {
-				cfg.OnBlink(s.id, ev)
-			}
-		}
-		if a != nil {
-			s.assessments.Add(1)
+	if gap > 0 {
+		s.mon.NoteGap(gap)
+	}
+	ev, okEv, a, err := s.mon.FeedPlanes(pi, pq)
+	if err != nil {
+		s.assessErrs.Add(1)
+	}
+	if okEv {
+		s.blinks.Add(1)
+		if m.cfg.OnBlink != nil {
+			m.cfg.OnBlink(s.id, ev)
 		}
 	}
-	s.qmu.Lock()
-	more := s.n > 0 || s.loadWantWindow() != s.appliedWindow
-	s.listed = more
-	s.qmu.Unlock()
-	return more
+	if a != nil {
+		s.assessments.Add(1)
+	}
 }

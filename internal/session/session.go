@@ -1,14 +1,18 @@
 // Package session is the fleet service layer: one radard process
 // serving thousands of concurrent radar streams. A Manager shards
 // sessions across per-core worker goroutines (session → shard by ID
-// hash), recycles detector/monitor state through a free-list pool so
-// stream churn costs no steady-state allocations, admits new sessions
-// against hard capacity limits, rate-limits each stream with a token
-// bucket, and degrades gracefully under backpressure: first frames are
-// dropped (and accounted as sequence gaps the pipeline is told about),
-// then the session's assessment window is widened so the blink-rate
-// feature stays meaningful on a thinned stream, and finally the session
-// is marked degraded.
+// hash). A frame that arrives on time, at the stream's frame rate, to
+// an idle session runs through the pipeline on the submitting goroutine
+// itself; a frame that arrives early (a backlog, a replay, a catch-up
+// burst) is queued for its shard's worker, so bursts keep the shards'
+// parallelism. The Manager recycles detector/monitor state through a
+// free-list pool so stream churn costs no steady-state allocations,
+// admits new sessions against hard capacity limits, rate-limits each
+// stream with a token bucket, and degrades gracefully under
+// backpressure: first frames are dropped (and accounted as sequence
+// gaps the pipeline is told about), then the session's assessment
+// window is widened so the blink-rate feature stays meaningful on a
+// thinned stream, and finally the session is marked degraded.
 package session
 
 import (
@@ -54,13 +58,15 @@ func (p PressureState) String() string {
 
 // Session is one attached radar stream: a pooled Monitor plus a frame
 // queue between the submitting goroutine (transport reader) and the
-// shard worker that feeds the pipeline. All state is recycled on
-// detach; the struct is only ever allocated on a pool miss.
+// shard worker. On-time frames skip the queue and are fed by the
+// submitter. All state is recycled on detach; the struct is only ever
+// allocated on a pool miss.
 type Session struct {
 	id string
 	// mon belongs to the feed domain: the Monitor is not concurrent-safe,
-	// so only the shard worker (under feedMu) and the recycle path may
-	// touch it. Health() is the one documented cross-goroutine-safe call.
+	// so only a feeder holding feedMu (the shard worker, or a submitter
+	// feeding an on-time frame) and the recycle path may touch it.
+	// Health() is the one documented cross-goroutine-safe call.
 	mon *blinkradar.Monitor //blinkradar:confined feed
 
 	// Frame queue: a ring of len(gaps) slots, each holding one frame's
@@ -95,21 +101,26 @@ type Session struct {
 	// Token bucket (under qmu). Refilled from the manager clock.
 	tokens     float64
 	lastRefill time.Time
+	// lastSubmit (under qmu) is the manager clock at the stream's
+	// previous submit; zero before its first, which is never on time.
+	lastSubmit time.Time
 
 	// Backpressure evaluation window (under qmu).
 	winSubmitted, winDropped int
 
-	// pressure and wantWindow cross the submitter→worker boundary:
-	// the submitter decides the level, the worker applies the window
-	// change (the Monitor is not concurrent-safe).
+	// pressure and wantWindow cross the submitter→feeder boundary:
+	// the submitter decides the level, the next frame's feed applies
+	// the window change (the Monitor is not concurrent-safe).
 	pressure   atomic.Int32
 	wantWindow atomic.Uint64 // math.Float64bits of the desired span
-	// appliedWindow is worker-only (guarded by feedMu).
+	// appliedWindow is feeder-only (guarded by feedMu).
 	appliedWindow float64 //blinkradar:confined feed
 
-	// feedMu is held by the shard worker around each feed batch and by
-	// attach/detach around recycling, so pooled state never changes
-	// hands mid-feed.
+	// feedMu is held around every feed, by the shard worker for a drain
+	// batch and by a submitter for one on-time frame, and by detach
+	// around recycling, so pooled state never changes hands mid-feed.
+	// Lock order: feedMu, then qmu. A submitter holding qmu only
+	// TryLocks feedMu, so it never waits for a feed.
 	feedMu sync.Mutex
 
 	// gen increments on every recycle. A submitter captures it at map
@@ -117,12 +128,20 @@ type Session struct {
 	// can never push into a recycled (or re-attached) session.
 	gen atomic.Uint64
 
-	// Lifetime accounting, readable from any goroutine.
-	submitted   atomic.Uint64
-	processed   atomic.Uint64
-	dropped     atomic.Uint64
-	limited     atomic.Uint64
-	gapFrames   atomic.Uint64
+	// Frame accounting (under qmu). Every count changes in the same
+	// critical section as the queue state it describes, so a snapshot
+	// under qmu is an exact cut, and a Detach, which bumps gen under
+	// qmu, cannot land between a submit and its counts. A queued frame
+	// counts as processed when commitPop frees its slot, an on-time
+	// frame when its submitter takes it for the pipeline.
+	submitted uint64
+	processed uint64
+	dropped   uint64
+	limited   uint64
+	gapFrames uint64
+
+	// Pipeline outcomes, counted by the feeder under feedMu and read by
+	// snapshots under qmu.
 	blinks      atomic.Uint64
 	assessments atomic.Uint64
 	assessErrs  atomic.Uint64
@@ -212,7 +231,8 @@ func (s *Session) peek() (pi, pq []float32, gap uint64, ok bool) {
 	return pi, pq, gap, true
 }
 
-// commitPop frees the slot returned by the last peek.
+// commitPop frees the slot returned by the last peek, once its frame
+// has been fed, and counts the frame processed.
 //
 //blinkradar:hotpath
 func (s *Session) commitPop() {
@@ -222,6 +242,7 @@ func (s *Session) commitPop() {
 		s.head = 0
 	}
 	s.n--
+	s.processed++
 	s.qmu.Unlock()
 }
 
@@ -302,14 +323,6 @@ func (s *Session) Pressure() PressureState {
 	return PressureState(s.pressure.Load())
 }
 
-// queued returns the number of frames waiting for the worker.
-func (s *Session) queued() int {
-	s.qmu.Lock()
-	n := s.n
-	s.qmu.Unlock()
-	return n
-}
-
 // loadWantWindow returns the window span the backpressure controller
 // currently wants applied.
 func (s *Session) loadWantWindow() float64 {
@@ -320,8 +333,9 @@ func (s *Session) loadWantWindow() float64 {
 // final accounting plus the frames it discarded. Frames still queued
 // were never fed; they are folded into the dropped count so submitted
 // == processed + dropped holds at detach. Caller holds feedMu and has
-// already removed the session from its shard map, so neither the
-// worker nor a submitter can race this — which is exactly the
+// already removed the session from its shard map, so no feed is in
+// flight, and the gen bump under qmu turns away every submitter that
+// found the session before the removal — which is exactly the
 // ownership the feed domain requires.
 //
 // listed is left alone: a ready-FIFO entry that outlives the detach
@@ -334,42 +348,38 @@ func (s *Session) recycle(windowSec float64) (SessionStats, uint64) {
 	s.qmu.Lock()
 	s.gen.Add(1)
 	discarded := uint64(s.n)
-	s.dropped.Add(discarded)
+	s.dropped += discarded
 	s.head, s.n, s.peak = 0, 0, 0
+	stats := s.snapshot()
 	s.pendingGap = 0
 	s.tokens = 0
 	s.lastRefill = time.Time{}
+	s.lastSubmit = time.Time{}
 	s.winSubmitted, s.winDropped = 0, 0
+	s.submitted, s.processed, s.dropped, s.limited, s.gapFrames = 0, 0, 0, 0, 0
 	s.qmu.Unlock()
-
-	stats := s.snapshot()
-	stats.Queued = 0
 
 	s.mon.Reset()
 	s.id = ""
 	s.pressure.Store(int32(PressureNormal))
 	s.wantWindow.Store(math.Float64bits(windowSec))
 	s.appliedWindow = windowSec
-	s.submitted.Store(0)
-	s.processed.Store(0)
-	s.dropped.Store(0)
-	s.limited.Store(0)
-	s.gapFrames.Store(0)
 	s.blinks.Store(0)
 	s.assessments.Store(0)
 	s.assessErrs.Store(0)
 	return stats, discarded
 }
 
-// snapshot collects the session's accounting without the queue depth.
+// snapshot collects the session's accounting. Caller holds qmu.
 func (s *Session) snapshot() SessionStats {
 	st := SessionStats{
 		ID:          s.id,
-		Submitted:   s.submitted.Load(),
-		Processed:   s.processed.Load(),
-		Dropped:     s.dropped.Load(),
-		Limited:     s.limited.Load(),
-		GapFrames:   s.gapFrames.Load(),
+		Submitted:   s.submitted,
+		Processed:   s.processed,
+		Dropped:     s.dropped,
+		Limited:     s.limited,
+		GapFrames:   s.gapFrames,
+		Queued:      uint64(s.n),
 		Blinks:      s.blinks.Load(),
 		Assessments: s.assessments.Load(),
 		AssessErrs:  s.assessErrs.Load(),
@@ -383,10 +393,12 @@ func (s *Session) snapshot() SessionStats {
 	return st
 }
 
-// SessionStats is a point-in-time view of one session's accounting.
-// The invariant Submitted == Processed + Dropped + Queued holds at
-// every instant; rate-limited frames are counted in Limited only and
-// never enter the queue.
+// SessionStats is a point-in-time view of one session's accounting,
+// taken under the session's queue lock. Submitted == Processed +
+// Dropped + Queued holds in every view: a queued frame counts as
+// Queued until its feed ends, an on-time frame as Processed from the
+// moment its submitter takes it for the pipeline. Rate-limited frames
+// are counted in Limited only and never enter the queue.
 type SessionStats struct {
 	// ID is the session identifier.
 	ID string
