@@ -51,8 +51,7 @@ func registry() []experiment {
 			return r, err
 		}},
 		{"fig7", "Fig 7: noise-reduction cascade SNR", func(core.Config) (fmt.Stringer, error) {
-			r, err := experiments.Fig7(7)
-			return r, err
+			return experiments.Fig7(7), nil
 		}},
 		{"fig8", "Fig 8: background subtraction", func(core.Config) (fmt.Stringer, error) {
 			r, err := experiments.Fig8(8)

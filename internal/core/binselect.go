@@ -76,13 +76,12 @@ func scoreBinRes(bin int, series []complex128, res []float64) BinScore {
 type BinSeries func(bin int, buf []complex128) []complex128
 
 // BinStats supplies the covariance entries of one bin's recent
-// slow-time window in O(1), typically from sliding sums maintained on
-// push (see binRing): varI and varQ are the per-axis variances about
-// the centroid, covIQ the cross term. Passing nil to the selection
-// entry points falls back to walking every bin's series, which is
-// O(bins·window) with a copy per bin. The covariance also tightens the
-// candidate pruning bound: arc quality never exceeds the eccentricity
-// factor, which is a pure function of these three entries.
+// slow-time window without gathering its series (see binRing.stats and
+// SelectBinMatrix's sums): varI and varQ are the per-axis variances
+// about the centroid, covIQ the cross term. They rank every bin by
+// variance, and they bound the candidate pruning: arc quality never
+// exceeds the eccentricity factor, which is a pure function of these
+// three entries.
 type BinStats func(bin int) (varI, varQ, covIQ float64)
 
 // SelectScratch holds the reusable working storage of one selection
@@ -110,7 +109,7 @@ type SelectScratch struct {
 // sorted by descending score; candidates whose statistics prove they
 // cannot win (a bin's score never exceeds its variance times its
 // eccentricity factor) are skipped by the scoring bound and carry their
-// variance with a zero score. topK must be positive; stats may be nil.
+// variance with a zero score. topK must be positive.
 func SelectBin(series BinSeries, stats BinStats, numBins, guard, topK int) (BinScore, []BinScore, error) {
 	var scr SelectScratch
 	return SelectBinScratch(&scr, series, stats, numBins, guard, topK)
@@ -127,16 +126,11 @@ func SelectBinScratch(scr *SelectScratch, series BinSeries, stats BinStats, numB
 	if topK <= 0 {
 		return BinScore{}, nil, fmt.Errorf("core: candidate count must be positive, got %d", topK)
 	}
-	scr.variances = growBinScores(scr.variances, numBins-guard)
+	scr.variances = grow(scr.variances, numBins-guard)
 	variances := scr.variances
 	for i := range variances {
-		if stats != nil {
-			varI, varQ, _ := stats(guard + i)
-			variances[i] = BinScore{Bin: guard + i, Variance: varI + varQ}
-		} else {
-			scr.series = series(guard+i, scr.series)
-			variances[i] = BinScore{Bin: guard + i, Variance: iq.Variance2D(scr.series)}
-		}
+		varI, varQ, _ := stats(guard + i)
+		variances[i] = BinScore{Bin: guard + i, Variance: varI + varQ}
 	}
 	if topK > len(variances) {
 		topK = len(variances)
@@ -156,24 +150,21 @@ func SelectBinScratch(scr *SelectScratch, series BinSeries, stats BinStats, numB
 		}
 		variances[j+1] = v
 	}
-	// Branch-and-bound over the candidates. Every ArcQuality factor is
-	// <= 1, so Score <= Variance; with covariance stats the bound
-	// tightens to Variance·(0.1+0.9·ecc²), separating short-arc bins
-	// from motion clouds of larger variance but weaker elongation.
+	// Branch-and-bound over the candidates. The eccentricity factor
+	// caps ArcQuality, so Score <= Variance·(0.1+0.9·ecc²): the bound
+	// separates short-arc bins from motion clouds of larger variance
+	// but weaker elongation.
 	// Candidates are visited in descending bound order, so the moment
 	// one candidate's bound falls below the best realised score, every
 	// remaining candidate is proven a loser and is returned with its
 	// variance only, unscored.
-	scr.bounds = growFloats(scr.bounds, topK)
-	scr.order = growInts(scr.order, topK)
+	scr.bounds = grow(scr.bounds, topK)
+	scr.order = grow(scr.order, topK)
 	bounds, order := scr.bounds, scr.order
 	for i := 0; i < topK; i++ {
-		bounds[i] = variances[i].Variance
-		if stats != nil {
-			varI, varQ, covIQ := stats(variances[i].Bin)
-			ecc := iq.EccentricityFromCov(varI, varQ, covIQ)
-			bounds[i] *= 0.1 + 0.9*ecc*ecc
-		}
+		varI, varQ, covIQ := stats(variances[i].Bin)
+		ecc := iq.EccentricityFromCov(varI, varQ, covIQ)
+		bounds[i] = variances[i].Variance * (0.1 + 0.9*ecc*ecc)
 		order[i] = i
 	}
 	for i := 1; i < topK; i++ {
@@ -186,7 +177,7 @@ func SelectBinScratch(scr *SelectScratch, series BinSeries, stats BinStats, numB
 		}
 		order[j+1] = o
 	}
-	scr.candidates = growBinScores(scr.candidates, topK)
+	scr.candidates = grow(scr.candidates, topK)
 	candidates := scr.candidates
 	bestScore := math.Inf(-1)
 	for _, i := range order[:topK] {
@@ -195,7 +186,7 @@ func SelectBinScratch(scr *SelectScratch, series BinSeries, stats BinStats, numB
 			continue
 		}
 		scr.series = series(variances[i].Bin, scr.series)
-		scr.res = growFloats(scr.res, len(scr.series))
+		scr.res = grow(scr.res, len(scr.series))
 		candidates[i] = scoreBinRes(variances[i].Bin, scr.series, scr.res[:len(scr.series)])
 		if candidates[i].Score > bestScore {
 			bestScore = candidates[i].Score
@@ -220,25 +211,11 @@ func SelectBinScratch(scr *SelectScratch, series BinSeries, stats BinStats, numB
 	return best, candidates[:topK], nil
 }
 
-// growBinScores, growFloats and growInts resize a scratch slice to n
-// elements, reallocating only when its capacity is too small.
-func growBinScores(s []BinScore, n int) []BinScore {
+// grow resizes s to n elements, reallocating only when its capacity is
+// too small.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]BinScore, n)
-	}
-	return s[:n]
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

@@ -45,6 +45,12 @@ func seriesSets(n int, seed int64) BinSeries {
 // at adapts a BinSeries for single-bin calls in tests.
 func at(series BinSeries, bin int) []complex128 { return series(bin, nil) }
 
+// covStats is the BinStats of a BinSeries: each bin's covariance
+// computed from its gathered window.
+func covStats(series BinSeries) BinStats {
+	return func(bin int) (float64, float64, float64) { return iq.Covariance(at(series, bin)) }
+}
+
 // scoreBin scores one bin with a fresh residual buffer.
 func scoreBin(bin int, series []complex128) BinScore {
 	return scoreBinRes(bin, series, make([]float64, len(series)))
@@ -79,7 +85,7 @@ func TestScoreBinPrefersArc(t *testing.T) {
 
 func TestSelectBinFindsArc(t *testing.T) {
 	series := seriesSets(300, 2)
-	best, candidates, err := SelectBin(series, nil, 4, 0, 4)
+	best, candidates, err := SelectBin(series, covStats(series), 4, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +100,11 @@ func TestSelectBinFindsArc(t *testing.T) {
 func TestSelectBinGuard(t *testing.T) {
 	series := seriesSets(300, 3)
 	// Guarding out everything must fail loudly.
-	if _, _, err := SelectBin(series, nil, 4, 4, 2); err == nil {
+	if _, _, err := SelectBin(series, covStats(series), 4, 4, 2); err == nil {
 		t.Fatal("guard >= bins must be rejected")
 	}
 	// Guarding out the arc bin forces another winner.
-	best, _, err := SelectBin(series, nil, 4, 2, 2)
+	best, _, err := SelectBin(series, covStats(series), 4, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +118,7 @@ func TestSelectBinRejectsNonPositiveTopK(t *testing.T) {
 	// Regression: topK <= 0 used to index an empty candidate slice and
 	// panic; it must be a loud error instead.
 	for _, topK := range []int{0, -1, -100} {
-		if _, _, err := SelectBin(series, nil, 4, 0, topK); err == nil {
+		if _, _, err := SelectBin(series, covStats(series), 4, 0, topK); err == nil {
 			t.Fatalf("topK=%d must be rejected", topK)
 		}
 	}
@@ -122,7 +128,7 @@ func TestSelectBinSingleBinBeyondGuard(t *testing.T) {
 	series := seriesSets(300, 5)
 	// numBins == guard+1 leaves exactly one candidate; selection must
 	// still work for any topK.
-	best, candidates, err := SelectBin(series, nil, 4, 3, 24)
+	best, candidates, err := SelectBin(series, covStats(series), 4, 3, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +154,7 @@ func TestSelectBinAllZeroVariance(t *testing.T) {
 		}
 		return buf
 	}
-	best, candidates, err := SelectBin(flat, nil, 6, 2, 3)
+	best, candidates, err := SelectBin(flat, covStats(flat), 6, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,50 +311,6 @@ func TestBinRingVarianceAfterReset(t *testing.T) {
 		want := iq.Variance2D(r.seriesInto(b, nil))
 		if got := ringVariance(r, b); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("bin %d variance %g after reset+refill, want %g", b, got, want)
-		}
-	}
-}
-
-func TestSelectBinStatsSourceMatchesFallback(t *testing.T) {
-	// Supplying an O(1) stats source must not change the winner
-	// relative to the nil walking fallback: the eccentricity-tightened
-	// bound may prune more losing candidates, but a pruned candidate by
-	// construction cannot have beaten the winner, and any candidate the
-	// stats path did score must carry the identical score.
-	series := seriesSets(300, 6)
-	statsFn := func(bin int) (float64, float64, float64) {
-		return iq.Covariance(at(series, bin))
-	}
-	nilBest, nilCands, err := SelectBin(series, nil, 4, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	best, cands, err := SelectBin(series, statsFn, 4, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best != nilBest {
-		t.Fatalf("stats source changed the winner: %+v vs %+v", best, nilBest)
-	}
-	if len(cands) != len(nilCands) {
-		t.Fatalf("%d candidates with stats, %d without", len(cands), len(nilCands))
-	}
-	for _, c := range cands {
-		if c.Score > best.Score {
-			t.Fatalf("candidate %+v outscores the returned winner %+v", c, best)
-		}
-		if c.ArcQuality == 0 {
-			continue // pruned or genuinely zero-quality: variance-only record
-		}
-		found := false
-		for _, n := range nilCands {
-			if n.Bin == c.Bin {
-				found = n == c
-				break
-			}
-		}
-		if !found {
-			t.Fatalf("scored candidate %+v absent or different in fallback list %+v", c, nilCands)
 		}
 	}
 }

@@ -458,7 +458,7 @@ func (d *Detector) maybeReselect() {
 		return
 	}
 	d.seriesBuf = d.ring.seriesInto(d.bin, d.seriesBuf)
-	d.selScratch.res = growFloats(d.selScratch.res, len(d.seriesBuf))
+	d.selScratch.res = grow(d.selScratch.res, len(d.seriesBuf))
 	current := scoreBinRes(d.bin, d.seriesBuf, d.selScratch.res[:len(d.seriesBuf)])
 	d.binScore = current.Score
 	if best.Bin == d.bin {

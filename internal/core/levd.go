@@ -7,8 +7,6 @@ import (
 	"blinkradar/internal/dsp"
 )
 
-func sqrtFast(v float64) float64 { return math.Sqrt(v) }
-
 const (
 	// maxBlinkExtent is the longest plausible single blink in seconds;
 	// threshold crossings inside this window of a blink onset are

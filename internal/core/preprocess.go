@@ -138,20 +138,16 @@ func PreprocessMatrix(m *rf.FrameMatrix) (*rf.FrameMatrix, error) {
 }
 
 // CascadeFilter applies the paper's Fig. 7 noise-reduction cascade — an
-// order-`order` Hamming-window low-pass FIR followed by a `smooth`-point
-// moving average — to a real-valued waveform. The paper applies it to
-// the received baseband fast-time signal; here it serves only the Fig. 7
+// order-26 Hamming-window low-pass FIR followed by a 50-point moving
+// average — to a real-valued waveform. The paper applies it to the
+// received baseband fast-time signal; here it serves only the Fig. 7
 // before/after SNR comparison, since the per-frame pipeline runs
 // background subtraction alone (see Preprocessor). For repeated
 // application build a dsp.FusedCascade once and call its ApplyInto.
-func CascadeFilter(x []float64, order int, cutoff float64, smooth int) ([]float64, error) {
-	c, err := dsp.NewFusedCascade(order, cutoff, smooth)
-	if err != nil {
-		return nil, err
-	}
+func CascadeFilter(x []float64) []float64 {
 	out := make([]float64, len(x))
-	if err := c.ApplyInto(out, x); err != nil {
-		return nil, err
-	}
-	return out, nil
+	// A fresh destination of x's length cannot fail the length or
+	// aliasing checks, the cascade's only errors.
+	_ = dsp.NewFusedCascade().ApplyInto(out, x)
+	return out
 }

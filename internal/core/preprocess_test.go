@@ -233,10 +233,7 @@ func TestCascadeFilterImprovesSNR(t *testing.T) {
 	for i := range noisy {
 		noisy[i] = clean[i] + rng.NormFloat64()*0.1
 	}
-	filtered, err := CascadeFilter(noisy, 26, 0.04, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	filtered := CascadeFilter(noisy)
 	before := dsp.SNRdB(clean, noisy)
 	after := dsp.SNRdB(clean, filtered)
 	if after < before+6 {
@@ -345,19 +342,13 @@ func TestPreprocessorProcessZeroAllocs(t *testing.T) {
 // fused cascade designed once and applied repeatedly with caller-owned
 // buffers matches the one-shot CascadeFilter and allocates nothing.
 func TestCascadeReuse(t *testing.T) {
-	c, err := dsp.NewFusedCascade(26, 0.04, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := dsp.NewFusedCascade()
 	rng := rand.New(rand.NewSource(4))
 	x := make([]float64, 512)
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	want, err := CascadeFilter(x, 26, 0.04, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := CascadeFilter(x)
 	dst := make([]float64, len(x))
 	for i := 0; i < 3; i++ {
 		if err := c.ApplyInto(dst, x); err != nil {
@@ -376,14 +367,5 @@ func TestCascadeReuse(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("FusedCascade.ApplyInto allocates %.1f objects/run, want 0", allocs)
-	}
-}
-
-func TestCascadeFilterErrors(t *testing.T) {
-	if _, err := CascadeFilter([]float64{1, 2}, 0, 0.1, 5); err == nil {
-		t.Fatal("bad FIR order must be rejected")
-	}
-	if _, err := CascadeFilter([]float64{1, 2}, 8, 0.1, 0); err == nil {
-		t.Fatal("bad smoothing window must be rejected")
 	}
 }

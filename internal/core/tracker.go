@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"blinkradar/internal/iq"
 )
@@ -112,7 +113,9 @@ func (t *Tracker) Push(z complex128) (float64, bool) {
 		return 0, false
 	}
 	d := z - t.center
-	return hypot(real(d), imag(d)), true
+	// Plain sqrt, not math.Hypot: the magnitudes are O(1), so the
+	// squared sum cannot overflow and Hypot's guard is pure cost.
+	return math.Sqrt(real(d)*real(d) + imag(d)*imag(d)), true
 }
 
 // refit re-estimates the viewing position from the current window and
@@ -146,7 +149,7 @@ func (t *Tracker) refit() {
 	if t.haveFit && t.count == len(t.window) {
 		// Degenerate: the circle explains little of the cloud's
 		// structure (radial residuals comparable to the raw spread).
-		cloudStd := sqrtFast(t.mom.Variance2D())
+		cloudStd := math.Sqrt(t.mom.Variance2D())
 		degenerate := c.RMSE > 0.5*cloudStd
 		// Jump: the radius leapt away from the running estimate, the
 		// signature of a window polluted by a large transient.
@@ -253,10 +256,4 @@ func (t *Tracker) Reset() {
 func (t *Tracker) ResetFull() {
 	t.Reset()
 	t.fitCount = 0
-}
-
-func hypot(a, b float64) float64 {
-	// math.Hypot handles overflow gracefully but is slower; the
-	// magnitudes here are O(1), so the direct form is safe.
-	return sqrtFast(a*a + b*b)
 }

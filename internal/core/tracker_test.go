@@ -213,7 +213,7 @@ func refPush(t *Tracker, scratch []complex128, z complex128) (float64, bool) {
 		return 0, false
 	}
 	d := z - t.center
-	return hypot(real(d), imag(d)), true
+	return math.Sqrt(real(d)*real(d) + imag(d)*imag(d)), true
 }
 
 func TestTrackerRenormalizeInPlace(t *testing.T) {

@@ -13,6 +13,11 @@ func errSampleCount(dst, n int) error {
 }
 
 //blinkradar:coldpath
+func errScratch(have, need int) error {
+	return fmt.Errorf("dsp: scratch has %d elements, need %d", have, need)
+}
+
+//blinkradar:coldpath
 func errAliased(fn string) error {
 	return fmt.Errorf("dsp: %s destination must not alias the input", fn)
 }

@@ -6,12 +6,11 @@ import (
 	"testing"
 )
 
-// refCascade64 is the sequential float64 oracle: the unfolded FIR
-// followed by the separate moving average, exactly the pre-fusion
-// pipeline.
-func refCascade64(t *testing.T, x []float64, order int, cutoff float64, smooth int) []float64 {
+// refCascade64 is the sequential float64 oracle: the unfolded
+// direct-form FIR followed by the running-sum moving average.
+func refCascade64(t *testing.T, x []float64) []float64 {
 	t.Helper()
-	fir, err := LowPassFIR(order, cutoff)
+	fir, err := LowPassFIR(cascadeOrder, cascadeCutoff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +19,7 @@ func refCascade64(t *testing.T, x []float64, order int, cutoff float64, smooth i
 		t.Fatal(err)
 	}
 	out := make([]float64, len(x))
-	if err := MovingAverageInto(out, mid, smooth); err != nil {
+	if err := runningSumMovingAverage(out, mid, cascadeSmooth); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -49,124 +48,66 @@ func maxScale(x []float64) float64 {
 }
 
 func TestFoldedFIRMatchesReference(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 13, 26, 27, 64, 500} {
-		for _, order := range []int{2, 4, 13, 26} {
-			fir, err := LowPassFIR(order, 0.04)
-			if err != nil {
-				t.Fatal(err)
-			}
-			folded, err := NewFoldedFIR(fir.taps)
-			if err != nil {
-				t.Fatalf("order %d: %v", order, err)
-			}
-			x := randSeries(int64(n*100+order), n)
-			want := make([]float64, n)
-			got := make([]float64, n)
-			if err := fir.ApplyInto(want, x); err != nil {
-				t.Fatal(err)
-			}
-			if err := folded.ApplyInto(got, x); err != nil {
-				t.Fatal(err)
-			}
-			scale := maxScale(want)
-			for i := range want {
-				if rel := math.Abs(got[i]-want[i]) / scale; rel > 1e-12 {
-					t.Fatalf("n=%d order=%d sample %d: folded %g vs reference %g (rel %g)",
-						n, order, i, got[i], want[i], rel)
-				}
-			}
-		}
-	}
-}
-
-func TestFoldedFIROddOrder(t *testing.T) {
-	// Odd order: even tap count, no centre tap. Build an explicitly
-	// symmetric tap set.
-	taps := []float64{0.1, 0.2, 0.3, 0.3, 0.2, 0.1}
-	fir, err := NewFIRFilter(taps)
+	fir, err := LowPassFIR(cascadeOrder, cascadeCutoff)
 	if err != nil {
 		t.Fatal(err)
 	}
-	folded, err := NewFoldedFIR(taps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randSeries(7, 40)
-	want := make([]float64, len(x))
-	got := make([]float64, len(x))
-	if err := fir.ApplyInto(want, x); err != nil {
-		t.Fatal(err)
-	}
-	if err := folded.ApplyInto(got, x); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("sample %d: %g vs %g", i, got[i], want[i])
+	folded := FoldedLowPass()
+	for _, n := range []int{1, 2, 5, 13, 26, 27, 28, 64, 500} {
+		x := randSeries(int64(n*100+cascadeOrder), n)
+		want := make([]float64, n)
+		got := make([]float64, n)
+		if err := fir.ApplyInto(want, x); err != nil {
+			t.Fatal(err)
 		}
-	}
-}
-
-func TestNewFoldedFIRRejectsAsymmetric(t *testing.T) {
-	if _, err := NewFoldedFIR([]float64{1, 2, 3}); err == nil {
-		t.Fatal("asymmetric taps must be rejected")
-	}
-	if _, err := NewFoldedFIR(nil); err == nil {
-		t.Fatal("empty taps must be rejected")
+		if err := folded.ApplyInto(got, x); err != nil {
+			t.Fatal(err)
+		}
+		scale := maxScale(want)
+		for i := range want {
+			if rel := math.Abs(got[i]-want[i]) / scale; rel > 1e-12 {
+				t.Fatalf("n=%d sample %d: folded %g vs reference %g (rel %g)",
+					n, i, got[i], want[i], rel)
+			}
+		}
 	}
 }
 
 func TestFusedCascadeMatchesSequential64(t *testing.T) {
-	const order, cutoff = 26, 0.04
-	for _, smooth := range []int{1, 2, 3, 50, 51} {
-		for _, n := range []int{1, 10, 49, 50, 128, 2048} {
-			c, err := NewFusedCascade(order, cutoff, smooth)
-			if err != nil {
-				t.Fatal(err)
-			}
-			x := randSeries(int64(n+smooth), n)
-			want := refCascade64(t, x, order, cutoff, smooth)
-			got := make([]float64, n)
-			if err := c.ApplyInto(got, x); err != nil {
-				t.Fatal(err)
-			}
-			scale := maxScale(want)
-			for i := range want {
-				if rel := math.Abs(got[i]-want[i]) / scale; rel > 1e-12 {
-					t.Fatalf("smooth=%d n=%d sample %d: fused %g vs sequential %g (rel %g)",
-						smooth, n, i, got[i], want[i], rel)
-				}
+	// One cascade across every length: its scratch grows and is reused.
+	c := NewFusedCascade()
+	for _, n := range []int{1, 10, 49, 50, 128, 2048, 27} {
+		x := randSeries(int64(n+cascadeSmooth), n)
+		want := refCascade64(t, x)
+		got := make([]float64, n)
+		if err := c.ApplyInto(got, x); err != nil {
+			t.Fatal(err)
+		}
+		scale := maxScale(want)
+		for i := range want {
+			if rel := math.Abs(got[i]-want[i]) / scale; rel > 1e-12 {
+				t.Fatalf("n=%d sample %d: fused %g vs sequential %g (rel %g)",
+					n, i, got[i], want[i], rel)
 			}
 		}
 	}
 }
 
 func TestFusedCascadeAliasing(t *testing.T) {
-	// The FIR stage writes dst while later outputs still read x, so the
-	// fused cascade must reject aliasing.
-	c, err := NewFusedCascade(26, 0.04, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// dst must not alias x: the cascade keeps dsp's Into contract.
+	c := NewFusedCascade()
 	buf := randSeries(9, 400)
 	if err := c.ApplyInto(buf, buf); err == nil {
 		t.Fatal("aliased ApplyInto must be rejected")
 	}
 	// FoldedFIR alone rejects aliasing too, like FIRFilter.
-	fir, err := FoldedLowPass(26, 0.04)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fir.ApplyInto(buf, buf); err == nil {
+	if err := FoldedLowPass().ApplyInto(buf, buf); err == nil {
 		t.Fatal("FoldedFIR.ApplyInto must reject aliasing")
 	}
 }
 
 func TestFusedCascadeAllocFree(t *testing.T) {
-	c, err := NewFusedCascade(26, 0.04, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewFusedCascade()
 	x := randSeries(5, 2048)
 	dst := make([]float64, len(x))
 	if allocs := testing.AllocsPerRun(50, func() {
@@ -179,58 +120,43 @@ func TestFusedCascadeAllocFree(t *testing.T) {
 }
 
 func TestFusedCascadeErrors(t *testing.T) {
-	c, err := NewFusedCascade(26, 0.04, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := NewFusedCascade()
 	if err := c.ApplyInto(make([]float64, 3), make([]float64, 4)); err == nil {
 		t.Fatal("length mismatch must be rejected")
 	}
 	if err := c.ApplyInto(nil, nil); err != nil {
 		t.Fatalf("empty input must be a no-op, got %v", err)
 	}
-	if _, err := NewFusedCascade(26, 0.04, 0); err == nil {
-		t.Fatal("non-positive smoothing window must be rejected")
-	}
-	if _, err := NewFusedCascade(0, 0.04, 50); err == nil {
-		t.Fatal("bad FIR order must be rejected")
-	}
 }
 
-// FuzzFusedCascade drives random series through the fused cascade and
-// checks it against the sequential float64 oracle within fold-average
-// rounding, for arbitrary lengths and window/order combinations.
+// FuzzFusedCascade drives random series through the cascade and checks
+// it against the sequential float64 oracle within fold-average and
+// prefix-sum rounding, for arbitrary lengths.
 func FuzzFusedCascade(f *testing.F) {
-	f.Add(int64(1), uint8(128), uint8(26), uint8(50))
-	f.Add(int64(2), uint8(3), uint8(4), uint8(2))
-	f.Add(int64(3), uint8(255), uint8(12), uint8(51))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, orderRaw, smoothRaw uint8) {
+	f.Add(int64(1), uint8(128))
+	f.Add(int64(2), uint8(3))
+	f.Add(int64(3), uint8(255))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw uint8) {
 		n := int(nRaw)
-		order := 2 * (1 + int(orderRaw)%15) // even, 2..30
-		smooth := 1 + int(smoothRaw)%64
 		if n == 0 {
 			return
 		}
-		c, err := NewFusedCascade(order, 0.04, smooth)
-		if err != nil {
-			t.Fatal(err)
-		}
 		x := randSeries(seed, n)
-		want := refCascade64(t, x, order, 0.04, smooth)
+		want := refCascade64(t, x)
 		got := make([]float64, n)
-		if err := c.ApplyInto(got, x); err != nil {
+		if err := NewFusedCascade().ApplyInto(got, x); err != nil {
 			t.Fatal(err)
 		}
 		// The rounding budget is relative to the INPUT scale: the
 		// smoother can cancel the output to far below max|x| (e.g.
-		// n=27, order=26, smooth=60 — regression corpus
-		// 722c17465a77c9b7), where an output-relative bound would
-		// spuriously amplify a fixed absolute error.
+		// n=27 — regression corpus 722c17465a77c9b7), where an
+		// output-relative bound would spuriously amplify a fixed
+		// absolute error.
 		scale := math.Max(maxScale(want), maxScale(x))
 		for i := range want {
 			if rel := math.Abs(got[i]-want[i]) / scale; rel > 1e-12 {
-				t.Fatalf("n=%d order=%d smooth=%d sample %d: fused %g vs oracle %g (rel %g)",
-					n, order, smooth, i, got[i], want[i], rel)
+				t.Fatalf("n=%d sample %d: fused %g vs oracle %g (rel %g)",
+					n, i, got[i], want[i], rel)
 			}
 		}
 	})

@@ -7,8 +7,8 @@ import (
 
 // This file holds the direct-form float64 FIR and the running-sum moving
 // average, the oracles of DESIGN.md §13's error budget: the folded
-// kernels (FoldedFIR, FusedCascade) are checked against them, never the
-// reverse.
+// cascade (FoldedFIR, FusedCascade, MovingAverageInto) is checked
+// against them, never the reverse.
 
 // NewFIRFilter wraps an explicit set of tap coefficients. The taps are
 // copied so the caller retains ownership of its slice.
@@ -76,11 +76,11 @@ func (f *FIRFilter) FrequencyResponse(fn float64) complex128 {
 	return complex(re, im)
 }
 
-// MovingAverageInto smooths x into dst with the same centred,
-// edge-shrinking window as MovingAverage, performing no allocations: the
-// window sum is maintained incrementally instead of through a prefix
-// array. dst must have the same length as x and must not alias it.
-func MovingAverageInto(dst, x []float64, window int) error {
+// runningSumMovingAverage smooths x into dst with the same centred,
+// edge-shrinking window as MovingAverage, maintaining the window sum
+// incrementally instead of through a prefix array. dst must have the
+// same length as x and must not alias it.
+func runningSumMovingAverage(dst, x []float64, window int) error {
 	if err := validateLength("smoothing window", window); err != nil {
 		return err
 	}
@@ -92,7 +92,7 @@ func MovingAverageInto(dst, x []float64, window int) error {
 		return nil
 	}
 	if &dst[0] == &x[0] {
-		return errAliased("MovingAverageInto")
+		return errAliased("runningSumMovingAverage")
 	}
 	half := window / 2
 	lo, hi := 0, half

@@ -6,30 +6,45 @@ package dsp
 // paper's preprocessing cascade uses a 50-point smoothing filter after
 // the FIR stage.
 func MovingAverage(x []float64, window int) ([]float64, error) {
-	if err := validateLength("smoothing window", window); err != nil {
+	out := make([]float64, len(x))
+	if err := MovingAverageInto(out, x, make([]float64, len(x)+1), window); err != nil {
 		return nil, err
 	}
-	n := len(x)
-	out := make([]float64, n)
-	if n == 0 {
-		return out, nil
+	return out, nil
+}
+
+// MovingAverageInto smooths x into dst with MovingAverage's centred,
+// edge-shrinking window, performing no allocations: prefix is caller
+// scratch of at least len(x)+1 elements that receives the running
+// prefix sums, which give O(n) smoothing independent of window size.
+// dst must have the same length as x and must not alias it.
+//
+//blinkradar:hotpath
+func MovingAverageInto(dst, x, prefix []float64, window int) error {
+	if err := validateLength("smoothing window", window); err != nil {
+		return err
 	}
-	half := window / 2
-	// Prefix sums give O(n) smoothing independent of window size.
-	prefix := make([]float64, n+1)
+	n := len(x)
+	if len(dst) != n {
+		return errSampleCount(len(dst), n)
+	}
+	if n == 0 {
+		return nil
+	}
+	if &dst[0] == &x[0] {
+		return errAliased("MovingAverageInto")
+	}
+	if len(prefix) <= n {
+		return errScratch(len(prefix), n+1)
+	}
+	prefix[0] = 0
 	for i, v := range x {
 		prefix[i+1] = prefix[i] + v
 	}
-	for i := 0; i < n; i++ {
-		lo := i - half
-		hi := i + half
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= n {
-			hi = n - 1
-		}
-		out[i] = (prefix[hi+1] - prefix[lo]) / float64(hi-lo+1)
+	half := window / 2
+	for i := range dst {
+		lo, hi := max(i-half, 0), min(i+half, n-1)
+		dst[i] = (prefix[hi+1] - prefix[lo]) / float64(hi-lo+1)
 	}
-	return out, nil
+	return nil
 }

@@ -71,9 +71,9 @@ func TestMovingAverageKnown(t *testing.T) {
 }
 
 func TestMovingAverageIntoMatchesMovingAverage(t *testing.T) {
-	// The incremental-sum Into variant must agree with the prefix-sum
-	// version (to rounding) for any signal and window, and allocate
-	// nothing.
+	// The Into form with caller scratch is MovingAverage's arithmetic
+	// exactly, agrees with the running-sum oracle to rounding for any
+	// signal and window, and allocates nothing.
 	f := func(seed int64, rawWin uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(120)
@@ -90,12 +90,17 @@ func TestMovingAverageIntoMatchesMovingAverage(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		oracle := make([]float64, n)
+		if err := runningSumMovingAverage(oracle, x, win); err != nil {
+			return false
+		}
 		dst := make([]float64, n)
-		if err := MovingAverageInto(dst, x, win); err != nil {
+		// Oversized scratch is allowed: only the first n+1 slots are used.
+		if err := MovingAverageInto(dst, x, make([]float64, n+3), win); err != nil {
 			return false
 		}
 		for i := range want {
-			if !approxEqual(dst[i], want[i], 1e-9*(1+scale)) {
+			if dst[i] != want[i] || !approxEqual(dst[i], oracle[i], 1e-9*(1+scale)) {
 				return false
 			}
 		}
@@ -106,8 +111,9 @@ func TestMovingAverageIntoMatchesMovingAverage(t *testing.T) {
 	}
 	x := make([]float64, 256)
 	dst := make([]float64, 256)
+	prefix := make([]float64, 257)
 	allocs := testing.AllocsPerRun(100, func() {
-		MovingAverageInto(dst, x, 50)
+		MovingAverageInto(dst, x, prefix, 50)
 	})
 	if allocs != 0 {
 		t.Fatalf("MovingAverageInto allocates %.1f objects/run, want 0", allocs)
@@ -116,16 +122,20 @@ func TestMovingAverageIntoMatchesMovingAverage(t *testing.T) {
 
 func TestMovingAverageIntoErrors(t *testing.T) {
 	x := []float64{1, 2, 3}
-	if err := MovingAverageInto(make([]float64, 2), x, 3); err == nil {
+	prefix := make([]float64, 4)
+	if err := MovingAverageInto(make([]float64, 2), x, prefix, 3); err == nil {
 		t.Fatal("length mismatch must be rejected")
 	}
-	if err := MovingAverageInto(x, x, 3); err == nil {
+	if err := MovingAverageInto(x, x, prefix, 3); err == nil {
 		t.Fatal("aliased destination must be rejected")
 	}
-	if err := MovingAverageInto(make([]float64, 3), x, 0); err == nil {
+	if err := MovingAverageInto(make([]float64, 3), x, prefix, 0); err == nil {
 		t.Fatal("zero window must be rejected")
 	}
-	if err := MovingAverageInto(nil, nil, 3); err != nil {
+	if err := MovingAverageInto(make([]float64, 3), x, prefix[:3], 3); err == nil {
+		t.Fatal("scratch shorter than len(x)+1 must be rejected")
+	}
+	if err := MovingAverageInto(nil, nil, nil, 3); err != nil {
 		t.Fatal(err)
 	}
 }

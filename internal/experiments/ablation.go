@@ -30,46 +30,29 @@ func (r AblationResult) String() string {
 // ablationSubjects trades population size for speed in ablations.
 const ablationSubjects = 6
 
-// runBaselineVariant evaluates a baseline detector over the population.
-func runBaselineVariant(coreCfg core.Config, detect func(*scenario.Capture) ([]core.BlinkEvent, error)) ([]float64, error) {
-	var accs []float64
-	for id := 1; id <= ablationSubjects; id++ {
-		for sess := 0; sess < SessionsPerSubject; sess++ {
-			spec := SessionSpec(id, sess, scenario.Lab, nil)
-			cap, err := scenario.Generate(spec)
-			if err != nil {
-				return nil, err
-			}
-			events, err := detect(cap)
-			if err != nil {
-				return nil, err
-			}
-			truth := eval.TrimWarmup(cap.Truth, eval.DefaultWarmup)
-			accs = append(accs, eval.Match(truth, events, 0).Accuracy())
+// ablationAccuracies scores detect over the ablation population
+// (ablationSubjects x SessionsPerSubject lab sessions), in session
+// order.
+func ablationAccuracies(detect func(*scenario.Capture) ([]core.BlinkEvent, error)) ([]float64, error) {
+	return runOrdered(ablationSubjects*SessionsPerSubject, func(i int) (float64, error) {
+		cap, err := scenario.Generate(SessionSpec(i/SessionsPerSubject+1, i%SessionsPerSubject, scenario.Lab, nil))
+		if err != nil {
+			return 0, err
 		}
-	}
-	return accs, nil
+		events, err := detect(cap)
+		if err != nil {
+			return 0, err
+		}
+		return eval.Match(eval.TrimWarmup(cap.Truth, eval.DefaultWarmup), events, 0).Accuracy(), nil
+	})
 }
 
-// runFull evaluates the complete pipeline over the same population.
+// runFull evaluates the complete pipeline over the ablation population.
 func runFull(cfg core.Config) ([]float64, error) {
-	var accs []float64
-	for id := 1; id <= ablationSubjects; id++ {
-		for sess := 0; sess < SessionsPerSubject; sess++ {
-			spec := SessionSpec(id, sess, scenario.Lab, nil)
-			cap, err := scenario.Generate(spec)
-			if err != nil {
-				return nil, err
-			}
-			events, _, err := core.Detect(cfg, cap.Frames)
-			if err != nil {
-				return nil, err
-			}
-			truth := eval.TrimWarmup(cap.Truth, eval.DefaultWarmup)
-			accs = append(accs, eval.Match(truth, events, 0).Accuracy())
-		}
-	}
-	return accs, nil
+	return ablationAccuracies(func(cap *scenario.Capture) ([]core.BlinkEvent, error) {
+		events, _, err := core.Detect(cfg, cap.Frames)
+		return events, err
+	})
 }
 
 // AblationBinSelection compares variance-based eye-bin identification
@@ -81,7 +64,7 @@ func AblationBinSelection(cfg core.Config) (AblationResult, error) {
 		return AblationResult{}, err
 	}
 	bcfg := baseline.Config{} // naive amplitude-peak bin
-	variant, err := runBaselineVariant(cfg, func(cap *scenario.Capture) ([]core.BlinkEvent, error) {
+	variant, err := ablationAccuracies(func(cap *scenario.Capture) ([]core.BlinkEvent, error) {
 		return baseline.DetectAmplitude(bcfg, cfg, cap.Frames)
 	})
 	if err != nil {
@@ -106,7 +89,7 @@ func AblationWaveform(cfg core.Config) (ablations []AblationResult, err error) {
 	fullSummary := Summarize(full)
 	bcfg := baseline.Config{UseVarianceBinSelect: true}
 
-	amp, err := runBaselineVariant(cfg, func(cap *scenario.Capture) ([]core.BlinkEvent, error) {
+	amp, err := ablationAccuracies(func(cap *scenario.Capture) ([]core.BlinkEvent, error) {
 		return baseline.DetectAmplitude(bcfg, cfg, cap.Frames)
 	})
 	if err != nil {
@@ -119,7 +102,7 @@ func AblationWaveform(cfg core.Config) (ablations []AblationResult, err error) {
 		Description: "|z| thresholding on the selected bin, discarding phase",
 	})
 
-	ph, err := runBaselineVariant(cfg, func(cap *scenario.Capture) ([]core.BlinkEvent, error) {
+	ph, err := ablationAccuracies(func(cap *scenario.Capture) ([]core.BlinkEvent, error) {
 		return baseline.DetectPhase(bcfg, cfg, cap.Frames)
 	})
 	if err != nil {

@@ -202,28 +202,31 @@ func Fig16c(cfg core.Config) (Fig16cResult, error) {
 		{0.035, 0.008}, {0.038, 0.009}, {0.041, 0.010},
 		{0.044, 0.011}, {0.047, 0.012}, {0.050, 0.014},
 	}
+	// Four subjects per size, each with SessionsPerSubject sessions.
+	const perSize = 4 * SessionsPerSubject
+	accs, err := runOrdered(len(sizes)*perSize, func(j int) (float64, error) {
+		i, k := j/perSize, j%perSize
+		sz := sizes[i]
+		spec := SessionSpec((k/SessionsPerSubject+1)*6+i, k%SessionsPerSubject, scenario.Lab, func(s *scenario.Spec) {
+			s.Subject.EyeWidthM = sz.w
+			s.Subject.EyeHeightM = sz.h
+		})
+		out, err := RunSession(spec, cfg)
+		if err != nil {
+			return 0, err
+		}
+		return out.Accuracy(), nil
+	})
+	if err != nil {
+		return Fig16cResult{}, err
+	}
 	var res Fig16cResult
 	for i, sz := range sizes {
-		sz := sz
-		var accs []float64
-		for id := 1; id <= 4; id++ {
-			for sess := 0; sess < SessionsPerSubject; sess++ {
-				spec := SessionSpec(id*6+i, sess, scenario.Lab, func(s *scenario.Spec) {
-					s.Subject.EyeWidthM = sz.w
-					s.Subject.EyeHeightM = sz.h
-				})
-				out, err := RunSession(spec, cfg)
-				if err != nil {
-					return Fig16cResult{}, err
-				}
-				accs = append(accs, out.Accuracy())
-			}
-		}
 		res.Rows = append(res.Rows, Fig16cRow{
 			Label:       fmt.Sprintf("S%d", i+1),
 			EyeWidthCm:  sz.w * 100,
 			EyeHeightCm: sz.h * 100,
-			Summary:     Summarize(accs),
+			Summary:     Summarize(accs[i*perSize : (i+1)*perSize]),
 		})
 	}
 	return res, nil

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"blinkradar/internal/report"
 
@@ -12,31 +10,6 @@ import (
 	"blinkradar/internal/physio"
 	"blinkradar/internal/scenario"
 )
-
-// parallelSubjects evaluates fn for subjects 1..n concurrently and
-// returns the results in subject order.
-func parallelSubjects(n int, fn func(id int) (float64, error)) ([]float64, error) {
-	out := make([]float64, n)
-	errs := make([]error, n)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for id := 1; id <= n; id++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			out[id-1], errs[id-1] = fn(id)
-		}(id)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
 
 // drowsySession runs one long capture in the given state, slices the
 // detected blinks into windows of windowSec, and splits them into
@@ -138,8 +111,8 @@ type Fig13bResult struct {
 // Fig13b evaluates per-subject drowsiness classification with the
 // paper's one-minute window.
 func Fig13b(cfg core.Config) (Fig13bResult, error) {
-	accs, err := parallelSubjects(DefaultSubjects, func(id int) (float64, error) {
-		return SubjectDrowsyAccuracy(cfg, id, 60)
+	accs, err := runOrdered(DefaultSubjects, func(i int) (float64, error) {
+		return SubjectDrowsyAccuracy(cfg, i+1, 60)
 	})
 	if err != nil {
 		return Fig13bResult{}, err
@@ -176,22 +149,22 @@ type Fig16dResult struct {
 // longer windows delay detection and shrink the sample count).
 func Fig16d(cfg core.Config) (Fig16dResult, error) {
 	windows := []float64{1, 1.5, 2, 3, 4}
+	// A smaller panel keeps the sweep tractable; window length is a
+	// per-driver-model property, so panel size only adds variance.
+	const panel = 6
+	accs, err := runOrdered(len(windows)*panel, func(i int) (float64, error) {
+		return SubjectDrowsyAccuracy(cfg, i%panel+1, windows[i/panel]*60)
+	})
+	if err != nil {
+		return Fig16dResult{}, err
+	}
 	res := Fig16dResult{WindowsMin: windows}
-	for _, w := range windows {
-		w := w
-		// A smaller panel keeps the sweep tractable; window length is a
-		// per-driver-model property, so panel size only adds variance.
-		accs, err := parallelSubjects(6, func(id int) (float64, error) {
-			return SubjectDrowsyAccuracy(cfg, id, w*60)
-		})
-		if err != nil {
-			return Fig16dResult{}, err
-		}
+	for w := range windows {
 		var sum float64
-		for _, a := range accs {
+		for _, a := range accs[w*panel : (w+1)*panel] {
 			sum += a
 		}
-		res.Accuracy = append(res.Accuracy, sum/float64(len(accs)))
+		res.Accuracy = append(res.Accuracy, sum/panel)
 	}
 	return res, nil
 }
@@ -220,26 +193,26 @@ type Table1DetectedResult struct {
 // Table1Detected measures the detected blink-rate separation that the
 // drowsiness classifier relies on.
 func Table1Detected(cfg core.Config) (Table1DetectedResult, error) {
-	var res Table1DetectedResult
-	const dur = 120
-	for id := 1; id <= 8; id++ {
-		for _, state := range []physio.State{physio.Awake, physio.Drowsy} {
-			state := state
-			spec := SessionSpec(id, 5, scenario.Driving, func(s *scenario.Spec) {
-				s.State = state
-				s.Duration = dur
-			})
-			out, err := RunSession(spec, cfg)
-			if err != nil {
-				return res, err
-			}
-			rate := float64(len(out.Events)) / dur * 60
-			if state == physio.Awake {
-				res.AwakeRates = append(res.AwakeRates, rate)
-			} else {
-				res.DrowsyRates = append(res.DrowsyRates, rate)
-			}
+	const participants, dur = 8, 120
+	states := []physio.State{physio.Awake, physio.Drowsy}
+	rates, err := runOrdered(participants*len(states), func(i int) (float64, error) {
+		spec := SessionSpec(i/len(states)+1, 5, scenario.Driving, func(s *scenario.Spec) {
+			s.State = states[i%len(states)]
+			s.Duration = dur
+		})
+		out, err := RunSession(spec, cfg)
+		if err != nil {
+			return 0, err
 		}
+		return float64(len(out.Events)) / dur * 60, nil
+	})
+	if err != nil {
+		return Table1DetectedResult{}, err
+	}
+	var res Table1DetectedResult
+	for i := 0; i < len(rates); i += len(states) {
+		res.AwakeRates = append(res.AwakeRates, rates[i])
+		res.DrowsyRates = append(res.DrowsyRates, rates[i+1])
 	}
 	return res, nil
 }

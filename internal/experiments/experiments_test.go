@@ -1,8 +1,13 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"blinkradar/internal/core"
 	"blinkradar/internal/scenario"
@@ -80,10 +85,7 @@ func TestFig6FindsFaceAndClutter(t *testing.T) {
 }
 
 func TestFig7CascadeGains(t *testing.T) {
-	r, err := Fig7(7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := Fig7(7)
 	if r.SNRAfterDB-r.SNRBeforeDB < 6 {
 		t.Fatalf("cascade gain %.1f dB, want > 6", r.SNRAfterDB-r.SNRBeforeDB)
 	}
@@ -169,5 +171,69 @@ func TestRunSessionScores(t *testing.T) {
 	}
 	if out.Accuracy() < 0 || out.Accuracy() > 1 {
 		t.Fatalf("accuracy %g out of range", out.Accuracy())
+	}
+}
+
+func TestRunOrdered(t *testing.T) {
+	// Four workers even on a one-CPU machine, so jobs overlap.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n = 40
+	var mu sync.Mutex
+	inFlight, peak := 0, 0
+	order := make(chan int, n) // finish order, for the failure message
+	out, err := runOrdered(n, func(i int) (int, error) {
+		mu.Lock()
+		inFlight++
+		peak = max(peak, inFlight)
+		mu.Unlock()
+		// Early indices take longest, so jobs finish out of index order.
+		time.Sleep(time.Duration(n-i) * 200 * time.Microsecond)
+		mu.Lock()
+		inFlight--
+		mu.Unlock()
+		order <- i
+		return i * i, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	close(order)
+	var finished []int
+	for i := range order {
+		finished = append(finished, i)
+	}
+	if len(out) != n || len(finished) != n {
+		t.Fatalf("%d results from %d jobs, want %d", len(out), len(finished), n)
+	}
+	for i, v := range out {
+		if v != i*i {
+			t.Fatalf("result %d = %d, want %d (finish order %v)", i, v, i*i, finished)
+		}
+	}
+	if peak > 4 {
+		t.Fatalf("%d jobs in flight, want at most GOMAXPROCS = 4", peak)
+	}
+
+	// The lowest failing index wins, even when a later failure comes
+	// first.
+	_, err = runOrdered(n, func(i int) (int, error) {
+		switch i {
+		case 3:
+			time.Sleep(20 * time.Millisecond)
+			return 0, errors.New("job 3")
+		case 30:
+			return 0, errors.New("job 30")
+		}
+		return i, nil
+	})
+	if err == nil || err.Error() != "job 3" {
+		t.Fatalf("error %v, want job 3's", err)
+	}
+
+	out, err = runOrdered(0, func(i int) (int, error) {
+		return 0, fmt.Errorf("job %d ran for n = 0", i)
+	})
+	if err != nil || len(out) != 0 {
+		t.Fatalf("n = 0: %v, %v", out, err)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"blinkradar/internal/core"
 	"blinkradar/internal/eval"
@@ -88,39 +89,32 @@ func SessionSpec(subjectID int, session int, env scenario.Environment, mutate fu
 }
 
 // RunPopulation evaluates all subjects x sessions under the mutation
-// and returns the sessions in (subject, session) order. Sessions are
-// independent and deterministic, so they run on all available cores.
+// and returns the sessions in (subject, session) order.
 func RunPopulation(cfg core.Config, subjects, sessions int, env scenario.Environment, mutate func(*scenario.Spec)) ([]Session, error) {
-	type job struct{ idx, subject, session int }
-	jobs := make([]job, 0, subjects*sessions)
-	for id := 1; id <= subjects; id++ {
-		for s := 0; s < sessions; s++ {
-			jobs = append(jobs, job{idx: len(jobs), subject: id, session: s})
-		}
-	}
-	out := make([]Session, len(jobs))
-	errs := make([]error, len(jobs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	return runOrdered(subjects*sessions, func(i int) (Session, error) {
+		return RunSession(SessionSpec(i/sessions+1, i%sessions, env, mutate), cfg)
+	})
+}
+
+// runOrdered evaluates job(0), ..., job(n-1) on at most GOMAXPROCS
+// goroutines and returns the results in index order. Every population
+// of the evaluation runs through it: its jobs are independent and
+// deterministic, so the results do not depend on scheduling. If any
+// job fails, it returns the error of the lowest failing index.
+func runOrdered[T any](n int, job func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	next := make(chan job)
-	for w := 0; w < workers; w++ {
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range next {
-				sess, err := RunSession(SessionSpec(j.subject, j.session, env, mutate), cfg)
-				out[j.idx] = sess
-				errs[j.idx] = err
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				out[i], errs[i] = job(i)
 			}
 		}()
 	}
-	for _, j := range jobs {
-		next <- j
-	}
-	close(next)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {

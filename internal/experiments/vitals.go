@@ -37,36 +37,41 @@ type ExtVitalsRow struct {
 // selection, then estimates vital signs from the selected bin for every
 // subject.
 func ExtVitals() (ExtVitalsResult, error) {
-	var res ExtVitalsResult
-	for id := 1; id <= DefaultSubjects; id++ {
+	rows, err := runOrdered(DefaultSubjects, func(i int) (ExtVitalsRow, error) {
+		id := i + 1
 		spec := SessionSpec(id, 9, scenario.Lab, func(s *scenario.Spec) {
 			s.Duration = 90
 		})
 		cap, err := scenario.Generate(spec)
 		if err != nil {
-			return res, err
+			return ExtVitalsRow{}, err
 		}
 		pre, err := core.PreprocessMatrix(cap.Frames)
 		if err != nil {
-			return res, err
+			return ExtVitalsRow{}, err
 		}
 		best, err := core.SelectBinMatrix(pre)
 		if err != nil {
-			return res, err
+			return ExtVitalsRow{}, err
 		}
 		skip := int(core.BackgroundTauSec*cap.Frames.FrameRate) + 1
 		est, err := vitals.EstimateFromSeries(pre.SlowTime(best.Bin)[skip:], cap.Frames.FrameRate)
 		if err != nil {
-			return res, fmt.Errorf("subject %d: %w", id, err)
+			return ExtVitalsRow{}, fmt.Errorf("subject %d: %w", id, err)
 		}
-		row := ExtVitalsRow{
+		return ExtVitalsRow{
 			Subject:      id,
 			TrueRespBPM:  spec.Subject.Respiration.RateHz * 60,
 			EstRespBPM:   est.RespirationBPM(),
 			TrueHeartBPM: spec.Subject.Heartbeat.RateHz * 60,
 			EstHeartBPM:  est.HeartBPM(),
-		}
-		res.Rows = append(res.Rows, row)
+		}, nil
+	})
+	if err != nil {
+		return ExtVitalsResult{}, err
+	}
+	res := ExtVitalsResult{Rows: rows}
+	for _, row := range rows {
 		if math.Abs(row.EstRespBPM-row.TrueRespBPM) <= 2 {
 			res.RespWithinBPM++
 		}

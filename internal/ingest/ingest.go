@@ -135,8 +135,8 @@ func ServeStream(ctx context.Context, conn net.Conn, mgr *session.Manager, opts 
 
 	dec := transport.NewDecoder(conn)
 	dec.SetExpectedBins(hello.NumBins)
-	var lastSeq uint64
-	haveSeq := false
+	// The connection is the stream: no frame of it starts a new epoch.
+	var seq transport.SeqTracker
 	for {
 		// Planes end to end: the wire carries float32 I/Q pairs, the
 		// session queue stores float32 planes, and the pipeline consumes
@@ -145,16 +145,12 @@ func ServeStream(ctx context.Context, conn net.Conn, mgr *session.Manager, opts 
 		if err != nil {
 			return err
 		}
-		if haveSeq && f.Seq <= lastSeq {
-			// Late (a duplicate or a reordered straggler): its hole was
-			// already reported, so the pipeline sees strictly
-			// increasing sequence numbers.
+		switch v, missed := seq.Admit(f.Seq, false); v {
+		case transport.SeqLate:
 			continue
+		case transport.SeqGap:
+			mgr.NoteGap(id, missed)
 		}
-		if haveSeq && f.Seq > lastSeq+1 {
-			mgr.NoteGap(id, f.Seq-lastSeq-1)
-		}
-		lastSeq, haveSeq = f.Seq, true
 		switch err := mgr.SubmitPlanes(id, f.I, f.Q); {
 		case err == nil:
 		case errors.Is(err, session.ErrRateLimited):

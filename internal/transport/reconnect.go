@@ -161,8 +161,7 @@ type ReconnectingClient struct {
 	stats     ReconnectStats
 	hello     StreamHello
 	haveHello bool
-	lastSeq   uint64
-	haveSeq   bool
+	seq       SeqTracker
 
 	// Metrics (nil-safe no-ops without a registry).
 	mReconnects   *obs.Counter
@@ -319,7 +318,7 @@ func (rc *ReconnectingClient) connected(h StreamHello) error {
 	}
 	if changed {
 		// New geometry means the old sequence space is meaningless.
-		rc.haveSeq = false
+		rc.seq.Reset()
 	}
 	rc.mu.Unlock()
 
@@ -340,34 +339,28 @@ func (rc *ReconnectingClient) connected(h StreamHello) error {
 	return nil
 }
 
-// admit applies the sequence rule to one frame and reports whether it
-// is delivered. Within a connection, a frame whose Seq is not above the
-// last delivered one is late: counted and discarded, so every hole is
-// reported once. On a connection's first frame (first) a backward step
-// is an epoch reset instead, and the frame is delivered.
+// admit applies the sequence rule to one frame (first marks a
+// connection's first frame), accounts for the verdict and reports
+// whether the frame is delivered.
 func (rc *ReconnectingClient) admit(seq uint64, first bool) bool {
-	var gap uint64
 	rc.mu.Lock()
-	switch {
-	case !rc.haveSeq, seq == rc.lastSeq+1:
-	case seq > rc.lastSeq:
-		gap = seq - rc.lastSeq - 1
+	v, gap := rc.seq.Admit(seq, first)
+	switch v {
+	case SeqGap:
 		rc.stats.SeqGaps++
 		rc.stats.SeqGapFrames += gap
 		rc.mSeqGaps.Inc()
 		rc.mGapFrames.Add(gap)
-	case first:
+	case SeqEpochReset:
 		rc.stats.EpochResets++
 		rc.mEpochResets.Inc()
-	default:
+	case SeqLate:
 		rc.stats.LateFrames++
 		rc.mLate.Inc()
 		rc.mu.Unlock()
 		return false
 	}
 	rc.stats.Frames++
-	rc.lastSeq = seq
-	rc.haveSeq = true
 	rc.mu.Unlock()
 	// Fire outside the lock so the callback may call Stats.
 	if gap > 0 && rc.cfg.OnSeqGap != nil {

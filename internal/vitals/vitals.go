@@ -11,7 +11,7 @@
 // the spectrum of that displacement waveform.
 //
 // Every session runs an estimator, so an update allocates nothing: it
-// borrows its working buffers (about 110 KiB for a 30-s window, most of
+// borrows its working buffers (about 117 KiB for a 30-s window, most of
 // it the zero-padded spectrum) from a package sync.Pool for the length
 // of the update, and the FFT reuses dsp's cached twiddle tables. The
 // pool keeps roughly one scratch per P alive, not one per session.
@@ -77,7 +77,8 @@ func EstimateFromSeries(series []complex128, fps float64) (Estimate, error) {
 // updates holds none of it.
 type scratch struct {
 	series   []complex128 // a Monitor's window, oldest first
-	disp     []float64    // angles, unwrapped in place, then detrended
+	disp     []float64    // angles, unwrapped in place
+	trend    []float64    // disp's moving-average baseline
 	prefix   []float64
 	hann     []float64 // the Hann window of len(hann) points
 	spectrum []complex128
@@ -121,18 +122,12 @@ func (s *scratch) estimate(series []complex128, fps float64) (Estimate, error) {
 	// Remove drift slower than any plausible breath: posture settling
 	// and tracker wander otherwise dominate the lowest respiration
 	// bins. A 10 s centred moving-average baseline, shrinking at the
-	// edges, acts as a gentle high-pass at ~0.1 Hz. Its prefix sums
-	// round as dsp.MovingAverage's do; a running sum would not.
-	half := (int(10*fps) | 1) / 2
-	prefix := grow(s.prefix, n+1)
-	s.prefix = prefix
-	prefix[0] = 0
-	for i, v := range disp {
-		prefix[i+1] = prefix[i] + v
-	}
-	for i := range disp {
-		lo, hi := max(i-half, 0), min(i+half, n-1)
-		disp[i] -= (prefix[hi+1] - prefix[lo]) / float64(hi-lo+1)
+	// edges, acts as a gentle high-pass at ~0.1 Hz.
+	trend := grow(s.trend, n)
+	s.trend = trend
+	s.prefix = grow(s.prefix, n+1)
+	if err := dsp.MovingAverageInto(trend, disp, s.prefix, int(10*fps)|1); err != nil {
+		return Estimate{}, fmt.Errorf("vitals: detrend: %w", err)
 	}
 
 	// Hann-window and zero-pad to a power of two for frequency
@@ -144,7 +139,7 @@ func (s *scratch) estimate(series []complex128, fps float64) (Estimate, error) {
 	spec := grow(s.spectrum, nfft)
 	s.spectrum = spec
 	for i, v := range disp {
-		spec[i] = complex(v*s.hann[i], 0)
+		spec[i] = complex((v-trend[i])*s.hann[i], 0)
 	}
 	clear(spec[n:])
 	dsp.FFTInPlace(spec)
