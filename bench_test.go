@@ -1,12 +1,12 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation, plus microbenchmarks of the pipeline's hot paths. Each
-// experiment bench runs the same code as cmd/experiments and reports
-// the headline statistic through b.ReportMetric, so
+// evaluation, plus microbenchmarks of the pipeline's hot paths.
+// BenchmarkExperiments runs each entry of experiments.All() as a
+// sub-benchmark, the same code cmd/experiments runs:
 //
-//	go test -bench=. -benchmem
+//	go test -bench=Experiments -benchmem
 //
-// doubles as a results regeneration pass. The heavyweight population
-// sweeps iterate full synthetic captures; expect seconds per bench.
+// The heavyweight population sweeps iterate full synthetic captures;
+// expect seconds per bench.
 package blinkradar_test
 
 import (
@@ -21,44 +21,23 @@ import (
 	"blinkradar/internal/iq"
 )
 
-// benchCfg is the paper-faithful pipeline configuration shared by all
-// experiment benches.
+// benchCfg is the paper-faithful pipeline configuration shared by the
+// microbenches.
 var benchCfg = core.DefaultConfig()
 
-func BenchmarkTable1BlinkFrequency(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Table1(int64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var night float64
-		for _, n := range r.Night {
-			night += float64(n)
-		}
-		b.ReportMetric(night/float64(len(r.Night)), "drowsy-blinks/min")
-	}
-}
-
-func BenchmarkFig5TransmitPulse(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig5()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.BandwidthHz/1e9, "GHz-bandwidth")
-	}
-}
-
-func BenchmarkFig6RangeProfile(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig6(int64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(r.Peaks)), "profile-peaks")
+// BenchmarkExperiments times each report entry. Every iteration takes a
+// fresh list, whose session cache starts empty, so an entry's time is
+// its full work and not a cache hit on sessions an earlier entry scored.
+func BenchmarkExperiments(b *testing.B) {
+	for k, e := range experiments.All() {
+		b.Run(e.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := experiments.All()[k].Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -83,28 +62,6 @@ func BenchmarkFig7NoiseReduction(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(dsp.SNRdB(clean, filtered)-dsp.SNRdB(clean, noisy), "dB-gain")
-}
-
-func BenchmarkFig8BackgroundSubtraction(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig8(int64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.SuppressionDB(), "dB-suppression")
-	}
-}
-
-func BenchmarkFig9IQTrajectory(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig9(int64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.ClosingAmpDelta, "closing-amp-delta")
-	}
 }
 
 // BenchmarkFig10BinSelection times eye-bin selection itself: the
@@ -142,195 +99,6 @@ func BenchmarkFig10BinSelection(b *testing.B) {
 		diff = -diff
 	}
 	b.ReportMetric(float64(diff), "bins-off")
-}
-
-func BenchmarkFig11RealtimeTrace(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig11(int64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(len(r.Detections)), "detections")
-	}
-}
-
-func BenchmarkFig13aBlinkAccuracyCDF(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig13a(benchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Summary.Median*100, "median-acc-%")
-	}
-}
-
-func BenchmarkFig13bDrowsyAccuracyCDF(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig13b(benchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Summary.Median*100, "median-acc-%")
-	}
-}
-
-func BenchmarkFig15aMissedRuns(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig15a(benchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(r.RunRates) > 0 {
-			b.ReportMetric(r.RunRates[0]*100, "single-miss-%")
-		}
-	}
-}
-
-func BenchmarkFig15bDistance(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig15b(benchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Points[len(r.Points)-1].Summary.Median*100, "acc-at-0.8m-%")
-	}
-}
-
-func BenchmarkFig15cElevation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig15c(benchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Points[2].Summary.Median*100, "acc-at-30deg-%")
-	}
-}
-
-func BenchmarkFig15dAngle(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig15d(benchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Points[1].Summary.Median*100, "acc-at-15deg-%")
-	}
-}
-
-func BenchmarkFig16aGlasses(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig16a(benchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Points[2].Summary.Median*100, "acc-sunglasses-%")
-	}
-}
-
-func BenchmarkFig16bRoadTypes(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig16b(benchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Points[len(r.Points)-1].Summary.Median*100, "acc-bumpy-%")
-	}
-}
-
-func BenchmarkFig16cEyeSize(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig16c(benchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Rows[0].Summary.Median*100, "acc-smallest-eye-%")
-	}
-}
-
-func BenchmarkFig16dWindow(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.Fig16d(benchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Accuracy[0]*100, "acc-1min-window-%")
-	}
-}
-
-func BenchmarkAblationBinSelection(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationBinSelection(benchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric((r.Full.Median-r.Variant.Median)*100, "advantage-pp")
-	}
-}
-
-func BenchmarkAblationWaveform(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rs, err := experiments.AblationWaveform(benchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric((rs[0].Full.Median-rs[0].Variant.Median)*100, "advantage-pp")
-	}
-}
-
-func BenchmarkAblationAdaptive(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationAdaptiveUpdate(benchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric((r.Full.Median-r.Variant.Median)*100, "advantage-pp")
-	}
-}
-
-func BenchmarkAblationThreshold(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rs, err := experiments.AblationThreshold(benchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric((rs[len(rs)-1].Full.Median-rs[len(rs)-1].Variant.Median)*100, "advantage-pp")
-	}
-}
-
-func BenchmarkExtVitals(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.ExtVitals()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(r.RespWithinBPM), "resp-within-2bpm")
-	}
-}
-
-func BenchmarkExtDeviceVibration(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.ExtDeviceVibration(benchCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(r.Points[1].Summary.Median*100, "acc-at-0.05mm-%")
-	}
 }
 
 // --- Microbenchmarks of the pipeline hot paths ---

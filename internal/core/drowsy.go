@@ -15,7 +15,7 @@ type WindowFeatures struct {
 	MeanBlinkDuration float64
 }
 
-// RateDurationGate is the default duration filter for rate counting.
+// RateDurationGate is the duration filter of the window features.
 // Two effects stack: single-crossing interference has no reopening edge
 // and lands at the duration floor, and drowsy blinks are much longer
 // than vigilant ones (>400 ms versus ~200 ms, Section II-A) — so the
@@ -23,21 +23,43 @@ type WindowFeatures struct {
 // drowsiness marker than the raw detection rate.
 const RateDurationGate = 0.35
 
-// ExtractWindows slices a capture's detected blinks into consecutive
-// windows of windowSec seconds and computes features for each, applying
-// the default duration gate. The final partial window is dropped,
-// matching the paper's whole-window evaluation.
-func ExtractWindows(events []BlinkEvent, captureSec, windowSec float64) ([]WindowFeatures, error) {
-	return ExtractWindowsFiltered(events, captureSec, windowSec, RateDurationGate)
+// WindowTally accumulates one window's blinks into its features. It is
+// the one feature rule of the offline windows (ExtractWindows) and the
+// streaming Monitor's: a detection shorter than RateDurationGate is not
+// counted (a NaN duration is).
+type WindowTally struct {
+	count  int
+	durSum float64
 }
 
-// ExtractWindowsFiltered is ExtractWindows with an explicit duration
-// gate; pass 0 to count every detection. Events must be sorted by
+// Add counts a detected blink of the given duration unless the duration
+// gate excludes it.
+func (t *WindowTally) Add(duration float64) {
+	if duration < RateDurationGate {
+		return
+	}
+	t.count++
+	t.durSum += duration
+}
+
+// Features returns the features of a window spanning spanSec seconds.
+func (t WindowTally) Features(spanSec float64) WindowFeatures {
+	f := WindowFeatures{BlinkRate: float64(t.count) / spanSec * 60}
+	if t.count > 0 {
+		f.MeanBlinkDuration = t.durSum / float64(t.count)
+	}
+	return f
+}
+
+// ExtractWindows slices a capture's detected blinks into consecutive
+// windows of windowSec seconds and computes features for each, applying
+// the duration gate (WindowTally). The final partial window is dropped,
+// matching the paper's whole-window evaluation. Events must be sorted by
 // Time, as the detector emits them; an out-of-order slice is rejected
 // rather than silently miscounted. The pass is single-sweep — O(events
 // + windows), not O(events × windows) — which matters for long
 // captures binned into short windows.
-func ExtractWindowsFiltered(events []BlinkEvent, captureSec, windowSec, minDuration float64) ([]WindowFeatures, error) {
+func ExtractWindows(events []BlinkEvent, captureSec, windowSec float64) ([]WindowFeatures, error) {
 	if windowSec <= 0 {
 		return nil, fmt.Errorf("core: window must be positive, got %g", windowSec)
 	}
@@ -45,30 +67,25 @@ func ExtractWindowsFiltered(events []BlinkEvent, captureSec, windowSec, minDurat
 	if n < 0 {
 		n = 0
 	}
-	counts := make([]int, n)
-	durSums := make([]float64, n)
+	tallies := make([]WindowTally, n)
 	last := math.Inf(-1)
 	for i, e := range events {
 		if e.Time < last {
 			return nil, fmt.Errorf("core: events must be sorted by time: event %d at %gs precedes %gs", i, e.Time, last)
 		}
 		last = e.Time
-		if e.Duration < minDuration || e.Time < 0 {
+		if e.Time < 0 {
 			continue
 		}
 		w := int(e.Time / windowSec)
 		if w >= n { // final partial window (and anything past it) is dropped
 			continue
 		}
-		counts[w]++
-		durSums[w] += e.Duration
+		tallies[w].Add(e.Duration)
 	}
 	out := make([]WindowFeatures, n)
-	for w := range out {
-		out[w].BlinkRate = float64(counts[w]) / windowSec * 60
-		if counts[w] > 0 {
-			out[w].MeanBlinkDuration = durSums[w] / float64(counts[w])
-		}
+	for w, t := range tallies {
+		out[w] = t.Features(windowSec)
 	}
 	return out, nil
 }

@@ -31,17 +31,6 @@ func TestExtractWindows(t *testing.T) {
 	}
 }
 
-func TestExtractWindowsFilteredNoGate(t *testing.T) {
-	events := []BlinkEvent{{Time: 5, Duration: 0.05}}
-	windows, err := ExtractWindowsFiltered(events, 60, 60, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if windows[0].BlinkRate != 1 {
-		t.Fatal("ungated extraction must count every event")
-	}
-}
-
 func TestExtractWindowsErrors(t *testing.T) {
 	if _, err := ExtractWindows(nil, 60, 0); err == nil {
 		t.Fatal("zero window must be rejected")

@@ -2,10 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"blinkradar/internal/baseline"
 	"blinkradar/internal/core"
-	"blinkradar/internal/eval"
+	"blinkradar/internal/rf"
 	"blinkradar/internal/scenario"
 )
 
@@ -27,45 +28,51 @@ func (r AblationResult) String() string {
 		r.Name, fmtPct(r.Full.Median), fmtPct(r.Variant.Median), r.Description)
 }
 
+// AblationResults renders several comparisons, one per line.
+type AblationResults []AblationResult
+
+// String renders each comparison on its own line.
+func (rs AblationResults) String() string {
+	lines := make([]string, len(rs))
+	for i, r := range rs {
+		lines[i] = r.String()
+	}
+	return strings.Join(lines, "\n")
+}
+
 // ablationSubjects trades population size for speed in ablations.
 const ablationSubjects = 6
 
-// ablationAccuracies scores detect over the ablation population
-// (ablationSubjects x SessionsPerSubject lab sessions), in session
-// order.
-func ablationAccuracies(detect func(*scenario.Capture) ([]core.BlinkEvent, error)) ([]float64, error) {
+// pipelineAccuracies scores the pipeline under cfg over the ablation
+// population (ablationSubjects x SessionsPerSubject lab sessions), in
+// session order.
+func (c *sessionCache) pipelineAccuracies(cfg core.Config) ([]float64, error) {
+	sessions, err := c.population(cfg, ablationSubjects, scenario.Lab, nil)
+	if err != nil {
+		return nil, err
+	}
+	return Accuracies(sessions), nil
+}
+
+// baselineAccuracies scores a baseline detector over the ablation
+// population, in session order.
+func baselineAccuracies(detect func(*rf.FrameMatrix) ([]core.BlinkEvent, error)) ([]float64, error) {
 	return runOrdered(ablationSubjects*SessionsPerSubject, func(i int) (float64, error) {
-		cap, err := scenario.Generate(SessionSpec(i/SessionsPerSubject+1, i%SessionsPerSubject, scenario.Lab, nil))
-		if err != nil {
-			return 0, err
-		}
-		events, err := detect(cap)
-		if err != nil {
-			return 0, err
-		}
-		return eval.Match(eval.TrimWarmup(cap.Truth, eval.DefaultWarmup), events, 0).Accuracy(), nil
+		s, err := evaluate(SessionSpec(i/SessionsPerSubject+1, i%SessionsPerSubject, scenario.Lab, nil), detect)
+		return s.Accuracy(), err
 	})
 }
 
-// runFull evaluates the complete pipeline over the ablation population.
-func runFull(cfg core.Config) ([]float64, error) {
-	return ablationAccuracies(func(cap *scenario.Capture) ([]core.BlinkEvent, error) {
-		events, _, err := core.Detect(cfg, cap.Frames)
-		return events, err
-	})
-}
-
-// AblationBinSelection compares variance-based eye-bin identification
+// ablationBinSelection compares variance-based eye-bin identification
 // against the naive amplitude-peak selection (the paper's central
 // argument for exploiting embedded interference).
-func AblationBinSelection(cfg core.Config) (AblationResult, error) {
-	full, err := runFull(cfg)
+func (c *sessionCache) ablationBinSelection() (AblationResult, error) {
+	full, err := c.pipelineAccuracies(core.DefaultConfig())
 	if err != nil {
 		return AblationResult{}, err
 	}
-	bcfg := baseline.Config{} // naive amplitude-peak bin
-	variant, err := ablationAccuracies(func(cap *scenario.Capture) ([]core.BlinkEvent, error) {
-		return baseline.DetectAmplitude(bcfg, cfg, cap.Frames)
+	variant, err := baselineAccuracies(func(m *rf.FrameMatrix) ([]core.BlinkEvent, error) {
+		return baseline.DetectAmplitude(baseline.Config{}, core.DefaultConfig(), m) // naive amplitude-peak bin
 	})
 	if err != nil {
 		return AblationResult{}, err
@@ -78,57 +85,54 @@ func AblationBinSelection(cfg core.Config) (AblationResult, error) {
 	}, nil
 }
 
-// AblationWaveform compares the I/Q distance-from-viewing-position
+// ablationWaveform compares the I/Q distance-from-viewing-position
 // waveform against amplitude-only and phase-only detection on the
 // correctly selected bin.
-func AblationWaveform(cfg core.Config) (ablations []AblationResult, err error) {
-	full, err := runFull(cfg)
+func (c *sessionCache) ablationWaveform() (AblationResults, error) {
+	full, err := c.pipelineAccuracies(core.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
 	fullSummary := Summarize(full)
 	bcfg := baseline.Config{UseVarianceBinSelect: true}
 
-	amp, err := ablationAccuracies(func(cap *scenario.Capture) ([]core.BlinkEvent, error) {
-		return baseline.DetectAmplitude(bcfg, cfg, cap.Frames)
+	amp, err := baselineAccuracies(func(m *rf.FrameMatrix) ([]core.BlinkEvent, error) {
+		return baseline.DetectAmplitude(bcfg, core.DefaultConfig(), m)
 	})
 	if err != nil {
 		return nil, err
 	}
-	ablations = append(ablations, AblationResult{
+	ph, err := baselineAccuracies(func(m *rf.FrameMatrix) ([]core.BlinkEvent, error) {
+		return baseline.DetectPhase(bcfg, core.DefaultConfig(), m)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return AblationResults{{
 		Name:        "Ablation: amplitude-only waveform",
 		Full:        fullSummary,
 		Variant:     Summarize(amp),
 		Description: "|z| thresholding on the selected bin, discarding phase",
-	})
-
-	ph, err := ablationAccuracies(func(cap *scenario.Capture) ([]core.BlinkEvent, error) {
-		return baseline.DetectPhase(bcfg, cfg, cap.Frames)
-	})
-	if err != nil {
-		return nil, err
-	}
-	ablations = append(ablations, AblationResult{
+	}, {
 		Name:        "Ablation: phase-only waveform",
 		Full:        fullSummary,
 		Variant:     Summarize(ph),
 		Description: "unwrapped-phase thresholding, exposed to all phase interference",
-	})
-	return ablations, nil
+	}}, nil
 }
 
-// AblationAdaptiveUpdate disables the adaptive viewing-position update
+// ablationAdaptiveUpdate disables the adaptive viewing-position update
 // (periodic refits, bin reselection and motion restarts).
-func AblationAdaptiveUpdate(cfg core.Config) (AblationResult, error) {
-	full, err := runFull(cfg)
+func (c *sessionCache) ablationAdaptiveUpdate() (AblationResult, error) {
+	full, err := c.pipelineAccuracies(core.DefaultConfig())
 	if err != nil {
 		return AblationResult{}, err
 	}
-	off := cfg
+	off := core.DefaultConfig()
 	off.RefitIntervalFrames = 1 << 30
 	off.ReselectIntervalFrames = 1 << 30
 	off.RestartVarRatio = 1e12
-	variant, err := runFull(off)
+	variant, err := c.pipelineAccuracies(off)
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -140,19 +144,19 @@ func AblationAdaptiveUpdate(cfg core.Config) (AblationResult, error) {
 	}, nil
 }
 
-// AblationThreshold sweeps the LEVD multiplier around the paper's five
+// ablationThreshold sweeps the LEVD multiplier around the paper's five
 // sigma.
-func AblationThreshold(cfg core.Config) ([]AblationResult, error) {
-	full, err := runFull(cfg)
+func (c *sessionCache) ablationThreshold() (AblationResults, error) {
+	full, err := c.pipelineAccuracies(core.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
 	fullSummary := Summarize(full)
-	var out []AblationResult
+	var out AblationResults
 	for _, k := range []float64{2.5, 10} {
-		kcfg := cfg
+		kcfg := core.DefaultConfig()
 		kcfg.ThresholdK = k
-		variant, err := runFull(kcfg)
+		variant, err := c.pipelineAccuracies(kcfg)
 		if err != nil {
 			return nil, err
 		}

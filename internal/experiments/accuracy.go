@@ -13,10 +13,14 @@ import (
 	"blinkradar/internal/vehicle"
 )
 
-// Fig13aResult is the eye-blink detection accuracy CDF (paper median
-// 95.5%).
-type Fig13aResult struct {
-	// Accuracies holds one value per session.
+// CDFResult is an accuracy CDF: Fig. 13a's over sessions, Fig. 13b's
+// over subjects.
+type CDFResult struct {
+	// Name identifies the figure.
+	Name string
+	// PaperMedian is the median the paper reports.
+	PaperMedian float64
+	// Accuracies holds one value per session or subject.
 	Accuracies []float64
 	// Summary condenses the distribution.
 	Summary Summary
@@ -24,35 +28,52 @@ type Fig13aResult struct {
 	CDFX, CDFY []float64
 }
 
-// Fig13a evaluates the full population over lab and driving sessions.
-func Fig13a(cfg core.Config) (Fig13aResult, error) {
-	var sessions []Session
-	for _, env := range []scenario.Environment{scenario.Lab, scenario.Driving} {
-		part, err := RunPopulation(cfg, DefaultSubjects, SessionsPerSubject, env, nil)
-		if err != nil {
-			return Fig13aResult{}, err
-		}
-		sessions = append(sessions, part...)
-	}
-	acc := Accuracies(sessions)
-	cdf, err := eval.NewCDF(acc)
+// newCDFResult summarises accuracies for the named figure.
+func newCDFResult(name string, paperMedian float64, accuracies []float64) (CDFResult, error) {
+	cdf, err := eval.NewCDF(accuracies)
 	if err != nil {
-		return Fig13aResult{}, err
+		return CDFResult{}, err
 	}
 	xs, ys := cdf.Points()
-	return Fig13aResult{
-		Accuracies: acc,
-		Summary:    Summarize(acc),
-		CDFX:       xs,
-		CDFY:       ys,
+	return CDFResult{
+		Name:        name,
+		PaperMedian: paperMedian,
+		Accuracies:  accuracies,
+		Summary:     Summarize(accuracies),
+		CDFX:        xs,
+		CDFY:        ys,
 	}, nil
 }
 
 // String reports the distribution against the paper's headline,
 // including the rendered CDF curve.
-func (r Fig13aResult) String() string {
-	return fmt.Sprintf("Fig 13a: eye-blink detection accuracy CDF: %s (paper median 95.5%%)\n", r.Summary) +
+func (r CDFResult) String() string {
+	return fmt.Sprintf("%s: %s (paper median %s)\n", r.Name, r.Summary, fmtPct(r.PaperMedian)) +
 		report.CDFChart("", r.Accuracies, 56, 10)
+}
+
+// defaultSessions evaluates the full population over lab and driving
+// sessions with the paper's configuration, lab sessions first.
+func (c *sessionCache) defaultSessions() ([]Session, error) {
+	var sessions []Session
+	for _, env := range []scenario.Environment{scenario.Lab, scenario.Driving} {
+		part, err := c.population(core.DefaultConfig(), DefaultSubjects, env, nil)
+		if err != nil {
+			return nil, err
+		}
+		sessions = append(sessions, part...)
+	}
+	return sessions, nil
+}
+
+// fig13a is the eye-blink detection accuracy CDF over the full
+// population (paper median 95.5%).
+func (c *sessionCache) fig13a() (CDFResult, error) {
+	sessions, err := c.defaultSessions()
+	if err != nil {
+		return CDFResult{}, err
+	}
+	return newCDFResult("Fig 13a: eye-blink detection accuracy CDF", 0.955, Accuracies(sessions))
 }
 
 // SweepPoint is one x-axis point of a parameter-sweep experiment.
@@ -89,93 +110,64 @@ func (r SweepResult) String() string {
 		report.SweepChart("", "sweep position", xs, ys, 48, 8)
 }
 
-// runSweep evaluates the population at each mutation and labels the
-// results.
-func runSweep(cfg core.Config, name, shape string, env scenario.Environment, labels []string, mutations []func(*scenario.Spec)) (SweepResult, error) {
-	if len(labels) != len(mutations) {
-		return SweepResult{}, fmt.Errorf("experiments: %d labels for %d mutations", len(labels), len(mutations))
-	}
+// sweep evaluates the population with the paper's configuration at
+// each value that set applies to the spec, in axis order.
+func sweep[T any](c *sessionCache, name, shape string, env scenario.Environment, values []T, label func(T) string, set func(*scenario.Spec, T)) (SweepResult, error) {
 	res := SweepResult{Name: name, PaperShape: shape}
-	for i, mutate := range mutations {
-		sessions, err := RunPopulation(cfg, DefaultSubjects, SessionsPerSubject, env, mutate)
+	for _, v := range values {
+		sessions, err := c.population(core.DefaultConfig(), DefaultSubjects, env, func(s *scenario.Spec) { set(s, v) })
 		if err != nil {
 			return SweepResult{}, err
 		}
 		res.Points = append(res.Points, SweepPoint{
-			Label:   labels[i],
+			Label:   label(v),
 			Summary: Summarize(Accuracies(sessions)),
 		})
 	}
 	return res, nil
 }
 
-// Fig15b sweeps the radar-to-eye distance over 0.2/0.4/0.8 m.
+// degrees labels an angle sweep point.
+func degrees(a float64) string { return fmt.Sprintf("%.0f deg", a) }
+
+// fig15b sweeps the radar-to-eye distance over 0.2/0.4/0.8 m.
 // Paper: >95% at 0.4 m, ~91% at 0.8 m.
-func Fig15b(cfg core.Config) (SweepResult, error) {
-	distances := []float64{0.2, 0.4, 0.8}
-	labels := make([]string, len(distances))
-	muts := make([]func(*scenario.Spec), len(distances))
-	for i, d := range distances {
-		d := d
-		labels[i] = fmt.Sprintf("%.1f m", d)
-		muts[i] = func(s *scenario.Spec) { s.EyeDistance = d }
-	}
-	return runSweep(cfg, "Fig 15b: distance", "accuracy degrades with range; keep within 0.4 m", scenario.Lab, labels, muts)
+func (c *sessionCache) fig15b() (SweepResult, error) {
+	return sweep(c, "Fig 15b: distance", "accuracy degrades with range; keep within 0.4 m", scenario.Lab,
+		[]float64{0.2, 0.4, 0.8},
+		func(d float64) string { return fmt.Sprintf("%.1f m", d) },
+		func(s *scenario.Spec, d float64) { s.EyeDistance = d })
 }
 
-// Fig15c sweeps elevation 0-60 degrees. Paper: >=95% within 30 deg,
+// fig15c sweeps elevation 0-60 degrees. Paper: >=95% within 30 deg,
 // degrading beyond.
-func Fig15c(cfg core.Config) (SweepResult, error) {
-	angles := []float64{0, 15, 30, 45, 60}
-	labels := make([]string, len(angles))
-	muts := make([]func(*scenario.Spec), len(angles))
-	for i, a := range angles {
-		a := a
-		labels[i] = fmt.Sprintf("%.0f deg", a)
-		muts[i] = func(s *scenario.Spec) { s.ElevationDeg = a }
-	}
-	return runSweep(cfg, "Fig 15c: elevation", "tolerant to ~30 deg, drops beyond", scenario.Lab, labels, muts)
+func (c *sessionCache) fig15c() (SweepResult, error) {
+	return sweep(c, "Fig 15c: elevation", "tolerant to ~30 deg, drops beyond", scenario.Lab,
+		[]float64{0, 15, 30, 45, 60}, degrees,
+		func(s *scenario.Spec, a float64) { s.ElevationDeg = a })
 }
 
-// Fig15d sweeps azimuth 0-60 degrees. Paper: >90% within 15 deg,
+// fig15d sweeps azimuth 0-60 degrees. Paper: >90% within 15 deg,
 // significant drop past 30 deg.
-func Fig15d(cfg core.Config) (SweepResult, error) {
-	angles := []float64{0, 15, 30, 45, 60}
-	labels := make([]string, len(angles))
-	muts := make([]func(*scenario.Spec), len(angles))
-	for i, a := range angles {
-		a := a
-		labels[i] = fmt.Sprintf("%.0f deg", a)
-		muts[i] = func(s *scenario.Spec) { s.AzimuthDeg = a }
-	}
-	return runSweep(cfg, "Fig 15d: azimuth", ">90% within 15 deg, steep drop past 30 deg", scenario.Lab, labels, muts)
+func (c *sessionCache) fig15d() (SweepResult, error) {
+	return sweep(c, "Fig 15d: azimuth", ">90% within 15 deg, steep drop past 30 deg", scenario.Lab,
+		[]float64{0, 15, 30, 45, 60}, degrees,
+		func(s *scenario.Spec, a float64) { s.AzimuthDeg = a })
 }
 
-// Fig16a compares eyewear conditions. Paper: myopia 94%, sunglasses 93%.
-func Fig16a(cfg core.Config) (SweepResult, error) {
-	glasses := []physio.Glasses{physio.NoGlasses, physio.MyopiaGlasses, physio.Sunglasses}
-	labels := make([]string, len(glasses))
-	muts := make([]func(*scenario.Spec), len(glasses))
-	for i, g := range glasses {
-		g := g
-		labels[i] = g.String()
-		muts[i] = func(s *scenario.Spec) { s.Subject.Glasses = g }
-	}
-	return runSweep(cfg, "Fig 16a: glasses", "slight degradation with lenses, sunglasses worst", scenario.Lab, labels, muts)
+// fig16a compares eyewear conditions. Paper: myopia 94%, sunglasses 93%.
+func (c *sessionCache) fig16a() (SweepResult, error) {
+	return sweep(c, "Fig 16a: glasses", "slight degradation with lenses, sunglasses worst", scenario.Lab,
+		[]physio.Glasses{physio.NoGlasses, physio.MyopiaGlasses, physio.Sunglasses}, physio.Glasses.String,
+		func(s *scenario.Spec, g physio.Glasses) { s.Subject.Glasses = g })
 }
 
-// Fig16b compares road types. Paper: smooth best; bumps and manoeuvres
+// fig16b compares road types. Paper: smooth best; bumps and manoeuvres
 // raise the error.
-func Fig16b(cfg core.Config) (SweepResult, error) {
-	roads := vehicle.AllRoadTypes()
-	labels := make([]string, len(roads))
-	muts := make([]func(*scenario.Spec), len(roads))
-	for i, r := range roads {
-		r := r
-		labels[i] = r.String()
-		muts[i] = func(s *scenario.Spec) { s.Road = r }
-	}
-	return runSweep(cfg, "Fig 16b: road types", "smooth roads best; vibration and manoeuvres degrade", scenario.Driving, labels, muts)
+func (c *sessionCache) fig16b() (SweepResult, error) {
+	return sweep(c, "Fig 16b: road types", "smooth roads best; vibration and manoeuvres degrade", scenario.Driving,
+		vehicle.AllRoadTypes(), vehicle.RoadType.String,
+		func(s *scenario.Spec, r vehicle.RoadType) { s.Road = r })
 }
 
 // Fig16cResult groups accuracy by eye size.
@@ -195,9 +187,9 @@ type Fig16cRow struct {
 	Summary Summary
 }
 
-// Fig16c evaluates six synthetic subjects spanning the paper's eye-size
+// fig16c evaluates six synthetic subjects spanning the paper's eye-size
 // range (smallest 3.5 x 0.8 cm) and reports accuracy per size.
-func Fig16c(cfg core.Config) (Fig16cResult, error) {
+func (c *sessionCache) fig16c() (Fig16cResult, error) {
 	sizes := []struct{ w, h float64 }{
 		{0.035, 0.008}, {0.038, 0.009}, {0.041, 0.010},
 		{0.044, 0.011}, {0.047, 0.012}, {0.050, 0.014},
@@ -211,7 +203,7 @@ func Fig16c(cfg core.Config) (Fig16cResult, error) {
 			s.Subject.EyeWidthM = sz.w
 			s.Subject.EyeHeightM = sz.h
 		})
-		out, err := RunSession(spec, cfg)
+		out, err := c.session(spec, core.DefaultConfig())
 		if err != nil {
 			return 0, err
 		}
@@ -256,18 +248,16 @@ type Fig15aResult struct {
 	TotalBlinks int
 }
 
-// Fig15a pools miss runs over the whole population under default
+// fig15a pools miss runs over the whole population under default
 // conditions.
-func Fig15a(cfg core.Config) (Fig15aResult, error) {
+func (c *sessionCache) fig15a() (Fig15aResult, error) {
+	sessions, err := c.defaultSessions()
+	if err != nil {
+		return Fig15aResult{}, err
+	}
 	var stats eval.MissRunStats
-	for _, env := range []scenario.Environment{scenario.Lab, scenario.Driving} {
-		sessions, err := RunPopulation(cfg, DefaultSubjects, SessionsPerSubject, env, nil)
-		if err != nil {
-			return Fig15aResult{}, err
-		}
-		for _, s := range sessions {
-			eval.CountRuns(&stats, s.Match.Missed)
-		}
+	for _, s := range sessions {
+		eval.CountRuns(&stats, s.Match.Missed)
 	}
 	rates := make([]float64, 3)
 	for i := range rates {

@@ -3,10 +3,7 @@ package experiments
 import (
 	"fmt"
 
-	"blinkradar/internal/report"
-
 	"blinkradar/internal/core"
-	"blinkradar/internal/eval"
 	"blinkradar/internal/physio"
 	"blinkradar/internal/scenario"
 )
@@ -16,7 +13,7 @@ import (
 // calibration and evaluation halves. The split is within-session, as in
 // the paper's deployment: each participant's training data is recorded
 // in the same installation the system then monitors.
-func drowsySession(cfg core.Config, subjectID int, state physio.State, windowSec float64) (train, test []core.WindowFeatures, err error) {
+func (c *sessionCache) drowsySession(subjectID int, state physio.State, windowSec float64) (train, test []core.WindowFeatures, err error) {
 	// Long enough for a warm-up window plus at least six usable
 	// windows at the requested length.
 	durationSec := 12 * 60.0
@@ -31,7 +28,7 @@ func drowsySession(cfg core.Config, subjectID int, state physio.State, windowSec
 	if state == physio.Drowsy {
 		spec.Seed ^= 0x5a5a5a
 	}
-	out, err := RunSession(spec, cfg)
+	out, err := c.session(spec, core.DefaultConfig())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -52,17 +49,17 @@ func drowsySession(cfg core.Config, subjectID int, state physio.State, windowSec
 	return usable[:split], usable[split:], nil
 }
 
-// SubjectDrowsyAccuracy trains the per-driver model on the calibration
+// drowsyAccuracy trains the per-driver model on the calibration
 // halves of one awake and one drowsy recording and classifies the
 // held-out windows, returning the fraction classified correctly (paper
 // Section IV-F / V protocol: per-participant awake and drowsy training
 // sets).
-func SubjectDrowsyAccuracy(cfg core.Config, subjectID int, windowSec float64) (float64, error) {
-	trainAwake, testAwake, err := drowsySession(cfg, subjectID, physio.Awake, windowSec)
+func (c *sessionCache) drowsyAccuracy(subjectID int, windowSec float64) (float64, error) {
+	trainAwake, testAwake, err := c.drowsySession(subjectID, physio.Awake, windowSec)
 	if err != nil {
 		return 0, err
 	}
-	trainDrowsy, testDrowsy, err := drowsySession(cfg, subjectID, physio.Drowsy, windowSec)
+	trainDrowsy, testDrowsy, err := c.drowsySession(subjectID, physio.Drowsy, windowSec)
 	if err != nil {
 		return 0, err
 	}
@@ -97,44 +94,16 @@ func SubjectDrowsyAccuracy(cfg core.Config, subjectID int, windowSec float64) (f
 	return float64(correct) / float64(total), nil
 }
 
-// Fig13bResult is the drowsy-driving detection accuracy CDF (paper
-// median 92.2%).
-type Fig13bResult struct {
-	// Accuracies holds one value per subject.
-	Accuracies []float64
-	// Summary condenses the distribution.
-	Summary Summary
-	// CDFX and CDFY are the empirical CDF points.
-	CDFX, CDFY []float64
-}
-
-// Fig13b evaluates per-subject drowsiness classification with the
-// paper's one-minute window.
-func Fig13b(cfg core.Config) (Fig13bResult, error) {
+// fig13b is the drowsy-driving detection accuracy CDF over subjects
+// with the paper's one-minute window (paper median 92.2%).
+func (c *sessionCache) fig13b() (CDFResult, error) {
 	accs, err := runOrdered(DefaultSubjects, func(i int) (float64, error) {
-		return SubjectDrowsyAccuracy(cfg, i+1, 60)
+		return c.drowsyAccuracy(i+1, 60)
 	})
 	if err != nil {
-		return Fig13bResult{}, err
+		return CDFResult{}, err
 	}
-	cdf, err := eval.NewCDF(accs)
-	if err != nil {
-		return Fig13bResult{}, err
-	}
-	xs, ys := cdf.Points()
-	return Fig13bResult{
-		Accuracies: accs,
-		Summary:    Summarize(accs),
-		CDFX:       xs,
-		CDFY:       ys,
-	}, nil
-}
-
-// String reports the distribution against the paper's headline,
-// including the rendered CDF curve.
-func (r Fig13bResult) String() string {
-	return fmt.Sprintf("Fig 13b: drowsy-driving detection accuracy CDF: %s (paper median 92.2%%)\n", r.Summary) +
-		report.CDFChart("", r.Accuracies, 56, 10)
+	return newCDFResult("Fig 13b: drowsy-driving detection accuracy CDF", 0.922, accs)
 }
 
 // Fig16dResult sweeps the drowsiness detection window length.
@@ -145,15 +114,15 @@ type Fig16dResult struct {
 	Accuracy []float64
 }
 
-// Fig16d evaluates window lengths of 1-4 minutes (paper: 1-2 min best;
+// fig16d evaluates window lengths of 1-4 minutes (paper: 1-2 min best;
 // longer windows delay detection and shrink the sample count).
-func Fig16d(cfg core.Config) (Fig16dResult, error) {
+func (c *sessionCache) fig16d() (Fig16dResult, error) {
 	windows := []float64{1, 1.5, 2, 3, 4}
 	// A smaller panel keeps the sweep tractable; window length is a
 	// per-driver-model property, so panel size only adds variance.
 	const panel = 6
 	accs, err := runOrdered(len(windows)*panel, func(i int) (float64, error) {
-		return SubjectDrowsyAccuracy(cfg, i%panel+1, windows[i/panel]*60)
+		return c.drowsyAccuracy(i%panel+1, windows[i/panel]*60)
 	})
 	if err != nil {
 		return Fig16dResult{}, err
@@ -190,9 +159,9 @@ type Table1DetectedResult struct {
 	AwakeRates, DrowsyRates []float64
 }
 
-// Table1Detected measures the detected blink-rate separation that the
+// table1Detected measures the detected blink-rate separation that the
 // drowsiness classifier relies on.
-func Table1Detected(cfg core.Config) (Table1DetectedResult, error) {
+func (c *sessionCache) table1Detected() (Table1DetectedResult, error) {
 	const participants, dur = 8, 120
 	states := []physio.State{physio.Awake, physio.Drowsy}
 	rates, err := runOrdered(participants*len(states), func(i int) (float64, error) {
@@ -200,7 +169,7 @@ func Table1Detected(cfg core.Config) (Table1DetectedResult, error) {
 			s.State = states[i%len(states)]
 			s.Duration = dur
 		})
-		out, err := RunSession(spec, cfg)
+		out, err := c.session(spec, core.DefaultConfig())
 		if err != nil {
 			return 0, err
 		}

@@ -3,7 +3,10 @@ package experiments
 import (
 	"errors"
 	"fmt"
+	"os"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -41,7 +44,7 @@ func TestTableFormatting(t *testing.T) {
 }
 
 func TestTable1Contrast(t *testing.T) {
-	r, err := Table1(1)
+	r, err := table1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func TestTable1Contrast(t *testing.T) {
 }
 
 func TestFig5PulseCharacteristics(t *testing.T) {
-	r, err := Fig5()
+	r, err := fig5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +78,7 @@ func TestFig5PulseCharacteristics(t *testing.T) {
 }
 
 func TestFig6FindsFaceAndClutter(t *testing.T) {
-	r, err := Fig6(6)
+	r, err := fig6()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,14 +88,14 @@ func TestFig6FindsFaceAndClutter(t *testing.T) {
 }
 
 func TestFig7CascadeGains(t *testing.T) {
-	r := Fig7(7)
+	r := fig7()
 	if r.SNRAfterDB-r.SNRBeforeDB < 6 {
 		t.Fatalf("cascade gain %.1f dB, want > 6", r.SNRAfterDB-r.SNRBeforeDB)
 	}
 }
 
 func TestFig8Suppression(t *testing.T) {
-	r, err := Fig8(8)
+	r, err := fig8()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +108,7 @@ func TestFig8Suppression(t *testing.T) {
 }
 
 func TestFig9BlinkSignature(t *testing.T) {
-	r, err := Fig9(9)
+	r, err := fig9()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +126,7 @@ func TestFig9BlinkSignature(t *testing.T) {
 }
 
 func TestFig10Selection(t *testing.T) {
-	r, err := Fig10(10)
+	r, err := fig10()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +139,7 @@ func TestFig10Selection(t *testing.T) {
 }
 
 func TestFig11Trace(t *testing.T) {
-	r, err := Fig11(11)
+	r, err := fig11()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +174,72 @@ func TestRunSessionScores(t *testing.T) {
 	}
 	if out.Accuracy() < 0 || out.Accuracy() > 1 {
 		t.Fatalf("accuracy %g out of range", out.Accuracy())
+	}
+}
+
+// TestAllMatchesPinnedReport checks the experiment list against the
+// headers of the pinned report without running it, so a renamed,
+// reordered or dropped entry fails here and not only in the full
+// report's diff.
+func TestAllMatchesPinnedReport(t *testing.T) {
+	text, err := os.ReadFile("../../testdata/experiments.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, line := range strings.Split(string(text), "\n") {
+		if header, ok := strings.CutPrefix(line, "=== "); ok {
+			want = append(want, header)
+		}
+	}
+	var got []string
+	seen := map[string]bool{}
+	for _, e := range All() {
+		if seen[e.Name] {
+			t.Errorf("experiment name %q listed twice", e.Name)
+		}
+		seen[e.Name] = true
+		got = append(got, e.Name+" — "+e.Desc)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("All() lists\n%s\nbut testdata/experiments.txt has\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestSessionCacheEvaluatesOnce asks the cache for one key from several
+// workers at once: every caller must get the one evaluation (the same
+// event slice, equal to a fresh RunSession), and a different config is
+// a different key.
+func TestSessionCacheEvaluatesOnce(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var c sessionCache
+	spec := SessionSpec(1, 0, scenario.Lab, func(s *scenario.Spec) { s.Duration = 30 })
+	cfg := core.DefaultConfig()
+	got, err := runOrdered(8, func(int) (Session, error) { return c.session(spec, cfg) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got[0].Events) == 0 {
+		t.Fatal("no detections; the comparison would prove nothing")
+	}
+	for i, s := range got {
+		if &s.Events[0] != &got[0].Events[0] {
+			t.Fatalf("caller %d got a second evaluation of the same key", i)
+		}
+	}
+	fresh, err := RunSession(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got[0], fresh) {
+		t.Fatalf("cached session %+v differs from a fresh evaluation %+v", got[0], fresh)
+	}
+	cfg.ThresholdK = 10
+	if _, err := c.session(spec, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if len(c.m) != 2 {
+		t.Fatalf("%d cached sessions after two keys, want 2", len(c.m))
 	}
 }
 

@@ -1,10 +1,12 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (Section VI) plus the feasibility figures of Sections II
-// and IV, on synthetic captures from the scenario package. Each
-// experiment is a pure function of its seed, returns a typed result,
-// and renders the same rows/series the paper reports. cmd/experiments
-// runs them all and writes EXPERIMENTS.md-ready output; bench_test.go
-// exposes one benchmark per experiment.
+// and IV, on synthetic captures from the scenario package. All lists
+// them in report order; each entry is a pure function of the seeds
+// fixed in code and renders the same rows/series the paper reports.
+// cmd/experiments prints the entries, and bench_test.go times each one
+// as a sub-benchmark of BenchmarkExperiments. Every pipeline session is
+// scored by RunSession behind the session cache the entries of one All
+// list share, so a report scores each distinct capture once.
 package experiments
 
 import (
@@ -18,6 +20,7 @@ import (
 	"blinkradar/internal/core"
 	"blinkradar/internal/eval"
 	"blinkradar/internal/physio"
+	"blinkradar/internal/rf"
 	"blinkradar/internal/scenario"
 	"blinkradar/internal/vehicle"
 )
@@ -51,23 +54,81 @@ func (s Session) Accuracy() float64 { return s.Match.Accuracy() }
 
 // RunSession generates the capture and runs the full pipeline on it.
 func RunSession(spec scenario.Spec, cfg core.Config) (Session, error) {
+	var det *core.Detector
+	s, err := evaluate(spec, func(m *rf.FrameMatrix) (events []core.BlinkEvent, err error) {
+		events, det, err = core.Detect(cfg, m)
+		return events, err
+	})
+	if err != nil {
+		return Session{}, err
+	}
+	s.Restarts, s.BinSwitches = det.Restarts(), det.BinSwitches()
+	return s, nil
+}
+
+// evaluate generates spec's capture, runs detect on its frames and
+// scores the detections against the ground truth: the evaluation
+// protocol every session of the report goes through, the pipeline's
+// (RunSession) and the ablations' baseline detectors alike.
+func evaluate(spec scenario.Spec, detect func(*rf.FrameMatrix) ([]core.BlinkEvent, error)) (Session, error) {
 	cap, err := scenario.Generate(spec)
 	if err != nil {
 		return Session{}, fmt.Errorf("experiments: generate: %w", err)
 	}
-	events, det, err := core.Detect(cfg, cap.Frames)
+	events, err := detect(cap.Frames)
 	if err != nil {
 		return Session{}, fmt.Errorf("experiments: detect: %w", err)
 	}
 	truth := eval.TrimWarmup(cap.Truth, eval.DefaultWarmup)
 	return Session{
-		Spec:        spec,
-		Match:       eval.Match(truth, events, 0),
-		Events:      events,
-		Truth:       truth,
-		Restarts:    det.Restarts(),
-		BinSwitches: det.BinSwitches(),
+		Spec:   spec,
+		Match:  eval.Match(truth, events, 0),
+		Events: events,
+		Truth:  truth,
 	}, nil
+}
+
+// sessionCache evaluates each distinct (spec, config) once. The report's
+// populations overlap: Fig. 15a scores Fig. 13a's sessions, every
+// sweep's default point is one of them, the ablations' full pipeline is
+// a subset of them, and Fig. 16d's shortest windows reuse Fig. 13b's
+// drowsy captures. Callers only read the sessions it returns. The zero
+// value is ready to use.
+type sessionCache struct {
+	mu sync.Mutex
+	m  map[sessionKey]*cachedSession
+}
+
+// sessionKey identifies one evaluation; both fields are comparable
+// structs.
+type sessionKey struct {
+	spec scenario.Spec
+	cfg  core.Config
+}
+
+// cachedSession is one key's evaluation. once makes every caller that
+// asks while the first is still evaluating wait for its result.
+type cachedSession struct {
+	once sync.Once
+	s    Session
+	err  error
+}
+
+// session returns RunSession(spec, cfg), evaluating it on first use.
+func (c *sessionCache) session(spec scenario.Spec, cfg core.Config) (Session, error) {
+	key := sessionKey{spec, cfg}
+	c.mu.Lock()
+	e := c.m[key]
+	if e == nil {
+		if c.m == nil {
+			c.m = make(map[sessionKey]*cachedSession)
+		}
+		e = new(cachedSession)
+		c.m[key] = e
+	}
+	c.mu.Unlock()
+	e.once.Do(func() { e.s, e.err = RunSession(spec, cfg) })
+	return e.s, e.err
 }
 
 // SessionSpec builds the spec for one (subject, session) pair with the
@@ -88,11 +149,11 @@ func SessionSpec(subjectID int, session int, env scenario.Environment, mutate fu
 	return spec
 }
 
-// RunPopulation evaluates all subjects x sessions under the mutation
-// and returns the sessions in (subject, session) order.
-func RunPopulation(cfg core.Config, subjects, sessions int, env scenario.Environment, mutate func(*scenario.Spec)) ([]Session, error) {
-	return runOrdered(subjects*sessions, func(i int) (Session, error) {
-		return RunSession(SessionSpec(i/sessions+1, i%sessions, env, mutate), cfg)
+// population evaluates subjects x SessionsPerSubject captures under
+// the mutation and returns them in (subject, session) order.
+func (c *sessionCache) population(cfg core.Config, subjects int, env scenario.Environment, mutate func(*scenario.Spec)) ([]Session, error) {
+	return runOrdered(subjects*SessionsPerSubject, func(i int) (Session, error) {
+		return c.session(SessionSpec(i/SessionsPerSubject+1, i%SessionsPerSubject, env, mutate), cfg)
 	})
 }
 

@@ -23,10 +23,11 @@ type Table1Result struct {
 	Morning, Night []int
 }
 
-// Table1 samples the blink process for eight participants in both
-// states, as in the paper's feasibility study (Section II-C).
-func Table1(seed int64) (Table1Result, error) {
-	const participants = 8
+// table1 samples the blink process for eight participants in both
+// states, as in the paper's feasibility study (Section II-C). It is
+// seeded with 1, and each seeded figure below with its figure number.
+func table1() (Table1Result, error) {
+	const participants, seed = 8, 1
 	var res Table1Result
 	for id := 1; id <= participants; id++ {
 		sub := physio.NewSubject(id)
@@ -72,8 +73,8 @@ type Fig5Result struct {
 	BandwidthHz float64
 }
 
-// Fig5 renders Eq. 1-3's pulse at 64 GS/s and measures its spectrum.
-func Fig5() (Fig5Result, error) {
+// fig5 renders Eq. 1-3's pulse at 64 GS/s and measures its spectrum.
+func fig5() (Fig5Result, error) {
 	pulse := rf.NewPulse()
 	const fs = 64e9
 	w, err := pulse.Waveform(fs)
@@ -127,12 +128,12 @@ type Fig6Result struct {
 	Peaks []dsp.Peak
 }
 
-// Fig6 renders a static in-cabin scene and extracts the range profile:
+// fig6 renders a static in-cabin scene and extracts the range profile:
 // the direct antenna path, the driver's face, and surrounding clutter
 // should appear as distinct peaks (Fig. 6b).
-func Fig6(seed int64) (Fig6Result, error) {
+func fig6() (Fig6Result, error) {
 	spec := scenario.DefaultSpec()
-	spec.Seed = seed
+	spec.Seed = 6
 	spec.Duration = 10
 	cap, err := scenario.Generate(spec)
 	if err != nil {
@@ -189,12 +190,12 @@ func Fig7Waveforms(seed int64) (clean, noisy []float64) {
 	return clean, noisy
 }
 
-// Fig7 builds a clean fast-time baseband profile (a few Gaussian
+// fig7 builds a clean fast-time baseband profile (a few Gaussian
 // echoes, as in Fig. 7's received signal), corrupts it with noise, and
 // applies the paper's cascade: order-26 Hamming FIR plus a 50-point
 // smoothing filter.
-func Fig7(seed int64) Fig7Result {
-	clean, noisy := Fig7Waveforms(seed)
+func fig7() Fig7Result {
+	clean, noisy := Fig7Waveforms(7)
 	return Fig7Result{
 		SNRBeforeDB: dsp.SNRdB(clean, noisy),
 		SNRAfterDB:  dsp.SNRdB(clean, core.CascadeFilter(noisy)),
@@ -225,11 +226,11 @@ func (r Fig8Result) SuppressionDB() float64 {
 	return 10 * math.Log10(r.StaticPowerBefore/r.StaticPowerAfter)
 }
 
-// Fig8 renders a cabin scene and measures per-bin static power before
+// fig8 renders a cabin scene and measures per-bin static power before
 // and after the loopback background filter.
-func Fig8(seed int64) (Fig8Result, error) {
+func fig8() (Fig8Result, error) {
 	spec := scenario.DefaultSpec()
-	spec.Seed = seed
+	spec.Seed = 8
 	spec.Duration = 30
 	cap, err := scenario.Generate(spec)
 	if err != nil {
@@ -276,12 +277,12 @@ type Fig9Result struct {
 	Trajectory []complex128
 }
 
-// Fig9 places one long blink in an otherwise still capture and measures
+// fig9 places one long blink in an otherwise still capture and measures
 // the amplitude and phase transitions of closing versus opening
 // (Section II-B / Fig. 9).
-func Fig9(seed int64) (Fig9Result, error) {
+func fig9() (Fig9Result, error) {
 	spec := scenario.DefaultSpec()
-	spec.Seed = seed
+	spec.Seed = 9
 	spec.Duration = 20
 	cap, err := scenario.Generate(spec)
 	if err != nil {
@@ -370,11 +371,11 @@ type Fig10Result struct {
 	InFaceRegion bool
 }
 
-// Fig10 renders a blink-free capture segment (embedded interference
+// fig10 renders a blink-free capture segment (embedded interference
 // only) and checks that variance-based selection still finds the eye.
-func Fig10(seed int64) (Fig10Result, error) {
+func fig10() (Fig10Result, error) {
 	spec := scenario.DefaultSpec()
-	spec.Seed = seed
+	spec.Seed = 10
 	spec.Duration = 30
 	// No blinks at all: selection must work from respiration/BCG alone.
 	spec.Subject.AwakeStats.RatePerMin = 0.2
@@ -441,11 +442,11 @@ type Fig11Result struct {
 	TruthTimes []float64
 }
 
-// Fig11 runs the real-time detector over a short capture and exports
+// fig11 runs the real-time detector over a short capture and exports
 // the annotated waveform.
-func Fig11(seed int64) (Fig11Result, error) {
+func fig11() (Fig11Result, error) {
 	spec := scenario.DefaultSpec()
-	spec.Seed = seed
+	spec.Seed = 11
 	spec.Duration = 40
 	cap, err := scenario.Generate(spec)
 	if err != nil {

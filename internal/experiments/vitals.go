@@ -33,10 +33,10 @@ type ExtVitalsRow struct {
 	TrueHeartBPM, EstHeartBPM float64
 }
 
-// ExtVitals runs the blink pipeline's own preprocessing and bin
+// extVitals runs the blink pipeline's own preprocessing and bin
 // selection, then estimates vital signs from the selected bin for every
 // subject.
-func ExtVitals() (ExtVitalsResult, error) {
+func extVitals() (ExtVitalsResult, error) {
 	rows, err := runOrdered(DefaultSubjects, func(i int) (ExtVitalsRow, error) {
 		id := i + 1
 		spec := SessionSpec(id, 9, scenario.Lab, func(s *scenario.Spec) {
@@ -103,21 +103,16 @@ func (r ExtVitalsResult) String() string {
 		Table([]string{"subject", "true resp", "est resp", "true heart", "est heart"}, rows)
 }
 
-// ExtDeviceVibration sweeps vibration of the radar unit itself — the
+// extDeviceVibration sweeps vibration of the radar unit itself — the
 // open challenge of the paper's Discussion ("the detected motion
 // information comes from both the target and the device"). Device
 // shake defeats the static-clutter assumption behind background
 // subtraction, so accuracy should degrade faster than with the same
 // RMS of body-only vibration.
-func ExtDeviceVibration(cfg core.Config) (SweepResult, error) {
-	levels := []float64{0, 0.00005, 0.0002, 0.001}
-	labels := make([]string, len(levels))
-	muts := make([]func(*scenario.Spec), len(levels))
-	for i, l := range levels {
-		l := l
-		labels[i] = fmt.Sprintf("%.2f mm", l*1000)
-		muts[i] = func(s *scenario.Spec) { s.DeviceVibrationRMS = l }
-	}
-	return runSweep(cfg, "Extension: device vibration",
-		"sub-millimetre device shake already breaks the static-clutter assumption", scenario.Driving, labels, muts)
+func (c *sessionCache) extDeviceVibration() (SweepResult, error) {
+	return sweep(c, "Extension: device vibration",
+		"sub-millimetre device shake already breaks the static-clutter assumption", scenario.Driving,
+		[]float64{0, 0.00005, 0.0002, 0.001},
+		func(l float64) string { return fmt.Sprintf("%.2f mm", l*1000) },
+		func(s *scenario.Spec, l float64) { s.DeviceVibrationRMS = l })
 }

@@ -42,8 +42,11 @@ type Monitor struct {
 	vitals    *vitals.Monitor
 	vitalsBin core.Bin
 
-	events []BlinkEvent
-	frame  core.Frames
+	// tally holds the open window's blinks, counted by the offline
+	// windows' rule (ExtractWindows): detections shorter than
+	// core.RateDurationGate are not counted.
+	tally core.WindowTally
+	frame core.Frames
 
 	// Metrics (nil-safe no-ops until SetRegistry attaches a registry).
 	mAssessments *obs.Counter
@@ -56,7 +59,9 @@ type Monitor struct {
 type Assessment struct {
 	// WindowEnd is the end time of the assessed window in seconds.
 	WindowEnd float64
-	// Features are the window's blink statistics.
+	// Features are the window's blink statistics, computed as
+	// ExtractWindows computes them: detections shorter than the 0.35-s
+	// duration gate are not counted.
 	Features WindowFeatures
 	// Drowsy is the classification (false when the model is not
 	// calibrated).
@@ -101,9 +106,6 @@ func NewMonitor(cfg Config, numBins int, frameRate, windowSec float64) (*Monitor
 	}, nil
 }
 
-// WindowSec returns the span of the assessment window currently open.
-func (m *Monitor) WindowSec() float64 { return m.windowSec.Float64() }
-
 // SetWindowSec schedules a new assessment-window span. It takes effect
 // at the next window boundary, so the accounting of the window already
 // open stays exact. The fleet layer uses it to widen windows when
@@ -125,7 +127,7 @@ func (m *Monitor) Reset() {
 	m.det.Reset()
 	m.vitals.Reset()
 	m.vitalsBin = -1
-	m.events = m.events[:0]
+	m.tally = core.WindowTally{}
 	m.frame = 0
 	m.windowSec = m.baseWindowSec
 	m.pendingWindowSec = 0
@@ -198,16 +200,15 @@ func (m *Monitor) afterFeed(ev BlinkEvent, ok bool, err error) (BlinkEvent, bool
 // clock by one frame. It is the whole of Feed's accounting, split out so
 // the window semantics can be driven directly by tests.
 func (m *Monitor) ingest(ev BlinkEvent, ok bool) (BlinkEvent, bool, *Assessment, error) {
-	if ok {
-		e := ev
-		if e.Time < m.winStart.Float64() {
-			// Delivered later than the detector's documented lag bound
-			// (pathological sustained ringing): its window is already
-			// closed. Clamp it into the open window so it is counted
-			// exactly once rather than in no window at all.
-			e.Time = m.winStart.Float64()
-		}
-		m.events = append(m.events, e)
+	// A blink stamped before the open window ends counts in it. One
+	// stamped before the window even began was delivered later than the
+	// detector's documented lag bound (pathological sustained ringing):
+	// its own window is closed, so it is clamped into the open one and
+	// counted exactly once rather than in no window at all. A blink
+	// stamped past the boundary counts once its own window opens.
+	later := ok && ev.Time >= m.winEnd.Float64()
+	if ok && ev.Time < m.winEnd.Float64() {
+		m.tally.Add(ev.Duration)
 	}
 	m.frame++
 	var assessment *Assessment
@@ -217,6 +218,10 @@ func (m *Monitor) ingest(ev BlinkEvent, ok bool) (BlinkEvent, bool, *Assessment,
 			return ev, ok, assessment, aerr
 		}
 		assessment = &a
+		if later && ev.Time < m.winEnd.Float64() {
+			m.tally.Add(ev.Duration)
+			later = false
+		}
 	}
 	return ev, ok, assessment, nil
 }
@@ -239,20 +244,8 @@ func (m *Monitor) windowComplete(ev BlinkEvent, ok bool) bool {
 // stays a true blinks-per-minute whatever span a pending SetWindowSec
 // gave this window.
 func (m *Monitor) assess() (Assessment, error) {
-	start, end := m.winStart, m.winEnd
-	span := end - start
-	var count int
-	var durSum float64
-	for _, e := range m.events {
-		if e.Time >= start.Float64() && e.Time < end.Float64() {
-			count++
-			durSum += e.Duration
-		}
-	}
-	f := WindowFeatures{BlinkRate: float64(count) / span.Float64() * 60}
-	if count > 0 {
-		f.MeanBlinkDuration = durSum / float64(count)
-	}
+	end := m.winEnd
+	f := m.tally.Features((end - m.winStart).Float64())
 	a := Assessment{WindowEnd: end.Float64(), Features: f, Posterior: 0.5}
 	if est, ok := m.vitals.Last(); ok {
 		a.Vitals = &est
@@ -279,26 +272,8 @@ func (m *Monitor) assess() (Assessment, error) {
 		m.pendingWindowSec = 0
 	}
 	m.winEnd = end + m.windowSec
-	// Trim events that can no longer affect any window (everything
-	// before the just-closed window is history; keep roughly one span
-	// of it for the Events accessor).
-	cutoff := end - 2*span
-	trimmed := m.events[:0]
-	for _, e := range m.events {
-		if e.Time >= cutoff.Float64() {
-			trimmed = append(trimmed, e)
-		}
-	}
-	m.events = trimmed
+	m.tally = core.WindowTally{}
 	return a, nil
-}
-
-// Events returns the blinks detected in the retained history (roughly
-// the last two windows).
-func (m *Monitor) Events() []BlinkEvent {
-	out := make([]BlinkEvent, len(m.events))
-	copy(out, m.events)
-	return out
 }
 
 // NoteGap forwards an upstream frame loss (e.g. a transport sequence

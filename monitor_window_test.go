@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"blinkradar/internal/core"
 )
 
 // windowTestMonitor builds a monitor with a short window at a
@@ -56,13 +58,21 @@ func TestBoundaryBlinkCountedExactlyOnce(t *testing.T) {
 	assessments := ingestEmpty(t, m, 21)
 
 	// A blink detected around the boundary is delivered now, stamped
-	// 1.95 s — inside the *first* window.
-	_, ok, a, err := m.ingest(BlinkEvent{Time: 1.95, Duration: 0.2, Amplitude: 1, Confidence: 2}, true)
+	// 1.95 s — inside the *first* window — and then a detection stamped
+	// in the same window but shorter than the duration gate, which no
+	// window may count.
+	_, ok, a, err := m.ingest(BlinkEvent{Time: 1.95, Duration: 0.4, Amplitude: 1, Confidence: 2}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
 		t.Fatal("ingest dropped the delivered event")
+	}
+	if a != nil {
+		assessments = append(assessments, *a)
+	}
+	if _, _, a, err = m.ingest(BlinkEvent{Time: 1.98, Duration: 0.2, Amplitude: 1, Confidence: 2}, true); err != nil {
+		t.Fatal(err)
 	}
 	if a != nil {
 		assessments = append(assessments, *a)
@@ -88,20 +98,24 @@ func TestBoundaryBlinkCountedExactlyOnce(t *testing.T) {
 
 // TestLateEventClampedIntoOpenWindow covers the pathological case of an
 // event delivered later than the documented lag bound: it is clamped
-// into the open window rather than silently landing in a closed one.
+// into the open window rather than silently landing in a closed one. A
+// late detection below the duration gate counts nowhere.
 func TestLateEventClampedIntoOpenWindow(t *testing.T) {
 	const fps, windowSec = 10.0, 2.0
 	m := windowTestMonitor(t, fps, windowSec)
 
 	// Advance far enough that window [0,2) is closed.
 	assessments := ingestEmpty(t, m, 60)
-	// Deliver an event stamped inside the long-closed first window.
-	_, _, a, err := m.ingest(BlinkEvent{Time: 0.5, Duration: 0.2}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != nil {
-		assessments = append(assessments, *a)
+	// Deliver an event stamped inside the long-closed first window, then
+	// a sub-gate one.
+	for _, ev := range []BlinkEvent{{Time: 0.5, Duration: 0.4}, {Time: 0.6, Duration: 0.2}} {
+		_, _, a, err := m.ingest(ev, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a != nil {
+			assessments = append(assessments, *a)
+		}
 	}
 	assessments = append(assessments, ingestEmpty(t, m, 100)...)
 
@@ -184,14 +198,15 @@ func TestAssessErrorStillReturnsBlink(t *testing.T) {
 
 // TestSetWindowSecAppliesAtBoundary verifies widening takes effect only
 // at the next boundary and that BlinkRate normalises by the actual span
-// of the widened window.
+// of the widened window (and counts no detection below the duration
+// gate).
 func TestSetWindowSecAppliesAtBoundary(t *testing.T) {
 	const fps, windowSec = 10.0, 2.0
 	m := windowTestMonitor(t, fps, windowSec)
 	if err := m.SetWindowSec(4.0); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.WindowSec(); got != 2.0 {
+	if got := m.windowSec.Float64(); got != 2.0 {
 		t.Fatalf("window widened mid-window: got %g, want 2 until the boundary", got)
 	}
 
@@ -201,17 +216,17 @@ func TestSetWindowSecAppliesAtBoundary(t *testing.T) {
 	if len(assessments) != 1 || assessments[0].WindowEnd != 2.0 {
 		t.Fatalf("first assessment %+v, want WindowEnd=2", assessments)
 	}
-	if got := m.WindowSec(); got != 4.0 {
+	if got := m.windowSec.Float64(); got != 4.0 {
 		t.Fatalf("pending window span not applied at boundary: got %g, want 4", got)
 	}
 
-	// Two blinks inside the widened window [2,6): rate must divide by
-	// the actual 4 s span -> 30 blinks/min.
-	if _, _, _, err := m.ingest(BlinkEvent{Time: 3.0, Duration: 0.2}, true); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := m.ingest(BlinkEvent{Time: 4.5, Duration: 0.2}, true); err != nil {
-		t.Fatal(err)
+	// Two blinks inside the widened window [2,6), and one detection
+	// below the duration gate: rate must divide by the actual 4 s span
+	// -> 30 blinks/min.
+	for _, ev := range []BlinkEvent{{Time: 3.0, Duration: 0.4}, {Time: 4.5, Duration: 0.4}, {Time: 5.0, Duration: 0.2}} {
+		if _, _, _, err := m.ingest(ev, true); err != nil {
+			t.Fatal(err)
+		}
 	}
 	collect(60)
 	if len(assessments) < 2 {
@@ -247,7 +262,7 @@ func TestMonitorResetRecyclesCleanly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, _, err := m.ingest(BlinkEvent{Time: 5, Duration: 0.2}, true); err != nil {
+	if _, _, _, err := m.ingest(BlinkEvent{Time: 5, Duration: 0.4}, true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -255,13 +270,13 @@ func TestMonitorResetRecyclesCleanly(t *testing.T) {
 	if m.det.Frame() != 0 {
 		t.Fatalf("detector frame count %d after Reset, want 0", m.det.Frame())
 	}
-	if len(m.Events()) != 0 {
-		t.Fatal("events survived Reset")
+	if m.tally != (core.WindowTally{}) {
+		t.Fatal("the open window's blinks survived Reset")
 	}
 	if m.Calibrated() {
 		t.Fatal("calibration survived Reset; recycled state serves a different driver")
 	}
-	if got := m.WindowSec(); got != windowSec {
+	if got := m.windowSec.Float64(); got != windowSec {
 		t.Fatalf("window span %g after Reset, want %g", got, windowSec)
 	}
 	if m.winStart != 0 || m.winEnd != windowSec {
@@ -338,5 +353,64 @@ func TestMonitorResetMatchesFresh(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotAssessments, wantAssessments) {
 		t.Fatalf("recycled assessments %+v, fresh %+v", gotAssessments, wantAssessments)
+	}
+}
+
+// TestMonitorWindowsMatchExtractWindows is the regression test for the
+// two window rules: the Monitor counted every detection while
+// ExtractWindows, whose windows calibrate the Monitor's model, skips
+// those shorter than the duration gate. Every window the Monitor
+// assesses must equal ExtractWindows' over the blinks it emitted.
+func TestMonitorWindowsMatchExtractWindows(t *testing.T) {
+	for _, c := range []struct {
+		subject int
+		state   State
+		road    RoadType
+		seed    int64
+	}{
+		{4, Awake, BumpyRoad, 401},
+		{1, Drowsy, BumpyRoad, 101},
+	} {
+		spec := DefaultSpec()
+		spec.Subject = NewSubject(c.subject)
+		spec.State = c.state
+		spec.Environment = Driving
+		spec.Road = c.road
+		spec.Duration = 240
+		spec.Seed = c.seed
+		capture, err := Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewMonitor(DefaultConfig(), capture.Frames.NumBins(), capture.Frames.FrameRate, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var events []BlinkEvent
+		var assessed []Assessment
+		for _, frame := range capture.Frames.Data {
+			ev, ok, a, err := m.Feed(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok {
+				events = append(events, ev)
+			}
+			if a != nil {
+				assessed = append(assessed, *a)
+			}
+		}
+		windows, err := ExtractWindows(events, spec.Duration, 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(assessed) < 3 || len(assessed) > len(windows) {
+			t.Fatalf("seed %d: %d assessments for %d offline windows", c.seed, len(assessed), len(windows))
+		}
+		for i, a := range assessed {
+			if a.Features != windows[i] {
+				t.Errorf("seed %d, window %d: Monitor %+v, ExtractWindows %+v", c.seed, i, a.Features, windows[i])
+			}
+		}
 	}
 }
