@@ -129,8 +129,19 @@ func TestMonitorCalibrationFlow(t *testing.T) {
 }
 
 func TestNewMonitorValidation(t *testing.T) {
-	if _, err := blinkradar.NewMonitor(blinkradar.DefaultConfig(), 150, 25, 0); err == nil {
-		t.Fatal("zero window must be rejected")
+	m, err := blinkradar.NewMonitor(blinkradar.DefaultConfig(), 150, 25, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A NaN or infinite window never closes, so it would never be
+	// assessed.
+	for _, span := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := blinkradar.NewMonitor(blinkradar.DefaultConfig(), 150, 25, span); err == nil {
+			t.Errorf("NewMonitor accepted a %g-s window", span)
+		}
+		if err := m.SetWindowSec(span); err == nil {
+			t.Errorf("SetWindowSec accepted a %g-s window", span)
+		}
 	}
 	if _, err := blinkradar.NewMonitor(blinkradar.DefaultConfig(), 0, 25, 60); err == nil {
 		t.Fatal("zero bins must be rejected")

@@ -199,10 +199,9 @@ func startAdmin(ctx context.Context, addr string, reg *obs.Registry, health func
 }
 
 // loadMatrix replays a capture file or simulates a fresh one. Capture
-// files go through CaptureReader, which handles both the indexed v1
-// format and legacy v0 dumps, serves the intact prefix of a torn file
-// (with a warning) instead of refusing it, and seeks -start-frame via
-// the footer index.
+// files go through CaptureReader, which reads the .brc v1 format,
+// serves the intact prefix of a torn file (with a warning) instead of
+// refusing it, and seeks -start-frame via the frame index.
 func loadMatrix(path string, startFrame, subjectID int, duration float64, drowsy bool, seed int64, logger *log.Logger) (*blinkradar.FrameMatrix, error) {
 	if path == "" {
 		if startFrame != 0 {

@@ -377,8 +377,7 @@ func buildVerdict(cfg soakConfig, mgr *session.Manager, results []sessionResult,
 	return v
 }
 
-// parseChaosSpecs splits the semicolon-separated spec list. Bin-count
-// changes are refused: every connection's hello pins the geometry.
+// parseChaosSpecs splits the semicolon-separated spec list.
 func parseChaosSpecs(s string) ([]chaos.Config, error) {
 	if s == "" {
 		return nil, nil
@@ -392,9 +391,6 @@ func parseChaosSpecs(s string) ([]chaos.Config, error) {
 		c, err := chaos.ParseSpec(one)
 		if err != nil {
 			return nil, err
-		}
-		if c.BinChangeAfter > 0 {
-			return nil, errors.New("binchange is not soakable: the stream hello pins the bin count for the connection's lifetime")
 		}
 		specs = append(specs, c)
 	}

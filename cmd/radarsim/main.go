@@ -12,7 +12,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -95,8 +94,7 @@ func main() {
 }
 
 // buildInjector parses the -chaos spec into a frame injector, or nil
-// when no faults are requested. Bin-count changes are refused: the
-// capture header pins a single geometry for the whole file.
+// when no faults are requested.
 func buildInjector(spec string) (*chaos.Injector, error) {
 	if spec == "" {
 		return nil, nil
@@ -104,9 +102,6 @@ func buildInjector(spec string) (*chaos.Injector, error) {
 	cfg, err := chaos.ParseSpec(spec)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.BinChangeAfter > 0 {
-		return nil, errors.New("binchange is not representable in a capture file (the hello pins the bin count); use radard -chaos for mid-stream geometry changes")
 	}
 	if !cfg.Enabled() {
 		return nil, nil

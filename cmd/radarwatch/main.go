@@ -40,7 +40,7 @@ func main() {
 		adminAddr   = flag.String("admin", "", "admin HTTP address for /metrics, /healthz and pprof (empty disables)")
 		retries     = flag.Int("max-retries", 0, "give up after this many consecutive failed dials (0 retries forever)")
 		readTimeout = flag.Duration("read-timeout", 0, "per-frame read deadline; a daemon stalled longer triggers a reconnect (0 disables)")
-		resync      = flag.Bool("resync", false, "skip corrupt frames in-stream instead of reconnecting (pins the hello's bin count)")
+		resync      = flag.Bool("resync", false, "skip corrupt frames in-stream instead of reconnecting")
 	)
 	flag.Parse()
 
@@ -104,17 +104,6 @@ func main() {
 	})
 
 	err := client.Run(ctx, func(f transport.PlaneFrame) error {
-		if got := monitor.Detector().NumBins(); got != len(f.I) {
-			// Mid-stream geometry change without a reconnect (the
-			// radio was reconfigured under the daemon): rebuild, as a
-			// hello change would.
-			fmt.Printf("frame width changed (%d -> %d bins); resetting pipeline\n", got, len(f.I))
-			h, _ := client.Hello()
-			h.NumBins = uint32(len(f.I))
-			if err := buildMonitor(h); err != nil {
-				return err
-			}
-		}
 		ev, ok, assessment, err := monitor.FeedPlanes(f.I, f.Q)
 		if err != nil {
 			return err

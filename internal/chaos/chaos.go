@@ -2,10 +2,11 @@
 // blinkradar frame stream. Two fault surfaces are covered:
 //
 //   - Injector is frame-level middleware — bursty drops (Gilbert–
-//     Elliott), duplicates, reordering, timestamp jitter, non-finite
-//     and saturated bins, and mid-stream bin-count changes — installed
-//     as a transport.Server frame hook (cmd/radard) or applied to a
-//     recorded capture (cmd/radarsim).
+//     Elliott), duplicates, reordering, timestamp jitter, and
+//     non-finite and saturated bins — installed as a transport.Server
+//     frame hook (cmd/radard) or applied to a recorded capture
+//     (cmd/radarsim). No fault changes a frame's width: the stream
+//     hello fixes the geometry, and only a new hello changes it.
 //   - ConnFaults/WrapListener corrupt, reset, and stall the byte
 //     stream underneath the codec, exercising decoder resync, client
 //     read timeouts, and reconnect logic.
@@ -56,12 +57,6 @@ type Config struct {
 	SaturateProb float64
 	// SaturateValue is the rail magnitude written into saturated bins.
 	SaturateValue float64
-	// BinChangeAfter switches the stream geometry to BinChangeTo bins
-	// (truncating or zero-padding) after this many input frames. Zero
-	// disables the change.
-	BinChangeAfter int
-	// BinChangeTo is the new bin count once BinChangeAfter is reached.
-	BinChangeTo int
 	// StartAfter delays all faults until this many frames have passed.
 	StartAfter int
 	// StopAfter ends the fault window at this input frame (exclusive);
@@ -101,10 +96,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("chaos: saturate value must be positive, got %g", c.SaturateValue)
 	case c.SaturateProb > 0 && (c.PoisonFrac <= 0 || c.PoisonFrac > 1):
 		return fmt.Errorf("chaos: poison fraction must be in (0, 1], got %g", c.PoisonFrac)
-	case c.BinChangeAfter < 0:
-		return fmt.Errorf("chaos: bin-change frame must be non-negative, got %d", c.BinChangeAfter)
-	case c.BinChangeAfter > 0 && (c.BinChangeTo < 1 || c.BinChangeTo > transport.MaxBins):
-		return fmt.Errorf("chaos: bin-change target must be in [1, %d], got %d", transport.MaxBins, c.BinChangeTo)
 	case c.StartAfter < 0:
 		return fmt.Errorf("chaos: start frame must be non-negative, got %d", c.StartAfter)
 	case c.StopAfter < 0 || (c.StopAfter > 0 && c.StopAfter <= c.StartAfter):
@@ -116,8 +107,7 @@ func (c Config) Validate() error {
 // Enabled reports whether the configuration injects any fault at all.
 func (c Config) Enabled() bool {
 	return c.DropRate > 0 || c.DupProb > 0 || c.ReorderProb > 0 ||
-		c.JitterMicros > 0 || c.PoisonProb > 0 || c.SaturateProb > 0 ||
-		c.BinChangeAfter > 0
+		c.JitterMicros > 0 || c.PoisonProb > 0 || c.SaturateProb > 0
 }
 
 // Stats counts the injector's decisions so far.
@@ -126,10 +116,10 @@ type Stats struct {
 	Input uint64
 	// Emitted is the number of frames it released downstream.
 	Emitted uint64
-	// Dropped, Duplicated, Reordered, Poisoned, Saturated, Rebinned
-	// count the individual fault applications. A held reordered frame
-	// that never got a successor is counted in Dropped.
-	Dropped, Duplicated, Reordered, Poisoned, Saturated, Rebinned uint64
+	// Dropped, Duplicated, Reordered, Poisoned, Saturated count the
+	// individual fault applications. A held reordered frame that never
+	// got a successor is counted in Dropped.
+	Dropped, Duplicated, Reordered, Poisoned, Saturated uint64
 }
 
 // Injector applies the configured faults to a frame stream. It is
@@ -206,10 +196,6 @@ func (inj *Injector) Apply(f transport.Frame) []transport.Frame {
 	}
 	if inj.cfg.JitterMicros > 0 {
 		f.TimestampMicros = inj.jitter(f.TimestampMicros)
-	}
-	if inj.cfg.BinChangeAfter > 0 && i >= inj.cfg.BinChangeAfter && len(f.Bins) != inj.cfg.BinChangeTo {
-		f = inj.rebin(f)
-		inj.stats.Rebinned++
 	}
 	if inj.cfg.ReorderProb > 0 && inj.held == nil && inj.rng.Float64() < inj.cfg.ReorderProb {
 		held := f
@@ -300,14 +286,6 @@ func (inj *Injector) saturate(f transport.Frame) transport.Frame {
 	return f
 }
 
-// rebin truncates or zero-pads the frame to BinChangeTo bins.
-func (inj *Injector) rebin(f transport.Frame) transport.Frame {
-	bins := make([]complex128, inj.cfg.BinChangeTo)
-	copy(bins, f.Bins)
-	f.Bins = bins
-	return f
-}
-
 // ParseSpec parses the compact fault-spec syntax used by the cmd flags:
 // comma-separated key=value pairs.
 //
@@ -321,7 +299,6 @@ func (inj *Injector) rebin(f transport.Frame) transport.Frame {
 //	nanfrac=F       fraction of bins hit per poisoned frame (default 0.1)
 //	sat=P           saturation probability
 //	satval=V        saturation rail value (default 1e6)
-//	binchange=N:B   switch to B bins after N frames
 //	start=N         first faulted frame
 //	stop=N          end of the fault window (exclusive; 0 = never)
 //
@@ -360,14 +337,6 @@ func ParseSpec(spec string) (Config, error) {
 			cfg.SaturateProb, err = strconv.ParseFloat(val, 64)
 		case "satval":
 			cfg.SaturateValue, err = strconv.ParseFloat(val, 64)
-		case "binchange":
-			after, to, ok := strings.Cut(val, ":")
-			if !ok {
-				return Config{}, fmt.Errorf("chaos: binchange wants FRAME:BINS, got %q", val)
-			}
-			if cfg.BinChangeAfter, err = strconv.Atoi(after); err == nil {
-				cfg.BinChangeTo, err = strconv.Atoi(to)
-			}
 		case "start":
 			cfg.StartAfter, err = strconv.Atoi(val)
 		case "stop":
@@ -421,9 +390,6 @@ func (c Config) Spec() string {
 	}
 	if c.SaturateValue != def.SaturateValue {
 		add("satval", f(c.SaturateValue))
-	}
-	if c.BinChangeAfter != def.BinChangeAfter {
-		add("binchange", strconv.Itoa(c.BinChangeAfter)+":"+strconv.Itoa(c.BinChangeTo))
 	}
 	if c.StartAfter != def.StartAfter {
 		add("start", strconv.Itoa(c.StartAfter))

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"blinkradar/internal/transport"
@@ -175,29 +176,8 @@ func TestInjectorReorderSwapsAdjacent(t *testing.T) {
 	}
 }
 
-func TestInjectorBinChange(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 11
-	cfg.BinChangeAfter = 5
-	cfg.BinChangeTo = 32
-	inj, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		out := inj.Apply(mkFrame(uint64(i), 16))
-		want := 16
-		if i >= 5 {
-			want = 32
-		}
-		if len(out) != 1 || len(out[0].Bins) != want {
-			t.Fatalf("frame %d: want %d bins, got %+v", i, want, out)
-		}
-	}
-}
-
 func TestParseSpecRoundTrip(t *testing.T) {
-	spec := "seed=7,drop=0.05,burst=4,dup=0.01,reorder=0.02,jitter=2000,nan=0.02,nanfrac=0.2,sat=0.01,satval=500,binchange=500:32,start=100,stop=2000"
+	spec := "seed=7,drop=0.05,burst=4,dup=0.01,reorder=0.02,jitter=2000,nan=0.02,nanfrac=0.2,sat=0.01,satval=500,start=100,stop=2000"
 	cfg, err := ParseSpec(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -205,8 +185,7 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	if cfg.Seed != 7 || cfg.DropRate != 0.05 || cfg.MeanBurstLen != 4 ||
 		cfg.DupProb != 0.01 || cfg.ReorderProb != 0.02 || cfg.JitterMicros != 2000 ||
 		cfg.PoisonProb != 0.02 || cfg.PoisonFrac != 0.2 || cfg.SaturateProb != 0.01 ||
-		cfg.SaturateValue != 500 || cfg.BinChangeAfter != 500 || cfg.BinChangeTo != 32 ||
-		cfg.StartAfter != 100 || cfg.StopAfter != 2000 {
+		cfg.SaturateValue != 500 || cfg.StartAfter != 100 || cfg.StopAfter != 2000 {
 		t.Fatalf("spec parsed wrong: %+v", cfg)
 	}
 	back, err := ParseSpec(cfg.Spec())
@@ -234,5 +213,15 @@ func TestParseSpecErrors(t *testing.T) {
 		if _, err := ParseSpec(spec); err == nil {
 			t.Errorf("spec %q should not parse", spec)
 		}
+	}
+}
+
+// TestParseSpecRejectsBinChange pins that no fault changes a frame's
+// width: the stream hello fixes the geometry, so binchange is an
+// unknown key, not a fault the stream readers must survive.
+func TestParseSpecRejectsBinChange(t *testing.T) {
+	_, err := ParseSpec("binchange=10:32")
+	if err == nil || !strings.Contains(err.Error(), "unknown spec key") {
+		t.Fatalf("ParseSpec(binchange=10:32) = %v, want an unknown-key error", err)
 	}
 }

@@ -374,46 +374,6 @@ func TestChaosPoisonedBinsDegrade(t *testing.T) {
 	}
 }
 
-// TestChaosBinCountChange switches the stream geometry mid-run and
-// checks the consumer detects the new frame width and rebuilds its
-// pipeline, reaching tracking on the new geometry.
-func TestChaosBinCountChange(t *testing.T) {
-	leakCheck(t)
-	const changeAt, newBins = 600, 36
-	m, _ := chaosCapture(t, 1300, 6)
-	cfg := DefaultConfig()
-	cfg.Seed = 13
-	cfg.BinChangeAfter = changeAt
-	cfg.BinChangeTo = newBins
-	inj, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	det := newDetector(t, m.NumBins())
-	rebuilds := 0
-	res := runLoop(t, m, 20,
-		func(s *transport.Server) { s.SetFrameHook(inj.Apply) }, nil,
-		transport.ReconnectConfig{OnSeqGap: det.NoteGap},
-		func(f transport.PlaneFrame) error {
-			if len(f.I) != det.NumBins() {
-				det = newDetector(t, len(f.I))
-				rebuilds++
-			}
-			_, _, err := det.FeedPlanes(f.I, f.Q)
-			return err
-		},
-	)
-	if rebuilds != 1 {
-		t.Fatalf("bin-count change forced %d rebuilds, want 1 (run %v)", rebuilds, res.runErr)
-	}
-	if det.NumBins() != newBins {
-		t.Fatalf("rebuilt detector has %d bins, want %d", det.NumBins(), newBins)
-	}
-	if h := det.Health(); h != core.HealthTracking {
-		t.Fatalf("rebuilt detector ended %v, want tracking", h)
-	}
-}
-
 // TestChaosDuplicatesAndReorder injects duplicate and swapped frames
 // and checks the loop absorbs them exactly: every sequence number is
 // delivered at most once and in increasing order, dups and reordered

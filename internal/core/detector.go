@@ -33,7 +33,6 @@ type Detector struct {
 	everSelected bool
 	challenger   int
 	bin          int
-	binScore     float64
 	haveBin      bool
 	settleUntil  int
 	restarts     int
@@ -47,9 +46,8 @@ type Detector struct {
 	health        atomic.Int32 // HealthState; read cross-goroutine
 
 	// Motion-restart state.
-	restartAt int
-	med       *dsp.StreamingMedian
-	sustain   int
+	med     *dsp.StreamingMedian
+	sustain int
 
 	// Optional diagnostics trace.
 	trace      bool
@@ -58,7 +56,6 @@ type Detector struct {
 	cur        iq.Planes32 // per-frame SoA working copy
 	seriesBuf  []complex128
 	selScratch SelectScratch
-	eventCount int
 
 	// Metrics (nil-safe no-ops until SetRegistry attaches a registry).
 	mFrames      *obs.Counter
@@ -159,16 +156,15 @@ func (d *Detector) Reset() {
 	d.frame = 0
 	d.matured, d.everMatured, d.everSelected = false, false, false
 	d.challenger = 0
-	d.bin, d.binScore, d.haveBin = -1, 0, false
+	d.bin, d.haveBin = -1, false
 	d.settleUntil = 0
 	d.restarts, d.binSwitches = 0, 0
 	d.in = InputStats{}
 	d.consecRejects = 0
 	d.haveGood = false
-	d.restartAt, d.sustain = 0, 0
+	d.sustain = 0
 	d.distTrace = d.distTrace[:0]
 	d.thrTrace = d.thrTrace[:0]
-	d.eventCount = 0
 	d.allocPrevValid = false
 	d.framesSinceSamp = 0
 	d.setHealth(HealthAcquiring)
@@ -392,7 +388,6 @@ func (d *Detector) feedCur(timed bool, start time.Time) (BlinkEvent, bool, error
 
 	if fired && d.frame >= d.settleUntil {
 		ev.Bin = d.bin
-		d.eventCount++
 		d.mBlinks.Inc()
 		return ev, true, nil
 	}
@@ -438,7 +433,6 @@ func (d *Detector) selectBin(reselect bool) {
 		return
 	}
 	d.bin = best.Bin
-	d.binScore = best.Score
 	d.haveBin = true
 	d.everSelected = true
 	d.matured = false
@@ -460,7 +454,6 @@ func (d *Detector) maybeReselect() {
 	d.seriesBuf = d.ring.seriesInto(d.bin, d.seriesBuf)
 	d.selScratch.res = grow(d.selScratch.res, len(d.seriesBuf))
 	current := scoreBinRes(d.bin, d.seriesBuf, d.selScratch.res[:len(d.seriesBuf)])
-	d.binScore = current.Score
 	if best.Bin == d.bin {
 		return
 	}
@@ -474,7 +467,6 @@ func (d *Detector) maybeReselect() {
 		}
 		d.challenger = -1
 		d.bin = best.Bin
-		d.binScore = best.Score
 		d.binSwitches++
 		d.mBinSwitches.Inc()
 		d.matured = false
@@ -524,7 +516,6 @@ func (d *Detector) restart() {
 	d.restarts++
 	d.mRestarts.Inc()
 	d.sustain = 0
-	d.restartAt = d.frame
 	d.selectBin(true)
 }
 

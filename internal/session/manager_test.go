@@ -147,6 +147,21 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestNewManagerRejectsNonFiniteWindow checks that a NaN or infinite
+// assessment window (radard's -ingest-window) fails in NewManager: a
+// Monitor with such a window would never assess.
+func TestNewManagerRejectsNonFiniteWindow(t *testing.T) {
+	for _, span := range []float64{math.NaN(), math.Inf(1)} {
+		cfg := testConfig()
+		cfg.WindowSec = span
+		m, err := NewManager(cfg)
+		if err == nil {
+			m.Close()
+			t.Errorf("NewManager accepted a %g-s window", span)
+		}
+	}
+}
+
 // TestNewManagerRejectsBadGeometry pins the construction-time checks:
 // a geometry no Monitor can track fails in NewManager, not on every
 // Attach. Eight bins are all guard bins, leaving none to select.

@@ -13,8 +13,8 @@ import (
 	"blinkradar/internal/rf"
 )
 
-// This file implements the versioned .brc capture format (v1): the
-// on-disk substrate of record/replay evaluation. Layout:
+// This file implements the .brc capture format (version 1, the only
+// version): the on-disk substrate of record/replay evaluation. Layout:
 //
 //	file header (44 bytes):
 //	  0  [8]byte  magic "BRC1" 0xB1 0x1C '\r' '\n'
@@ -42,9 +42,7 @@ import (
 // short — crash, power loss, torn copy — simply lacks the footer (or
 // carries a damaged one); CaptureReader then rebuilds the index by
 // scanning the CRC-framed frames and surfaces the damage as
-// ErrTruncatedCapture while still serving every intact frame. Legacy
-// v0 captures (stream hello + frames, no index) load through the same
-// reader.
+// ErrTruncatedCapture while still serving every intact frame.
 
 // ErrTruncatedCapture marks a capture whose tail is missing or
 // damaged — a torn write, a crash before Close, a partial copy. It is
@@ -52,7 +50,8 @@ import (
 // frame prefix; the error reports that the file does not end cleanly.
 var ErrTruncatedCapture = errors.New("transport: truncated capture")
 
-// CaptureVersion is the current capture file format version.
+// CaptureVersion is the capture file format version, the only one a
+// CaptureReader opens.
 const CaptureVersion = 1
 
 var (
@@ -71,16 +70,13 @@ const (
 	captureTailSize = 16
 )
 
-// CaptureHeader describes a capture file: its format version, the
-// stream geometry, and the recording start time.
+// CaptureHeader describes a capture file: the stream geometry and the
+// recording start time.
 type CaptureHeader struct {
-	// Version is the capture format version: 1 for indexed .brc v1
-	// files, 0 for legacy hello+frames captures.
-	Version int
 	// Hello is the stream geometry (frame rate, bin spacing, bins).
 	Hello StreamHello
 	// StartTimeMicros is the recording start in unix microseconds;
-	// zero means unknown (synthetic captures). v0 files carry none.
+	// zero means unknown (synthetic captures).
 	StartTimeMicros uint64
 }
 
@@ -233,12 +229,12 @@ func (cw *CaptureWriter) Close() error {
 	return nil
 }
 
-// CaptureReader reads .brc captures — v1 (indexed) and legacy v0
-// (hello + frames) — with torn-write recovery: a file whose footer is
-// missing or damaged, or whose frame stream is cut mid-frame, still
-// yields every intact frame; Truncated reports the damage as an error
-// wrapping ErrTruncatedCapture. Frames are CRC-validated on every
-// read, whether reached sequentially or via the index.
+// CaptureReader reads .brc v1 captures with torn-write recovery: a
+// file whose footer is missing or damaged, or whose frame stream is
+// cut mid-frame, still yields every intact frame; Truncated reports the
+// damage as an error wrapping ErrTruncatedCapture. Frames are
+// CRC-validated on every read, whether reached sequentially or via the
+// index.
 //
 // The reader is single-goroutine; Next returns a frame whose I/Q
 // planes are reused by the following Next or Seek.
@@ -248,8 +244,7 @@ type CaptureReader struct {
 	header CaptureHeader
 
 	offsets []int64
-	indexed bool // offsets came from a valid footer, not a scan
-	trunc   error
+	trunc   error // nil exactly when offsets came from a valid footer
 
 	pos     int // frame index the next Next will read
 	aligned bool
@@ -266,7 +261,8 @@ type CaptureReader struct {
 // the frames, recording how far the intact prefix reaches. A file cut
 // before the header is complete cannot be opened and returns an error
 // wrapping ErrTruncatedCapture; anything longer opens with the frames
-// that survived.
+// that survived. A file that does not open with the v1 header — a bare
+// wire dump that starts with a stream hello, say — is refused.
 func NewCaptureReader(r io.ReadSeeker) (*CaptureReader, error) {
 	cr := &CaptureReader{
 		r:             r,
@@ -278,58 +274,31 @@ func NewCaptureReader(r io.ReadSeeker) (*CaptureReader, error) {
 	}
 	cr.planeI = make([]float32, cr.header.Hello.NumBins)
 	cr.planeQ = make([]float32, cr.header.Hello.NumBins)
-	if cr.header.Version >= 1 {
-		if cr.loadFooter() {
-			return cr, nil
-		}
+	if !cr.loadFooter() {
+		cr.trunc = cr.scanIndex()
 	}
-	cr.scanIndex()
 	return cr, nil
 }
 
-// Header returns the capture's version, geometry, and start time.
+// Header returns the capture's geometry and start time.
 func (cr *CaptureReader) Header() CaptureHeader { return cr.header }
 
 // NumFrames reports the readable (intact) frame count.
 func (cr *CaptureReader) NumFrames() int { return len(cr.offsets) }
 
-// Indexed reports whether the frame index came from a valid footer
-// (true) or a recovery scan of the frame stream (false).
-func (cr *CaptureReader) Indexed() bool { return cr.indexed }
-
 // Truncated reports whether the capture ends cleanly. A nil return
-// means the file is complete; otherwise the error wraps
-// ErrTruncatedCapture and describes where the damage starts. The
+// means the file is complete and its frame index came from the valid
+// footer; otherwise a recovery scan rebuilt the index, and the error
+// wraps ErrTruncatedCapture and describes where the damage starts. The
 // intact frames remain fully readable either way.
 func (cr *CaptureReader) Truncated() error { return cr.trunc }
 
-// frameBodyOffset is where frame data begins for this capture version.
-func (cr *CaptureReader) frameBodyOffset() int64 {
-	if cr.header.Version >= 1 {
-		return captureHeaderSize
-	}
-	return helloSize
-}
-
-// readHeader sniffs the version and decodes the file header.
+// readHeader decodes and validates the v1 file header.
 func (cr *CaptureReader) readHeader() error {
 	if _, err := cr.r.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("transport: seek capture start: %w", err)
 	}
 	cr.br.Reset(cr.r)
-	magic, err := cr.br.Peek(2)
-	if err != nil {
-		return fmt.Errorf("transport: capture too short for any header: %w", ErrTruncatedCapture)
-	}
-	if binary.BigEndian.Uint16(magic) == Magic {
-		// Legacy v0: the file opens with the stream hello.
-		hello, err := DecodeHello(cr.br)
-		if err != nil {
-			return fmt.Errorf("transport: v0 capture hello: %w", err)
-		}
-		cr.header = CaptureHeader{Version: 0, Hello: hello}
-		return nil
-	}
 	var hdr [captureHeaderSize]byte
 	if _, err := io.ReadFull(cr.br, hdr[:]); err != nil {
 		return fmt.Errorf("transport: capture header cut short: %w", ErrTruncatedCapture)
@@ -352,7 +321,6 @@ func (cr *CaptureReader) readHeader() error {
 		return fmt.Errorf("transport: implausible capture geometry %+v", h)
 	}
 	cr.header = CaptureHeader{
-		Version:         CaptureVersion,
 		Hello:           h,
 		StartTimeMicros: binary.BigEndian.Uint64(hdr[32:]),
 	}
@@ -370,8 +338,7 @@ func (cr *CaptureReader) loadFooter() bool {
 	if err != nil {
 		return false
 	}
-	body := cr.frameBodyOffset()
-	if size < body+captureFooterFixed+captureTailSize {
+	if size < captureHeaderSize+captureFooterFixed+captureTailSize {
 		return false
 	}
 	var tail [captureTailSize]byte
@@ -389,7 +356,7 @@ func (cr *CaptureReader) loadFooter() bool {
 	// after; bound it by the file itself so a hostile offset cannot
 	// trigger an oversized read.
 	blockEnd := size - captureTailSize - 4
-	if footerOff < body || footerOff+captureFooterFixed-4 > blockEnd {
+	if footerOff < captureHeaderSize || footerOff+captureFooterFixed-4 > blockEnd {
 		return false
 	}
 	block := make([]byte, blockEnd-footerOff)
@@ -415,7 +382,7 @@ func (cr *CaptureReader) loadFooter() bool {
 	}
 	minFrame := int64(frameWireSize(int(cr.header.Hello.NumBins)))
 	offsets := make([]int64, count)
-	prev := body - minFrame
+	prev := captureHeaderSize - minFrame
 	for i := range offsets {
 		off := int64(binary.BigEndian.Uint64(block[16+i*8:]))
 		if off < prev+minFrame || off+minFrame > footerOff {
@@ -425,8 +392,6 @@ func (cr *CaptureReader) loadFooter() bool {
 		prev = off
 	}
 	cr.offsets = offsets
-	cr.indexed = true
-	cr.pos, cr.aligned = 0, false
 	return true
 }
 
@@ -434,52 +399,35 @@ func (cr *CaptureReader) loadFooter() bool {
 // stream front to back (samples are never decoded), stopping at the
 // first damage — a cut frame, a corrupt CRC, or the (possibly damaged)
 // footer bytes. Everything before the stop is intact and becomes the
-// readable prefix; unless the stop is a cleanly indexed end of file,
-// Truncated reports it.
-func (cr *CaptureReader) scanIndex() {
-	cr.offsets = cr.offsets[:0]
-	cr.indexed = false
-	body := cr.frameBodyOffset()
-	if _, err := cr.r.Seek(body, io.SeekStart); err != nil {
-		cr.trunc = fmt.Errorf("transport: seek frame body: %w", err)
-		return
+// readable prefix. The scan runs only when the footer did not
+// validate, so it always returns where it stopped, wrapping
+// ErrTruncatedCapture.
+func (cr *CaptureReader) scanIndex() error {
+	if _, err := cr.r.Seek(captureHeaderSize, io.SeekStart); err != nil {
+		return fmt.Errorf("transport: seek frame body: %w", err)
 	}
 	cr.br.Reset(cr.r)
-	off := body
+	off := int64(captureHeaderSize)
 	for {
-		// A complete v1 file ends with the footer; hitting its magic at
-		// a frame boundary is the clean end of the scan.
-		if cr.header.Version >= 1 {
-			if peek, err := cr.br.Peek(4); err == nil && [4]byte(peek[0:4]) == captureFooter {
-				break
-			}
+		if peek, err := cr.br.Peek(4); err == nil && [4]byte(peek[0:4]) == captureFooter {
+			// The footer exists but failed validation in loadFooter:
+			// the frames are all intact, the index is not.
+			return fmt.Errorf("transport: capture footer damaged after %d frames: %w",
+				len(cr.offsets), ErrTruncatedCapture)
 		}
 		_, n, err := readFrameWire(cr.br, cr.scratchHeader, &cr.scratchBody, cr.header.Hello.NumBins)
 		if errors.Is(err, io.EOF) {
-			if cr.header.Version >= 1 {
-				// Frames ended without a footer: the Close never landed.
-				cr.trunc = fmt.Errorf("transport: capture footer missing after %d frames: %w",
-					len(cr.offsets), ErrTruncatedCapture)
-			}
-			// A v0 capture has no footer; clean EOF is a clean end.
-			cr.pos, cr.aligned = 0, false
-			return
+			// Frames ended without a footer: the Close never landed.
+			return fmt.Errorf("transport: capture footer missing after %d frames: %w",
+				len(cr.offsets), ErrTruncatedCapture)
 		}
 		if err != nil {
-			cr.trunc = fmt.Errorf("transport: capture damaged at frame %d (offset %d): %v: %w",
+			return fmt.Errorf("transport: capture damaged at frame %d (offset %d): %v: %w",
 				len(cr.offsets), off, err, ErrTruncatedCapture)
-			cr.pos, cr.aligned = 0, false
-			return
 		}
 		cr.offsets = append(cr.offsets, off)
 		off += int64(frameWireSize(n))
 	}
-	// Footer reached by scanning — it exists but failed validation in
-	// loadFooter (or this reader skipped the fast path): the frames are
-	// all intact, the index is not.
-	cr.trunc = fmt.Errorf("transport: capture footer damaged after %d frames: %w",
-		len(cr.offsets), ErrTruncatedCapture)
-	cr.pos, cr.aligned = 0, false
 }
 
 // Seek positions the reader so the next Next returns frame k. Seeking

@@ -44,30 +44,6 @@ func writeTestCapture(tb testing.TB, hello StreamHello, n int) []byte {
 	return buf.Bytes()
 }
 
-// writeV0Capture serialises a frame matrix in the legacy v0 layout — a
-// stream hello followed by encoded frames, with no index and no
-// recovery metadata — the bytes old recordings hold and CaptureReader
-// still loads.
-func writeV0Capture(tb testing.TB, m *rf.FrameMatrix) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	hello := StreamHello{FrameRate: m.FrameRate, BinSpacing: m.BinSpacing, NumBins: uint32(m.NumBins())}
-	if err := EncodeHello(&buf, hello); err != nil {
-		tb.Fatal(err)
-	}
-	enc := NewEncoder(&buf)
-	for k, bins := range m.Data {
-		f := Frame{Seq: uint64(k), TimestampMicros: TimestampMicros(m.FrameTime(k)), Bins: bins}
-		if err := enc.Encode(f); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if err := enc.Flush(); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // writeMatrixCapture writes a frame matrix through CaptureWriter,
 // stamping frames as radarsim does, and returns the finished v1 capture.
 func writeMatrixCapture(tb testing.TB, m *rf.FrameMatrix) []byte {
@@ -135,20 +111,14 @@ func TestCaptureRoundTripV1(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := cr.Header()
-	if h.Version != CaptureVersion {
-		t.Fatalf("Version = %d, want %d", h.Version, CaptureVersion)
-	}
 	if h.Hello != testHello {
 		t.Fatalf("Hello = %+v, want %+v", h.Hello, testHello)
 	}
 	if h.StartTimeMicros != 1700000000000000 {
 		t.Fatalf("StartTimeMicros = %d", h.StartTimeMicros)
 	}
-	if !cr.Indexed() {
-		t.Fatal("complete capture should load its footer index")
-	}
 	if err := cr.Truncated(); err != nil {
-		t.Fatalf("complete capture reports truncation: %v", err)
+		t.Fatalf("complete capture should load its footer index, reports truncation: %v", err)
 	}
 	checkFrames(t, cr, n)
 }
@@ -193,16 +163,16 @@ func TestCaptureSeek(t *testing.T) {
 	}
 }
 
-// TestCaptureReaderV0 loads a legacy hello+frames capture through the
-// new reader, whole and cut at every byte past the hello.
-func TestCaptureReaderV0(t *testing.T) {
+// TestCaptureReaderRefusesHelloHeaded checks that a bare wire dump —
+// a stream hello followed by encoded frames, with no capture header —
+// is not a capture: v1 is the only version the reader opens.
+func TestCaptureReaderRefusesHelloHeaded(t *testing.T) {
 	var buf bytes.Buffer
 	if err := EncodeHello(&buf, testHello); err != nil {
 		t.Fatal(err)
 	}
 	enc := NewEncoder(&buf)
-	const n = 9
-	for k := 0; k < n; k++ {
+	for k := 0; k < 9; k++ {
 		if err := enc.Encode(testFrame(k, int(testHello.NumBins))); err != nil {
 			t.Fatal(err)
 		}
@@ -210,39 +180,8 @@ func TestCaptureReaderV0(t *testing.T) {
 	if err := enc.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	cr, err := NewCaptureReader(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cr.Header().Version != 0 {
-		t.Fatalf("Version = %d, want 0", cr.Header().Version)
-	}
-	if cr.Header().Hello != testHello {
-		t.Fatalf("Hello = %+v", cr.Header().Hello)
-	}
-	if err := cr.Truncated(); err != nil {
-		t.Fatalf("clean v0 capture reports truncation: %v", err)
-	}
-	if cr.Indexed() {
-		t.Fatal("v0 capture has no footer to be Indexed by")
-	}
-	checkFrames(t, cr, n)
-
-	// A damaged v0 file still serves its intact frame prefix. With no
-	// footer, a cut on a frame boundary reads as a clean end; any cut
-	// inside a frame is flagged as truncation.
-	data := buf.Bytes()
-	frameSize := frameWireSize(int(testHello.NumBins))
-	for cut := helloSize; cut < len(data); cut++ {
-		cr, err := NewCaptureReader(bytes.NewReader(data[:cut]))
-		if err != nil {
-			t.Fatalf("cut %d: open failed: %v", cut, err)
-		}
-		terr := cr.Truncated()
-		if mid := (cut-helloSize)%frameSize != 0; mid != errors.Is(terr, ErrTruncatedCapture) {
-			t.Fatalf("cut %d: truncation report %v, mid-frame cut %v", cut, terr, mid)
-		}
-		checkFrames(t, cr, (cut-helloSize)/frameSize)
+	if cr, err := NewCaptureReader(bytes.NewReader(buf.Bytes())); err == nil {
+		t.Fatalf("hello-headed dump opened as a capture of %d frames", cr.NumFrames())
 	}
 }
 
@@ -308,11 +247,8 @@ func TestCaptureFooterCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatalf("flip at %d: open failed: %v", off, err)
 		}
-		if cr.Indexed() {
-			t.Fatalf("flip at %d: damaged footer was trusted", off)
-		}
 		if terr := cr.Truncated(); !errors.Is(terr, ErrTruncatedCapture) {
-			t.Fatalf("flip at %d: Truncated = %v", off, terr)
+			t.Fatalf("flip at %d: damaged footer was trusted, Truncated = %v", off, terr)
 		}
 		checkFrames(t, cr, n)
 	}
@@ -332,8 +268,8 @@ func TestCaptureIndexedFrameCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cr.Indexed() {
-		t.Fatal("footer is intact; the index should load")
+	if err := cr.Truncated(); err != nil {
+		t.Fatalf("footer is intact; the index should load, got %v", err)
 	}
 	for k := 0; k < bad; k++ {
 		if _, err := cr.Next(); err != nil {
@@ -401,8 +337,8 @@ func TestCaptureWriterContracts(t *testing.T) {
 	}
 }
 
-// TestCaptureReadMatrix checks the matrix convenience against a legacy
-// v0 capture of known frames.
+// TestCaptureReadMatrix checks the matrix convenience against a capture
+// of known frames.
 func TestCaptureReadMatrix(t *testing.T) {
 	m, err := rf.NewFrameMatrix(20, 8, 25, 0.0107)
 	if err != nil {
@@ -413,26 +349,24 @@ func TestCaptureReadMatrix(t *testing.T) {
 			m.Data[k][i] = complex(float64(k), float64(i))
 		}
 	}
-	for name, data := range map[string][]byte{"v0": writeV0Capture(t, m)} {
-		cr, err := NewCaptureReader(bytes.NewReader(data))
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, err := cr.ReadMatrixFrom(0)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if got.NumFrames() != m.NumFrames() || got.NumBins() != m.NumBins() {
-			t.Fatalf("%s: matrix is %dx%d, want %dx%d", name, got.NumFrames(), got.NumBins(), m.NumFrames(), m.NumBins())
-		}
-		if got.FrameRate != m.FrameRate || got.BinSpacing != m.BinSpacing {
-			t.Fatalf("%s: geometry %v/%v", name, got.FrameRate, got.BinSpacing)
-		}
-		for k := range m.Data {
-			for i := range m.Data[k] {
-				if got.Data[k][i] != m.Data[k][i] {
-					t.Fatalf("%s: [%d][%d] = %v, want %v", name, k, i, got.Data[k][i], m.Data[k][i])
-				}
+	cr, err := NewCaptureReader(bytes.NewReader(writeMatrixCapture(t, m)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := cr.ReadMatrixFrom(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumFrames() != m.NumFrames() || got.NumBins() != m.NumBins() {
+		t.Fatalf("matrix is %dx%d, want %dx%d", got.NumFrames(), got.NumBins(), m.NumFrames(), m.NumBins())
+	}
+	if got.FrameRate != m.FrameRate || got.BinSpacing != m.BinSpacing {
+		t.Fatalf("geometry %v/%v", got.FrameRate, got.BinSpacing)
+	}
+	for k := range m.Data {
+		for i := range m.Data[k] {
+			if got.Data[k][i] != m.Data[k][i] {
+				t.Fatalf("[%d][%d] = %v, want %v", k, i, got.Data[k][i], m.Data[k][i])
 			}
 		}
 	}

@@ -19,7 +19,11 @@ type Client struct {
 	readTimeout time.Duration
 }
 
-// Dial connects to a radar server and reads the stream hello.
+// Dial connects to a radar server and reads the stream hello. The
+// hello is the stream's contract: the client's decoder is pinned to
+// its bin count, so a frame header announcing any other width is
+// corrupt (ErrCorruptFrame) rather than a phantom payload to wait for.
+// Geometry changes only with a new connection and a new hello.
 func Dial(ctx context.Context, addr string) (*Client, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -41,7 +45,9 @@ func Dial(ctx context.Context, addr string) (*Client, error) {
 		conn.Close()
 		return nil, fmt.Errorf("transport: clear deadline: %w", err)
 	}
-	return &Client{conn: conn, dec: NewDecoder(conn), hello: hello}, nil
+	dec := NewDecoder(conn)
+	dec.SetExpectedBins(hello.NumBins)
+	return &Client{conn: conn, dec: dec, hello: hello}, nil
 }
 
 // Hello returns the stream geometry announced by the server.
@@ -55,14 +61,9 @@ func (c *Client) SetReadTimeout(d time.Duration) { c.readTimeout = d }
 
 // EnableResync makes the client skip corrupt frames in-stream instead
 // of failing the connection (see Decoder.EnableResync). Skipped frames
-// surface downstream as sequence gaps. Resync pins the bin count to
-// the hello's announcement, so a corrupted length field cannot stall
-// the stream on a phantom payload — which also means a resyncing
-// client treats a mid-stream geometry change as corruption.
-func (c *Client) EnableResync() {
-	c.dec.EnableResync()
-	c.dec.SetExpectedBins(c.hello.NumBins)
-}
+// surface downstream as sequence gaps. The bin-count pin Dial set
+// stays: it is what lets resync reject a damaged header.
+func (c *Client) EnableResync() { c.dec.EnableResync() }
 
 // Resyncs reports the corrupt frames skipped and garbage bytes
 // discarded on this connection.

@@ -210,8 +210,9 @@ func (d *Decoder) EnableResync() { d.resync = true }
 // SetExpectedBins pins the per-frame bin count (0 lifts the pin). A
 // header announcing any other count is treated as corrupt, which stops
 // a damaged length field from stalling the stream on a giant phantom
-// payload and sharpens resync's header validation. Streams whose
-// geometry legitimately changes mid-connection must not pin.
+// payload and sharpens resync's header validation. Every stream reader
+// pins the count its hello announced (Dial, ingest.ServeStream); an
+// unpinned decoder accepts any width up to MaxBins.
 func (d *Decoder) SetExpectedBins(n uint32) { d.expectBins = n }
 
 // Resyncs reports how many corrupt frames were skipped and how many

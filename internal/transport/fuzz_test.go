@@ -165,11 +165,13 @@ func FuzzCaptureReader(f *testing.F) {
 	corrupt := append([]byte{}, whole...)
 	corrupt[captureHeaderSize+30] ^= 0xff // frame damage under a valid footer
 	f.Add(corrupt)
-	var v0 bytes.Buffer
-	if err := EncodeHello(&v0, testHello); err != nil {
+	// A bare wire dump (stream hello + frame) is malformed input: the
+	// reader must refuse it, not panic.
+	var dump bytes.Buffer
+	if err := EncodeHello(&dump, testHello); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(append(v0.Bytes(), frameBytes(f, testFrame(0, int(testHello.NumBins)))...))
+	f.Add(append(dump.Bytes(), frameBytes(f, testFrame(0, int(testHello.NumBins)))...))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {

@@ -151,17 +151,17 @@ type ReconnectStats struct {
 // monitor survives a radar daemon restart instead of exiting: the
 // in-vehicle deployment expects transient link loss (ignition cycles,
 // daemon upgrades) as a matter of course. It is not safe for concurrent
-// Run calls; Stats and Hello may be read from other goroutines.
+// Run calls; Stats may be read from other goroutines.
 type ReconnectingClient struct {
 	addr string
 	cfg  ReconnectConfig
 	rng  *rand.Rand
 
-	mu        sync.Mutex
-	stats     ReconnectStats
-	hello     StreamHello
-	haveHello bool
-	seq       SeqTracker
+	mu    sync.Mutex
+	stats ReconnectStats
+	seq   SeqTracker
+	// hello is the last connection's geometry, owned by Run.
+	hello StreamHello
 
 	// Metrics (nil-safe no-ops without a registry).
 	mReconnects   *obs.Counter
@@ -211,14 +211,6 @@ func (rc *ReconnectingClient) Stats() ReconnectStats {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	return rc.stats
-}
-
-// Hello returns the most recently announced stream geometry and whether
-// any connection has succeeded yet.
-func (rc *ReconnectingClient) Hello() (StreamHello, bool) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.hello, rc.haveHello
 }
 
 // callbackError marks an error raised by the consumer callback, which
@@ -306,13 +298,12 @@ func (rc *ReconnectingClient) Run(ctx context.Context, fn func(PlaneFrame) error
 
 // connected records a successful dial and fires the geometry callbacks.
 func (rc *ReconnectingClient) connected(h StreamHello) error {
-	rc.mu.Lock()
-	prev, had := rc.hello, rc.haveHello
-	changed := had && prev != h
+	prev := rc.hello
 	rc.hello = h
-	rc.haveHello = true
+	rc.mu.Lock()
 	rc.stats.Connects++
 	reconnected := rc.stats.Connects > 1
+	changed := reconnected && prev != h
 	if reconnected {
 		rc.stats.Reconnects++
 	}

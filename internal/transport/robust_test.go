@@ -2,11 +2,13 @@ package transport
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"io"
 	"net"
 	"testing"
+	"time"
 
 	"blinkradar/internal/obs"
 )
@@ -209,4 +211,56 @@ func drained(ch chan Frame) chan Frame {
 		<-ch
 	}
 	return ch
+}
+
+// TestDialPinsHelloBinCount checks that Dial pins the client's decoder
+// to the hello even without resync: a frame whose bin-count field is
+// damaged (its payload intact) fails at its header with
+// ErrCorruptFrame. An unpinned decoder would instead wait, until the
+// read timeout, for a phantom payload the stream never sends.
+func TestDialPinsHelloBinCount(t *testing.T) {
+	const bins = 150
+	hello := StreamHello{FrameRate: 25, BinSpacing: 0.0107, NumBins: bins}
+	stream := frameBytes(t, testFrame(0, bins))
+	bad := frameBytes(t, testFrame(1, bins))
+	binary.BigEndian.PutUint32(bad[20:], bins^0x100) // 406 bins: a 3,252-byte payload
+	stream = append(stream, bad...)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hold, served := make(chan struct{}), make(chan struct{})
+	defer func() {
+		close(hold)
+		ln.Close()
+		<-served
+	}()
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if EncodeHello(conn, hello) == nil {
+			conn.Write(stream)
+		}
+		<-hold // keep the connection open: nothing more is sent
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c, err := Dial(ctx, ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetReadTimeout(2 * time.Second)
+	if f, err := c.Next(ctx); err != nil || f.Seq != 0 {
+		t.Fatalf("first frame: seq %d, %v", f.Seq, err)
+	}
+	if _, err := c.Next(ctx); !errors.Is(err, ErrCorruptFrame) {
+		t.Fatalf("frame with a damaged bin count: %v, want ErrCorruptFrame", err)
+	}
 }

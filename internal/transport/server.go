@@ -14,22 +14,11 @@ import (
 	"blinkradar/internal/rf"
 )
 
-// FrameSource produces radar frames at the radio's frame rate.
-// NextFrame blocks until the next frame is available and returns the
-// range profile (which the server copies before reuse is allowed), or
-// an error to terminate the stream.
-type FrameSource interface {
-	NextFrame() ([]complex128, error)
-	// Hello describes the stream geometry.
-	Hello() StreamHello
-}
-
 // MatrixSource replays a recorded frame matrix, optionally pacing to
 // real time and looping forever.
 type MatrixSource struct {
 	m    *rf.FrameMatrix
 	next int
-	pace bool
 	loop bool
 
 	mu      sync.Mutex
@@ -41,7 +30,7 @@ type MatrixSource struct {
 // one frame period between frames; with loop true, the capture repeats
 // indefinitely.
 func NewMatrixSource(m *rf.FrameMatrix, pace, loop bool) *MatrixSource {
-	s := &MatrixSource{m: m, pace: pace, loop: loop}
+	s := &MatrixSource{m: m, loop: loop}
 	if pace {
 		s.ticker = time.NewTicker(time.Duration(float64(time.Second) / m.FrameRate))
 	}
@@ -69,7 +58,7 @@ func (s *MatrixSource) SetSpeed(speed float64) error {
 	return nil
 }
 
-// Hello implements FrameSource.
+// Hello describes the stream geometry.
 func (s *MatrixSource) Hello() StreamHello {
 	return StreamHello{
 		FrameRate:  s.m.FrameRate,
@@ -78,7 +67,9 @@ func (s *MatrixSource) Hello() StreamHello {
 	}
 }
 
-// NextFrame implements FrameSource.
+// NextFrame blocks until the next frame is due and returns its range
+// profile (which the server copies before reuse is allowed), or an
+// error once a non-looping capture is exhausted.
 func (s *MatrixSource) NextFrame() ([]complex128, error) {
 	s.mu.Lock()
 	s.started = true
@@ -111,7 +102,7 @@ func (s *MatrixSource) Close() {
 // radar daemon half of the deployment. Slow clients are disconnected
 // rather than allowed to stall the radio.
 type Server struct {
-	src    FrameSource
+	src    *MatrixSource
 	logger *log.Logger
 	// minClients gates the pump: frames are not consumed from the
 	// source until this many subscribers are connected. Useful for
@@ -172,7 +163,7 @@ const clientQueue = 100
 
 // NewServer creates a server over the given source. A nil logger
 // discards diagnostics.
-func NewServer(src FrameSource, logger *log.Logger) *Server {
+func NewServer(src *MatrixSource, logger *log.Logger) *Server {
 	if logger == nil {
 		logger = log.New(discard{}, "", 0)
 	}
@@ -275,9 +266,10 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	close(done)
 	ln.Close()
 	aux.Wait()
-	// The accept loop has exited, so no new client can register. Close
-	// any straggler accepted after the pump's own closeAll, then join
-	// the write loops.
+	// Clients are disconnected only now, after the listener closed and
+	// the accept loop exited: a client that redials the moment its
+	// stream ends finds the port closed, instead of being accepted by a
+	// dying server that sends it a hello and no frames.
 	s.closeAll()
 	s.conns.Wait()
 	return err
@@ -351,7 +343,6 @@ func (s *Server) pump(ctx context.Context) error {
 	for s.minClients > 0 && s.NumClients() < s.minClients {
 		select {
 		case <-ctx.Done():
-			s.closeAll()
 			return ctx.Err()
 		case <-time.After(5 * time.Millisecond):
 		}
@@ -359,13 +350,11 @@ func (s *Server) pump(ctx context.Context) error {
 	for {
 		select {
 		case <-ctx.Done():
-			s.closeAll()
 			return ctx.Err()
 		default:
 		}
 		bins, err := s.src.NextFrame()
 		if err != nil {
-			s.closeAll()
 			return fmt.Errorf("transport: source: %w", err)
 		}
 		f := Frame{

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -151,14 +152,11 @@ func TestCaptureFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestReadCaptureEmpty checks that a frameless legacy capture (a hello
-// and nothing else) opens but yields no matrix.
+// TestReadCaptureEmpty checks that a complete capture holding no
+// frames opens but yields no matrix.
 func TestReadCaptureEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeHello(&buf, StreamHello{FrameRate: 25, BinSpacing: 0.01, NumBins: 4}); err != nil {
-		t.Fatal(err)
-	}
-	cr, err := NewCaptureReader(bytes.NewReader(buf.Bytes()))
+	data := writeTestCapture(t, StreamHello{FrameRate: 25, BinSpacing: 0.01, NumBins: 4}, 0)
+	cr, err := NewCaptureReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,5 +408,110 @@ func TestMatrixSourceExhaustion(t *testing.T) {
 		if _, err := loop.NextFrame(); err != nil {
 			t.Fatalf("looping frame %d: %v", i, err)
 		}
+	}
+}
+
+// orderListener records whether the server closes its listener or the
+// connection it accepted first. Close waits up to closeWait for the
+// accepted connection to close before it records its own, so a server
+// that disconnects clients while still accepting is caught on every
+// run, not only when the scheduler interleaves the two that way.
+type orderListener struct {
+	net.Listener
+	closeWait  time.Duration
+	connClosed chan struct{}
+	connOnce   sync.Once
+	lnOnce     sync.Once
+
+	mu     sync.Mutex
+	events []string
+}
+
+func (l *orderListener) record(ev string) {
+	l.mu.Lock()
+	l.events = append(l.events, ev)
+	l.mu.Unlock()
+}
+
+func (l *orderListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &orderConn{Conn: c, l: l}, nil
+}
+
+func (l *orderListener) Close() error {
+	l.lnOnce.Do(func() {
+		select {
+		case <-l.connClosed:
+		case <-time.After(l.closeWait):
+		}
+		l.record("listener")
+	})
+	return l.Listener.Close()
+}
+
+type orderConn struct {
+	net.Conn
+	l *orderListener
+}
+
+func (c *orderConn) Close() error {
+	c.l.connOnce.Do(func() {
+		c.l.record("conn")
+		close(c.l.connClosed)
+	})
+	return c.Conn.Close()
+}
+
+// TestServeClosesListenerBeforeClients pins the shutdown order: Serve
+// stops accepting before it disconnects any client, whether the source
+// ends or the context is cancelled. A client that redials the moment
+// its stream ends (ReconnectingClient does) must find the port closed,
+// not a dying server that accepts it, sends a hello and hangs up.
+func TestServeClosesListenerBeforeClients(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		src    func() *MatrixSource
+		cancel bool
+	}{
+		{"source ends", func() *MatrixSource { return NewMatrixSource(testMatrix(t, 5), false, false) }, false},
+		{"context cancelled", func() *MatrixSource { return NewMatrixSource(testMatrix(t, 5), true, true) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := tc.src()
+			defer src.Close()
+			server := NewServer(src, nil)
+			server.SetMinClients(1)
+			inner, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln := &orderListener{Listener: inner, closeWait: time.Second, connClosed: make(chan struct{})}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			served := make(chan error, 1)
+			go func() { served <- server.Serve(ctx, ln) }()
+
+			client, err := Dial(ctx, inner.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer client.Close()
+			if _, err := client.Next(ctx); err != nil {
+				t.Fatalf("first frame: %v", err)
+			}
+			if tc.cancel {
+				cancel()
+			}
+			<-served
+
+			ln.mu.Lock()
+			defer ln.mu.Unlock()
+			if len(ln.events) != 2 || ln.events[0] != "listener" || ln.events[1] != "conn" {
+				t.Fatalf("shutdown closed %v, want [listener conn]", ln.events)
+			}
+		})
 	}
 }

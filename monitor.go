@@ -2,6 +2,7 @@ package blinkradar
 
 import (
 	"fmt"
+	"math"
 
 	"blinkradar/internal/core"
 	"blinkradar/internal/obs"
@@ -81,8 +82,8 @@ type Assessment struct {
 // frameRate frames per second, assessing drowsiness over windows of
 // windowSec seconds (the paper uses 60).
 func NewMonitor(cfg Config, numBins int, frameRate, windowSec float64) (*Monitor, error) {
-	if windowSec <= 0 {
-		return nil, fmt.Errorf("blinkradar: window must be positive, got %g", windowSec)
+	if err := checkWindowSec(windowSec); err != nil {
+		return nil, err
 	}
 	det, err := NewDetector(cfg, numBins, frameRate)
 	if err != nil {
@@ -112,10 +113,20 @@ func NewMonitor(cfg Config, numBins int, frameRate, windowSec float64) (*Monitor
 // backpressure thins a session's frame stream: a wider window keeps
 // enough blinks for the rate feature to stay meaningful.
 func (m *Monitor) SetWindowSec(sec float64) error {
-	if sec <= 0 {
-		return fmt.Errorf("blinkradar: window must be positive, got %g", sec)
+	if err := checkWindowSec(sec); err != nil {
+		return err
 	}
 	m.pendingWindowSec = core.SecondsOf(sec)
+	return nil
+}
+
+// checkWindowSec accepts a finite, positive window span. A NaN or
+// infinite span would never close a window, so no assessment would
+// ever be made.
+func checkWindowSec(sec float64) error {
+	if !(sec > 0) || math.IsInf(sec, 1) {
+		return fmt.Errorf("blinkradar: window must be positive and finite, got %g", sec)
+	}
 	return nil
 }
 
@@ -161,9 +172,10 @@ func (m *Monitor) Calibrated() bool { return m.model.Trained() }
 
 // Feed consumes one radar frame. It returns a detected blink (ok true)
 // and, once each completed window's delivery lag has expired, a non-nil
-// Assessment. When the assessment fails (a calibration-model error) the
-// detected blink — already recorded — is still returned alongside the
-// error rather than swallowed.
+// Assessment. When the assessment fails (a calibration-model error)
+// that window goes unassessed while the next one is already open, and
+// the detected blink — already recorded — is still returned alongside
+// the error rather than swallowed.
 func (m *Monitor) Feed(frame []complex128) (ev BlinkEvent, ok bool, assessment *Assessment, err error) {
 	ev, ok, err = m.det.Feed(frame)
 	return m.afterFeed(ev, ok, err)
@@ -214,14 +226,16 @@ func (m *Monitor) ingest(ev BlinkEvent, ok bool) (BlinkEvent, bool, *Assessment,
 	var assessment *Assessment
 	for m.windowComplete(ev, ok) {
 		a, aerr := m.assess()
-		if aerr != nil {
-			return ev, ok, assessment, aerr
-		}
-		assessment = &a
+		// assess opens the next window even when it fails, so a blink
+		// stamped into that window counts there either way.
 		if later && ev.Time < m.winEnd.Float64() {
 			m.tally.Add(ev.Duration)
 			later = false
 		}
+		if aerr != nil {
+			return ev, ok, assessment, aerr
+		}
+		assessment = &a
 	}
 	return ev, ok, assessment, nil
 }
@@ -242,10 +256,22 @@ func (m *Monitor) windowComplete(ev BlinkEvent, ok bool) bool {
 // assess summarises the completed window [winStart, winEnd) and opens
 // the next one. The rate divides by the window's actual span, so it
 // stays a true blinks-per-minute whatever span a pending SetWindowSec
-// gave this window.
+// gave this window. The next window opens before the classification
+// runs, so a window whose classification fails (non-finite features)
+// costs its own assessment only.
 func (m *Monitor) assess() (Assessment, error) {
 	end := m.winEnd
 	f := m.tally.Features((end - m.winStart).Float64())
+	// Open the next window, applying any pending span change at the
+	// boundary so the accounting of the window just closed stayed exact.
+	m.winStart = end
+	if m.pendingWindowSec > 0 {
+		m.windowSec = m.pendingWindowSec
+		m.pendingWindowSec = 0
+	}
+	m.winEnd = end + m.windowSec
+	m.tally = core.WindowTally{}
+
 	a := Assessment{WindowEnd: end.Float64(), Features: f, Posterior: 0.5}
 	if est, ok := m.vitals.Last(); ok {
 		a.Vitals = &est
@@ -264,15 +290,6 @@ func (m *Monitor) assess() (Assessment, error) {
 		m.mDrowsy.Inc()
 	}
 	m.gBlinkRate.Set(f.BlinkRate)
-	// Open the next window, applying any pending span change at the
-	// boundary so the accounting of the window just closed stayed exact.
-	m.winStart = end
-	if m.pendingWindowSec > 0 {
-		m.windowSec = m.pendingWindowSec
-		m.pendingWindowSec = 0
-	}
-	m.winEnd = end + m.windowSec
-	m.tally = core.WindowTally{}
 	return a, nil
 }
 

@@ -164,7 +164,10 @@ func TestWindowBoundariesExactAtNonIntegerRate(t *testing.T) {
 // TestAssessErrorStillReturnsBlink is the regression test for the
 // swallowed-blink bug: when the window assessment fails, the blink that
 // was detected on the same frame — and already recorded — must still be
-// returned to the caller alongside the error.
+// returned to the caller alongside the error. It also covers the wedged
+// window: the failure costs that window's assessment only, so later
+// windows are assessed again instead of the poisoned one failing on
+// every frame.
 func TestAssessErrorStillReturnsBlink(t *testing.T) {
 	const fps, windowSec = 10.0, 2.0
 	m := windowTestMonitor(t, fps, windowSec)
@@ -193,6 +196,11 @@ func TestAssessErrorStillReturnsBlink(t *testing.T) {
 	}
 	if ev != in {
 		t.Fatalf("assess error returned blink %+v, want %+v", ev, in)
+	}
+	// 60 s of frames close about 30 two-second windows; ingestEmpty
+	// fails the test on any further assessment error.
+	if got := len(ingestEmpty(t, m, 600)); got < 25 {
+		t.Fatalf("%d windows assessed after the poisoned one, want about 30", got)
 	}
 }
 
