@@ -299,6 +299,32 @@ func TestRadardRadarwatchPipeline(t *testing.T) {
 	}
 }
 
+// TestRadarwatchRejectsBadWindowBeforeDialing checks that radarwatch
+// validates -window at start-up. With nothing listening at -addr, a NaN
+// window must fail at once with the Monitor's own message, not after
+// the dial retries give up without naming the window.
+func TestRadarwatchRejectsBadWindowBeforeDialing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI flag test skipped in -short mode")
+	}
+	dir := t.TempDir()
+	radarwatch := buildTool(t, dir, "radarwatch")
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	out, err := exec.CommandContext(ctx, radarwatch,
+		"-addr", "127.0.0.1:1",
+		"-window", "NaN",
+		"-max-retries", "2",
+	).CombinedOutput()
+	if err == nil {
+		t.Fatalf("radarwatch accepted -window NaN:\n%s", out)
+	}
+	if !strings.Contains(string(out), "window must be positive and finite") {
+		t.Fatalf("radarwatch -window NaN did not report the window:\n%s", out)
+	}
+}
+
 // TestRadardIngestFleet boots radard in fleet mode and pushes several
 // concurrent radar streams into it over the wire: hello, frames with a
 // deliberate sequence gap, disconnect. The admin metrics must show

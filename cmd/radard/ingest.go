@@ -21,7 +21,6 @@ type ingestOptions struct {
 	rateLimit   float64
 	numBins     int
 	frameRate   float64
-	windowSec   float64
 }
 
 // runIngest is radard's fleet mode: instead of broadcasting one
@@ -35,7 +34,6 @@ func runIngest(ctx context.Context, opts ingestOptions, reg *obs.Registry, logge
 	mgr, err := session.NewManager(session.Config{
 		NumBins:             opts.numBins,
 		FrameRate:           opts.frameRate,
-		WindowSec:           opts.windowSec,
 		Shards:              opts.shards,
 		MaxSessions:         opts.maxSessions,
 		MaxSessionsPerShard: opts.perShard,
@@ -53,7 +51,7 @@ func runIngest(ctx context.Context, opts ingestOptions, reg *obs.Registry, logge
 		return err
 	}
 	logger.Printf("ingesting %d-bin streams at %.1f fps on %s (%d shards)",
-		opts.numBins, opts.frameRate, ln.Addr(), opts.shards)
+		opts.numBins, opts.frameRate, ln.Addr(), mgr.Shards())
 
 	return ingest.Serve(ctx, ln, mgr, ingest.Options{
 		NumBins:    opts.numBins,

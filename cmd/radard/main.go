@@ -57,7 +57,6 @@ func main() {
 		faultStallMs    = flag.Int("fault-stall-ms", 0, "stall duration in milliseconds")
 
 		writeTimeout = flag.Duration("write-timeout", 0, "per-frame client write deadline (0 disables)")
-		slowPolicy   = flag.String("slow-policy", "disconnect", "slow-client treatment: disconnect or drop-frames")
 
 		ingestAddr     = flag.String("ingest", "", "fleet mode: accept inbound radar streams on this address instead of broadcasting (one session per connection)")
 		ingestShards   = flag.Int("ingest-shards", 0, "worker shards in fleet mode (0 = GOMAXPROCS)")
@@ -67,7 +66,6 @@ func main() {
 		ingestRate     = flag.Float64("ingest-rate", 0, "per-session frame budget in frames/s (0 disables rate limiting)")
 		ingestBins     = flag.Int("ingest-bins", 40, "range bins every inbound stream must announce")
 		ingestFPS      = flag.Float64("ingest-fps", 25, "slow-time frame rate of inbound streams")
-		ingestWindow   = flag.Float64("ingest-window", 60, "assessment window in seconds")
 	)
 	flag.Parse()
 
@@ -85,7 +83,6 @@ func main() {
 			rateLimit:   *ingestRate,
 			numBins:     *ingestBins,
 			frameRate:   *ingestFPS,
-			windowSec:   *ingestWindow,
 		}, reg, logger)
 		if err != nil && !errors.Is(err, context.Canceled) {
 			logger.Fatal(err)
@@ -135,14 +132,6 @@ func main() {
 		srv.SetStartSeq(*startSeq)
 	}
 	srv.SetWriteTimeout(*writeTimeout)
-	switch *slowPolicy {
-	case "disconnect":
-		srv.SetSlowPolicy(transport.DisconnectSlowClients)
-	case "drop-frames":
-		srv.SetSlowPolicy(transport.DropFramesForSlowClients)
-	default:
-		logger.Fatalf("unknown -slow-policy %q (want disconnect or drop-frames)", *slowPolicy)
-	}
 	if *chaosSpec != "" {
 		ccfg, err := chaos.ParseSpec(*chaosSpec)
 		if err != nil {

@@ -75,7 +75,6 @@ func main() {
 
 		shards = flag.Int("shards", 0, "manager worker shards (0 = GOMAXPROCS)")
 		queue  = flag.Int("queue", 256, "per-session frame-queue depth")
-		window = flag.Float64("window", 60, "assessment window in seconds")
 	)
 	flag.Parse()
 	if *corpus == "" {
@@ -93,7 +92,6 @@ func main() {
 		Slack:       *slack,
 		Shards:      *shards,
 		QueueFrames: *queue,
-		WindowSec:   *window,
 		Logger:      log.Default(),
 	})
 	if err != nil {
@@ -127,7 +125,6 @@ type soakConfig struct {
 	Slack       int
 	Shards      int
 	QueueFrames int
-	WindowSec   float64
 	Logger      *log.Logger
 }
 
@@ -239,7 +236,6 @@ func runSoak(cfg soakConfig) (Verdict, error) {
 	mgr, err := session.NewManager(session.Config{
 		NumBins:     int(hello.NumBins),
 		FrameRate:   hello.FrameRate,
-		WindowSec:   cfg.WindowSec,
 		Shards:      cfg.Shards,
 		QueueFrames: cfg.QueueFrames,
 	})

@@ -44,6 +44,15 @@ func main() {
 	)
 	flag.Parse()
 
+	// Probe-build a monitor at the default radio geometry, as
+	// session.NewManager probes its config, so a bad -window fails
+	// before the first dial instead of when a connection's hello
+	// builds the real one.
+	radio := blinkradar.DefaultChannelConfig()
+	if _, err := blinkradar.NewMonitor(blinkradar.DefaultConfig(), radio.NumBins, radio.FrameRate, *window); err != nil {
+		log.Fatal(err)
+	}
+
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

@@ -1,14 +1,14 @@
 // Package shardconfine enforces goroutine-confinement of struct
 // fields. The fleet layer's correctness rests on state that is owned
-// by exactly one execution domain — session.Session's monitor and
-// applied-window state belong to the shard worker (under feedMu) — and
+// by exactly one execution domain — session.Session's monitor belongs
+// to whichever goroutine holds the session's feedMu — and
 // the session layer's Submit-vs-recycle race was exactly a cross-domain
 // access that slipped through review. This analyzer turns that class
 // into a build break.
 //
 // A field is confined by annotating it
 //
-//	appliedWindow float64 //blinkradar:confined feed
+//	mon *blinkradar.Monitor //blinkradar:confined feed
 //
 // and the domain's owning code is rooted at functions annotated
 //

@@ -67,7 +67,6 @@ func fleetFlapRecovery(t *testing.T, clock *atomic.Int64) session.ManagerStats {
 	cfg := session.Config{
 		NumBins:   40,
 		FrameRate: 25,
-		WindowSec: 60,
 		Shards:    4,
 		// Submissions are uniform (one frame per session per round), so
 		// the starved-shard worst case under the global pace bound below

@@ -68,8 +68,8 @@ func Serve(ctx context.Context, ln net.Listener, mgr *session.Manager, opts Opti
 					return
 				case <-tick.C:
 					st := mgr.Stats()
-					opts.Logger.Printf("fleet: %d sessions, %d queued, %d frames (%d dropped, %d limited), %d widened, %d degraded",
-						st.Sessions, st.Queued, st.Frames, st.Dropped, st.Limited, st.Widens, st.Degrades)
+					opts.Logger.Printf("fleet: %d sessions, %d queued, %d frames (%d dropped, %d limited), %d degraded",
+						st.Sessions, st.Queued, st.Frames, st.Dropped, st.Limited, st.Degrades)
 				}
 			}
 		}()

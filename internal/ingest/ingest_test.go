@@ -21,7 +21,6 @@ func newTestManager(t *testing.T, queueFrames int) *session.Manager {
 	mgr, err := session.NewManager(session.Config{
 		NumBins:     testBins,
 		FrameRate:   25,
-		WindowSec:   2,
 		Shards:      1,
 		QueueFrames: queueFrames,
 	})

@@ -174,7 +174,6 @@ func benchFleet(b *testing.B, n, bins int, now func() time.Time) (*Manager, []st
 	m, err := NewManager(Config{
 		NumBins:   bins,
 		FrameRate: 25,
-		WindowSec: 60,
 		Now:       now,
 	})
 	if err != nil {

@@ -47,7 +47,6 @@ func newInlineEnv(t *testing.T, bins int) *inlineEnv {
 	e := &inlineEnv{clk: newFakeClock()}
 	cfg := testConfig()
 	cfg.NumBins = bins
-	cfg.WindowSec = 10
 	cfg.Shards = 1
 	cfg.Now = e.clk.now
 	cfg.OnBlink = func(_ string, ev blinkradar.BlinkEvent) {

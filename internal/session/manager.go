@@ -3,7 +3,6 @@ package session
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -40,10 +39,6 @@ type Config struct {
 	NumBins int
 	// FrameRate is the slow-time frame rate in frames per second.
 	FrameRate float64
-	// WindowSec is the base assessment-window span (default 60, the
-	// paper's setting). Every session runs the paper-faithful
-	// blinkradar.DefaultConfig() pipeline.
-	WindowSec float64
 	// Shards is the number of worker shards (default GOMAXPROCS).
 	// Sessions map to shards by ID hash, so a session's queued frames
 	// are always fed by the same worker; its on-time frames are fed by
@@ -79,21 +74,21 @@ type Config struct {
 	OnBlink func(id string, ev blinkradar.BlinkEvent)
 }
 
-// Fixed tuning of the rate limiter, the backpressure ladder and the
+// Fixed tuning of the pipeline, the rate limiter, backpressure and the
 // shard scheduler.
 const (
+	// windowSec is every session's assessment-window span, the paper's
+	// one minute. Every session runs the paper-faithful
+	// blinkradar.DefaultConfig() pipeline.
+	windowSec = 60
 	// rateBurstSec is the token-bucket depth in seconds of RateLimit.
 	rateBurstSec = 2
 	// dropWindowFrames is the backpressure evaluation window: the drop
 	// fraction is measured over this many submitted frames.
 	dropWindowFrames = 256
-	// widenAtDropFrac escalates a session to PressureWidened when its
-	// drop fraction reaches this value.
-	widenAtDropFrac = 0.25
-	// degradeAtDropFrac escalates a session to PressureDegraded.
+	// degradeAtDropFrac escalates a session to PressureDegraded when
+	// one evaluation window's drop fraction reaches this value.
 	degradeAtDropFrac = 0.5
-	// widenFactor multiplies the assessment window while widened.
-	widenFactor = 2
 	// drainBatchFrames bounds how many frames a worker feeds one session
 	// before moving to the next, so a busy stream cannot starve its
 	// shard-mates.
@@ -104,9 +99,6 @@ const (
 )
 
 func (c Config) withDefaults() Config {
-	if c.WindowSec <= 0 {
-		c.WindowSec = 60
-	}
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
 	}
@@ -171,7 +163,6 @@ type Manager struct {
 	frLimited  atomic.Uint64
 	frDone     atomic.Uint64
 	frInline   atomic.Uint64
-	widens     atomic.Uint64
 	degrades   atomic.Uint64
 
 	mAttaches   *obs.Counter
@@ -182,7 +173,6 @@ type Manager struct {
 	mFrames     *obs.Counter
 	mDropped    *obs.Counter
 	mLimited    *obs.Counter
-	mWidens     *obs.Counter
 	mDegrades   *obs.Counter
 }
 
@@ -217,7 +207,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		m.mFrames = r.Counter("session_frames_total")
 		m.mDropped = r.Counter("session_frames_dropped_total")
 		m.mLimited = r.Counter("session_frames_limited_total")
-		m.mWidens = r.Counter("session_widen_total")
 		m.mDegrades = r.Counter("session_degrade_total")
 	}
 	for i := range m.shards {
@@ -247,8 +236,11 @@ func NewManager(cfg Config) (*Manager, error) {
 
 // newMonitor builds one session's Monitor.
 func newMonitor(cfg Config) (*blinkradar.Monitor, error) {
-	return blinkradar.NewMonitor(blinkradar.DefaultConfig(), cfg.NumBins, cfg.FrameRate, cfg.WindowSec)
+	return blinkradar.NewMonitor(blinkradar.DefaultConfig(), cfg.NumBins, cfg.FrameRate, windowSec)
 }
+
+// Shards reports how many worker shards the manager runs.
+func (m *Manager) Shards() int { return len(m.shards) }
 
 // shardGaugeName is the per-shard metric name prefix.
 func shardGaugeName(idx int) string {
@@ -309,7 +301,7 @@ func (m *Manager) Attach(id string) error {
 		if err != nil {
 			return err
 		}
-		s = newSession(m.cfg.NumBins, m.cfg.QueueFrames, mon, m.cfg.WindowSec)
+		s = newSession(m.cfg.NumBins, m.cfg.QueueFrames, mon)
 		m.poolMisses.Add(1)
 		m.mPoolMisses.Inc()
 	}
@@ -346,7 +338,7 @@ func (m *Manager) Detach(id string) (SessionStats, error) {
 	}
 	// Wait out any in-flight feed batch, then recycle under the lock.
 	s.feedMu.Lock()
-	stats, discarded := s.recycle(m.cfg.WindowSec)
+	stats, discarded := s.recycle()
 	s.feedMu.Unlock()
 	stats.ID = id
 	if discarded > 0 {
@@ -440,8 +432,9 @@ func (m *Manager) SubmitPlanes(id string, pi, pq []float32) error {
 		s.dropped++
 	}
 	s.submitted++
-	if from, to, changed := s.noteSubmit(accepted); changed {
-		m.applyPressure(s, from, to)
+	if s.noteSubmit(accepted) {
+		m.degrades.Add(1)
+		m.mDegrades.Inc()
 	}
 	s.qmu.Unlock()
 	m.framesIn.Add(1)
@@ -450,7 +443,7 @@ func (m *Manager) SubmitPlanes(id string, pi, pq []float32) error {
 	case inline:
 		m.frDone.Add(1)
 		m.frInline.Add(1)
-		m.feed(s, pi, pq, gap) //blinkvet:ignore hotpathalloc -- the Monitor feed allocates only on a window-span change or a vitals-pool miss; CI gates this path at 0 allocs/op through BenchmarkFleetPaced
+		m.feed(s, pi, pq, gap) //blinkvet:ignore hotpathalloc -- the Monitor feed allocates only on a vitals-pool miss; CI gates this path at 0 allocs/op through BenchmarkFleetPaced
 		s.feedMu.Unlock()
 	case !accepted:
 		m.frDropped.Add(1)
@@ -460,25 +453,6 @@ func (m *Manager) SubmitPlanes(id string, pi, pq []float32) error {
 		sh.wakeWorker()
 	}
 	return nil
-}
-
-// applyPressure records a level transition and posts the window span it
-// implies; the next frame's feed applies the span to the monitor.
-func (m *Manager) applyPressure(s *Session, from, to PressureState) {
-	span := m.cfg.WindowSec
-	if to >= PressureWidened {
-		span = m.cfg.WindowSec * widenFactor
-	}
-	s.wantWindow.Store(math.Float64bits(span))
-	if to > from {
-		if to == PressureDegraded {
-			m.degrades.Add(1)
-			m.mDegrades.Inc()
-		} else {
-			m.widens.Add(1)
-			m.mWidens.Inc()
-		}
-	}
 }
 
 // NoteGap reports an upstream frame loss (e.g. a transport sequence
@@ -553,8 +527,8 @@ type ManagerStats struct {
 	// Inline counts the processed frames that were fed on the
 	// submitting goroutine because they arrived on time.
 	Inline uint64
-	// Widens and Degrades count backpressure escalations.
-	Widens, Degrades uint64
+	// Degrades counts backpressure escalations to PressureDegraded.
+	Degrades uint64
 }
 
 // Stats aggregates accounting across every shard in O(shards): each
@@ -572,7 +546,6 @@ func (m *Manager) Stats() ManagerStats {
 		Limited:    m.frLimited.Load(),
 		Processed:  m.frDone.Load(),
 		Inline:     m.frInline.Load(),
-		Widens:     m.widens.Load(),
 		Degrades:   m.degrades.Load(),
 	}
 	for _, sh := range m.shards {
@@ -722,19 +695,13 @@ func (sh *shard) drainSession(s *Session) bool {
 
 // feed runs one frame through a session's pipeline, the one feed body
 // of both feeders: the shard worker for a queued frame and a submitter
-// for an on-time one, each holding feedMu. It applies a window span the
-// backpressure controller posted, tells the pipeline about the frames
-// lost before this one, feeds the frame and counts what the pipeline
-// returned. The caller counts the frame itself, under qmu, where it
-// leaves the queue or skips it.
+// for an on-time one, each holding feedMu. It tells the pipeline about
+// the frames lost before this one, feeds the frame and counts what the
+// pipeline returned. The caller counts the frame itself, under qmu,
+// where it leaves the queue or skips it.
 //
 //blinkradar:entry feed
 func (m *Manager) feed(s *Session, pi, pq []float32, gap uint64) {
-	if want := s.loadWantWindow(); want != s.appliedWindow {
-		if err := s.mon.SetWindowSec(want); err == nil {
-			s.appliedWindow = want
-		}
-	}
 	if gap > 0 {
 		s.mon.NoteGap(gap)
 	}

@@ -21,7 +21,6 @@ func testConfig() Config {
 	return Config{
 		NumBins:   16,
 		FrameRate: 25,
-		WindowSec: 2,
 		Shards:    2,
 	}
 }
@@ -147,21 +146,6 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestNewManagerRejectsNonFiniteWindow checks that a NaN or infinite
-// assessment window (radard's -ingest-window) fails in NewManager: a
-// Monitor with such a window would never assess.
-func TestNewManagerRejectsNonFiniteWindow(t *testing.T) {
-	for _, span := range []float64{math.NaN(), math.Inf(1)} {
-		cfg := testConfig()
-		cfg.WindowSec = span
-		m, err := NewManager(cfg)
-		if err == nil {
-			m.Close()
-			t.Errorf("NewManager accepted a %g-s window", span)
-		}
-	}
-}
-
 // TestNewManagerRejectsBadGeometry pins the construction-time checks:
 // a geometry no Monitor can track fails in NewManager, not on every
 // Attach. Eight bins are all guard bins, leaving none to select.
@@ -233,6 +217,13 @@ func TestShardAffinity(t *testing.T) {
 	cfg := testConfig()
 	cfg.Shards = 4
 	m := newTestManager(t, cfg)
+	if got := m.Shards(); got != 4 {
+		t.Fatalf("Shards() = %d, want 4", got)
+	}
+	cfg.Shards = 0
+	if got, want := newTestManager(t, cfg).Shards(), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("Shards() = %d with the default, want GOMAXPROCS %d", got, want)
+	}
 	used := map[int]bool{}
 	for i := 0; i < 64; i++ {
 		id := "veh-" + string(rune('a'+i%26)) + string(rune('a'+i/26))
@@ -389,15 +380,15 @@ func TestRateLimiting(t *testing.T) {
 	}
 }
 
-// TestBackpressureTransitions drives the full graceful-degradation
-// ladder deterministically: the worker is parked on the session's feed
-// lock so queue overflow is exact, then released so drop-free windows
-// step the level back down. The queue holds ¾ of the evaluation window,
-// so a window submitted against a parked worker drops exactly 25%.
+// TestBackpressureTransitions drives the degradation ladder
+// deterministically: the worker is parked on the session's feed lock so
+// queue overflow is exact, then released so a drop-free window restores
+// the session. The queue holds ¾ of the evaluation window, so the first
+// window submitted against the parked worker drops exactly 25% and the
+// next, with the queue still full, drops every frame.
 func TestBackpressureTransitions(t *testing.T) {
 	cfg := testConfig()
 	cfg.Shards = 1
-	cfg.WindowSec = 2
 	cfg.QueueFrames = dropWindowFrames * 3 / 4
 	m := newTestManager(t, cfg)
 	if err := m.Attach("bp"); err != nil {
@@ -405,30 +396,26 @@ func TestBackpressureTransitions(t *testing.T) {
 	}
 	s := lookup(t, m, "bp")
 	frame := testFrame(16, 5)
+	parkedWindow := func() {
+		t.Helper()
+		for i := 0; i < dropWindowFrames; i++ {
+			if err := submit(m, "bp", frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 
 	// Park the worker: nothing drains while we overflow the queue.
 	s.feedMu.Lock()
-	// Window 1: 192 accepted + 64 dropped = 25% -> widened.
-	for i := 0; i < dropWindowFrames; i++ {
-		if err := submit(m, "bp", frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := s.Pressure(); got != PressureWidened {
+	// Window 1: 192 accepted + 64 dropped = 25%, below the threshold.
+	parkedWindow()
+	if got := s.Pressure(); got != PressureNormal {
 		s.feedMu.Unlock()
-		t.Fatalf("after 25%% drops: pressure %v, want widened", got)
-	}
-	if st, _ := m.SessionStats("bp"); st.WindowSec != 4 {
-		s.feedMu.Unlock()
-		t.Fatalf("widened window %g s, want 4 (2 s × factor 2)", st.WindowSec)
+		t.Fatalf("after 25%% drops: pressure %v, want normal", got)
 	}
 	// Window 2: queue still full, 256/256 dropped -> degraded, and the
 	// session's health reports degraded regardless of the detector.
-	for i := 0; i < dropWindowFrames; i++ {
-		if err := submit(m, "bp", frame); err != nil {
-			t.Fatal(err)
-		}
-	}
+	parkedWindow()
 	if got := s.Pressure(); got != PressureDegraded {
 		s.feedMu.Unlock()
 		t.Fatalf("after 100%% drops: pressure %v, want degraded", got)
@@ -437,52 +424,46 @@ func TestBackpressureTransitions(t *testing.T) {
 		s.feedMu.Unlock()
 		t.Fatalf("degraded session health %v, want HealthDegraded", st.Health)
 	}
+	if got := m.Stats().Degrades; got != 1 {
+		s.feedMu.Unlock()
+		t.Fatalf("degrades counter %d, want 1", got)
+	}
 	s.feedMu.Unlock()
 
-	// Recovery: drop-free evaluation windows step down one level each.
-	cleanWindow := func() {
-		t.Helper()
-		for i := 0; i < dropWindowFrames; i++ {
-			var before uint64
-			waitFor(t, "queue space", func() bool {
-				st, err := m.SessionStats("bp")
-				if err != nil {
-					return false
-				}
-				before = st.Dropped
-				return st.Queued < uint64(cfg.QueueFrames)
-			})
-			if err := submit(m, "bp", frame); err != nil {
-				t.Fatal(err)
+	// Recovery: one drop-free evaluation window restores normal.
+	for i := 0; i < dropWindowFrames; i++ {
+		var before uint64
+		waitFor(t, "queue space", func() bool {
+			st, err := m.SessionStats("bp")
+			if err != nil {
+				return false
 			}
-			if st, _ := m.SessionStats("bp"); st.Dropped != before {
-				t.Fatal("paced submit still dropped a frame")
-			}
+			before = st.Dropped
+			return st.Queued < uint64(cfg.QueueFrames)
+		})
+		if err := submit(m, "bp", frame); err != nil {
+			t.Fatal(err)
+		}
+		if st, _ := m.SessionStats("bp"); st.Dropped != before {
+			t.Fatal("paced submit still dropped a frame")
 		}
 	}
-	cleanWindow()
-	if got := s.Pressure(); got != PressureWidened {
-		t.Fatalf("after one clean window: pressure %v, want widened (one step down)", got)
-	}
-	cleanWindow()
 	if got := s.Pressure(); got != PressureNormal {
-		t.Fatalf("after two clean windows: pressure %v, want normal", got)
+		t.Fatalf("after one clean window: pressure %v, want normal", got)
 	}
-	if st, _ := m.SessionStats("bp"); st.WindowSec != 2 {
-		t.Fatalf("restored window %g s, want 2", st.WindowSec)
-	}
-	// The worker must also have applied the restored span to the
-	// monitor once it drained post-recovery frames.
-	waitFor(t, "window restore to reach the monitor", func() bool {
+	// Health is no longer overridden: once the queue has drained, the
+	// session reports the detector's own state.
+	waitFor(t, "queue to drain", func() bool {
 		st, err := m.SessionStats("bp")
-		if err != nil || st.Queued > 0 {
-			return false
-		}
-		s.feedMu.Lock()
-		applied := s.appliedWindow
-		s.feedMu.Unlock()
-		return applied == 2
+		return err == nil && st.Queued == 0
 	})
+	st, err := m.SessionStats("bp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := s.mon.Health(); st.Health == blinkradar.HealthDegraded || st.Health != want {
+		t.Fatalf("recovered session health %v, want the detector's %v", st.Health, want)
+	}
 }
 
 // TestWorkerSkipsIdleSessions pins the scheduler's contract: a worker
@@ -793,7 +774,7 @@ func TestQueueGrowsToCapAndDropsAtCap(t *testing.T) {
 // queue must go on from the next frame with its gap.
 func TestQueueResizeKeepsPeekedFrame(t *testing.T) {
 	const bins = 16
-	s := newSession(bins, 64, nil, 2)
+	s := newSession(bins, 64, nil)
 	s.qmu.Lock()
 	s.push(markedFrame(bins, 0).I, markedFrame(bins, 0).Q)
 	s.qmu.Unlock()

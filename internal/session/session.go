@@ -8,15 +8,15 @@
 // parallelism. The Manager recycles detector/monitor state through a
 // free-list pool so stream churn costs no steady-state allocations,
 // admits new sessions against hard capacity limits, rate-limits each
-// stream with a token bucket, and degrades gracefully under
-// backpressure: first frames are dropped (and accounted as sequence
-// gaps the pipeline is told about), then the session's assessment
-// window is widened so the blink-rate feature stays meaningful on a
-// thinned stream, and finally the session is marked degraded.
+// stream with a token bucket, and degrades under backpressure one way:
+// a full queue drops frames (accounted as sequence gaps the pipeline is
+// told about), and a session that drops at least half the frames of an
+// evaluation window is reported degraded until a drop-free window.
+// Every session assesses drowsiness over the paper's fixed one-minute
+// window.
 package session
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,20 +24,16 @@ import (
 	blinkradar "blinkradar"
 )
 
-// PressureState is a session's backpressure level. Escalation is
-// immediate (a single bad evaluation window can jump straight to
-// degraded); de-escalation steps down one level per completely
-// drop-free evaluation window, which is the hysteresis that keeps a
-// session from oscillating at a threshold.
+// PressureState is a session's backpressure level. One evaluation
+// window that drops at least degradeAtDropFrac of its frames degrades
+// the session; only a completely drop-free window restores it, which is
+// the hysteresis that keeps a session from oscillating at the
+// threshold.
 type PressureState int32
 
 const (
-	// PressureNormal: drops, if any, are below the widen threshold.
+	// PressureNormal: drops, if any, are below the degrade threshold.
 	PressureNormal PressureState = iota
-	// PressureWidened: sustained drops; the assessment window has been
-	// widened by widenFactor so enough blinks still land in each window
-	// for the rate feature to be meaningful.
-	PressureWidened
 	// PressureDegraded: severe drops; the session's health is reported
 	// as degraded and its assessments should not be trusted.
 	PressureDegraded
@@ -47,8 +43,6 @@ func (p PressureState) String() string {
 	switch p {
 	case PressureNormal:
 		return "normal"
-	case PressureWidened:
-		return "widened"
 	case PressureDegraded:
 		return "degraded"
 	default:
@@ -108,13 +102,9 @@ type Session struct {
 	// Backpressure evaluation window (under qmu).
 	winSubmitted, winDropped int
 
-	// pressure and wantWindow cross the submitter→feeder boundary:
-	// the submitter decides the level, the next frame's feed applies
-	// the window change (the Monitor is not concurrent-safe).
-	pressure   atomic.Int32
-	wantWindow atomic.Uint64 // math.Float64bits of the desired span
-	// appliedWindow is feeder-only (guarded by feedMu).
-	appliedWindow float64 //blinkradar:confined feed
+	// pressure is set by the submitter at each evaluation window's end
+	// and read by Pressure from any goroutine.
+	pressure atomic.Int32
 
 	// feedMu is held around every feed, by the shard worker for a drain
 	// batch and by a submitter for one on-time frame, and by detach
@@ -151,15 +141,13 @@ type Session struct {
 // no other goroutine can see the state it initializes.
 //
 //blinkradar:entry feed
-func newSession(bins, slots int, mon *blinkradar.Monitor, windowSec float64) *Session {
+func newSession(bins, slots int, mon *blinkradar.Monitor) *Session {
 	s := &Session{
 		mon:   mon,
 		slots: slots,
 		bins:  bins,
 	}
 	s.resize(min(minQueueSlots, slots))
-	s.appliedWindow = windowSec
-	s.wantWindow.Store(math.Float64bits(windowSec))
 	return s
 }
 
@@ -267,23 +255,23 @@ func (s *Session) takeToken(now time.Time, rate float64) bool {
 }
 
 // noteSubmit advances the backpressure evaluation window and, at its
-// end, moves the pressure level: up to whatever the drop fraction
-// demands immediately, down one level only after a completely clean
-// window. The window's end also shrinks a queue that stayed at or
-// below a quarter of its storage throughout, to the smallest power of
-// two holding twice its peak, so a warm-up burst's storage is given
-// back after one quiet window. Returns the level transition, if any.
-// Caller holds qmu.
+// end, moves the pressure level: to degraded when the window dropped at
+// least degradeAtDropFrac of its frames, back to normal only after a
+// completely clean window. The window's end also shrinks a queue that
+// stayed at or below a quarter of its storage throughout, to the
+// smallest power of two holding twice its peak, so a warm-up burst's
+// storage is given back after one quiet window. Reports whether the
+// session has just become degraded. Caller holds qmu.
 //
 //blinkradar:hotpath
-func (s *Session) noteSubmit(accepted bool) (from, to PressureState, changed bool) {
+func (s *Session) noteSubmit(accepted bool) (degraded bool) {
 	s.winSubmitted++
 	if !accepted {
 		s.winDropped++
 	}
 	s.peak = max(s.peak, s.n)
 	if s.winSubmitted < dropWindowFrames {
-		return 0, 0, false
+		return false
 	}
 	if 4*s.peak <= len(s.gaps) {
 		size := minQueueSlots
@@ -297,36 +285,18 @@ func (s *Session) noteSubmit(accepted bool) (from, to PressureState, changed boo
 	s.peak = 0
 	frac := float64(s.winDropped) / float64(s.winSubmitted)
 	s.winSubmitted, s.winDropped = 0, 0
-	cur := PressureState(s.pressure.Load())
-	next := cur
 	switch {
 	case frac >= degradeAtDropFrac:
-		next = PressureDegraded
-	case frac >= widenAtDropFrac:
-		if next < PressureWidened {
-			next = PressureWidened
-		}
+		return PressureState(s.pressure.Swap(int32(PressureDegraded))) != PressureDegraded
 	case frac == 0:
-		if next > PressureNormal {
-			next--
-		}
+		s.pressure.Store(int32(PressureNormal))
 	}
-	if next == cur {
-		return cur, cur, false
-	}
-	s.pressure.Store(int32(next))
-	return cur, next, true
+	return false
 }
 
 // Pressure returns the session's current backpressure level.
 func (s *Session) Pressure() PressureState {
 	return PressureState(s.pressure.Load())
-}
-
-// loadWantWindow returns the window span the backpressure controller
-// currently wants applied.
-func (s *Session) loadWantWindow() float64 {
-	return math.Float64frombits(s.wantWindow.Load())
 }
 
 // recycle returns the session to pooled idle state and reports its
@@ -344,7 +314,7 @@ func (s *Session) loadWantWindow() float64 {
 // session, and clears or re-lists it as for any other entry.
 //
 //blinkradar:entry feed
-func (s *Session) recycle(windowSec float64) (SessionStats, uint64) {
+func (s *Session) recycle() (SessionStats, uint64) {
 	s.qmu.Lock()
 	s.gen.Add(1)
 	discarded := uint64(s.n)
@@ -362,8 +332,6 @@ func (s *Session) recycle(windowSec float64) (SessionStats, uint64) {
 	s.mon.Reset()
 	s.id = ""
 	s.pressure.Store(int32(PressureNormal))
-	s.wantWindow.Store(math.Float64bits(windowSec))
-	s.appliedWindow = windowSec
 	s.blinks.Store(0)
 	s.assessments.Store(0)
 	s.assessErrs.Store(0)
@@ -384,7 +352,6 @@ func (s *Session) snapshot() SessionStats {
 		Assessments: s.assessments.Load(),
 		AssessErrs:  s.assessErrs.Load(),
 		Pressure:    s.Pressure(),
-		WindowSec:   s.loadWantWindow(),
 		Health:      s.mon.Health(),
 	}
 	if st.Pressure == PressureDegraded {
@@ -427,9 +394,6 @@ type SessionStats struct {
 	AssessErrs uint64
 	// Pressure is the backpressure level.
 	Pressure PressureState
-	// WindowSec is the assessment-window span the backpressure
-	// controller currently wants (widened under pressure).
-	WindowSec float64
 	// Health is the detector health, overridden to HealthDegraded when
 	// the session is pressure-degraded.
 	Health blinkradar.HealthState

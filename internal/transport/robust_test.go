@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -142,46 +143,10 @@ func TestDecoderExpectedBinsStopsPhantomPayload(t *testing.T) {
 	}
 }
 
-func TestServerDropFramesPolicyKeepsSlowClient(t *testing.T) {
-	reg := obs.NewRegistry()
-	srv := NewServer(nil, nil) // broadcast never touches the source
-	srv.SetRegistry(reg)
-	srv.SetSlowPolicy(DropFramesForSlowClients)
-
-	a, b := net.Pipe()
-	defer a.Close()
-	defer b.Close()
-	slow := &client{conn: a, ch: make(chan Frame, 2)}
-	srv.clients[slow] = struct{}{}
-
-	// Fill the queue, then broadcast into the full queue twice.
-	f := Frame{Bins: []complex128{1}}
-	srv.broadcast(f)
-	srv.broadcast(f)
-	for i := 0; i < 2; i++ {
-		srv.broadcast(f)
-	}
-
-	if got := srv.NumClients(); got != 1 {
-		t.Fatalf("%d clients after overflow, want 1 (drop-frames keeps the connection)", got)
-	}
-	if got := reg.Counter("transport_server_slow_frame_drops_total").Value(); got != 2 {
-		t.Fatalf("slow frame drops = %d, want 2", got)
-	}
-	if got := reg.Counter("transport_server_slow_client_drops_total").Value(); got != 0 {
-		t.Fatalf("slow client drops = %d, want 0", got)
-	}
-	// The queued frames are still there for the client to drain.
-	if got := len(slow.ch); got != 2 {
-		t.Fatalf("queue depth %d, want 2", got)
-	}
-}
-
 func TestServerDisconnectPolicyCutsSlowClient(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv := NewServer(nil, nil)
 	srv.SetRegistry(reg)
-	// Default policy: DisconnectSlowClients.
 
 	a, b := net.Pipe()
 	defer a.Close()
@@ -211,6 +176,66 @@ func drained(ch chan Frame) chan Frame {
 		<-ch
 	}
 	return ch
+}
+
+// stalledListener hands Serve one end of an in-memory pipe as its one
+// connection. The test keeps the other end and never reads from it, and
+// a pipe write blocks until its peer reads, so the server's first
+// write, the hello, stalls whatever a socket buffer would have held.
+type stalledListener struct {
+	conn   net.Conn // returned by the first Accept
+	addr   net.Addr
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (l *stalledListener) Accept() (net.Conn, error) {
+	if c := l.conn; c != nil {
+		l.conn = nil
+		return c, nil
+	}
+	<-l.closed
+	return nil, net.ErrClosed
+}
+
+func (l *stalledListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *stalledListener) Addr() net.Addr { return l.addr }
+
+// TestServerCutsStalledPeer checks that a client the broadcast cuts for
+// falling behind is really disconnected. Its peer never reads, so the
+// client's write loop blocks in the hello write while its queue fills.
+// A cut that only closed the queue would leave that write blocked until
+// the peer went away, and Serve, which joins every write loop, would not
+// return after cancellation. The cut's write deadline must instead fail
+// the write within drainTimeout.
+func TestServerCutsStalledPeer(t *testing.T) {
+	src := NewMatrixSource(testMatrix(t, 50), false, true)
+	defer src.Close()
+	server := NewServer(src, nil)
+	reg := obs.NewRegistry()
+	server.SetRegistry(reg)
+	server.SetMinClients(1)
+
+	conn, peer := net.Pipe()
+	defer peer.Close()
+	ln := &stalledListener{conn: conn, addr: conn.LocalAddr(), closed: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- server.Serve(ctx, ln) }()
+
+	cuts := reg.Counter("transport_server_slow_client_drops_total")
+	waitFor(t, 10*time.Second, func() bool { return cuts.Value() == 1 })
+	cancel()
+	select {
+	case <-served:
+	case <-time.After(3 * drainTimeout):
+		t.Fatalf("Serve still running %v after cancellation: the cut client's write loop is blocked on a peer that never reads", 3*drainTimeout)
+	}
 }
 
 // TestDialPinsHelloBinCount checks that Dial pins the client's decoder

@@ -99,8 +99,8 @@ func (s *MatrixSource) Close() {
 }
 
 // Server broadcasts a frame source to every connected TCP client — the
-// radar daemon half of the deployment. Slow clients are disconnected
-// rather than allowed to stall the radio.
+// radar daemon half of the deployment. A client whose queue overflows
+// is disconnected rather than allowed to stall the radio.
 type Server struct {
 	src    *MatrixSource
 	logger *log.Logger
@@ -115,8 +115,6 @@ type Server struct {
 	hook func(Frame) []Frame
 	// writeTimeout bounds each per-client frame write (0 = none).
 	writeTimeout time.Duration
-	// slowPolicy selects what happens to a client whose queue is full.
-	slowPolicy SlowPolicy
 
 	mu      sync.Mutex
 	clients map[*client]struct{}
@@ -127,31 +125,13 @@ type Server struct {
 	conns sync.WaitGroup
 
 	// Metrics (nil-safe no-ops until SetRegistry attaches a registry).
-	mFramesPumped   *obs.Counter
-	mSlowDrops      *obs.Counter
-	mSlowFrameDrops *obs.Counter
-	mBytesWritten   *obs.Counter
-	mConnects       *obs.Counter
-	gClients        *obs.Gauge
-	gQueueDepth     *obs.Gauge
+	mFramesPumped *obs.Counter
+	mSlowDrops    *obs.Counter
+	mBytesWritten *obs.Counter
+	mConnects     *obs.Counter
+	gClients      *obs.Gauge
+	gQueueDepth   *obs.Gauge
 }
-
-// SlowPolicy selects how the server treats a client whose per-client
-// queue is full when a frame is broadcast.
-type SlowPolicy int
-
-const (
-	// DisconnectSlowClients cuts the client loose (the historical
-	// behaviour): a consumer that cannot keep up with the radio is
-	// better served by a clean reconnect than an ever-growing backlog.
-	DisconnectSlowClients SlowPolicy = iota
-	// DropFramesForSlowClients skips the frame for that client and
-	// keeps the connection. The client observes the loss as a sequence
-	// gap — the graceful-degradation choice for consumers that handle
-	// gaps (see core.Detector.NoteGap) and for stalls that are
-	// transient rather than systemic.
-	DropFramesForSlowClients
-)
 
 type client struct {
 	conn net.Conn
@@ -180,8 +160,6 @@ func NewServer(src *MatrixSource, logger *log.Logger) *Server {
 //
 //	transport_server_frames_pumped_total    frames read from the source
 //	transport_server_slow_client_drops_total clients cut for falling behind
-//	transport_server_slow_frame_drops_total frames skipped for slow clients
-//	                                        (DropFramesForSlowClients)
 //	transport_server_bytes_written_total    wire bytes sent to clients
 //	transport_server_connects_total         client connections accepted
 //	transport_server_clients                current subscriber count
@@ -190,7 +168,6 @@ func NewServer(src *MatrixSource, logger *log.Logger) *Server {
 func (s *Server) SetRegistry(r *obs.Registry) {
 	s.mFramesPumped = r.Counter("transport_server_frames_pumped_total")
 	s.mSlowDrops = r.Counter("transport_server_slow_client_drops_total")
-	s.mSlowFrameDrops = r.Counter("transport_server_slow_frame_drops_total")
 	s.mBytesWritten = r.Counter("transport_server_bytes_written_total")
 	s.mConnects = r.Counter("transport_server_connects_total")
 	s.gClients = r.Gauge("transport_server_clients")
@@ -212,10 +189,6 @@ func (s *Server) SetFrameHook(hook func(Frame) []Frame) { s.hook = hook }
 // Serve join) indefinitely. Zero disables the deadline. Call before
 // Serve.
 func (s *Server) SetWriteTimeout(d time.Duration) { s.writeTimeout = d }
-
-// SetSlowPolicy selects the treatment of clients whose queue is full
-// at broadcast time. Call before Serve.
-func (s *Server) SetSlowPolicy(p SlowPolicy) { s.slowPolicy = p }
 
 // SetStartSeq makes the stream's sequence numbers begin at n instead of
 // zero — a daemon that persists its frame counter across restarts uses
@@ -385,19 +358,12 @@ func (s *Server) broadcast(f Frame) {
 				maxDepth = d
 			}
 		default:
-			if s.slowPolicy == DropFramesForSlowClients {
-				// Skip this frame for this client; the loss surfaces
-				// downstream as a sequence gap.
-				s.mSlowFrameDrops.Inc()
-				continue
-			}
 			// Client cannot keep up with the radio; cut it loose.
 			stale = append(stale, c)
 		}
 	}
 	for _, c := range stale {
-		delete(s.clients, c)
-		close(c.ch)
+		s.disconnect(c)
 		s.mSlowDrops.Inc()
 		s.logger.Printf("dropping slow client %s", c.conn.RemoteAddr())
 	}
@@ -410,20 +376,28 @@ func (s *Server) broadcast(f Frame) {
 }
 
 // drainTimeout bounds how long a disconnecting client's write loop may
-// keep flushing queued frames. Without it a stalled peer would pin
-// Serve's shutdown join indefinitely.
+// keep flushing queued frames. Without it a stalled peer would pin its
+// write loop, and Serve's shutdown join, until the peer went away.
 const drainTimeout = 2 * time.Second
 
-// closeAll disconnects every client: the queue channel is closed so
-// the write loop drains the frames the client is still owed and exits,
-// and a write deadline bounds that drain so a stalled peer cannot pin
-// Serve's shutdown join.
+// disconnect removes c from the broadcast set, whether it fell behind
+// or the server is shutting down. Its queue is closed so the write loop
+// drains the frames c is still owed and exits, and a write deadline
+// bounds that drain so a peer that stopped reading cannot block the
+// loop. Caller holds s.mu.
+func (s *Server) disconnect(c *client) {
+	delete(s.clients, c)
+	close(c.ch)
+	// Setting a deadline fails only on a closed connection, whose write
+	// loop has already failed.
+	_ = c.conn.SetWriteDeadline(time.Now().Add(drainTimeout))
+}
+
+// closeAll disconnects every client.
 func (s *Server) closeAll() {
 	s.mu.Lock()
 	for c := range s.clients {
-		delete(s.clients, c)
-		close(c.ch)
-		_ = c.conn.SetWriteDeadline(time.Now().Add(drainTimeout))
+		s.disconnect(c)
 	}
 	s.mu.Unlock()
 	s.gClients.Set(0)

@@ -27,11 +27,9 @@ type Monitor struct {
 	// *trigger* assessment, once their timeline passes the boundary.
 	// The core.Seconds/core.Frames unit types keep the two clocks from
 	// mixing without a rate: that exact confusion was the drift bug.
-	baseWindowSec    core.Seconds // as-constructed span, restored by Reset
-	windowSec        core.Seconds // span of the window currently open
-	pendingWindowSec core.Seconds // takes effect at the next boundary; 0 = none
-	winStart         core.Seconds // start of the open window
-	winEnd           core.Seconds // end of the open window
+	windowSec core.Seconds // span of every window, fixed at construction
+	winStart  core.Seconds // start of the open window
+	winEnd    core.Seconds // end of the open window
 	// lagSec defers each window's assessment past its end by the
 	// detector's delivery lag: LEVD stamps events in the past (smoother
 	// group delay, refractory hold), so a blink delivered just after a
@@ -95,29 +93,15 @@ func NewMonitor(cfg Config, numBins int, frameRate, windowSec float64) (*Monitor
 	}
 	span := core.SecondsOf(windowSec)
 	return &Monitor{
-		det:           det,
-		model:         &DrowsinessModel{},
-		baseWindowSec: span,
-		windowSec:     span,
-		winEnd:        span,
-		lagSec:        core.SecondsOf(det.DeliveryLagSec()),
-		frameRate:     frameRate,
-		vitals:        vm,
-		vitalsBin:     -1,
+		det:       det,
+		model:     &DrowsinessModel{},
+		windowSec: span,
+		winEnd:    span,
+		lagSec:    core.SecondsOf(det.DeliveryLagSec()),
+		frameRate: frameRate,
+		vitals:    vm,
+		vitalsBin: -1,
 	}, nil
-}
-
-// SetWindowSec schedules a new assessment-window span. It takes effect
-// at the next window boundary, so the accounting of the window already
-// open stays exact. The fleet layer uses it to widen windows when
-// backpressure thins a session's frame stream: a wider window keeps
-// enough blinks for the rate feature to stay meaningful.
-func (m *Monitor) SetWindowSec(sec float64) error {
-	if err := checkWindowSec(sec); err != nil {
-		return err
-	}
-	m.pendingWindowSec = core.SecondsOf(sec)
-	return nil
 }
 
 // checkWindowSec accepts a finite, positive window span. A NaN or
@@ -140,9 +124,7 @@ func (m *Monitor) Reset() {
 	m.vitalsBin = -1
 	m.tally = core.WindowTally{}
 	m.frame = 0
-	m.windowSec = m.baseWindowSec
-	m.pendingWindowSec = 0
-	m.winStart, m.winEnd = 0, m.baseWindowSec
+	m.winStart, m.winEnd = 0, m.windowSec
 	*m.model = DrowsinessModel{}
 }
 
@@ -254,21 +236,13 @@ func (m *Monitor) windowComplete(ev BlinkEvent, ok bool) bool {
 }
 
 // assess summarises the completed window [winStart, winEnd) and opens
-// the next one. The rate divides by the window's actual span, so it
-// stays a true blinks-per-minute whatever span a pending SetWindowSec
-// gave this window. The next window opens before the classification
-// runs, so a window whose classification fails (non-finite features)
-// costs its own assessment only.
+// the next one. The next window opens before the classification runs,
+// so a window whose classification fails (non-finite features) costs
+// its own assessment only.
 func (m *Monitor) assess() (Assessment, error) {
 	end := m.winEnd
 	f := m.tally.Features((end - m.winStart).Float64())
-	// Open the next window, applying any pending span change at the
-	// boundary so the accounting of the window just closed stayed exact.
 	m.winStart = end
-	if m.pendingWindowSec > 0 {
-		m.windowSec = m.pendingWindowSec
-		m.pendingWindowSec = 0
-	}
 	m.winEnd = end + m.windowSec
 	m.tally = core.WindowTally{}
 

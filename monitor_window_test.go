@@ -204,51 +204,6 @@ func TestAssessErrorStillReturnsBlink(t *testing.T) {
 	}
 }
 
-// TestSetWindowSecAppliesAtBoundary verifies widening takes effect only
-// at the next boundary and that BlinkRate normalises by the actual span
-// of the widened window (and counts no detection below the duration
-// gate).
-func TestSetWindowSecAppliesAtBoundary(t *testing.T) {
-	const fps, windowSec = 10.0, 2.0
-	m := windowTestMonitor(t, fps, windowSec)
-	if err := m.SetWindowSec(4.0); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.windowSec.Float64(); got != 2.0 {
-		t.Fatalf("window widened mid-window: got %g, want 2 until the boundary", got)
-	}
-
-	var assessments []Assessment
-	collect := func(n int) { assessments = append(assessments, ingestEmpty(t, m, n)...) }
-	collect(41) // closes [0,2)
-	if len(assessments) != 1 || assessments[0].WindowEnd != 2.0 {
-		t.Fatalf("first assessment %+v, want WindowEnd=2", assessments)
-	}
-	if got := m.windowSec.Float64(); got != 4.0 {
-		t.Fatalf("pending window span not applied at boundary: got %g, want 4", got)
-	}
-
-	// Two blinks inside the widened window [2,6), and one detection
-	// below the duration gate: rate must divide by the actual 4 s span
-	// -> 30 blinks/min.
-	for _, ev := range []BlinkEvent{{Time: 3.0, Duration: 0.4}, {Time: 4.5, Duration: 0.4}, {Time: 5.0, Duration: 0.2}} {
-		if _, _, _, err := m.ingest(ev, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	collect(60)
-	if len(assessments) < 2 {
-		t.Fatalf("widened window never assessed: %+v", assessments)
-	}
-	second := assessments[1]
-	if second.WindowEnd != 6.0 {
-		t.Fatalf("widened window ends at %g, want 6", second.WindowEnd)
-	}
-	if math.Abs(second.Features.BlinkRate-30) > 1e-9 {
-		t.Fatalf("widened window rate %.3f blinks/min, want 30 (2 blinks / 4 s)", second.Features.BlinkRate)
-	}
-}
-
 // TestMonitorResetRecyclesCleanly verifies the pool-recycling contract:
 // Reset returns the monitor to its as-constructed state and performs no
 // allocations.
@@ -259,9 +214,6 @@ func TestMonitorResetRecyclesCleanly(t *testing.T) {
 		[]WindowFeatures{{BlinkRate: 10, MeanBlinkDuration: 0.2}, {BlinkRate: 12, MeanBlinkDuration: 0.25}},
 		[]WindowFeatures{{BlinkRate: 28, MeanBlinkDuration: 0.4}, {BlinkRate: 30, MeanBlinkDuration: 0.5}},
 	); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.SetWindowSec(8); err != nil {
 		t.Fatal(err)
 	}
 	frame := make([]complex128, 16)
@@ -283,9 +235,6 @@ func TestMonitorResetRecyclesCleanly(t *testing.T) {
 	}
 	if m.Calibrated() {
 		t.Fatal("calibration survived Reset; recycled state serves a different driver")
-	}
-	if got := m.windowSec.Float64(); got != windowSec {
-		t.Fatalf("window span %g after Reset, want %g", got, windowSec)
 	}
 	if m.winStart != 0 || m.winEnd != windowSec {
 		t.Fatalf("window boundaries [%g,%g) after Reset, want [0,%g)", m.winStart, m.winEnd, windowSec)
