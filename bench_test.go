@@ -249,7 +249,8 @@ func BenchmarkSlidingMoments(b *testing.B) {
 			pos = 0
 		}
 		if mom.NeedsRenorm() {
-			mom.Renormalize(win)
+			mom.Reset()
+			mom.Accumulate(win)
 		}
 		if i%refitEvery == 0 {
 			if _, err := mom.FitPratt(); err != nil {

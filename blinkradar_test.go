@@ -2,6 +2,7 @@ package blinkradar_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"blinkradar"
@@ -141,6 +142,12 @@ func TestNewMonitorValidation(t *testing.T) {
 	}
 	if _, err := blinkradar.NewMonitor(blinkradar.DefaultConfig(), 0, 25, 60); err == nil {
 		t.Fatal("zero bins must be rejected")
+	}
+	for _, fps := range []float64{0, math.NaN(), math.Inf(1)} {
+		if _, err := blinkradar.NewMonitor(blinkradar.DefaultConfig(), 150, fps, 60); err == nil ||
+			!strings.Contains(err.Error(), "frame rate") {
+			t.Errorf("NewMonitor at %g fps: %v, want an error naming the frame rate", fps, err)
+		}
 	}
 }
 

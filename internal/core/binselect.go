@@ -88,11 +88,11 @@ type BinStats func(bin int) (varI, varQ, covIQ float64)
 // sweep: the per-bin variance ranking, the candidate bound ordering,
 // the gathered series window and the residual buffer of the trimmed
 // arc fit. A zero value is ready to use; buffers grow on first use and
-// are reused afterwards, so a caller that owns a scratch (the
-// streaming detector, the offline matrix path) runs selection without
-// per-call allocation. The candidate slice returned by
-// SelectBinScratch aliases the scratch and is valid until the next
-// call with the same scratch.
+// are reused afterwards, so a caller that reuses a scratch (the
+// streaming detector borrows one from a pool for each selection pass)
+// runs selection without per-call allocation. The candidate slice
+// returned by SelectBinScratch aliases the scratch and is valid until
+// the next call with the same scratch.
 type SelectScratch struct {
 	variances  []BinScore
 	candidates []BinScore

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/metrics"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -50,12 +51,10 @@ type Detector struct {
 	sustain int
 
 	// Optional diagnostics trace.
-	trace      bool
-	distTrace  []float64
-	thrTrace   []float64
-	cur        iq.Planes32 // per-frame SoA working copy
-	seriesBuf  []complex128
-	selScratch SelectScratch
+	trace     bool
+	distTrace []float64
+	thrTrace  []float64
+	cur       iq.Planes32 // per-frame SoA working copy
 
 	// Metrics (nil-safe no-ops until SetRegistry attaches a registry).
 	mFrames      *obs.Counter
@@ -97,8 +96,8 @@ func NewDetector(cfg Config, numBins int, frameRate float64) (*Detector, error) 
 	if numBins <= GuardBins {
 		return nil, fmt.Errorf("core: need more than %d guard bins, got %d bins", GuardBins, numBins)
 	}
-	if frameRate <= 0 {
-		return nil, fmt.Errorf("core: frame rate must be positive, got %g", frameRate)
+	if err := checkFrameRate(frameRate); err != nil {
+		return nil, err
 	}
 	pre, err := NewPreprocessor(cfg, numBins, frameRate)
 	if err != nil {
@@ -403,14 +402,22 @@ func (d *Detector) pushTrace(dist float64) {
 	d.thrTrace = append(d.thrTrace, d.levd.Threshold())
 }
 
+// selectPool lends a SelectScratch to one selection pass: the
+// selection itself, scoring the current bin and seeding the tracker.
+// Selection runs once every ReselectIntervalFrames, so a detector holds
+// no scratch between passes, and the pool keeps roughly one per P alive
+// instead of one per session. The candidate slice SelectBinScratch
+// returns aliases the scratch, so nothing may keep it past the Put.
+var selectPool = sync.Pool{New: func() any { return new(SelectScratch) }}
+
 // runSelection scores all bins over the selection ring and records the
 // pass duration.
-func (d *Detector) runSelection() (BinScore, error) {
+func (d *Detector) runSelection(scr *SelectScratch) (BinScore, error) {
 	var start time.Time
 	if d.mStageSelect != nil {
 		start = time.Now()
 	}
-	best, _, err := SelectBinScratch(&d.selScratch, d.ring.seriesInto, d.ring.stats, d.bins, GuardBins, candidateTopK)
+	best, _, err := SelectBinScratch(scr, d.ring.seriesInto, d.ring.stats, d.bins, GuardBins, candidateTopK)
 	if d.mStageSelect != nil {
 		d.mStageSelect.Observe(time.Since(start).Seconds())
 	}
@@ -418,17 +425,19 @@ func (d *Detector) runSelection() (BinScore, error) {
 }
 
 // seedTracker re-seeds the tracker from the ring history of the tracked
-// bin, reusing the detector's series scratch.
-func (d *Detector) seedTracker() {
-	d.seriesBuf = d.ring.seriesInto(d.bin, d.seriesBuf)
+// bin, gathered into the pass's scratch.
+func (d *Detector) seedTracker(scr *SelectScratch) {
+	scr.series = d.ring.seriesInto(d.bin, scr.series)
 	d.tracker.Reset()
-	d.tracker.Seed(tail(d.seriesBuf, FitWindowFrames))
+	d.tracker.Seed(tail(scr.series, FitWindowFrames))
 }
 
 // selectBin runs eye-bin identification over the selection ring and
 // seeds the tracker. reselect marks adaptive re-selection (keeps sigma).
 func (d *Detector) selectBin(reselect bool) {
-	best, err := d.runSelection()
+	scr := selectPool.Get().(*SelectScratch)
+	defer selectPool.Put(scr)
+	best, err := d.runSelection(scr)
 	if err != nil || (best.Score <= 0 && best.Variance <= 0) {
 		return
 	}
@@ -436,7 +445,7 @@ func (d *Detector) selectBin(reselect bool) {
 	d.haveBin = true
 	d.everSelected = true
 	d.matured = false
-	d.seedTracker()
+	d.seedTracker(scr)
 	d.levd.Reset()
 	d.setHealth(HealthTracking)
 	if reselect {
@@ -447,13 +456,15 @@ func (d *Detector) selectBin(reselect bool) {
 // maybeReselect migrates to a clearly better bin (adaptive update of
 // the observation position as the driver's posture drifts).
 func (d *Detector) maybeReselect() {
-	best, err := d.runSelection()
+	scr := selectPool.Get().(*SelectScratch)
+	defer selectPool.Put(scr)
+	best, err := d.runSelection(scr)
 	if err != nil {
 		return
 	}
-	d.seriesBuf = d.ring.seriesInto(d.bin, d.seriesBuf)
-	d.selScratch.res = grow(d.selScratch.res, len(d.seriesBuf))
-	current := scoreBinRes(d.bin, d.seriesBuf, d.selScratch.res[:len(d.seriesBuf)])
+	scr.series = d.ring.seriesInto(d.bin, scr.series)
+	scr.res = grow(scr.res, len(scr.series))
+	current := scoreBinRes(d.bin, scr.series, scr.res)
 	if best.Bin == d.bin {
 		return
 	}
@@ -470,7 +481,7 @@ func (d *Detector) maybeReselect() {
 		d.binSwitches++
 		d.mBinSwitches.Inc()
 		d.matured = false
-		d.seedTracker()
+		d.seedTracker(scr)
 		d.levd.Reset()
 		d.settleUntil = d.frame + settleFrames
 	}

@@ -4,8 +4,12 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 
+	"blinkradar/internal/obs"
 	"blinkradar/internal/rf"
 )
 
@@ -113,6 +117,98 @@ func TestNewDetectorValidation(t *testing.T) {
 	bad.ThresholdK = 0
 	if _, err := NewDetector(bad, 40, 25); err == nil {
 		t.Fatal("invalid config must be rejected")
+	}
+}
+
+// TestConstructorsRejectBadFrameRate: NaN and +Inf pass a plain
+// `fps <= 0` check, so each constructor must refuse them, as well as 0
+// and -Inf, with an error that names the frame rate.
+func TestConstructorsRejectBadFrameRate(t *testing.T) {
+	for _, fps := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, errDet := NewDetector(DefaultConfig(), 40, fps)
+		_, errPre := NewPreprocessor(DefaultConfig(), 40, fps)
+		_, errLEVD := NewLEVD(DefaultConfig(), fps)
+		for _, c := range []struct {
+			name string
+			err  error
+		}{{"NewDetector", errDet}, {"NewPreprocessor", errPre}, {"NewLEVD", errLEVD}} {
+			if c.err == nil || !strings.Contains(c.err.Error(), "frame rate") {
+				t.Errorf("%s at %g fps: %v, want an error naming the frame rate", c.name, fps, c.err)
+			}
+		}
+	}
+}
+
+// TestConcurrentDetectorsShareSelectionScratch runs detectors over
+// distinct captures on separate goroutines, two per capture, all
+// borrowing selection scratch from the one package pool, and checks
+// that each emits exactly what it emits alone. Under -race, a scratch
+// lent to two selection passes at once shows as a data race; without
+// it, as changed events. The captures differ in width, so the pooled
+// buffers change size from one pass to the next.
+func TestConcurrentDetectorsShareSelectionScratch(t *testing.T) {
+	const captures, frames = 4, 1200
+	type run struct {
+		events     []BlinkEvent
+		selections uint64 // cold-start selections and reselections
+	}
+	feed := func(m *rf.FrameMatrix, bins int) (run, error) {
+		det, err := NewDetector(DefaultConfig(), bins, m.FrameRate)
+		if err != nil {
+			return run{}, err
+		}
+		det.SetRegistry(obs.NewRegistry())
+		var r run
+		for _, row := range m.Data {
+			ev, ok, err := det.Feed(row[:bins])
+			if err != nil {
+				return run{}, err
+			}
+			if ok {
+				r.events = append(r.events, ev)
+			}
+		}
+		r.selections = det.mStageSelect.Count()
+		return r, nil
+	}
+	caps := make([]*rf.FrameMatrix, captures)
+	bins := make([]int, captures)
+	serial := make([]run, captures)
+	// One cold-start selection, then one reselection every interval.
+	minSelections := uint64(1 + (frames-ColdStartFrames)/DefaultConfig().ReselectIntervalFrames)
+	for i := range caps {
+		caps[i], _ = syntheticCapture(t, frames, []int{300 + 40*i, 520, 760 + 30*i, 1000}, int64(20+i))
+		bins[i] = 40 - 4*i
+		r, err := feed(caps[i], bins[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.events) == 0 || r.selections < minSelections {
+			t.Fatalf("capture %d alone: %d events, %d selection passes; want events and at least %d passes",
+				i, len(r.events), r.selections, minSelections)
+		}
+		serial[i] = r
+	}
+	got := make([]run, 2*captures)
+	errs := make([]error, 2*captures)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = feed(caps[g%captures], bins[g%captures])
+		}()
+	}
+	wg.Wait()
+	for g, r := range got {
+		i := g % captures
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if !slices.Equal(r.events, serial[i].events) || r.selections != serial[i].selections {
+			t.Fatalf("goroutine %d on capture %d: %d events over %d selection passes %v, alone %d over %d %v",
+				g, i, len(r.events), r.selections, r.events, len(serial[i].events), serial[i].selections, serial[i].events)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"blinkradar/internal/dsp"
@@ -98,8 +97,8 @@ func NewLEVD(cfg Config, fps float64) (*LEVD, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if fps <= 0 {
-		return nil, fmt.Errorf("core: fps must be positive, got %g", fps)
+	if err := checkFrameRate(fps); err != nil {
+		return nil, err
 	}
 	trend, err := dsp.NewStreamingMedian(DetrendWindowFrames)
 	if err != nil {

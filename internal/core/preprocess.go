@@ -43,8 +43,11 @@ func NewPreprocessor(cfg Config, numBins int, frameRate float64) (*Preprocessor,
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if numBins <= 0 || frameRate <= 0 {
-		return nil, fmt.Errorf("core: bins and frame rate must be positive, got %d, %g", numBins, frameRate)
+	if numBins <= 0 {
+		return nil, fmt.Errorf("core: bins must be positive, got %d", numBins)
+	}
+	if err := checkFrameRate(frameRate); err != nil {
+		return nil, err
 	}
 	return &Preprocessor{
 		primeFrames: max(int(BackgroundTauSec*frameRate), 1),

@@ -19,8 +19,12 @@ import (
 // direction, so each refit's centre is blended into the running
 // estimate rather than adopted outright; this keeps the distance
 // waveform free of refit steps that would masquerade as blinks.
+//
+// The window keeps its samples at float32 precision: every production
+// sample is a widened float32 pair from the radar planes, so storing it
+// as complex64 is exact, at half the bytes.
 type Tracker struct {
-	window    []complex128
+	window    []complex64
 	mom       iq.SlidingMoments
 	pos       int
 	count     int
@@ -55,7 +59,7 @@ func NewTracker(windowFrames, refitInterval, minFit int, blend float64) (*Tracke
 		return nil, fmt.Errorf("core: blend must be in (0, 1], got %g", blend)
 	}
 	return &Tracker{
-		window:    make([]complex128, windowFrames),
+		window:    make([]complex64, windowFrames),
 		mom:       iq.NewSlidingMoments(windowFrames),
 		minFit:    minFit,
 		refitEach: refitInterval,
@@ -66,17 +70,19 @@ func NewTracker(windowFrames, refitInterval, minFit int, blend float64) (*Tracke
 // store pushes one sample into the window ring and the sliding moment
 // sums, evicting the overwritten sample once full and renormalizing the
 // sums on the accumulator's schedule (every window-length of evictions,
-// so the exact pass amortises to O(1) per frame).
+// so the exact pass amortises to O(1) per frame). The sums take the
+// sample as the window stores it, narrowed to float32 and widened back,
+// so an eviction subtracts exactly what its push added.
 //
 //blinkradar:hotpath
 func (t *Tracker) store(z complex128) {
 	if t.count == len(t.window) {
-		t.mom.Evict(t.window[t.pos])
+		t.mom.Evict(complex128(t.window[t.pos]))
 	} else {
 		t.count++
 	}
-	t.window[t.pos] = z
-	t.mom.Push(z)
+	t.window[t.pos] = complex64(z)
+	t.mom.Push(complex128(t.window[t.pos]))
 	t.pos++
 	if t.pos == len(t.window) {
 		t.pos = 0
@@ -84,8 +90,18 @@ func (t *Tracker) store(z complex128) {
 	if t.mom.NeedsRenorm() {
 		// Rebuild the sums straight from the ring, oldest first: the
 		// order they were pushed in, so the rounding is fixed.
-		t.mom.Renormalize(t.window[t.pos:t.count])
-		t.mom.Accumulate(t.window[:t.pos])
+		t.mom.Reset()
+		t.accumulate(t.window[t.pos:t.count])
+		t.accumulate(t.window[:t.pos])
+	}
+}
+
+// accumulate pushes samples into the moment sums, widened.
+//
+//blinkradar:hotpath
+func (t *Tracker) accumulate(samples []complex64) {
+	for _, z := range samples {
+		t.mom.Push(complex128(z))
 	}
 }
 
@@ -176,7 +192,8 @@ func (t *Tracker) refit() {
 		}
 		hi2 := hi * hi
 		var sub iq.SlidingMoments
-		for _, z := range t.window[:t.count] {
+		for _, z32 := range t.window[:t.count] {
+			z := complex128(z32)
 			d := z - c.Center
 			r2 := real(d)*real(d) + imag(d)*imag(d)
 			if r2 > lo2 && r2 < hi2 {

@@ -175,16 +175,18 @@ func TestTrackerBlinkVisibleInDistance(t *testing.T) {
 }
 
 // refPush is Push with the copy-based renormalization the ring-based one
-// must reproduce: the window is copied oldest first into scratch and the
-// moment sums are rebuilt from the copy.
+// must reproduce: the window is copied oldest first, widened, into
+// scratch and the moment sums are rebuilt from the copy. Like the
+// tracker, it stores the sample at float32 precision and sums what it
+// stores.
 func refPush(t *Tracker, scratch []complex128, z complex128) (float64, bool) {
 	if t.count == len(t.window) {
-		t.mom.Evict(t.window[t.pos])
+		t.mom.Evict(complex128(t.window[t.pos]))
 	} else {
 		t.count++
 	}
-	t.window[t.pos] = z
-	t.mom.Push(z)
+	t.window[t.pos] = complex64(z)
+	t.mom.Push(complex128(complex64(z)))
 	t.pos++
 	if t.pos == len(t.window) {
 		t.pos = 0
@@ -197,9 +199,10 @@ func refPush(t *Tracker, scratch []complex128, z complex128) (float64, bool) {
 			if idx < 0 {
 				idx += len(t.window)
 			}
-			out[i] = t.window[idx%len(t.window)]
+			out[i] = complex128(t.window[idx%len(t.window)])
 		}
-		t.mom.Renormalize(out)
+		t.mom.Reset()
+		t.mom.Accumulate(out)
 	}
 	t.sinceFit++
 	if !t.haveFit {

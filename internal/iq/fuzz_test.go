@@ -128,7 +128,8 @@ func FuzzSlidingMoments(f *testing.F) {
 				peak2 = zz
 			}
 			if s.NeedsRenorm() {
-				s.Renormalize(window)
+				s.Reset()
+				s.Accumulate(window)
 				// The sums are exact again; only the current window's
 				// contents can seed future residue.
 				peak2 = 0

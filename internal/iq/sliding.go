@@ -11,8 +11,8 @@ package iq
 // Floating-point drift: every Push/Evict pair leaves O(eps) rounding
 // residue in the sums, so the accumulator counts evictions and reports
 // NeedsRenorm once renormEvery of them have passed; the owner then
-// calls Renormalize with the current window contents for an exact
-// recompute. With renormEvery equal to the window length the exact
+// calls Reset and pushes the current window contents again for an
+// exact recompute. With renormEvery equal to the window length the exact
 // pass amortises to O(1) per frame and bounds the relative drift to
 // ~window·eps of the raw-sum scale, far inside the tolerance of the
 // differential tests.
@@ -99,24 +99,13 @@ func (s *SlidingMoments) Accumulate(z []complex128) {
 func (s *SlidingMoments) Count() int { return s.n }
 
 // NeedsRenorm reports whether enough evictions have accumulated that
-// the owner should call Renormalize with the current window.
+// the owner should Reset the sums and push the current window again.
 func (s *SlidingMoments) NeedsRenorm() bool {
 	return s.renormEvery > 0 && s.evictions >= s.renormEvery
 }
 
-// Renormalize recomputes the sums exactly from the current window
-// contents (order irrelevant) and clears the eviction counter.
-//
-//blinkradar:hotpath
-func (s *SlidingMoments) Renormalize(window []complex128) {
-	every := s.renormEvery
-	*s = SlidingMoments{renormEvery: every}
-	for _, c := range window {
-		s.Push(c)
-	}
-}
-
-// Reset empties the accumulator, keeping the renormalization interval.
+// Reset empties the accumulator, keeping the renormalization interval
+// and clearing the eviction count.
 func (s *SlidingMoments) Reset() {
 	every := s.renormEvery
 	*s = SlidingMoments{renormEvery: every}

@@ -111,7 +111,8 @@ func slide(t *testing.T, stream []complex128, capacity, renormEvery int) {
 		s.Push(z)
 		window = append(window, z)
 		if s.NeedsRenorm() {
-			s.Renormalize(window)
+			s.Reset()
+			s.Accumulate(window)
 			renorms++
 		}
 		requireMomentsMatch(t, &s, window)

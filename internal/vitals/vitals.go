@@ -10,11 +10,15 @@
 // (Eq. 9) — and reads the respiration and heartbeat fundamentals from
 // the spectrum of that displacement waveform.
 //
-// Every session runs an estimator, so an update allocates nothing: it
-// borrows its working buffers (about 117 KiB for a 30-s window, most of
-// it the zero-padded spectrum) from a package sync.Pool for the length
-// of the update, and the FFT reuses dsp's cached twiddle tables. The
-// pool keeps roughly one scratch per P alive, not one per session.
+// Every session runs a Monitor, so it holds only what it needs between
+// frames: its float32 sample ring (7,000 B for a 30-s window with 5-s
+// updates at 25 fps). The spectrum is computed when Last reads an
+// estimate, not at every update: Push runs only the arc fit, the one
+// check that can make an update's estimate fail. Neither allocates. Both
+// borrow their working buffers (about 117 KiB for a 30-s window, most
+// of it the zero-padded spectrum) from a package sync.Pool for the
+// length of the call, and the FFT reuses dsp's cached twiddle tables.
+// The pool keeps roughly one scratch per P alive, not one per session.
 package vitals
 
 import (
@@ -73,8 +77,8 @@ func EstimateFromSeries(series []complex128, fps float64) (Estimate, error) {
 
 // scratch is the estimator's working storage. Its buffers grow to the
 // largest window analysed and are then reused. Estimators borrow one
-// from scratchPool for the length of an update, so a Monitor between
-// updates holds none of it.
+// from scratchPool for the length of a call, so a Monitor between
+// calls holds none of it.
 type scratch struct {
 	series   []complex128 // a Monitor's window, oldest first
 	disp     []float64    // angles, unwrapped in place
@@ -213,74 +217,134 @@ func (s *scratch) bandPeak(power []float64, fps float64, nfft int, lo, hi float6
 	return float64(bestIdx) * fps / float64(nfft), snr
 }
 
-// Monitor accumulates slow-time samples of a tracked bin and produces
-// rolling vital-sign estimates — the streaming counterpart of
+// Monitor accumulates slow-time samples of a tracked bin and keeps a
+// rolling vital-sign estimate: the streaming counterpart of
 // EstimateFromSeries, for use alongside the blink detector.
+//
+// An update falls every updateSec once windowSec of samples are held,
+// and Last returns the estimate of the latest update whose estimate
+// succeeded, exactly as if each update had run EstimateFromSeries over
+// its window. The estimate itself waits for Last: a consumer that reads
+// once a minute pays for one spectrum, not twelve.
 type Monitor struct {
-	fps      float64
-	window   int
-	every    int
-	buf      []complex128
-	pos      int
-	count    int
-	sincePos int
+	fps    float64
+	window int // samples per analysis window
+	every  int // samples between updates
+	// buf is a ring of window+every samples: enough to still hold the
+	// previous update's window when the next update's fit fails.
+	buf     []complex64
+	pos     int  // next slot to write
+	count   int  // samples held, up to len(buf)
+	since   int  // pushes since the last update
+	pending bool // the last update passed its fit and is not estimated yet
+
 	last     Estimate
 	haveLast bool
 }
 
 // NewMonitor creates a streaming estimator with the given analysis
-// window and update interval in seconds.
+// window and update interval in seconds. The window must hold at least
+// 15 s of samples, and the interval at least one frame.
 func NewMonitor(fps, windowSec, updateSec float64) (*Monitor, error) {
-	if fps <= 0 {
-		return nil, fmt.Errorf("vitals: fps must be positive, got %g", fps)
+	if !(fps > 0) || math.IsInf(fps, 1) {
+		return nil, fmt.Errorf("vitals: fps must be positive and finite, got %g", fps)
 	}
-	if windowSec < minWindowSec {
-		return nil, fmt.Errorf("vitals: window must be at least %.0f s, got %g", minWindowSec, windowSec)
+	// The window is a whole number of samples, so a 15-s span at a
+	// fractional rate can hold less than 15 s. Such a Monitor could never
+	// estimate, and refusing it here leaves the arc fit as the one check
+	// an update's estimate can fail.
+	if !(windowSec >= minWindowSec) || math.IsInf(windowSec, 1) ||
+		float64(int(windowSec*fps)) < minWindowSec*fps {
+		return nil, fmt.Errorf("vitals: window must be finite and hold at least %.0f s of samples, got %g s at %g fps",
+			minWindowSec, windowSec, fps)
 	}
-	if updateSec <= 0 {
-		return nil, fmt.Errorf("vitals: update interval must be positive, got %g", updateSec)
+	if !(updateSec*fps >= 1) || math.IsInf(updateSec, 1) {
+		return nil, fmt.Errorf("vitals: update interval must be finite and at least one frame, got %g s at %g fps",
+			updateSec, fps)
 	}
+	window, every := int(windowSec*fps), int(updateSec*fps)
 	return &Monitor{
 		fps:    fps,
-		window: int(windowSec * fps),
-		every:  int(updateSec * fps),
-		buf:    make([]complex128, int(windowSec*fps)),
+		window: window,
+		every:  every,
+		buf:    make([]complex64, window+every),
 	}, nil
 }
 
-// Push adds one background-subtracted I/Q sample of the tracked bin.
-// It returns a fresh estimate and true at each update interval once the
-// window has filled.
-func (m *Monitor) Push(z complex128) (Estimate, bool) {
-	m.buf[m.pos] = z
-	m.pos = (m.pos + 1) % len(m.buf)
-	if m.count < len(m.buf) {
-		m.count++
+// Push adds one background-subtracted I/Q sample of the tracked bin. The
+// sample is kept at float32 precision, the precision of the radar
+// planes it comes from, so a widened float32 pair is stored exactly.
+//
+// At each update Push fits the window's arc, the one check that can
+// make its estimate fail, and leaves the estimate to Last. When the fit
+// fails while the previous update still waits to be estimated, that
+// update is now the latest one that succeeds, so Push estimates it
+// before its window leaves the ring.
+func (m *Monitor) Push(z complex128) {
+	m.buf[m.pos] = complex64(z)
+	m.pos++
+	if m.pos == len(m.buf) {
+		m.pos = 0
 	}
-	m.sincePos++
-	if m.count < len(m.buf) || m.sincePos < m.every {
-		return Estimate{}, false
+	m.count = min(m.count+1, len(m.buf))
+	m.since++
+	if m.count < m.window || m.since < m.every {
+		return
 	}
-	m.sincePos = 0
+	m.since = 0
 	scr := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(scr)
-	scr.series = grow(scr.series, len(m.buf))
-	k := copy(scr.series, m.buf[m.pos:])
-	copy(scr.series[k:], m.buf[:m.pos])
-	est, err := scr.estimate(scr.series, m.fps)
-	if err != nil {
-		return Estimate{}, false
+	if _, err := iq.FitCirclePratt(m.series(scr, 0)); err == nil {
+		m.pending = true
+	} else if m.pending {
+		m.pending = false
+		m.estimate(scr, m.every)
 	}
-	m.last = est
-	m.haveLast = true
-	return est, true
 }
 
-// Last returns the most recent estimate and whether one exists.
-func (m *Monitor) Last() (Estimate, bool) { return m.last, m.haveLast }
+// Last returns the estimate of the latest update whose estimate
+// succeeded, and whether one exists. The first call after an update
+// computes that update's estimate, borrowing the pooled scratch, and
+// caches it.
+func (m *Monitor) Last() (Estimate, bool) {
+	if m.pending {
+		m.pending = false
+		scr := scratchPool.Get().(*scratch)
+		m.estimate(scr, m.since)
+		scratchPool.Put(scr)
+	}
+	return m.last, m.haveLast
+}
 
-// Reset clears the sample window (e.g. after the tracked bin changes).
+// Reset clears the sample window and any estimate (e.g. after the
+// tracked bin changes).
 func (m *Monitor) Reset() {
-	m.pos, m.count, m.sincePos = 0, 0, 0
-	m.haveLast = false
+	m.pos, m.count, m.since = 0, 0, 0
+	m.pending, m.haveLast = false, false
+}
+
+// estimate runs the estimator over the window of the update lag pushes
+// ago and keeps the result if it succeeds.
+func (m *Monitor) estimate(scr *scratch, lag int) {
+	if est, err := scr.estimate(m.series(scr, lag), m.fps); err == nil {
+		m.last, m.haveLast = est, true
+	}
+}
+
+// series copies the window of the update lag pushes ago into the
+// scratch, oldest first, widened to complex128. The ring still holds it
+// while lag <= every.
+func (m *Monitor) series(scr *scratch, lag int) []complex128 {
+	scr.series = grow(scr.series, m.window)
+	at := m.pos - lag - m.window
+	if at < 0 {
+		at += len(m.buf)
+	}
+	for i := range scr.series {
+		scr.series[i] = complex128(m.buf[at])
+		if at++; at == len(m.buf) {
+			at = 0
+		}
+	}
+	return scr.series
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"blinkradar/internal/core"
@@ -94,29 +95,44 @@ func TestEstimateNoSignal(t *testing.T) {
 	}
 }
 
+// float32Series rounds each sample to float32 precision, as the radar
+// planes carry it, so a Monitor stores the series exactly.
+func float32Series(series []complex128) []complex128 {
+	out := make([]complex128, len(series))
+	for i, z := range series {
+		out[i] = complex128(complex64(z))
+	}
+	return out
+}
+
 func TestMonitorStreaming(t *testing.T) {
 	const fps = 25.0
 	m, err := NewMonitor(fps, 30, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	series := syntheticVitalSeries(int(70*fps), fps, 0.3, 1.3, 5)
-	var updates int
-	var last Estimate
-	for _, z := range series {
-		if est, ok := m.Push(z); ok {
-			updates++
-			last = est
+	series := float32Series(syntheticVitalSeries(int(70*fps), fps, 0.3, 1.3, 5))
+	for i, z := range series {
+		m.Push(z)
+		if _, ok := m.Last(); ok && i+1 < int(30*fps) {
+			t.Fatalf("estimate after %d samples, before the 30-s window filled", i+1)
 		}
 	}
-	if updates == 0 {
-		t.Fatal("no streaming estimates in 70 s")
+	got, ok := m.Last()
+	if !ok {
+		t.Fatal("no streaming estimate in 70 s")
 	}
-	if math.Abs(last.RespirationHz-0.3) > 0.04 {
-		t.Fatalf("streaming respiration %g, want 0.3", last.RespirationHz)
+	if math.Abs(got.RespirationHz-0.3) > 0.04 {
+		t.Fatalf("streaming respiration %g, want 0.3", got.RespirationHz)
 	}
-	if got, ok := m.Last(); !ok || got != last {
-		t.Fatal("Last() does not match the final update")
+	// Updates fall at 30 s and every 5 s after, so the last one is at
+	// 70 s and its window is the final 30 s.
+	want, err := EstimateFromSeries(series[len(series)-int(30*fps):], fps)
+	if err != nil || got != want {
+		t.Fatalf("Last() = %+v, the final window's estimate %+v (err %v)", got, want, err)
+	}
+	if again, ok := m.Last(); !ok || again != got {
+		t.Fatalf("second read %+v, first %+v", again, got)
 	}
 	m.Reset()
 	if _, ok := m.Last(); ok {
@@ -125,14 +141,35 @@ func TestMonitorStreaming(t *testing.T) {
 }
 
 func TestNewMonitorValidation(t *testing.T) {
-	if _, err := NewMonitor(0, 30, 5); err == nil {
-		t.Fatal("zero fps must be rejected")
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		fps, windowSec, updateSec float64
+		names                     string // the argument the error must name
+	}{
+		{0, 30, 5, "fps"},
+		{nan, 30, 5, "fps"},
+		{inf, 30, 5, "fps"},
+		{-inf, 30, 5, "fps"},
+		{25, 5, 5, "window"},
+		{25, nan, 5, "window"},
+		{25, inf, 5, "window"},
+		{25, -inf, 5, "window"},
+		// 15 s at 25.3 fps is 379.5 samples, and the window holds 379.
+		{25.3, 15, 5, "window"},
+		{25, 30, 0, "update interval"},
+		{25, 30, nan, "update interval"},
+		{25, 30, inf, "update interval"},
+		{25, 30, -inf, "update interval"},
+		{25, 30, 0.03, "update interval"}, // shorter than one frame
+	} {
+		m, err := NewMonitor(c.fps, c.windowSec, c.updateSec)
+		if err == nil || !strings.Contains(err.Error(), c.names) {
+			t.Errorf("NewMonitor(%g, %g, %g) = %v, %v; want an error naming the %s",
+				c.fps, c.windowSec, c.updateSec, m, err, c.names)
+		}
 	}
-	if _, err := NewMonitor(25, 5, 5); err == nil {
-		t.Fatal("short window must be rejected")
-	}
-	if _, err := NewMonitor(25, 30, 0); err == nil {
-		t.Fatal("zero update interval must be rejected")
+	if _, err := NewMonitor(25, 15, 0.04); err != nil {
+		t.Fatalf("a 15-s window with one-frame updates: %v", err)
 	}
 }
 
@@ -292,34 +329,124 @@ func TestEstimatorMatchesReference(t *testing.T) {
 	}
 	_, series, fps := scenarioSeries(t)
 	matchesRef(t, "scenario capture", series, fps)
+}
 
-	// A Monitor's rolling updates match the reference over its window.
-	const fps25, windowSec, updateSec = 25.0, 30.0, 5.0
-	m, err := NewMonitor(fps25, windowSec, updateSec)
-	if err != nil {
-		t.Fatal(err)
+// eagerMonitor is the Monitor's oracle: it keeps every sample and runs
+// EstimateFromSeries over each update's window as the update falls,
+// keeping the last success.
+type eagerMonitor struct {
+	fps           float64
+	window, every int
+	samples       []complex128
+	since         int
+	last          Estimate
+	ok            bool
+	fails         int // updates whose estimate failed
+}
+
+func newEagerMonitor(fps, windowSec, updateSec float64) *eagerMonitor {
+	return &eagerMonitor{fps: fps, window: int(windowSec * fps), every: int(updateSec * fps)}
+}
+
+func (e *eagerMonitor) push(z complex128) {
+	e.samples = append(e.samples, z)
+	e.since++
+	if len(e.samples) < e.window || e.since < e.every {
+		return
 	}
-	stream := syntheticVitalSeries(int(80*fps25), fps25, 0.3, 1.25, 7)
-	updates := 0
-	for i, z := range stream {
-		got, ok := m.Push(z)
-		if !ok {
-			continue
-		}
-		updates++
-		want, err := refEstimate(stream[i+1-int(windowSec*fps25):i+1], fps25)
-		if err != nil || got != want {
-			t.Fatalf("monitor update at sample %d: %+v, reference %+v (err %v)", i, got, want, err)
-		}
-	}
-	if updates < 8 {
-		t.Fatalf("%d monitor updates in 80 s, want at least 8", updates)
+	e.since = 0
+	if est, err := EstimateFromSeries(e.samples[len(e.samples)-e.window:], e.fps); err == nil {
+		e.last, e.ok = est, true
+	} else {
+		e.fails++
 	}
 }
 
-// BenchmarkVitalsUpdate measures one vital-sign update of a Monitor
-// whose window is already full: one op is the 125 Pushes (5 s at
-// 25 fps) that end in an estimate. CI holds it at 0 allocs/op.
+func (e *eagerMonitor) reset() {
+	e.samples, e.since, e.ok = e.samples[:0], 0, false
+}
+
+// sameEstimate compares two estimates bit for bit.
+func sameEstimate(a, b Estimate) bool {
+	return math.Float64bits(a.RespirationHz) == math.Float64bits(b.RespirationHz) &&
+		math.Float64bits(a.HeartHz) == math.Float64bits(b.HeartHz) &&
+		math.Float64bits(a.RespirationSNR) == math.Float64bits(b.RespirationSNR) &&
+		math.Float64bits(a.HeartSNR) == math.Float64bits(b.HeartSNR)
+}
+
+// matchesEager fails t unless the Monitor's Last equals the oracle's.
+func matchesEager(t *testing.T, what string, m *Monitor, e *eagerMonitor) {
+	t.Helper()
+	got, ok := m.Last()
+	if ok != e.ok || (ok && !sameEstimate(got, e.last)) {
+		t.Fatalf("%s: Last() = %+v, %v; eager oracle %+v, %v", what, got, ok, e.last, e.ok)
+	}
+}
+
+// TestMonitorMatchesEager checks that estimating when Last reads gives
+// what estimating at every update gave, read at every push, once a
+// minute as an assessment reads, and only at the end of the stream.
+// The stream holds a constant stretch whose windows fail the arc fit,
+// and a Reset.
+func TestMonitorMatchesEager(t *testing.T) {
+	const fps = 25.0
+	arc := float32Series(syntheticVitalSeries(int(160*fps), fps, 0.3, 1.25, 11))
+	var stream []complex128
+	stream = append(stream, arc[:int(40*fps)]...)
+	for i := 0; i < int(40*fps); i++ {
+		stream = append(stream, complex(0.5, -0.25))
+	}
+	stream = append(stream, arc[int(40*fps):]...)
+	resetAt := int(140 * fps)
+
+	for _, c := range []struct {
+		name                 string
+		windowSec, updateSec float64
+		readEvery            int // pushes between reads; 0 reads only at the end
+	}{
+		{"read every push", 30, 5, 1},
+		{"read every minute", 30, 5, int(60 * fps)},
+		{"read at the end", 30, 5, 0},
+		{"update slower than the window", 15, 20, int(60 * fps)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := NewMonitor(fps, c.windowSec, c.updateSec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := newEagerMonitor(fps, c.windowSec, c.updateSec)
+			catchUps := 0 // pushes that estimated the previous update
+			for i, z := range stream {
+				if i == resetAt {
+					m.Reset()
+					e.reset()
+					matchesEager(t, "after Reset", m, e)
+				}
+				pending := m.pending
+				m.Push(z)
+				e.push(z)
+				if pending && !m.pending {
+					catchUps++
+				}
+				if c.readEvery > 0 && (i+1)%c.readEvery == 0 {
+					matchesEager(t, fmt.Sprintf("push %d", i), m, e)
+				}
+			}
+			matchesEager(t, "end of stream", m, e)
+			if e.fails == 0 || !e.ok {
+				t.Fatalf("the stream had %d failed updates and success %v; want both", e.fails, e.ok)
+			}
+			if c.readEvery != 1 && catchUps == 0 {
+				t.Fatal("no failed fit found an earlier update waiting to be estimated")
+			}
+		})
+	}
+}
+
+// BenchmarkVitalsUpdate measures one vital-sign update as a session
+// pays for it once the window is full: one op is the 125 Pushes (5 s at
+// 25 fps) that end in an update, and the Last that estimates it. CI
+// holds it at 0 allocs/op.
 func BenchmarkVitalsUpdate(b *testing.B) {
 	const fps = 25.0
 	m, err := NewMonitor(fps, 30, 5)
@@ -331,14 +458,19 @@ func BenchmarkVitalsUpdate(b *testing.B) {
 	for ; k < int(30*fps); k++ { // the last push fills the window and updates
 		m.Push(series[k])
 	}
+	m.Last()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < int(5*fps); j++ {
-			if _, ok := m.Push(series[k%len(series)]); ok != (j == int(5*fps)-1) {
-				b.Fatalf("push %d of op %d: update %v", j, i, ok)
-			}
+			m.Push(series[k%len(series)])
 			k++
+		}
+		if !m.pending {
+			b.Fatalf("op %d: its pushes made no update to estimate", i)
+		}
+		if _, ok := m.Last(); !ok {
+			b.Fatalf("op %d: no estimate", i)
 		}
 	}
 }

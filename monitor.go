@@ -38,6 +38,8 @@ type Monitor struct {
 	// lands each event in exactly one window.
 	lagSec core.Seconds
 
+	// vitals takes the tracked bin's sample every frame; its estimate is
+	// computed only when assess reads it, once per window.
 	vitals    *vitals.Monitor
 	vitalsBin core.Bin
 
@@ -247,6 +249,8 @@ func (m *Monitor) assess() (Assessment, error) {
 	m.tally = core.WindowTally{}
 
 	a := Assessment{WindowEnd: end.Float64(), Features: f, Posterior: 0.5}
+	// Last computes the latest 5-s update's estimate: one spectrum per
+	// window, not one per update.
 	if est, ok := m.vitals.Last(); ok {
 		a.Vitals = &est
 	}

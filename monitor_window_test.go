@@ -225,6 +225,17 @@ func TestMonitorResetRecyclesCleanly(t *testing.T) {
 	if _, _, _, err := m.ingest(BlinkEvent{Time: 5, Duration: 0.4}, true); err != nil {
 		t.Fatal(err)
 	}
+	// Give the vital-sign estimator an estimate, then a newer update
+	// that waits for a read: Reset must drop both.
+	for i := 0; i < int(35*fps); i++ {
+		a := 0.4 * math.Sin(2*math.Pi*0.3*float64(i)/fps)
+		m.vitals.Push(complex(1.5+1.2*math.Cos(a), -0.8+1.2*math.Sin(a)))
+		if i+1 == int(30*fps) {
+			if _, ok := m.vitals.Last(); !ok {
+				t.Fatal("no vitals estimate from a full 30-s window")
+			}
+		}
+	}
 
 	m.Reset()
 	if m.det.Frame() != 0 {
@@ -241,11 +252,24 @@ func TestMonitorResetRecyclesCleanly(t *testing.T) {
 	}
 
 	// Warm once (vitals/detector internal growth), then Reset must be
-	// allocation-free: the pool calls it on every session attach.
+	// allocation-free: the pool calls it on every session attach. The
+	// first assessment of the new stream must carry no vital signs from
+	// the old one.
+	var first *Assessment
 	for i := 0; i < 200; i++ {
-		if _, _, _, err := m.Feed(frame); err != nil {
+		_, _, a, err := m.Feed(frame)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if first == nil {
+			first = a
+		}
+	}
+	if first == nil {
+		t.Fatal("no assessment in the 20 s after Reset")
+	}
+	if first.Vitals != nil {
+		t.Fatalf("the first assessment after Reset carries vitals %+v from the previous stream", *first.Vitals)
 	}
 	if allocs := testing.AllocsPerRun(50, m.Reset); allocs > 0 {
 		t.Fatalf("Monitor.Reset allocates %.0f times per call, want 0", allocs)
