@@ -77,17 +77,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// RunAnalyzers applies every analyzer to the package and returns the
-// findings with //blinkvet:ignore suppressions already filtered out,
-// sorted by position. Facts are computed over the single package; use
-// ComputeFacts + RunAnalyzersFacts when analyzing a multi-package set
-// so cross-package call chains resolve.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunAnalyzersFacts(pkg, ComputeFacts([]*Package{pkg}), analyzers)
-}
-
-// RunAnalyzersFacts is RunAnalyzers with externally computed Facts,
-// shared across the packages of one load.
+// RunAnalyzersFacts applies every analyzer to the package and returns
+// the findings with //blinkvet:ignore suppressions already filtered
+// out, sorted by position. The facts come from ComputeFacts over every
+// package of one load, so cross-package call chains resolve.
 func RunAnalyzersFacts(pkg *Package, facts *Facts, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {

@@ -149,13 +149,6 @@ func (f *Facts) Of(fn *types.Func) FactSet { return f.Set(FuncID(fn)) }
 // Set returns the propagated fact set of a FuncID.
 func (f *Facts) Set(id string) FactSet { return f.set[id] }
 
-// Local returns only the facts derived from the function's own body.
-func (f *Facts) Local(id string) FactSet { return f.local[id] }
-
-// Defined reports whether the function's body was in the analyzed set,
-// i.e. its facts are computed rather than assumed absent.
-func (f *Facts) Defined(id string) bool { return f.defined[id] }
-
 // Hot and Cold report the function's hot-path / cold-path annotation.
 func (f *Facts) Hot(id string) bool  { return f.hot[id] }
 func (f *Facts) Cold(id string) bool { return f.cold[id] }

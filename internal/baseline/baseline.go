@@ -53,11 +53,7 @@ type Config struct {
 // selectBin picks the analysis bin per the configuration.
 func selectBin(cfg Config, pre *rf.FrameMatrix) (int, error) {
 	if cfg.UseVarianceBinSelect {
-		best, err := core.SelectBinMatrix(pre)
-		if err != nil {
-			return 0, err
-		}
-		return best.Bin, nil
+		return core.SelectBinMatrix(pre)
 	}
 	return NaiveBinSelect(pre, core.GuardBins)
 }

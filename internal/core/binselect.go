@@ -3,24 +3,25 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"blinkradar/internal/iq"
 	"blinkradar/internal/rf"
 )
 
-// BinScore is the selection diagnostics for one range bin.
-type BinScore struct {
-	// Bin is the range-bin index.
-	Bin int
-	// Variance is the 2-D I/Q variance of the bin's recent samples.
-	Variance float64
-	// ArcQuality in [0, 1] rewards bins whose samples lie on a clean
+// binScore is the selection diagnostics for one range bin.
+type binScore struct {
+	// bin is the range-bin index.
+	bin int
+	// variance is the 2-D I/Q variance of the bin's recent samples.
+	variance float64
+	// arcQuality in [0, 1] rewards bins whose samples lie on a clean
 	// circular arc (embedded respiration/BCG interference) and
 	// penalises bins whose variance comes from amplitude churn such as
 	// chest bin-migration or passenger fidgeting.
-	ArcQuality float64
-	// Score is the combined selection score.
-	Score float64
+	arcQuality float64
+	// score is the combined selection score.
+	score float64
 }
 
 // scoreBinRes evaluates one bin's slow-time window, using res
@@ -31,16 +32,16 @@ type BinScore struct {
 // over the window feeds the variance, the Pratt fit and the
 // eccentricity; only the trimmed residual and the angular extent still
 // walk the samples.
-func scoreBinRes(bin int, series []complex128, res []float64) BinScore {
+func scoreBinRes(bin int, series []complex128, res []float64) binScore {
 	var mom iq.SlidingMoments
 	mom.Accumulate(series)
-	s := BinScore{Bin: bin, Variance: mom.Variance2D()}
-	if s.Variance <= 0 {
+	s := binScore{bin: bin, variance: mom.Variance2D()}
+	if s.variance <= 0 {
 		return s
 	}
 	c, err := mom.FitPratt()
 	if err != nil || c.Radius <= 0 {
-		s.ArcQuality = 0
+		s.arcQuality = 0
 		return s
 	}
 	// Judge arc quality on a trimmed residual: blinks throw ~15% of the
@@ -48,7 +49,7 @@ func scoreBinRes(bin int, series []complex128, res []float64) BinScore {
 	// selection toward blink-free neighbours (chin, forehead) whose
 	// bins carry no blink signature.
 	rel := trimmedRMSE(series, c, res) / (0.15 * c.Radius)
-	s.ArcQuality = 1 / (1 + rel*rel)
+	s.arcQuality = 1 / (1 + rel*rel)
 	// Embedded vital-sign interference at the eye subtends a short arc
 	// (millimetre motion -> well under a radian of phase). Bins whose
 	// trajectories wrap far around the circle get their variance from
@@ -57,84 +58,53 @@ func scoreBinRes(bin int, series []complex128, res []float64) BinScore {
 	const maxArcRad = 2.0
 	if ext := iq.AngularExtent(series, c.Center); ext > maxArcRad {
 		p := maxArcRad / ext
-		s.ArcQuality *= p * p * p
+		s.arcQuality *= p * p * p
 	}
 	// Short arcs are strongly anisotropic point clouds; full rotations
 	// and noise balls are not. Eccentricity separates them even when
 	// variance alone cannot.
 	ecc := mom.Eccentricity()
-	s.ArcQuality *= 0.1 + 0.9*ecc*ecc
-	s.Score = s.Variance * s.ArcQuality
+	s.arcQuality *= 0.1 + 0.9*ecc*ecc
+	s.score = s.variance * s.arcQuality
 	return s
 }
 
-// BinSeries supplies the recent background-subtracted slow-time samples
-// of one range bin. Implementations fill buf (growing it when its
-// capacity is too small) and return the filled slice, so callers that
-// score many bins can reuse one window buffer instead of allocating per
-// bin.
-type BinSeries func(bin int, buf []complex128) []complex128
-
-// BinStats supplies the covariance entries of one bin's recent
-// slow-time window without gathering its series (see binRing.stats and
-// SelectBinMatrix's sums): varI and varQ are the per-axis variances
-// about the centroid, covIQ the cross term. They rank every bin by
-// variance, and they bound the candidate pruning: arc quality never
-// exceeds the eccentricity factor, which is a pure function of these
-// three entries.
-type BinStats func(bin int) (varI, varQ, covIQ float64)
-
-// SelectScratch holds the reusable working storage of one selection
-// sweep: the per-bin variance ranking, the candidate bound ordering,
-// the gathered series window and the residual buffer of the trimmed
-// arc fit. A zero value is ready to use; buffers grow on first use and
-// are reused afterwards, so a caller that reuses a scratch (the
-// streaming detector borrows one from a pool for each selection pass)
-// runs selection without per-call allocation. The candidate slice
-// returned by SelectBinScratch aliases the scratch and is valid until
-// the next call with the same scratch.
-type SelectScratch struct {
-	variances  []BinScore
-	candidates []BinScore
-	bounds     []float64
-	order      []int
-	series     []complex128
-	res        []float64
+// selectScratch holds the working storage of one selection pass: the
+// per-bin variance ranking, the candidate bound ordering, the gathered
+// series window and the residual buffer of the trimmed arc fit. Buffers
+// grow on first use and are reused afterwards, so a pass over a grown
+// scratch allocates nothing.
+type selectScratch struct {
+	variances []binScore
+	bounds    []float64
+	order     []int
+	series    []complex128
+	res       []float64
 }
 
-// SelectBin picks the eye's range bin from per-bin slow-time windows.
-// Bins below guard are excluded (antenna direct path). The topK
-// highest-variance candidates are arc-scored, and the best combined
-// score wins. It returns the winning score and the topK candidates
-// sorted by descending score; candidates whose statistics prove they
+// selectPool lends a selectScratch to one selection pass: the ranking
+// itself and, in the detector, scoring the current bin and seeding the
+// tracker. Selection runs once every ReselectIntervalFrames, so a
+// detector holds no scratch between passes, and the pool keeps roughly
+// one per P alive instead of one per session.
+var selectPool = sync.Pool{New: func() any { return new(selectScratch) }}
+
+// rankBins picks the eye's range bin from the selection ring. Every bin
+// the ring stores is ranked by 2-D I/Q variance; the candidateTopK
+// highest-variance bins are arc-scored, and the best combined score
+// wins, the lower bin on a tie. Candidates whose covariance proves they
 // cannot win (a bin's score never exceeds its variance times its
-// eccentricity factor) are skipped by the scoring bound and carry their
-// variance with a zero score. topK must be positive.
-func SelectBin(series BinSeries, stats BinStats, numBins, guard, topK int) (BinScore, []BinScore, error) {
-	var scr SelectScratch
-	return SelectBinScratch(&scr, series, stats, numBins, guard, topK)
-}
-
-// SelectBinScratch is SelectBin with caller-owned working storage;
-// repeated calls with the same scratch allocate nothing once the
-// buffers have grown to the problem size. The returned candidate slice
-// aliases the scratch.
-func SelectBinScratch(scr *SelectScratch, series BinSeries, stats BinStats, numBins, guard, topK int) (BinScore, []BinScore, error) {
-	if numBins <= guard {
-		return BinScore{}, nil, fmt.Errorf("core: no bins beyond guard (%d bins, guard %d)", numBins, guard)
-	}
-	if topK <= 0 {
-		return BinScore{}, nil, fmt.Errorf("core: candidate count must be positive, got %d", topK)
-	}
-	scr.variances = grow(scr.variances, numBins-guard)
+// eccentricity factor) are never scored. When no candidate scores above
+// zero, the highest-variance bin wins. It serves cold start, motion
+// restart, reselection and SelectBinMatrix alike.
+func rankBins(scr *selectScratch, r *binRing) binScore {
+	scr.variances = grow(scr.variances, r.width)
 	variances := scr.variances
 	for i := range variances {
-		varI, varQ, _ := stats(guard + i)
-		variances[i] = BinScore{Bin: guard + i, Variance: varI + varQ}
+		varI, varQ, _ := r.stats(r.lo + i)
+		variances[i] = binScore{bin: r.lo + i, variance: varI + varQ}
 	}
-	if topK > len(variances) {
-		topK = len(variances)
-	}
+	topK := min(candidateTopK, len(variances))
 	// Only the topK highest-variance bins are ever arc-scored, so a
 	// partial selection beats sorting the whole ranking; topK is small
 	// (tens), so insertion sorts beat sort.Slice's indirection — and
@@ -143,72 +113,57 @@ func SelectBinScratch(scr *SelectScratch, series BinSeries, stats BinStats, numB
 	for i := 1; i < topK; i++ {
 		v := variances[i]
 		j := i - 1
-		for j >= 0 && (variances[j].Variance < v.Variance ||
-			(variances[j].Variance == v.Variance && variances[j].Bin > v.Bin)) {
+		for j >= 0 && (variances[j].variance < v.variance ||
+			(variances[j].variance == v.variance && variances[j].bin > v.bin)) {
 			variances[j+1] = variances[j]
 			j--
 		}
 		variances[j+1] = v
 	}
 	// Branch-and-bound over the candidates. The eccentricity factor
-	// caps ArcQuality, so Score <= Variance·(0.1+0.9·ecc²): the bound
+	// caps arcQuality, so score <= variance·(0.1+0.9·ecc²): the bound
 	// separates short-arc bins from motion clouds of larger variance
 	// but weaker elongation.
 	// Candidates are visited in descending bound order, so the moment
 	// one candidate's bound falls below the best realised score, every
-	// remaining candidate is proven a loser and is returned with its
-	// variance only, unscored.
+	// remaining candidate is proven a loser and is skipped unscored.
 	scr.bounds = grow(scr.bounds, topK)
 	scr.order = grow(scr.order, topK)
 	bounds, order := scr.bounds, scr.order
 	for i := 0; i < topK; i++ {
-		varI, varQ, covIQ := stats(variances[i].Bin)
+		varI, varQ, covIQ := r.stats(variances[i].bin)
 		ecc := iq.EccentricityFromCov(varI, varQ, covIQ)
-		bounds[i] = variances[i].Variance * (0.1 + 0.9*ecc*ecc)
+		bounds[i] = variances[i].variance * (0.1 + 0.9*ecc*ecc)
 		order[i] = i
 	}
 	for i := 1; i < topK; i++ {
 		o := order[i]
 		j := i - 1
 		for j >= 0 && (bounds[order[j]] < bounds[o] ||
-			(bounds[order[j]] == bounds[o] && variances[order[j]].Bin > variances[o].Bin)) {
+			(bounds[order[j]] == bounds[o] && variances[order[j]].bin > variances[o].bin)) {
 			order[j+1] = order[j]
 			j--
 		}
 		order[j+1] = o
 	}
-	scr.candidates = grow(scr.candidates, topK)
-	candidates := scr.candidates
-	bestScore := math.Inf(-1)
-	for _, i := range order[:topK] {
-		if bounds[i] < bestScore {
-			candidates[i] = variances[i]
+	best := binScore{score: math.Inf(-1)}
+	for _, i := range order {
+		if bounds[i] < best.score {
 			continue
 		}
-		scr.series = series(variances[i].Bin, scr.series)
+		scr.series = r.seriesInto(variances[i].bin, scr.series)
 		scr.res = grow(scr.res, len(scr.series))
-		candidates[i] = scoreBinRes(variances[i].Bin, scr.series, scr.res[:len(scr.series)])
-		if candidates[i].Score > bestScore {
-			bestScore = candidates[i].Score
+		s := scoreBinRes(variances[i].bin, scr.series, scr.res)
+		if s.score > best.score || (s.score == best.score && s.bin < best.bin) {
+			best = s
 		}
 	}
-	for i := 1; i < topK; i++ {
-		c := candidates[i]
-		j := i - 1
-		for j >= 0 && (candidates[j].Score < c.Score ||
-			(candidates[j].Score == c.Score && candidates[j].Bin > c.Bin)) {
-			candidates[j+1] = candidates[j]
-			j--
-		}
-		candidates[j+1] = c
-	}
-	best := candidates[0]
-	if best.Score <= 0 {
+	if best.score <= 0 {
 		// No arc-like bin: fall back to raw variance (still better
 		// than nothing, and the tracker's restart logic will recover).
-		best = variances[0]
+		return variances[0]
 	}
-	return best, candidates[:topK], nil
+	return best
 }
 
 // grow resizes s to n elements, reallocating only when its capacity is
@@ -220,53 +175,32 @@ func grow[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// SelectBinMatrix is the offline convenience: selects the eye bin from
-// the trailing window of a preprocessed frame matrix. The variance
-// ranking comes from per-bin sums accumulated in one frame-major sweep
-// — sequential in memory, no per-bin series copies — so only the topK
-// candidates ever have their windows gathered.
-func SelectBinMatrix(m *rf.FrameMatrix) (BinScore, error) {
-	window := min(selectWindowFrames, m.NumFrames())
-	start := m.NumFrames() - window
+// SelectBinMatrix selects the eye bin from the trailing selection
+// window of a preprocessed frame matrix, as a detector would: the
+// window's rows are narrowed into a fresh selection ring and ranked by
+// rankBins. A preprocessed matrix holds widened float32 samples, so the
+// narrowing is exact, and on a capture's first ColdStartFrames frames
+// the bin is the one a default-configured Detector selects at cold
+// start.
+func SelectBinMatrix(m *rf.FrameMatrix) (int, error) {
 	bins := m.NumBins()
-	// One backing array for all five per-bin sums: the sweep below is
-	// the only consumer, and a single allocation keeps the offline path
-	// as lean as the streaming one.
-	sums := make([]float64, 5*bins)
-	sumI := sums[0*bins : 1*bins]
-	sumQ := sums[1*bins : 2*bins]
-	sumII := sums[2*bins : 3*bins]
-	sumQQ := sums[3*bins : 4*bins]
-	sumIQ := sums[4*bins : 5*bins]
-	for k := 0; k < window; k++ {
-		row := m.Data[start+k]
-		for b, z := range row {
-			x, y := real(z), imag(z)
-			sumI[b] += x
-			sumQ[b] += y
-			sumII[b] += x * x
-			sumQQ[b] += y * y
-			sumIQ[b] += x * y
-		}
+	if bins <= GuardBins {
+		return -1, fmt.Errorf("core: need more than %d guard bins, got %d bins", GuardBins, bins)
 	}
-	stats := func(bin int) (float64, float64, float64) {
-		return covFromSums(sumI[bin], sumQ[bin], sumII[bin], sumQQ[bin], sumIQ[bin], window)
+	window := min(selectWindowFrames, m.NumFrames())
+	r := newBinRing(bins, GuardBins, window)
+	planes := iq.MakePlanes32(bins)
+	for _, row := range m.Data[m.NumFrames()-window:] {
+		planes.FromComplex(row)
+		r.push(planes.I, planes.Q)
 	}
-	best, _, err := SelectBin(func(bin int, buf []complex128) []complex128 {
-		if cap(buf) < window {
-			buf = make([]complex128, window)
-		}
-		buf = buf[:window]
-		for k := 0; k < window; k++ {
-			buf[k] = m.Data[start+k][bin]
-		}
-		return buf
-	}, stats, m.NumBins(), GuardBins, candidateTopK)
-	return best, err
+	scr := selectPool.Get().(*selectScratch)
+	defer selectPool.Put(scr)
+	return rankBins(scr, r).bin, nil
 }
 
 // covFromSums recovers the centroid-centred covariance entries from
-// sliding sums of I, Q, I², Q² and I·Q over n samples, clamping the
+// sums of I, Q, I², Q² and I·Q over n samples, clamping the
 // tiny negative axis variances rounding can produce on near-constant
 // bins.
 //
@@ -321,12 +255,12 @@ func trimmedRMSE(series []complex128, c iq.Circle, res []float64) float64 {
 // k best by descending variance with ascending bin index breaking ties
 // (the exact order sort.Slice would produce), in unspecified relative
 // order. Iterative Hoare quickselect, median-of-three pivots.
-func partitionTopVariance(scores []BinScore, k int) {
-	before := func(a, b BinScore) bool {
-		if a.Variance != b.Variance {
-			return a.Variance > b.Variance
+func partitionTopVariance(scores []binScore, k int) {
+	before := func(a, b binScore) bool {
+		if a.variance != b.variance {
+			return a.variance > b.variance
 		}
-		return a.Bin < b.Bin
+		return a.bin < b.bin
 	}
 	lo, hi := 0, len(scores)-1
 	for lo < hi {
@@ -472,11 +406,12 @@ func (r *binRing) push(pi, pq []float32) {
 // the window.
 func (r *binRing) size() int { return r.count }
 
-// stats returns one bin's centred covariance entries, recomputed
-// exactly from the stored window in one strided pass over each plane
-// (slots are visited in storage order; the sums are
-// order-independent). It satisfies the BinStats contract for bins
-// >= lo.
+// stats returns one bin's (>= lo) centred covariance entries,
+// recomputed exactly from the stored window in one strided pass over
+// each plane. Slots are visited in storage order, which is frame order
+// until the ring wraps. The variances rank bins for selection, and the
+// three entries bound the candidate pruning: arc quality never exceeds
+// the eccentricity factor, a pure function of them.
 //
 //blinkradar:hotpath
 func (r *binRing) stats(bin int) (varI, varQ, covIQ float64) {
@@ -496,7 +431,7 @@ func (r *binRing) stats(bin int) (varI, varQ, covIQ float64) {
 // seriesInto fills buf with the stored samples of one bin (>= lo),
 // oldest first, growing it only when its capacity is too small, and
 // returns the filled slice (widened from the float32 planes — selection
-// scoring runs in float64). It satisfies the BinSeries contract.
+// scoring runs in float64).
 //
 //blinkradar:hotpath
 func (r *binRing) seriesInto(bin int, buf []complex128) []complex128 {

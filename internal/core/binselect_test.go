@@ -4,168 +4,279 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
 	"blinkradar/internal/iq"
+	"blinkradar/internal/rf"
+	"blinkradar/internal/scenario"
 )
 
-// seriesSets builds synthetic per-bin slow-time clouds:
+// sceneRing pushes n frames of four synthetic per-bin slow-time clouds
+// into a ring of window n that stores bins [lo, 4):
 // bin 0: thermal noise; bin 1: short vital-sign arc; bin 2: full-circle
-// chest-like rotation; bin 3: strong static leak (near-constant). The
-// returned BinSeries copies into buf, exercising the buffer-reuse
-// contract of the selection fan-out.
-func seriesSets(n int, seed int64) BinSeries {
+// chest-like rotation; bin 3: strong static leak (near-constant).
+func sceneRing(n int, seed int64, lo int) *binRing {
 	rng := rand.New(rand.NewSource(seed))
 	noise := func(sigma float64) complex128 {
 		return complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
 	}
-	bins := make([][]complex128, 4)
-	for i := range bins {
-		bins[i] = make([]complex128, n)
-	}
+	r := newBinRing(4, lo, n)
+	frame := make([]complex128, 4)
 	for k := 0; k < n; k++ {
 		tt := float64(k) / 25
-		bins[0][k] = noise(0.005)
+		frame[0] = noise(0.005)
 		arcPhase := 0.35 * math.Sin(2*math.Pi*0.25*tt)
-		bins[1][k] = complex(0.3, 0.4) + cmplx.Rect(1.2, arcPhase) + noise(0.005)
-		bins[2][k] = cmplx.Rect(0.9, 2*math.Pi*0.25*tt*12) + noise(0.005)
-		bins[3][k] = complex(2.5, -1) + noise(0.005)
+		frame[1] = complex(0.3, 0.4) + cmplx.Rect(1.2, arcPhase) + noise(0.005)
+		frame[2] = cmplx.Rect(0.9, 2*math.Pi*0.25*tt*12) + noise(0.005)
+		frame[3] = complex(2.5, -1) + noise(0.005)
+		pushC(r, frame)
 	}
-	return func(bin int, buf []complex128) []complex128 {
-		if cap(buf) < n {
-			buf = make([]complex128, n)
-		}
-		buf = buf[:n]
-		copy(buf, bins[bin])
-		return buf
-	}
+	return r
 }
 
-// at adapts a BinSeries for single-bin calls in tests.
-func at(series BinSeries, bin int) []complex128 { return series(bin, nil) }
-
-// covStats is the BinStats of a BinSeries: each bin's covariance
-// computed from its gathered window.
-func covStats(series BinSeries) BinStats {
-	return func(bin int) (float64, float64, float64) { return iq.Covariance(at(series, bin)) }
-}
-
-// scoreBin scores one bin with a fresh residual buffer.
-func scoreBin(bin int, series []complex128) BinScore {
+// ringScore scores one bin of a ring over its stored window, with a
+// fresh residual buffer.
+func ringScore(r *binRing, bin int) binScore {
+	series := r.seriesInto(bin, nil)
 	return scoreBinRes(bin, series, make([]float64, len(series)))
 }
 
 // ringVariance is the total 2-D variance of one bin's stored window,
-// read from the ring's sliding sums.
+// read from the ring's covariance sums.
 func ringVariance(r *binRing, bin int) float64 {
 	varI, varQ, _ := r.stats(bin)
 	return varI + varQ
 }
 
+// rankOracle is rankBins without the bound pruning: it arc-scores every
+// one of the candidateTopK highest-variance bins, sorts the scores
+// descending with the lower bin first on a tie, and falls back to the
+// highest-variance bin when no score is positive.
+func rankOracle(r *binRing) binScore {
+	ranked := make([]binScore, r.width)
+	for i := range ranked {
+		ranked[i] = binScore{bin: r.lo + i, variance: ringVariance(r, r.lo+i)}
+	}
+	sort.Slice(ranked, func(a, b int) bool {
+		if ranked[a].variance != ranked[b].variance {
+			return ranked[a].variance > ranked[b].variance
+		}
+		return ranked[a].bin < ranked[b].bin
+	})
+	scored := make([]binScore, min(candidateTopK, len(ranked)))
+	for i := range scored {
+		scored[i] = ringScore(r, ranked[i].bin)
+	}
+	sort.Slice(scored, func(a, b int) bool {
+		if scored[a].score != scored[b].score {
+			return scored[a].score > scored[b].score
+		}
+		return scored[a].bin < scored[b].bin
+	})
+	if scored[0].score <= 0 {
+		return ranked[0]
+	}
+	return scored[0]
+}
+
 func TestScoreBinPrefersArc(t *testing.T) {
-	series := seriesSets(300, 1)
-	noiseScore := scoreBin(0, at(series, 0))
-	arcScore := scoreBin(1, at(series, 1))
-	chestScore := scoreBin(2, at(series, 2))
-	staticScore := scoreBin(3, at(series, 3))
-	if arcScore.Score <= noiseScore.Score {
-		t.Fatalf("arc score %g not above noise %g", arcScore.Score, noiseScore.Score)
+	r := sceneRing(300, 1, 0)
+	noiseScore := ringScore(r, 0)
+	arcScore := ringScore(r, 1)
+	chestScore := ringScore(r, 2)
+	staticScore := ringScore(r, 3)
+	if arcScore.score <= noiseScore.score {
+		t.Fatalf("arc score %g not above noise %g", arcScore.score, noiseScore.score)
 	}
-	if arcScore.Score <= chestScore.Score {
-		t.Fatalf("arc score %g not above full-rotation %g", arcScore.Score, chestScore.Score)
+	if arcScore.score <= chestScore.score {
+		t.Fatalf("arc score %g not above full-rotation %g", arcScore.score, chestScore.score)
 	}
-	if arcScore.Score <= staticScore.Score {
-		t.Fatalf("arc score %g not above static %g", arcScore.Score, staticScore.Score)
+	if arcScore.score <= staticScore.score {
+		t.Fatalf("arc score %g not above static %g", arcScore.score, staticScore.score)
 	}
-	if arcScore.ArcQuality < 0.3 {
-		t.Fatalf("arc quality %g too low for a clean arc", arcScore.ArcQuality)
+	if arcScore.arcQuality < 0.3 {
+		t.Fatalf("arc quality %g too low for a clean arc", arcScore.arcQuality)
 	}
 }
 
 func TestSelectBinFindsArc(t *testing.T) {
-	series := seriesSets(300, 2)
-	best, candidates, err := SelectBin(series, covStats(series), 4, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Bin != 1 {
-		t.Fatalf("selected bin %d, want the arc bin 1 (candidates %+v)", best.Bin, candidates)
-	}
-	if len(candidates) == 0 {
-		t.Fatal("no candidates returned")
+	best := rankBins(new(selectScratch), sceneRing(300, 2, 0))
+	if best.bin != 1 {
+		t.Fatalf("selected %+v, want the arc bin 1", best)
 	}
 }
 
 func TestSelectBinGuard(t *testing.T) {
-	series := seriesSets(300, 3)
-	// Guarding out everything must fail loudly.
-	if _, _, err := SelectBin(series, covStats(series), 4, 4, 2); err == nil {
-		t.Fatal("guard >= bins must be rejected")
-	}
-	// Guarding out the arc bin forces another winner.
-	best, _, err := SelectBin(series, covStats(series), 4, 2, 2)
+	// A matrix with nothing beyond the guard bins must fail loudly.
+	m, err := rf.NewFrameMatrix(ColdStartFrames, GuardBins, 25, 0.0107)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best.Bin < 2 {
-		t.Fatalf("guarded bin %d selected", best.Bin)
+	if bin, err := SelectBinMatrix(m); err == nil {
+		t.Fatalf("a matrix of %d bins selected bin %d; want an error", GuardBins, bin)
 	}
-}
-
-func TestSelectBinRejectsNonPositiveTopK(t *testing.T) {
-	series := seriesSets(300, 4)
-	// Regression: topK <= 0 used to index an empty candidate slice and
-	// panic; it must be a loud error instead.
-	for _, topK := range []int{0, -1, -100} {
-		if _, _, err := SelectBin(series, covStats(series), 4, 0, topK); err == nil {
-			t.Fatalf("topK=%d must be rejected", topK)
-		}
+	// A ring that does not store the arc bin forces another winner.
+	best := rankBins(new(selectScratch), sceneRing(300, 3, 2))
+	if best.bin < 2 {
+		t.Fatalf("guarded bin %d selected", best.bin)
 	}
 }
 
 func TestSelectBinSingleBinBeyondGuard(t *testing.T) {
-	series := seriesSets(300, 5)
-	// numBins == guard+1 leaves exactly one candidate; selection must
-	// still work for any topK.
-	best, candidates, err := SelectBin(series, covStats(series), 4, 3, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Bin != 3 {
-		t.Fatalf("selected bin %d, want the only unguarded bin 3", best.Bin)
-	}
-	if len(candidates) != 1 {
-		t.Fatalf("got %d candidates, want 1", len(candidates))
+	// A ring storing one bin leaves fewer bins than candidateTopK;
+	// selection must still pick it.
+	best := rankBins(new(selectScratch), sceneRing(300, 5, 3))
+	if best.bin != 3 {
+		t.Fatalf("selected bin %d, want the only stored bin 3", best.bin)
 	}
 }
 
 func TestSelectBinAllZeroVariance(t *testing.T) {
 	// Identical constant samples in every bin: zero variance, zero
-	// scores. Selection must fall back to the variance ranking without
-	// panicking.
-	flat := func(bin int, buf []complex128) []complex128 {
-		if cap(buf) < 50 {
-			buf = make([]complex128, 50)
+	// scores. Selection must fall back to the variance ranking, whose
+	// tie goes to the lowest stored bin, without panicking.
+	r := newBinRing(6, 2, 50)
+	frame := make([]complex128, 6)
+	for i := range frame {
+		frame[i] = complex(1, -2)
+	}
+	for k := 0; k < 50; k++ {
+		pushC(r, frame)
+	}
+	best := rankBins(new(selectScratch), r)
+	if best != (binScore{bin: 2}) {
+		t.Fatalf("flat windows selected %+v, want bin 2 with zero variance and score", best)
+	}
+}
+
+// TestRankBinsMatchesOracle checks the pruned ranking against the
+// exhaustive oracle on synthetic rings wider than candidateTopK, before
+// the ring fills, when it is exactly full and after it wraps. Some
+// columns copy another bin, so equal variances and equal scores must
+// both resolve to the lower bin. Every fifth ring holds only collinear
+// bins, which fail the arc fit and score zero, so the variance fallback
+// decides. One scratch serves every pass, as the pool lends grown
+// scratch from one ring width to the next.
+func TestRankBinsMatchesOracle(t *testing.T) {
+	const window = 48
+	scr := new(selectScratch)
+	pruned, fallbacks := 0, 0
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		lo := rng.Intn(4)
+		bins := lo + candidateTopK + 1 + rng.Intn(24)
+		// Each bin gets a scene: noise, a short arc, a full rotation, a
+		// static leak or a line, at a random strength; a few copy
+		// another bin.
+		kind := make([]int, bins)
+		amp := make([]float64, bins)
+		phase := make([]float64, bins)
+		copyOf := make([]int, bins)
+		for b := range kind {
+			kind[b] = rng.Intn(4)
+			if seed%5 == 0 {
+				kind[b] = 4
+			}
+			amp[b] = 0.2 + 2*rng.Float64()
+			phase[b] = 2 * math.Pi * rng.Float64()
+			copyOf[b] = -1
+			if b > lo && rng.Intn(5) == 0 {
+				copyOf[b] = lo + rng.Intn(b-lo)
+			}
 		}
-		buf = buf[:50]
-		for i := range buf {
-			buf[i] = complex(1, -2)
+		r := newBinRing(bins, lo, window)
+		frame := make([]complex128, bins)
+		for push := 1; push <= 2*window-5; push++ {
+			tt := float64(push) / 25
+			for b := range frame {
+				if copyOf[b] >= 0 {
+					frame[b] = frame[copyOf[b]]
+					continue
+				}
+				n := complex(rng.NormFloat64()*0.01, rng.NormFloat64()*0.01)
+				switch kind[b] {
+				case 0:
+					frame[b] = n * complex(amp[b], 0)
+				case 1:
+					frame[b] = cmplx.Rect(amp[b], phase[b]+0.35*math.Sin(2*math.Pi*0.25*tt)) + n
+				case 2:
+					frame[b] = cmplx.Rect(amp[b], phase[b]+2*math.Pi*3*tt) + n
+				case 3:
+					frame[b] = cmplx.Rect(amp[b], phase[b]) + n
+				default:
+					frame[b] = complex(amp[b]*math.Sin(2*math.Pi*0.25*tt+phase[b])+real(n), 0)
+				}
+			}
+			pushC(r, frame)
+			if push != window-17 && push != window && push != 2*window-5 {
+				continue
+			}
+			got, want := rankBins(scr, r), rankOracle(r)
+			if got != want {
+				t.Fatalf("seed %d, %d pushes: rankBins %+v, oracle %+v", seed, push, got, want)
+			}
+			// A candidate whose bound is below the winning score was
+			// skipped unscored.
+			for _, i := range scr.order {
+				if scr.bounds[i] < got.score {
+					pruned++
+					break
+				}
+			}
+			if got.score == 0 && got.variance > 0 {
+				fallbacks++
+			}
 		}
-		return buf
 	}
-	best, candidates, err := SelectBin(flat, covStats(flat), 6, 2, 3)
-	if err != nil {
-		t.Fatal(err)
+	if pruned == 0 || fallbacks == 0 {
+		t.Fatalf("%d passes pruned a candidate and %d fell back on variance; the oracle must check both", pruned, fallbacks)
 	}
-	if best.Bin < 2 {
-		t.Fatalf("guarded bin %d selected", best.Bin)
-	}
-	if best.Variance != 0 || best.Score != 0 {
-		t.Fatalf("flat windows must yield zero variance and score, got %+v", best)
-	}
-	if len(candidates) != 3 {
-		t.Fatalf("got %d candidates, want 3", len(candidates))
+	t.Logf("of 120 passes, %d pruned a candidate and %d fell back on variance", pruned, fallbacks)
+}
+
+// TestSelectBinMatrixMatchesColdStart checks the offline entry point
+// against the detector: on a preprocessed matrix of a capture's first
+// ColdStartFrames frames, SelectBinMatrix returns the bin a Detector
+// selects at cold start over the same frames.
+func TestSelectBinMatrixMatchesColdStart(t *testing.T) {
+	for _, env := range []scenario.Environment{scenario.Lab, scenario.Driving} {
+		for seed := int64(1); seed <= 4; seed++ {
+			spec := scenario.DefaultSpec()
+			spec.Environment = env
+			spec.Seed = seed
+			spec.Duration = 3
+			capture, err := scenario.Generate(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			head := *capture.Frames
+			head.Data = head.Data[:ColdStartFrames]
+			pre, err := PreprocessMatrix(&head)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := SelectBinMatrix(pre)
+			if err != nil {
+				t.Fatal(err)
+			}
+			det, err := NewDetector(DefaultConfig(), head.NumBins(), head.FrameRate)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, row := range head.Data {
+				if det.Bin() != -1 {
+					t.Fatalf("%v seed %d: bin %d selected after %d frames, before cold start", env, seed, det.Bin(), k)
+				}
+				if _, _, err := det.Feed(row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := det.Bin(); got != want {
+				t.Fatalf("%v seed %d: detector selected bin %d at cold start, SelectBinMatrix %d", env, seed, got, want)
+			}
+		}
 	}
 }
 

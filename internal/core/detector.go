@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"runtime/metrics"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -402,31 +401,23 @@ func (d *Detector) pushTrace(dist float64) {
 	d.thrTrace = append(d.thrTrace, d.levd.Threshold())
 }
 
-// selectPool lends a SelectScratch to one selection pass: the
-// selection itself, scoring the current bin and seeding the tracker.
-// Selection runs once every ReselectIntervalFrames, so a detector holds
-// no scratch between passes, and the pool keeps roughly one per P alive
-// instead of one per session. The candidate slice SelectBinScratch
-// returns aliases the scratch, so nothing may keep it past the Put.
-var selectPool = sync.Pool{New: func() any { return new(SelectScratch) }}
-
-// runSelection scores all bins over the selection ring and records the
-// pass duration.
-func (d *Detector) runSelection(scr *SelectScratch) (BinScore, error) {
+// runSelection ranks the selection ring's bins and records the pass
+// duration.
+func (d *Detector) runSelection(scr *selectScratch) binScore {
 	var start time.Time
 	if d.mStageSelect != nil {
 		start = time.Now()
 	}
-	best, _, err := SelectBinScratch(scr, d.ring.seriesInto, d.ring.stats, d.bins, GuardBins, candidateTopK)
+	best := rankBins(scr, d.ring)
 	if d.mStageSelect != nil {
 		d.mStageSelect.Observe(time.Since(start).Seconds())
 	}
-	return best, err
+	return best
 }
 
 // seedTracker re-seeds the tracker from the ring history of the tracked
 // bin, gathered into the pass's scratch.
-func (d *Detector) seedTracker(scr *SelectScratch) {
+func (d *Detector) seedTracker(scr *selectScratch) {
 	scr.series = d.ring.seriesInto(d.bin, scr.series)
 	d.tracker.Reset()
 	d.tracker.Seed(tail(scr.series, FitWindowFrames))
@@ -435,13 +426,13 @@ func (d *Detector) seedTracker(scr *SelectScratch) {
 // selectBin runs eye-bin identification over the selection ring and
 // seeds the tracker. reselect marks adaptive re-selection (keeps sigma).
 func (d *Detector) selectBin(reselect bool) {
-	scr := selectPool.Get().(*SelectScratch)
+	scr := selectPool.Get().(*selectScratch)
 	defer selectPool.Put(scr)
-	best, err := d.runSelection(scr)
-	if err != nil || (best.Score <= 0 && best.Variance <= 0) {
+	best := d.runSelection(scr)
+	if best.score <= 0 && best.variance <= 0 {
 		return
 	}
-	d.bin = best.Bin
+	d.bin = best.bin
 	d.haveBin = true
 	d.everSelected = true
 	d.matured = false
@@ -456,28 +447,25 @@ func (d *Detector) selectBin(reselect bool) {
 // maybeReselect migrates to a clearly better bin (adaptive update of
 // the observation position as the driver's posture drifts).
 func (d *Detector) maybeReselect() {
-	scr := selectPool.Get().(*SelectScratch)
+	scr := selectPool.Get().(*selectScratch)
 	defer selectPool.Put(scr)
-	best, err := d.runSelection(scr)
-	if err != nil {
-		return
-	}
+	best := d.runSelection(scr)
 	scr.series = d.ring.seriesInto(d.bin, scr.series)
 	scr.res = grow(scr.res, len(scr.series))
 	current := scoreBinRes(d.bin, scr.series, scr.res)
-	if best.Bin == d.bin {
+	if best.bin == d.bin {
 		return
 	}
-	if best.Score > switchScoreRatio*current.Score {
+	if best.score > switchScoreRatio*current.score {
 		// Demand persistence: a challenger must win two consecutive
 		// evaluations, or transient interference would churn the
 		// tracker through bins and keep it perpetually immature.
-		if best.Bin != d.challenger {
-			d.challenger = best.Bin
+		if best.bin != d.challenger {
+			d.challenger = best.bin
 			return
 		}
 		d.challenger = -1
-		d.bin = best.Bin
+		d.bin = best.bin
 		d.binSwitches++
 		d.mBinSwitches.Inc()
 		d.matured = false

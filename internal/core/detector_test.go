@@ -141,16 +141,18 @@ func TestConstructorsRejectBadFrameRate(t *testing.T) {
 
 // TestConcurrentDetectorsShareSelectionScratch runs detectors over
 // distinct captures on separate goroutines, two per capture, all
-// borrowing selection scratch from the one package pool, and checks
-// that each emits exactly what it emits alone. Under -race, a scratch
-// lent to two selection passes at once shows as a data race; without
-// it, as changed events. The captures differ in width, so the pooled
-// buffers change size from one pass to the next.
+// borrowing selection scratch from the one package pool, as each
+// goroutine's offline SelectBinMatrix over its whole capture does too,
+// and checks that each emits exactly what it emits alone. Under -race,
+// a scratch lent to two selection passes at once shows as a data race;
+// without it, as changed events or bins. The captures differ in width,
+// so the pooled buffers change size from one pass to the next.
 func TestConcurrentDetectorsShareSelectionScratch(t *testing.T) {
 	const captures, frames = 4, 1200
 	type run struct {
 		events     []BlinkEvent
 		selections uint64 // cold-start selections and reselections
+		offline    int    // SelectBinMatrix over the whole capture
 	}
 	feed := func(m *rf.FrameMatrix, bins int) (run, error) {
 		det, err := NewDetector(DefaultConfig(), bins, m.FrameRate)
@@ -159,6 +161,13 @@ func TestConcurrentDetectorsShareSelectionScratch(t *testing.T) {
 		}
 		det.SetRegistry(obs.NewRegistry())
 		var r run
+		pre, err := PreprocessMatrix(m)
+		if err != nil {
+			return run{}, err
+		}
+		if r.offline, err = SelectBinMatrix(pre); err != nil {
+			return run{}, err
+		}
 		for _, row := range m.Data {
 			ev, ok, err := det.Feed(row[:bins])
 			if err != nil {
@@ -208,6 +217,9 @@ func TestConcurrentDetectorsShareSelectionScratch(t *testing.T) {
 		if !slices.Equal(r.events, serial[i].events) || r.selections != serial[i].selections {
 			t.Fatalf("goroutine %d on capture %d: %d events over %d selection passes %v, alone %d over %d %v",
 				g, i, len(r.events), r.selections, r.events, len(serial[i].events), serial[i].selections, serial[i].events)
+		}
+		if r.offline != serial[i].offline {
+			t.Fatalf("goroutine %d on capture %d: SelectBinMatrix picked bin %d, alone %d", g, i, r.offline, serial[i].offline)
 		}
 	}
 }

@@ -51,37 +51,52 @@ func (t WindowTally) Features(spanSec float64) WindowFeatures {
 	return f
 }
 
+// maxWindows caps how many windows ExtractWindows slices one capture
+// into: 2^20 one-minute windows span two years, and the cap keeps a
+// tiny window or a huge capture span from sizing a giant allocation.
+const maxWindows = 1 << 20
+
 // ExtractWindows slices a capture's detected blinks into consecutive
 // windows of windowSec seconds and computes features for each, applying
 // the duration gate (WindowTally). The final partial window is dropped,
-// matching the paper's whole-window evaluation. Events must be sorted by
-// Time, as the detector emits them; an out-of-order slice is rejected
-// rather than silently miscounted. The pass is single-sweep — O(events
-// + windows), not O(events × windows) — which matters for long
-// captures binned into short windows.
+// matching the paper's whole-window evaluation, and a capture shorter
+// than one window has none. Both spans must be finite, and the capture
+// may hold at most maxWindows windows. Events must be sorted by Time, as
+// the detector emits them; an out-of-order slice is rejected rather than
+// silently miscounted. The pass is single-sweep — O(events + windows),
+// not O(events × windows) — which matters for long captures binned into
+// short windows.
 func ExtractWindows(events []BlinkEvent, captureSec, windowSec float64) ([]WindowFeatures, error) {
-	if windowSec <= 0 {
-		return nil, fmt.Errorf("core: window must be positive, got %g", windowSec)
+	if !(windowSec > 0) || math.IsInf(windowSec, 1) {
+		return nil, fmt.Errorf("core: window must be positive and finite, got %g s", windowSec)
 	}
-	n := int(captureSec / windowSec)
-	if n < 0 {
-		n = 0
+	if math.IsNaN(captureSec) || math.IsInf(captureSec, 0) {
+		return nil, fmt.Errorf("core: capture span must be finite, got %g s", captureSec)
 	}
+	// The count stays in float64 until it is known to fit: an
+	// out-of-range float-to-int conversion is implementation-defined.
+	count := math.Floor(captureSec / windowSec)
+	if count > maxWindows {
+		return nil, fmt.Errorf("core: a %g-s capture span holds %g windows of %g s, more than %d",
+			captureSec, count, windowSec, maxWindows)
+	}
+	n := int(max(count, 0))
 	tallies := make([]WindowTally, n)
 	last := math.Inf(-1)
 	for i, e := range events {
-		if e.Time < last {
+		// A NaN time has no place in the order, so it fails this too.
+		if !(e.Time >= last) {
 			return nil, fmt.Errorf("core: events must be sorted by time: event %d at %gs precedes %gs", i, e.Time, last)
 		}
 		last = e.Time
 		if e.Time < 0 {
 			continue
 		}
-		w := int(e.Time / windowSec)
-		if w >= n { // final partial window (and anything past it) is dropped
+		w := math.Floor(e.Time / windowSec)
+		if w >= float64(n) { // final partial window (and anything past it) is dropped
 			continue
 		}
-		tallies[w].Add(e.Duration)
+		tallies[int(w)].Add(e.Duration)
 	}
 	out := make([]WindowFeatures, n)
 	for w, t := range tallies {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -28,6 +30,37 @@ func TestExtractWindows(t *testing.T) {
 	// The 0.1 s event is gated out, leaving one event in window 1.
 	if windows[1].BlinkRate != 1 {
 		t.Fatalf("window 1 rate %g, want 1 (gated)", windows[1].BlinkRate)
+	}
+
+	// Spans whose window count is not a finite int below the cap are
+	// refused, naming the span at fault; none may size an allocation.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		captureSec, windowSec float64
+		names                 string
+	}{
+		{120, nan, "window"},
+		{120, inf, "window"},
+		{nan, 60, "capture span"},
+		{inf, 60, "capture span"},
+		{-inf, 60, "capture span"},
+		{1e300, 60, "capture span"},
+		{60, 1e-300, "capture span"},
+		{maxWindows + 1, 1, "capture span"},
+	} {
+		if w, err := ExtractWindows(events, c.captureSec, c.windowSec); err == nil || !strings.Contains(err.Error(), c.names) {
+			t.Errorf("ExtractWindows(%g, %g) = %d windows, %v; want an error naming the %s",
+				c.captureSec, c.windowSec, len(w), err, c.names)
+		}
+	}
+	// An event too late to index any window falls past the last one,
+	// as does a NaN time, which is refused as unordered.
+	late := append(events[:len(events):len(events)], BlinkEvent{Time: 1e300, Duration: 0.4})
+	if w, err := ExtractWindows(late, 120, 60); err != nil || w[1].BlinkRate != 1 {
+		t.Fatalf("an event at 1e300 s: %v, %v; want it dropped", w, err)
+	}
+	if _, err := ExtractWindows([]BlinkEvent{{Time: nan, Duration: 0.4}}, 120, 60); err == nil {
+		t.Fatal("an event at a NaN time must be rejected")
 	}
 }
 

@@ -28,11 +28,6 @@ type Bin int
 //blinkradar:convert
 func SecondsOf(v float64) Seconds { return Seconds(v) }
 
-// FramesOf admits a raw frame count at an API boundary.
-//
-//blinkradar:convert
-func FramesOf(n int) Frames { return Frames(n) }
-
 // BinOf admits a raw bin index at an API boundary.
 //
 //blinkradar:convert

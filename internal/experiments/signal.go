@@ -388,7 +388,7 @@ func fig10() (Fig10Result, error) {
 	if err != nil {
 		return Fig10Result{}, err
 	}
-	best, err := core.SelectBinMatrix(pre)
+	bin, err := core.SelectBinMatrix(pre)
 	if err != nil {
 		return Fig10Result{}, err
 	}
@@ -407,12 +407,12 @@ func fig10() (Fig10Result, error) {
 	if c, err := iq.FitCirclePratt(eyeSeries); err == nil {
 		extent = iq.AngularExtent(eyeSeries, c.Center)
 	}
-	diff := best.Bin - cap.EyeBin
+	diff := bin - cap.EyeBin
 	if diff < 0 {
 		diff = -diff
 	}
 	return Fig10Result{
-		SelectedBin:       best.Bin,
+		SelectedBin:       bin,
 		TrueEyeBin:        cap.EyeBin,
 		EyeVariance:       eyeVar,
 		BestNoiseVariance: noiseVar,

@@ -50,12 +50,12 @@ func extVitals() (ExtVitalsResult, error) {
 		if err != nil {
 			return ExtVitalsRow{}, err
 		}
-		best, err := core.SelectBinMatrix(pre)
+		bin, err := core.SelectBinMatrix(pre)
 		if err != nil {
 			return ExtVitalsRow{}, err
 		}
 		skip := int(core.BackgroundTauSec*cap.Frames.FrameRate) + 1
-		est, err := vitals.EstimateFromSeries(pre.SlowTime(best.Bin)[skip:], cap.Frames.FrameRate)
+		est, err := vitals.EstimateFromSeries(pre.SlowTime(bin)[skip:], cap.Frames.FrameRate)
 		if err != nil {
 			return ExtVitalsRow{}, fmt.Errorf("subject %d: %w", id, err)
 		}

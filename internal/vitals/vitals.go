@@ -66,6 +66,12 @@ func (e Estimate) HeartBPM() float64 { return e.HeartHz * 60 }
 // respiration band (a couple of breath cycles).
 const minWindowSec = 15.0
 
+// maxSpanSamples caps a Monitor's window and its update interval, each
+// counted in samples: 2^22 samples is over 46 hours at 25 fps, and a
+// ring at the cap holds 32 MiB per span. A span past it is refused
+// rather than allocated.
+const maxSpanSamples = 1 << 22
+
 // EstimateFromSeries analyses the slow-time I/Q samples of one range
 // bin sampled at fps frames per second. The series should already be
 // background-subtracted (static clutter removed).
@@ -244,30 +250,33 @@ type Monitor struct {
 
 // NewMonitor creates a streaming estimator with the given analysis
 // window and update interval in seconds. The window must hold at least
-// 15 s of samples, and the interval at least one frame.
+// 15 s of samples, and the interval at least one frame; neither may
+// exceed maxSpanSamples samples.
 func NewMonitor(fps, windowSec, updateSec float64) (*Monitor, error) {
 	if !(fps > 0) || math.IsInf(fps, 1) {
 		return nil, fmt.Errorf("vitals: fps must be positive and finite, got %g", fps)
 	}
+	// Sample counts stay in float64 until they are known to fit: an
+	// out-of-range float-to-int conversion is implementation-defined.
 	// The window is a whole number of samples, so a 15-s span at a
 	// fractional rate can hold less than 15 s. Such a Monitor could never
 	// estimate, and refusing it here leaves the arc fit as the one check
 	// an update's estimate can fail.
-	if !(windowSec >= minWindowSec) || math.IsInf(windowSec, 1) ||
-		float64(int(windowSec*fps)) < minWindowSec*fps {
-		return nil, fmt.Errorf("vitals: window must be finite and hold at least %.0f s of samples, got %g s at %g fps",
-			minWindowSec, windowSec, fps)
+	window := math.Floor(windowSec * fps)
+	if !(windowSec >= minWindowSec) || !(window <= maxSpanSamples) || window < minWindowSec*fps {
+		return nil, fmt.Errorf("vitals: window must hold at least %.0f s and at most %d samples, got %g s at %g fps",
+			minWindowSec, maxSpanSamples, windowSec, fps)
 	}
-	if !(updateSec*fps >= 1) || math.IsInf(updateSec, 1) {
-		return nil, fmt.Errorf("vitals: update interval must be finite and at least one frame, got %g s at %g fps",
-			updateSec, fps)
+	every := math.Floor(updateSec * fps)
+	if !(every >= 1 && every <= maxSpanSamples) {
+		return nil, fmt.Errorf("vitals: update interval must be at least one frame and at most %d samples, got %g s at %g fps",
+			maxSpanSamples, updateSec, fps)
 	}
-	window, every := int(windowSec*fps), int(updateSec*fps)
 	return &Monitor{
 		fps:    fps,
-		window: window,
-		every:  every,
-		buf:    make([]complex64, window+every),
+		window: int(window),
+		every:  int(every),
+		buf:    make([]complex64, int(window+every)),
 	}, nil
 }
 

@@ -161,6 +161,13 @@ func TestNewMonitorValidation(t *testing.T) {
 		{25, 30, inf, "update interval"},
 		{25, 30, -inf, "update interval"},
 		{25, 30, 0.03, "update interval"}, // shorter than one frame
+		// Spans too long to allocate are refused before any sample
+		// count is converted to an int.
+		{25, 1e300, 5, "window"},
+		{25, 1e12, 5, "window"},
+		{1e300, 30, 5, "window"},
+		{25, 30, 1e300, "update interval"},
+		{25, 30, 1e12, "update interval"},
 	} {
 		m, err := NewMonitor(c.fps, c.windowSec, c.updateSec)
 		if err == nil || !strings.Contains(err.Error(), c.names) {
@@ -170,6 +177,12 @@ func TestNewMonitorValidation(t *testing.T) {
 	}
 	if _, err := NewMonitor(25, 15, 0.04); err != nil {
 		t.Fatalf("a 15-s window with one-frame updates: %v", err)
+	}
+	if _, err := NewMonitor(1, maxSpanSamples+1, 5); err == nil || !strings.Contains(err.Error(), "window") {
+		t.Fatalf("a window one sample past the cap: %v, want an error naming the window", err)
+	}
+	if _, err := NewMonitor(1, 30, maxSpanSamples+1); err == nil || !strings.Contains(err.Error(), "update interval") {
+		t.Fatalf("an update interval one sample past the cap: %v, want an error naming the update interval", err)
 	}
 }
 
@@ -188,12 +201,12 @@ func scenarioSeries(t testing.TB) (scenario.Spec, []complex128, float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, err := core.SelectBinMatrix(pre)
+	bin, err := core.SelectBinMatrix(pre)
 	if err != nil {
 		t.Fatal(err)
 	}
 	skip := int(core.BackgroundTauSec*cap.Frames.FrameRate) + 1
-	return spec, pre.SlowTime(best.Bin)[skip:], cap.Frames.FrameRate
+	return spec, pre.SlowTime(bin)[skip:], cap.Frames.FrameRate
 }
 
 func TestVitalsOnScenarioCapture(t *testing.T) {
