@@ -50,8 +50,8 @@ func TestRadarsimCaptureRoundTrip(t *testing.T) {
 		t.Fatalf("radarsim: %v\n%s", err, out)
 	}
 
-	// The capture file must be a clean indexed v1 .brc that decodes into
-	// the exact frame matrix the library produces for the same spec.
+	// The capture file must be a clean .brc that decodes into the exact
+	// frame matrix the library produces for the same spec.
 	f, err := os.Open(capturePath)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestRadarsimCaptureRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := cr.Truncated(); err != nil {
-		t.Fatalf("fresh radarsim capture has no valid footer index: %v", err)
+		t.Fatalf("fresh radarsim capture does not end cleanly: %v", err)
 	}
 	m, err := cr.ReadMatrixFrom(0)
 	if err != nil {

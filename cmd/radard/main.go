@@ -41,7 +41,7 @@ func main() {
 		loop       = flag.Bool("loop", true, "repeat the capture indefinitely")
 		pace       = flag.Bool("pace", true, "pace frames to the radio frame rate")
 		speed      = flag.Float64("speed", 1, "playback speed multiplier when pacing (100 serves a capture at 100x realtime)")
-		startFrame = flag.Int("start-frame", 0, "replay the capture from this frame index (seeks via the v1 footer index)")
+		startFrame = flag.Int("start-frame", 0, "replay the capture from this frame index (seeks via the frame index built when the capture opens)")
 		startSeq   = flag.Uint64("start-seq", 0, "initial frame sequence number (lets restarts preserve gap accounting downstream)")
 		subjectID  = flag.Int("subject", 1, "participant profile id (simulated mode)")
 		duration   = flag.Float64("duration", 120, "simulated capture length in seconds")
@@ -188,9 +188,9 @@ func startAdmin(ctx context.Context, addr string, reg *obs.Registry, health func
 }
 
 // loadMatrix replays a capture file or simulates a fresh one. Capture
-// files go through CaptureReader, which reads the .brc v1 format,
-// serves the intact prefix of a torn file (with a warning) instead of
-// refusing it, and seeks -start-frame via the frame index.
+// files go through CaptureReader, which reads the .brc v2 format,
+// serves the intact prefix of a torn or damaged file (with a warning)
+// instead of refusing it, and seeks -start-frame via the frame index.
 func loadMatrix(path string, startFrame, subjectID int, duration float64, drowsy bool, seed int64, logger *log.Logger) (*blinkradar.FrameMatrix, error) {
 	if path == "" {
 		if startFrame != 0 {

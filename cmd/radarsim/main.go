@@ -1,6 +1,6 @@
 // Command radarsim generates a synthetic radar capture and writes it to
-// disk in the .brc v1 capture format (versioned header, per-frame CRC,
-// seekable index footer, torn-write recovery; see
+// disk in the .brc v2 capture format (versioned header, per-frame CRC,
+// end marker, torn-write recovery; see
 // internal/transport/capture.go) together with a JSON ground-truth
 // sidecar. The output can be replayed by cmd/radard or cmd/radarfleet,
 // or analysed offline.

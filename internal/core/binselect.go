@@ -95,9 +95,11 @@ var selectPool = sync.Pool{New: func() any { return new(selectScratch) }}
 // wins, the lower bin on a tie. Candidates whose covariance proves they
 // cannot win (a bin's score never exceeds its variance times its
 // eccentricity factor) are never scored. When no candidate scores above
-// zero, the highest-variance bin wins. It serves cold start, motion
-// restart, reselection and SelectBinMatrix alike.
-func rankBins(scr *selectScratch, r *binRing) binScore {
+// zero, the highest-variance bin wins. A ring in which no bin varies
+// holds no evidence of the eye, so it selects nothing: ok is false, and
+// the returned score is that flat fallback. It serves cold start,
+// motion restart, reselection and SelectBinMatrix alike.
+func rankBins(scr *selectScratch, r *binRing) (best binScore, ok bool) {
 	scr.variances = grow(scr.variances, r.width)
 	variances := scr.variances
 	for i := range variances {
@@ -146,7 +148,7 @@ func rankBins(scr *selectScratch, r *binRing) binScore {
 		}
 		order[j+1] = o
 	}
-	best := binScore{score: math.Inf(-1)}
+	best = binScore{score: math.Inf(-1)}
 	for _, i := range order {
 		if bounds[i] < best.score {
 			continue
@@ -161,9 +163,9 @@ func rankBins(scr *selectScratch, r *binRing) binScore {
 	if best.score <= 0 {
 		// No arc-like bin: fall back to raw variance (still better
 		// than nothing, and the tracker's restart logic will recover).
-		return variances[0]
+		return variances[0], variances[0].variance > 0
 	}
-	return best
+	return best, true
 }
 
 // grow resizes s to n elements, reallocating only when its capacity is
@@ -181,7 +183,8 @@ func grow[T any](s []T, n int) []T {
 // rankBins. A preprocessed matrix holds widened float32 samples, so the
 // narrowing is exact, and on a capture's first ColdStartFrames frames
 // the bin is the one a default-configured Detector selects at cold
-// start.
+// start. A window in which no bin varies selects no bin, as it selects
+// none in the detector: SelectBinMatrix returns -1 and an error.
 func SelectBinMatrix(m *rf.FrameMatrix) (int, error) {
 	bins := m.NumBins()
 	if bins <= GuardBins {
@@ -196,7 +199,11 @@ func SelectBinMatrix(m *rf.FrameMatrix) (int, error) {
 	}
 	scr := selectPool.Get().(*selectScratch)
 	defer selectPool.Put(scr)
-	return rankBins(scr, r).bin, nil
+	best, ok := rankBins(scr, r)
+	if !ok {
+		return -1, fmt.Errorf("core: no bin varies over the %d-frame selection window", window)
+	}
+	return best.bin, nil
 }
 
 // covFromSums recovers the centroid-centred covariance entries from

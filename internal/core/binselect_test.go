@@ -102,8 +102,8 @@ func TestScoreBinPrefersArc(t *testing.T) {
 }
 
 func TestSelectBinFindsArc(t *testing.T) {
-	best := rankBins(new(selectScratch), sceneRing(300, 2, 0))
-	if best.bin != 1 {
+	best, ok := rankBins(new(selectScratch), sceneRing(300, 2, 0))
+	if !ok || best.bin != 1 {
 		t.Fatalf("selected %+v, want the arc bin 1", best)
 	}
 }
@@ -118,8 +118,8 @@ func TestSelectBinGuard(t *testing.T) {
 		t.Fatalf("a matrix of %d bins selected bin %d; want an error", GuardBins, bin)
 	}
 	// A ring that does not store the arc bin forces another winner.
-	best := rankBins(new(selectScratch), sceneRing(300, 3, 2))
-	if best.bin < 2 {
+	best, ok := rankBins(new(selectScratch), sceneRing(300, 3, 2))
+	if !ok || best.bin < 2 {
 		t.Fatalf("guarded bin %d selected", best.bin)
 	}
 }
@@ -127,16 +127,17 @@ func TestSelectBinGuard(t *testing.T) {
 func TestSelectBinSingleBinBeyondGuard(t *testing.T) {
 	// A ring storing one bin leaves fewer bins than candidateTopK;
 	// selection must still pick it.
-	best := rankBins(new(selectScratch), sceneRing(300, 5, 3))
-	if best.bin != 3 {
+	best, ok := rankBins(new(selectScratch), sceneRing(300, 5, 3))
+	if !ok || best.bin != 3 {
 		t.Fatalf("selected bin %d, want the only stored bin 3", best.bin)
 	}
 }
 
 func TestSelectBinAllZeroVariance(t *testing.T) {
 	// Identical constant samples in every bin: zero variance, zero
-	// scores. Selection must fall back to the variance ranking, whose
-	// tie goes to the lowest stored bin, without panicking.
+	// scores. The ranking falls back to the variance ranking, whose tie
+	// goes to the lowest stored bin, without panicking, and refuses it:
+	// nothing varies, so nothing is selected.
 	r := newBinRing(6, 2, 50)
 	frame := make([]complex128, 6)
 	for i := range frame {
@@ -145,9 +146,32 @@ func TestSelectBinAllZeroVariance(t *testing.T) {
 	for k := 0; k < 50; k++ {
 		pushC(r, frame)
 	}
-	best := rankBins(new(selectScratch), r)
-	if best != (binScore{bin: 2}) {
-		t.Fatalf("flat windows selected %+v, want bin 2 with zero variance and score", best)
+	best, ok := rankBins(new(selectScratch), r)
+	if ok || best != (binScore{bin: 2}) {
+		t.Fatalf("flat windows ranked %+v (ok %v), want bin 2 with zero variance and score, refused", best, ok)
+	}
+	// The offline entry point and the detector refuse the same flat
+	// window: an all-zero matrix selects no bin in either.
+	for _, frames := range []int{25, 2 * ColdStartFrames} {
+		m, err := rf.NewFrameMatrix(frames, 40, 25, 0.0107)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bin, err := SelectBinMatrix(m); bin != -1 || err == nil {
+			t.Fatalf("%d all-zero frames: SelectBinMatrix = %d, %v; want -1 and an error", frames, bin, err)
+		}
+		det, err := NewDetector(DefaultConfig(), m.NumBins(), m.FrameRate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range m.Data {
+			if _, _, err := det.Feed(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if det.Bin() != -1 {
+			t.Fatalf("%d all-zero frames: detector selected bin %d", frames, det.Bin())
+		}
 	}
 }
 
@@ -213,9 +237,9 @@ func TestRankBinsMatchesOracle(t *testing.T) {
 			if push != window-17 && push != window && push != 2*window-5 {
 				continue
 			}
-			got, want := rankBins(scr, r), rankOracle(r)
-			if got != want {
-				t.Fatalf("seed %d, %d pushes: rankBins %+v, oracle %+v", seed, push, got, want)
+			got, ok := rankBins(scr, r)
+			if want := rankOracle(r); !ok || got != want {
+				t.Fatalf("seed %d, %d pushes: rankBins %+v (ok %v), oracle %+v", seed, push, got, ok, want)
 			}
 			// A candidate whose bound is below the winning score was
 			// skipped unscored.

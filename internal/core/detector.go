@@ -28,6 +28,7 @@ type Detector struct {
 	levd    *LEVD
 
 	frame        int
+	reselectDue  bool // a reselection fell due on a rejected frame
 	matured      bool
 	everMatured  bool
 	everSelected bool
@@ -151,7 +152,7 @@ func (d *Detector) Reset() {
 	d.tracker.ResetFull()
 	d.levd.ResetFull()
 	d.med.Reset()
-	d.frame = 0
+	d.frame, d.reselectDue = 0, false
 	d.matured, d.everMatured, d.everSelected = false, false, false
 	d.challenger = 0
 	d.bin, d.haveBin = -1, false
@@ -265,7 +266,8 @@ func (d *Detector) Restarts() int { return d.restarts }
 // BinSwitches returns how many adaptive bin migrations occurred.
 func (d *Detector) BinSwitches() int { return d.binSwitches }
 
-// Frame returns the number of frames consumed so far.
+// Frame returns the number of frames consumed so far, rejected ones
+// included: it is the slow-time clock events are stamped from.
 func (d *Detector) Frame() int { return d.frame }
 
 // NumBins returns the per-frame bin count the detector was built for.
@@ -380,7 +382,8 @@ func (d *Detector) feedCur(timed bool, start time.Time) (BlinkEvent, bool, error
 	d.pushTrace(dist)
 
 	d.checkMotionRestart(dist)
-	if d.frame%d.cfg.ReselectIntervalFrames == 0 {
+	if d.reselectDue || d.frame%d.cfg.ReselectIntervalFrames == 0 {
+		d.reselectDue = false
 		d.maybeReselect()
 	}
 
@@ -403,16 +406,16 @@ func (d *Detector) pushTrace(dist float64) {
 
 // runSelection ranks the selection ring's bins and records the pass
 // duration.
-func (d *Detector) runSelection(scr *selectScratch) binScore {
+func (d *Detector) runSelection(scr *selectScratch) (binScore, bool) {
 	var start time.Time
 	if d.mStageSelect != nil {
 		start = time.Now()
 	}
-	best := rankBins(scr, d.ring)
+	best, ok := rankBins(scr, d.ring)
 	if d.mStageSelect != nil {
 		d.mStageSelect.Observe(time.Since(start).Seconds())
 	}
-	return best
+	return best, ok
 }
 
 // seedTracker re-seeds the tracker from the ring history of the tracked
@@ -428,8 +431,8 @@ func (d *Detector) seedTracker(scr *selectScratch) {
 func (d *Detector) selectBin(reselect bool) {
 	scr := selectPool.Get().(*selectScratch)
 	defer selectPool.Put(scr)
-	best := d.runSelection(scr)
-	if best.score <= 0 && best.variance <= 0 {
+	best, ok := d.runSelection(scr)
+	if !ok {
 		return
 	}
 	d.bin = best.bin
@@ -449,13 +452,13 @@ func (d *Detector) selectBin(reselect bool) {
 func (d *Detector) maybeReselect() {
 	scr := selectPool.Get().(*selectScratch)
 	defer selectPool.Put(scr)
-	best := d.runSelection(scr)
+	best, ok := d.runSelection(scr)
+	if !ok || best.bin == d.bin {
+		return
+	}
 	scr.series = d.ring.seriesInto(d.bin, scr.series)
 	scr.res = grow(scr.res, len(scr.series))
 	current := scoreBinRes(d.bin, scr.series, scr.res)
-	if best.bin == d.bin {
-		return
-	}
 	if best.score > switchScoreRatio*current.score {
 		// Demand persistence: a challenger must win two consecutive
 		// evaluations, or transient interference would churn the

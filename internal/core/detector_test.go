@@ -121,10 +121,13 @@ func TestNewDetectorValidation(t *testing.T) {
 }
 
 // TestConstructorsRejectBadFrameRate: NaN and +Inf pass a plain
-// `fps <= 0` check, so each constructor must refuse them, as well as 0
-// and -Inf, with an error that names the frame rate.
+// `fps <= 0` check, and a finite rate past maxFrameRate would size
+// windows no memory holds (or overflow the int conversion of a span),
+// so each constructor must refuse them, as well as 0 and -Inf, with an
+// error that names the frame rate. The cap itself is accepted.
 func TestConstructorsRejectBadFrameRate(t *testing.T) {
-	for _, fps := range []float64{0, math.NaN(), math.Inf(1), math.Inf(-1)} {
+	bad := []float64{0, math.NaN(), math.Inf(1), math.Inf(-1), maxFrameRate + 1, 1e12, 1e19, 1e300}
+	for _, fps := range bad {
 		_, errDet := NewDetector(DefaultConfig(), 40, fps)
 		_, errPre := NewPreprocessor(DefaultConfig(), 40, fps)
 		_, errLEVD := NewLEVD(DefaultConfig(), fps)
@@ -136,6 +139,9 @@ func TestConstructorsRejectBadFrameRate(t *testing.T) {
 				t.Errorf("%s at %g fps: %v, want an error naming the frame rate", c.name, fps, c.err)
 			}
 		}
+	}
+	if _, err := NewDetector(DefaultConfig(), 40, maxFrameRate); err != nil {
+		t.Errorf("NewDetector at the %d-fps cap: %v", maxFrameRate, err)
 	}
 }
 

@@ -112,13 +112,20 @@ func (d *Detector) sanitizeFrame(pi, pq []float32) bool {
 	return true
 }
 
-// noteReject accounts one discarded frame. A reject run longer than
-// maxGapFrames is an input gap like any other (the slow-time series has
-// a hole), so it forces re-acquisition; a run reaching
+// noteReject accounts one discarded frame. The frame still takes its
+// slot in slow time, so events after it are stamped on the clock of
+// every frame fed, the one a Monitor's windows keep; a reselection
+// falling due on it runs at the next tracked frame. A reject run longer
+// than maxGapFrames is an input gap like any other (the slow-time
+// series has a hole), so it forces re-acquisition; a run reaching
 // degradedAfterRejects flags the stream itself as unusable.
 func (d *Detector) noteReject() {
 	d.in.Rejected++
 	d.mFramesRejected.Inc()
+	d.frame++
+	if d.haveBin && d.frame%d.cfg.ReselectIntervalFrames == 0 {
+		d.reselectDue = true
+	}
 	d.consecRejects++
 	if d.consecRejects == maxGapFrames+1 {
 		d.reacquire()
@@ -180,7 +187,7 @@ func (d *Detector) reacquire() {
 	d.ring.reset()
 	d.tracker.Reset()
 	d.levd.Reset()
-	d.haveBin = false
+	d.haveBin, d.reselectDue = false, false
 	d.matured = false
 	d.challenger = -1
 	d.sustain = 0

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/cmplx"
 	"testing"
+
+	"blinkradar/internal/obs"
 )
 
 // feedClean runs n frames of the synthetic capture through det starting
@@ -82,8 +84,8 @@ func TestDetectorRejectsNonFiniteFlood(t *testing.T) {
 	if in.Rejected != 5 {
 		t.Fatalf("%d frames rejected, want 5", in.Rejected)
 	}
-	if det.Frame() != frameBefore {
-		t.Fatal("rejected frames must not advance the slow-time clock")
+	if det.Frame() != frameBefore+5 {
+		t.Fatalf("slow-time clock at %d after 5 rejected frames from %d: rejected frames keep their slots", det.Frame(), frameBefore)
 	}
 	// A short reject run bridges: clean frames resume tracking and the
 	// consecutive-reject counter rearms.
@@ -93,6 +95,68 @@ func TestDetectorRejectsNonFiniteFlood(t *testing.T) {
 	}
 	if got := det.InputStats().GapResets; got != 0 {
 		t.Fatalf("%d gap resets after a 5-frame reject run, want 0", got)
+	}
+}
+
+// TestRejectedBurstKeepsEventClock feeds a capture with a 40-frame
+// burst of unsalvageable frames, short enough to bridge, and checks
+// that each blink after it is stamped at its own time: rejected frames
+// keep their slots in slow time, as they do on a Monitor's window
+// clock, so later events are not stamped early by the burst's length.
+// The burst covers a multiple of ReselectIntervalFrames, and that
+// interval's reselection still runs, once.
+func TestRejectedBurstKeepsEventClock(t *testing.T) {
+	const frames, burstFrom, burstLen = 1300, 600, 40
+	blinks := []int{300, 450, 700, 850, 1000, 1150}
+	m, _ := syntheticCapture(t, frames, blinks, 7)
+	cfg := DefaultConfig()
+	det, err := NewDetector(cfg, m.NumBins(), m.FrameRate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det.SetRegistry(obs.NewRegistry())
+	poison := make([]complex128, m.NumBins())
+	for i := range poison {
+		poison[i] = complex(math.NaN(), 0)
+	}
+	var events []BlinkEvent
+	for k, row := range m.Data {
+		if k >= burstFrom && k < burstFrom+burstLen {
+			row = poison
+		}
+		ev, ok, err := det.Feed(row)
+		if err != nil {
+			t.Fatalf("frame %d: %v", k, err)
+		}
+		if ok {
+			events = append(events, ev)
+		}
+	}
+	if in := det.InputStats(); in.Rejected != burstLen || in.GapResets != 0 {
+		t.Fatalf("input stats %+v, want %d rejected frames bridged without a reset", in, burstLen)
+	}
+	if det.Frame() != frames {
+		t.Fatalf("slow-time clock at %d after %d frames fed", det.Frame(), frames)
+	}
+	for _, b := range blinks {
+		if b < burstFrom {
+			continue
+		}
+		want := float64(b) / m.FrameRate
+		found := false
+		for _, ev := range events {
+			if math.Abs(ev.Time-want) <= 0.5 {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("blink at %.2f s after the burst: no event within 0.5 s, events %+v", want, events)
+		}
+	}
+	// One cold-start selection, then one reselection per interval.
+	want := uint64(1 + det.Restarts() + frames/cfg.ReselectIntervalFrames)
+	if got := det.mStageSelect.Count(); got != want {
+		t.Fatalf("%d selection passes, want %d", got, want)
 	}
 }
 

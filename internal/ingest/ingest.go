@@ -154,7 +154,8 @@ func ServeStream(ctx context.Context, conn net.Conn, mgr *session.Manager, opts 
 		switch err := mgr.SubmitPlanes(id, f.I, f.Q); {
 		case err == nil:
 		case errors.Is(err, session.ErrRateLimited):
-			// Over budget: the frame is discarded, the stream lives on.
+			// Over budget: the frame is discarded, and the session
+			// reports the hole to the pipeline; the stream lives on.
 		default:
 			return err
 		}

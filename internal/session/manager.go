@@ -365,8 +365,9 @@ func (m *Manager) Detach(id string) (SessionStats, error) {
 // is queued ahead of it and no feed of the session is in progress. Any
 // other frame is copied into the session's queue for its shard worker.
 // Either way the caller may reuse the slices immediately. A full queue
-// drops the frame (accounted, and surfaced to the pipeline as a gap);
-// an empty token bucket rejects it with ErrRateLimited.
+// drops the frame, and an empty token bucket rejects it with
+// ErrRateLimited; both are accounted and surfaced to the pipeline as a
+// gap.
 //
 // Live radars send at the frame rate, so their frames arrive on time;
 // backlogs, replays and catch-up bursts arrive early and keep the
@@ -404,6 +405,8 @@ func (m *Manager) SubmitPlanes(id string, pi, pq []float32) error {
 	onTime := !s.lastSubmit.IsZero() && now.Sub(s.lastSubmit) >= m.halfPeriod
 	s.lastSubmit = now
 	if limit := m.cfg.RateLimit; limit > 0 && !s.takeToken(now, limit) {
+		// A refused frame is a hole in slow time, as a dropped one is.
+		s.pendingGap++
 		s.limited++
 		s.qmu.Unlock()
 		m.frLimited.Add(1)

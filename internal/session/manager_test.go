@@ -160,6 +160,7 @@ func TestNewManagerRejectsBadGeometry(t *testing.T) {
 		{"guard bins only", 8, 25},
 		{"zero frame rate", 16, 0},
 		{"negative frame rate", 16, -25},
+		{"frame rate past any radar", 16, 1e12},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -377,6 +378,26 @@ func TestRateLimiting(t *testing.T) {
 	}
 	if st.Submitted != 8 {
 		t.Fatalf("submitted %d, want 8 (limited frames never enter accounting)", st.Submitted)
+	}
+	// The limited frames are holes in the stream: the next accepted
+	// frame carries them to the pipeline as a gap. GapFrames counts only
+	// losses reported upstream.
+	mu.Lock()
+	now = now.Add(time.Second)
+	mu.Unlock()
+	if err := submit(m, "limited", frame); err != nil {
+		t.Fatalf("after the second refill: %v", err)
+	}
+	waitFor(t, "the next accepted frame", func() bool {
+		st, _ := m.SessionStats("limited")
+		return st.Processed == 9
+	})
+	s := lookup(t, m, "limited")
+	s.feedMu.Lock()
+	heard := s.mon.InputStats().GapFrames
+	s.feedMu.Unlock()
+	if st, _ = m.SessionStats("limited"); heard != 2 || st.GapFrames != 0 {
+		t.Fatalf("pipeline heard of %d lost frames and the session counted %d upstream, want 2 and 0", heard, st.GapFrames)
 	}
 }
 

@@ -68,12 +68,12 @@ type Session struct {
 	// representation, so queueing a decoded frame is two plain copies
 	// with no complex widening. Slot i carries gaps[i], the frames known
 	// lost immediately before it (upstream sequence gaps plus local
-	// backpressure drops), delivered to the pipeline as NoteGap before
-	// the frame is fed so slow-time state is never silently
-	// concatenated across a hole. Storage starts at minQueueSlots and
-	// grows by doubling while frames wait, up to slots; peak, the
-	// deepest the queue has been since the last evaluation-window close,
-	// decides when it shrinks back.
+	// backpressure drops and rate-limited frames), delivered to the
+	// pipeline as NoteGap before the frame is fed so slow-time state is
+	// never silently concatenated across a hole. Storage starts at
+	// minQueueSlots and grows by doubling while frames wait, up to
+	// slots; peak, the deepest the queue has been since the last
+	// evaluation-window close, decides when it shrinks back.
 	qmu        sync.Mutex
 	buf        []float32
 	gaps       []uint64
@@ -365,7 +365,8 @@ func (s *Session) snapshot() SessionStats {
 // Dropped + Queued holds in every view: a queued frame counts as
 // Queued until its feed ends, an on-time frame as Processed from the
 // moment its submitter takes it for the pipeline. Rate-limited frames
-// are counted in Limited only and never enter the queue.
+// are counted in Limited only and never enter the queue; the pipeline
+// hears of them as a gap before the next accepted frame.
 type SessionStats struct {
 	// ID is the session identifier.
 	ID string

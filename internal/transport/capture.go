@@ -13,12 +13,12 @@ import (
 	"blinkradar/internal/rf"
 )
 
-// This file implements the .brc capture format (version 1, the only
+// This file implements the .brc capture format (version 2, the only
 // version): the on-disk substrate of record/replay evaluation. Layout:
 //
 //	file header (44 bytes):
 //	  0  [8]byte  magic "BRC1" 0xB1 0x1C '\r' '\n'
-//	  8  uint16   capture format version (1)
+//	  8  uint16   capture format version (2)
 //	  10 uint16   reserved (0)
 //	  12 uint32   bin count
 //	  16 float64  frame rate (frames/s)
@@ -27,48 +27,34 @@ import (
 //	  40 uint32   CRC32 (IEEE) over bytes 0..40
 //	frames: each in the wire codec format (per-frame header + CRC,
 //	  see codec.go), geometry pinned to the file header's bin count
-//	footer (written at Close):
-//	  uint32   footer magic "BRIX"
-//	  uint32   reserved (0)
-//	  uint64   frame count
-//	  N×uint64 absolute file offset of each frame
-//	  uint32   CRC32 (IEEE) over the footer up to here
-//	  uint64   absolute file offset of the footer magic
-//	  [8]byte  trailer magic "BRCE" 0xB1 0x1C '\r' '\n'
+//	end marker (written at Close):
+//	  [8]byte  "BRCE" 0xB1 0x1C '\r' '\n'
 //
-// The trailing footer makes a finished capture seekable (O(1) to any
-// frame) without breaking streaming writes: frames are appended as
-// they arrive and the index is emitted once, at Close. A capture cut
-// short — crash, power loss, torn copy — simply lacks the footer (or
-// carries a damaged one); CaptureReader then rebuilds the index by
-// scanning the CRC-framed frames and surfaces the damage as
-// ErrTruncatedCapture while still serving every intact frame.
+// The frames are the capture's only index: CaptureReader validates
+// them front to back by their CRCs at open and records where each one
+// starts, so a finished capture and a torn one are read the same way,
+// and Seek is O(1) afterwards. Frames are appended as they arrive and
+// Close adds only the end marker, which tells a finished capture from
+// one cut exactly at a frame boundary. A capture cut short — crash,
+// power loss, torn copy — or damaged anywhere serves the frames before
+// the damage and reports the rest as ErrTruncatedCapture.
 
-// ErrTruncatedCapture marks a capture whose tail is missing or
-// damaged — a torn write, a crash before Close, a partial copy. It is
-// a recoverable condition: CaptureReader still serves the intact
-// frame prefix; the error reports that the file does not end cleanly.
+// ErrTruncatedCapture marks a capture that does not end cleanly — a
+// torn write, a crash before Close, a partial copy, a damaged frame. It
+// is a recoverable condition: CaptureReader still serves the intact
+// frame prefix; the error reports where that prefix stops.
 var ErrTruncatedCapture = errors.New("transport: truncated capture")
 
 // CaptureVersion is the capture file format version, the only one a
 // CaptureReader opens.
-const CaptureVersion = 1
+const CaptureVersion = 2
 
 var (
-	captureMagic  = [8]byte{'B', 'R', 'C', '1', 0xB1, 0x1C, '\r', '\n'}
-	captureTrail  = [8]byte{'B', 'R', 'C', 'E', 0xB1, 0x1C, '\r', '\n'}
-	captureFooter = [4]byte{'B', 'R', 'I', 'X'}
+	captureMagic = [8]byte{'B', 'R', 'C', '1', 0xB1, 0x1C, '\r', '\n'}
+	captureEnd   = [8]byte{'B', 'R', 'C', 'E', 0xB1, 0x1C, '\r', '\n'}
 )
 
-const (
-	captureHeaderSize = 44
-	// captureFooterFixed is the footer size without the offset table:
-	// magic(4) reserved(4) count(8) crc(4).
-	captureFooterFixed = 20
-	// captureTailSize is the fixed tail after the footer: the footer's
-	// own offset (8) plus the trailer magic (8).
-	captureTailSize = 16
-)
+const captureHeaderSize = 44
 
 // CaptureHeader describes a capture file: the stream geometry and the
 // recording start time.
@@ -93,28 +79,24 @@ func TimestampMicros(sec float64) uint64 {
 	return uint64(math.Round(sec * 1e6))
 }
 
-// CaptureWriter streams frames into a .brc v1 capture. Frames are
-// buffered and CRC-framed as written; the seekable index is emitted as
-// a footer by Close. Periodic checkpoints (every 256 frames, or
-// explicit Checkpoint calls) flush — and, when the
-// destination supports it, fsync — so a crash mid-capture loses at
-// most the frames since the last checkpoint: everything before it is
-// recoverable by CaptureReader's torn-tail scan even though the
-// footer was never written.
+// CaptureWriter streams frames into a .brc v2 capture. Frames are
+// buffered and CRC-framed as written; Close appends the end marker.
+// Periodic checkpoints (every 256 frames, or explicit Checkpoint calls)
+// flush — and, when the destination supports it, fsync — so a crash
+// mid-capture loses at most the frames since the last checkpoint:
+// everything before it is served by CaptureReader even though the end
+// marker was never written.
 type CaptureWriter struct {
-	bw      *bufio.Writer
-	sync    syncer
-	enc     *Encoder
-	hello   StreamHello
-	start   uint64
-	offsets []int64
-	off     int64
-	every   int // automatic checkpoint period in frames
-	since   int
-	closed  bool
+	bw     *bufio.Writer
+	sync   syncer
+	enc    *Encoder
+	hello  StreamHello
+	every  int // automatic checkpoint period in frames
+	since  int
+	closed bool
 }
 
-// NewCaptureWriter writes the v1 file header for the given geometry
+// NewCaptureWriter writes the v2 file header for the given geometry
 // and returns a writer appending frames to w. startMicros stamps the
 // recording start (unix microseconds; 0 for synthetic captures). The
 // caller owns w; Close finishes the capture but does not close it.
@@ -138,8 +120,6 @@ func NewCaptureWriter(w io.Writer, hello StreamHello, startMicros uint64) (*Capt
 		bw:    bw,
 		enc:   NewEncoder(bw),
 		hello: hello,
-		start: startMicros,
-		off:   captureHeaderSize,
 		every: 256,
 	}
 	if s, ok := w.(syncer); ok {
@@ -160,8 +140,6 @@ func (cw *CaptureWriter) WriteFrame(f Frame) error {
 	if err := cw.enc.Encode(f); err != nil {
 		return err
 	}
-	cw.offsets = append(cw.offsets, cw.off)
-	cw.off += int64(frameWireSize(len(f.Bins)))
 	cw.since++
 	if cw.since >= cw.every {
 		return cw.Checkpoint()
@@ -172,7 +150,7 @@ func (cw *CaptureWriter) WriteFrame(f Frame) error {
 // Checkpoint flushes buffered frames to the destination and, when it
 // supports Sync (an *os.File does), forces them to stable storage.
 // After a checkpoint every frame written so far survives a crash: the
-// torn capture loses its footer, not its frames.
+// torn capture loses its end marker, not its frames.
 func (cw *CaptureWriter) Checkpoint() error {
 	cw.since = 0
 	if err := cw.enc.Flush(); err != nil {
@@ -189,7 +167,7 @@ func (cw *CaptureWriter) Checkpoint() error {
 	return nil
 }
 
-// Close writes the index footer and flushes the capture. The writer is
+// Close writes the end marker and flushes the capture. The writer is
 // unusable afterwards; the underlying file remains open (the caller
 // owns it). Close is not idempotent: a second call reports an error.
 func (cw *CaptureWriter) Close() error {
@@ -200,23 +178,8 @@ func (cw *CaptureWriter) Close() error {
 	if err := cw.enc.Flush(); err != nil {
 		return err
 	}
-	footerOff := cw.off
-	footer := make([]byte, captureFooterFixed-4+len(cw.offsets)*8)
-	copy(footer[0:], captureFooter[:])
-	binary.BigEndian.PutUint32(footer[4:], 0)
-	binary.BigEndian.PutUint64(footer[8:], uint64(len(cw.offsets)))
-	for i, off := range cw.offsets {
-		binary.BigEndian.PutUint64(footer[16+i*8:], uint64(off))
-	}
-	var tail [4 + captureTailSize]byte
-	binary.BigEndian.PutUint32(tail[0:], crc32.ChecksumIEEE(footer))
-	binary.BigEndian.PutUint64(tail[4:], uint64(footerOff))
-	copy(tail[12:], captureTrail[:])
-	if _, err := cw.bw.Write(footer); err != nil {
-		return fmt.Errorf("transport: write capture footer: %w", err)
-	}
-	if _, err := cw.bw.Write(tail[:]); err != nil {
-		return fmt.Errorf("transport: write capture trailer: %w", err)
+	if _, err := cw.bw.Write(captureEnd[:]); err != nil {
+		return fmt.Errorf("transport: write capture end marker: %w", err)
 	}
 	if err := cw.bw.Flush(); err != nil {
 		return fmt.Errorf("transport: flush capture: %w", err)
@@ -229,12 +192,11 @@ func (cw *CaptureWriter) Close() error {
 	return nil
 }
 
-// CaptureReader reads .brc v1 captures with torn-write recovery: a
-// file whose footer is missing or damaged, or whose frame stream is
-// cut mid-frame, still yields every intact frame; Truncated reports the
-// damage as an error wrapping ErrTruncatedCapture. Frames are
-// CRC-validated on every read, whether reached sequentially or via the
-// index.
+// CaptureReader reads .brc v2 captures with torn-write recovery: a
+// file that is cut anywhere, or damaged in any frame, still yields
+// every frame before the damage; Truncated reports the damage as an
+// error wrapping ErrTruncatedCapture. Every frame is CRC-validated at
+// open, and again on every read.
 //
 // The reader is single-goroutine; Next returns a frame whose I/Q
 // planes are reused by the following Next or Seek.
@@ -244,7 +206,7 @@ type CaptureReader struct {
 	header CaptureHeader
 
 	offsets []int64
-	trunc   error // nil exactly when offsets came from a valid footer
+	trunc   error // nil exactly when the end marker ends the file
 
 	pos     int // frame index the next Next will read
 	aligned bool
@@ -256,13 +218,12 @@ type CaptureReader struct {
 }
 
 // NewCaptureReader opens a capture. The constructor validates the
-// header, then either loads the footer index (fast path) or — when the
-// footer is missing or implausible — rebuilds the index by scanning
-// the frames, recording how far the intact prefix reaches. A file cut
+// header, then scans the frames to index the intact prefix. A file cut
 // before the header is complete cannot be opened and returns an error
 // wrapping ErrTruncatedCapture; anything longer opens with the frames
-// that survived. A file that does not open with the v1 header — a bare
-// wire dump that starts with a stream hello, say — is refused.
+// that survived. A file that does not open with the v2 header — a v1
+// capture, or a bare wire dump that starts with a stream hello — is
+// refused.
 func NewCaptureReader(r io.ReadSeeker) (*CaptureReader, error) {
 	cr := &CaptureReader{
 		r:             r,
@@ -274,9 +235,7 @@ func NewCaptureReader(r io.ReadSeeker) (*CaptureReader, error) {
 	}
 	cr.planeI = make([]float32, cr.header.Hello.NumBins)
 	cr.planeQ = make([]float32, cr.header.Hello.NumBins)
-	if !cr.loadFooter() {
-		cr.trunc = cr.scanIndex()
-	}
+	cr.trunc = cr.scanIndex()
 	return cr, nil
 }
 
@@ -287,13 +246,14 @@ func (cr *CaptureReader) Header() CaptureHeader { return cr.header }
 func (cr *CaptureReader) NumFrames() int { return len(cr.offsets) }
 
 // Truncated reports whether the capture ends cleanly. A nil return
-// means the file is complete and its frame index came from the valid
-// footer; otherwise a recovery scan rebuilt the index, and the error
-// wraps ErrTruncatedCapture and describes where the damage starts. The
-// intact frames remain fully readable either way.
+// means the end marker directly follows the last frame and ends the
+// file; otherwise the error wraps ErrTruncatedCapture and describes
+// where the intact frames stop. Those frames remain fully readable
+// either way.
 func (cr *CaptureReader) Truncated() error { return cr.trunc }
 
-// readHeader decodes and validates the v1 file header.
+// readHeader decodes and validates the v2 file header, leaving br at
+// the first frame.
 func (cr *CaptureReader) readHeader() error {
 	if _, err := cr.r.Seek(0, io.SeekStart); err != nil {
 		return fmt.Errorf("transport: seek capture start: %w", err)
@@ -307,7 +267,7 @@ func (cr *CaptureReader) readHeader() error {
 		return fmt.Errorf("transport: not a capture file (magic %x)", hdr[0:8])
 	}
 	if v := binary.BigEndian.Uint16(hdr[8:]); v != CaptureVersion {
-		return fmt.Errorf("transport: unsupported capture version %d", v)
+		return fmt.Errorf("transport: capture version %d is not supported, want version %d", v, CaptureVersion)
 	}
 	if got, want := binary.BigEndian.Uint32(hdr[40:]), crc32.ChecksumIEEE(hdr[:40]); got != want {
 		return fmt.Errorf("transport: capture header CRC mismatch %#x != %#x", got, want)
@@ -327,98 +287,27 @@ func (cr *CaptureReader) readHeader() error {
 	return nil
 }
 
-// loadFooter tries the indexed fast path: locate the footer from the
-// fixed-size tail, validate its CRC and every offset it holds, and
-// adopt it as the frame index. Any implausibility — short file, bad
-// trailer, bad CRC, out-of-range or non-monotonic offsets — reports
-// false so the caller falls back to the recovery scan; nothing in a
-// damaged footer is trusted.
-func (cr *CaptureReader) loadFooter() bool {
-	size, err := cr.r.Seek(0, io.SeekEnd)
-	if err != nil {
-		return false
-	}
-	if size < captureHeaderSize+captureFooterFixed+captureTailSize {
-		return false
-	}
-	var tail [captureTailSize]byte
-	if _, err := cr.r.Seek(size-captureTailSize, io.SeekStart); err != nil {
-		return false
-	}
-	if _, err := io.ReadFull(cr.r, tail[:]); err != nil {
-		return false
-	}
-	if [8]byte(tail[8:16]) != captureTrail {
-		return false
-	}
-	footerOff := int64(binary.BigEndian.Uint64(tail[0:]))
-	// The footer block spans [footerOff, size-tail-4) with its CRC just
-	// after; bound it by the file itself so a hostile offset cannot
-	// trigger an oversized read.
-	blockEnd := size - captureTailSize - 4
-	if footerOff < captureHeaderSize || footerOff+captureFooterFixed-4 > blockEnd {
-		return false
-	}
-	block := make([]byte, blockEnd-footerOff)
-	if _, err := cr.r.Seek(footerOff, io.SeekStart); err != nil {
-		return false
-	}
-	if _, err := io.ReadFull(cr.r, block); err != nil {
-		return false
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(cr.r, crcBuf[:]); err != nil {
-		return false
-	}
-	if binary.BigEndian.Uint32(crcBuf[:]) != crc32.ChecksumIEEE(block) {
-		return false
-	}
-	if [4]byte(block[0:4]) != captureFooter {
-		return false
-	}
-	count := binary.BigEndian.Uint64(block[8:16])
-	if int(count) < 0 || captureFooterFixed-4+int(count)*8 != len(block) {
-		return false
-	}
-	minFrame := int64(frameWireSize(int(cr.header.Hello.NumBins)))
-	offsets := make([]int64, count)
-	prev := captureHeaderSize - minFrame
-	for i := range offsets {
-		off := int64(binary.BigEndian.Uint64(block[16+i*8:]))
-		if off < prev+minFrame || off+minFrame > footerOff {
-			return false
-		}
-		offsets[i] = off
-		prev = off
-	}
-	cr.offsets = offsets
-	return true
-}
-
-// scanIndex rebuilds the frame index by validating the CRC-framed
-// stream front to back (samples are never decoded), stopping at the
-// first damage — a cut frame, a corrupt CRC, or the (possibly damaged)
-// footer bytes. Everything before the stop is intact and becomes the
-// readable prefix. The scan runs only when the footer did not
-// validate, so it always returns where it stopped, wrapping
-// ErrTruncatedCapture.
+// scanIndex builds the frame index by validating the CRC-framed stream
+// front to back (samples are never decoded), from the header on. It
+// stops at the end marker or at the first damage — a cut frame, a
+// corrupt CRC, a damaged marker — and everything before the stop is
+// intact and becomes the readable prefix. It returns nil only when the
+// marker ends the file; otherwise it says where the scan stopped,
+// wrapping ErrTruncatedCapture.
 func (cr *CaptureReader) scanIndex() error {
-	if _, err := cr.r.Seek(captureHeaderSize, io.SeekStart); err != nil {
-		return fmt.Errorf("transport: seek frame body: %w", err)
-	}
-	cr.br.Reset(cr.r)
 	off := int64(captureHeaderSize)
 	for {
-		if peek, err := cr.br.Peek(4); err == nil && [4]byte(peek[0:4]) == captureFooter {
-			// The footer exists but failed validation in loadFooter:
-			// the frames are all intact, the index is not.
-			return fmt.Errorf("transport: capture footer damaged after %d frames: %w",
+		if peek, err := cr.br.Peek(len(captureEnd) + 1); len(peek) >= len(captureEnd) && [8]byte(peek) == captureEnd {
+			if len(peek) == len(captureEnd) && err == io.EOF {
+				return nil
+			}
+			return fmt.Errorf("transport: capture end marker after %d frames does not end the file: %w",
 				len(cr.offsets), ErrTruncatedCapture)
 		}
 		_, n, err := readFrameWire(cr.br, cr.scratchHeader, &cr.scratchBody, cr.header.Hello.NumBins)
 		if errors.Is(err, io.EOF) {
-			// Frames ended without a footer: the Close never landed.
-			return fmt.Errorf("transport: capture footer missing after %d frames: %w",
+			// Frames ended without the marker: the Close never landed.
+			return fmt.Errorf("transport: capture end marker missing after %d frames: %w",
 				len(cr.offsets), ErrTruncatedCapture)
 		}
 		if err != nil {
@@ -458,8 +347,8 @@ func (cr *CaptureReader) Next() (PlaneFrame, error) {
 	}
 	f, err := readFramePlanes(cr.br, cr.scratchHeader, &cr.scratchBody, cr.planeI, cr.planeQ, cr.header.Hello.NumBins)
 	if err != nil {
-		// Only reachable when a (CRC-valid) footer pointed at bytes that
-		// do not decode — treat it like any other tail damage.
+		// The scan validated this frame at open, so the bytes under the
+		// reader changed or could not be read.
 		cr.aligned = false
 		return PlaneFrame{}, errIndexedFrame(cr.pos, err)
 	}
@@ -481,7 +370,7 @@ func (cr *CaptureReader) align() error {
 
 //blinkradar:coldpath
 func errIndexedFrame(k int, err error) error {
-	return fmt.Errorf("transport: indexed frame %d does not decode: %v: %w", k, err, ErrTruncatedCapture)
+	return fmt.Errorf("transport: indexed frame %d no longer decodes: %v: %w", k, err, ErrTruncatedCapture)
 }
 
 // ReadMatrixFrom decodes the intact frames from index start on into a

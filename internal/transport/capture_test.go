@@ -2,9 +2,13 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"blinkradar/internal/iq"
@@ -25,7 +29,7 @@ func testFrame(k int, bins int) Frame {
 	return f
 }
 
-// writeTestCapture builds a finished v1 capture with n frames.
+// writeTestCapture builds a finished capture with n frames.
 func writeTestCapture(tb testing.TB, hello StreamHello, n int) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -45,7 +49,7 @@ func writeTestCapture(tb testing.TB, hello StreamHello, n int) []byte {
 }
 
 // writeMatrixCapture writes a frame matrix through CaptureWriter,
-// stamping frames as radarsim does, and returns the finished v1 capture.
+// stamping frames as radarsim does, and returns the finished capture.
 func writeMatrixCapture(tb testing.TB, m *rf.FrameMatrix) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
@@ -64,6 +68,16 @@ func writeMatrixCapture(tb testing.TB, m *rf.FrameMatrix) []byte {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// withVersion returns a copy of a capture whose header announces
+// format version v, with the header CRC recomputed, so only the
+// version can make a reader refuse it.
+func withVersion(data []byte, v uint16) []byte {
+	out := append([]byte{}, data...)
+	binary.BigEndian.PutUint16(out[8:], v)
+	binary.BigEndian.PutUint32(out[40:], crc32.ChecksumIEEE(out[:40]))
+	return out
 }
 
 // widen returns a plane frame's samples as complex values, the form
@@ -103,9 +117,14 @@ func checkFrames(t *testing.T, cr *CaptureReader, want int) {
 	}
 }
 
-func TestCaptureRoundTripV1(t *testing.T) {
+// TestCaptureRoundTrip checks a finished capture's layout — header,
+// frames, end marker and nothing else — and that it reads back clean.
+func TestCaptureRoundTrip(t *testing.T) {
 	const n = 17
 	data := writeTestCapture(t, testHello, n)
+	if want := captureHeaderSize + n*frameWireSize(int(testHello.NumBins)) + len(captureEnd); len(data) != want {
+		t.Fatalf("capture is %d bytes, want header + frames + end marker = %d", len(data), want)
+	}
 	cr, err := NewCaptureReader(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -118,9 +137,23 @@ func TestCaptureRoundTripV1(t *testing.T) {
 		t.Fatalf("StartTimeMicros = %d", h.StartTimeMicros)
 	}
 	if err := cr.Truncated(); err != nil {
-		t.Fatalf("complete capture should load its footer index, reports truncation: %v", err)
+		t.Fatalf("complete capture reports truncation: %v", err)
 	}
 	checkFrames(t, cr, n)
+}
+
+// TestCaptureRefusesV1 checks that a capture of an earlier format
+// version is refused with an error naming its version, not read as a
+// torn v2 file.
+func TestCaptureRefusesV1(t *testing.T) {
+	v1 := withVersion(writeTestCapture(t, testHello, 3), 1)
+	cr, err := NewCaptureReader(bytes.NewReader(v1))
+	if err == nil {
+		t.Fatalf("v1 capture opened with %d frames", cr.NumFrames())
+	}
+	if !strings.Contains(err.Error(), "version 1") || errors.Is(err, ErrTruncatedCapture) {
+		t.Fatalf("v1 capture refused with %v, want an error naming version 1", err)
+	}
 }
 
 func TestCaptureSeek(t *testing.T) {
@@ -165,7 +198,7 @@ func TestCaptureSeek(t *testing.T) {
 
 // TestCaptureReaderRefusesHelloHeaded checks that a bare wire dump —
 // a stream hello followed by encoded frames, with no capture header —
-// is not a capture: v1 is the only version the reader opens.
+// is not a capture, and the reader refuses it.
 func TestCaptureReaderRefusesHelloHeaded(t *testing.T) {
 	var buf bytes.Buffer
 	if err := EncodeHello(&buf, testHello); err != nil {
@@ -187,7 +220,7 @@ func TestCaptureReaderRefusesHelloHeaded(t *testing.T) {
 
 // TestCaptureTruncationEveryByte is the boundary-cut matrix from the
 // issue, taken to its limit: the capture is cut at every byte offset —
-// mid-header, every mid-frame position, every mid-footer position —
+// mid-header, every mid-frame position, every mid-marker position —
 // and the reader must recover exactly the intact frame prefix with
 // ErrTruncatedCapture. Cuts inside the file header cannot even
 // identify the capture and fail to open, still with the typed error.
@@ -233,32 +266,39 @@ func TestCaptureTruncationEveryByte(t *testing.T) {
 	checkFrames(t, cr, n)
 }
 
-// TestCaptureFooterCorruption damages the index while leaving every
-// frame intact: the reader must fall back to the scan, recover all
-// frames, and still flag the file.
-func TestCaptureFooterCorruption(t *testing.T) {
+// TestCaptureEndMarkerDamage leaves every frame intact and damages
+// only what follows them: each byte of the end marker flipped in turn,
+// and bytes appended after an intact marker. The reader must serve all
+// frames and still flag the file.
+func TestCaptureEndMarkerDamage(t *testing.T) {
 	const n = 10
 	data := writeTestCapture(t, testHello, n)
-	frameEnd := captureHeaderSize + n*frameWireSize(int(testHello.NumBins))
-	for _, off := range []int{frameEnd + 9, len(data) - 20, len(data) - 1} {
+	var damaged [][]byte
+	for off := len(data) - len(captureEnd); off < len(data); off++ {
 		corrupt := append([]byte{}, data...)
 		corrupt[off] ^= 0xff
-		cr, err := NewCaptureReader(bytes.NewReader(corrupt))
+		damaged = append(damaged, corrupt)
+	}
+	damaged = append(damaged,
+		append(append([]byte{}, data...), 0),
+		append(append([]byte{}, data...), data[captureHeaderSize:]...))
+	for i, file := range damaged {
+		cr, err := NewCaptureReader(bytes.NewReader(file))
 		if err != nil {
-			t.Fatalf("flip at %d: open failed: %v", off, err)
+			t.Fatalf("case %d: open failed: %v", i, err)
 		}
 		if terr := cr.Truncated(); !errors.Is(terr, ErrTruncatedCapture) {
-			t.Fatalf("flip at %d: damaged footer was trusted, Truncated = %v", off, terr)
+			t.Fatalf("case %d: damaged capture end reports clean, Truncated = %v", i, terr)
 		}
 		checkFrames(t, cr, n)
 	}
 }
 
-// TestCaptureIndexedFrameCorruption damages one frame's payload while
-// the footer stays valid: the index loads, the reader serves frames up
-// to the damage, and the damaged frame surfaces as a typed error at
-// read time (CRC validation runs on the indexed path too).
-func TestCaptureIndexedFrameCorruption(t *testing.T) {
+// TestCaptureDamagedFrameServesPrefix damages one frame in the middle
+// of a finished capture: the reader serves the frames before it,
+// through Next and through ReadMatrixFrom as radard and radarfleet
+// load captures, and reports the rest as truncation.
+func TestCaptureDamagedFrameServesPrefix(t *testing.T) {
 	const n, bad = 8, 4
 	data := writeTestCapture(t, testHello, n)
 	frameSize := frameWireSize(int(testHello.NumBins))
@@ -268,22 +308,26 @@ func TestCaptureIndexedFrameCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cr.Truncated(); err != nil {
-		t.Fatalf("footer is intact; the index should load, got %v", err)
+	terr := cr.Truncated()
+	if !errors.Is(terr, ErrTruncatedCapture) || !strings.Contains(terr.Error(), fmt.Sprintf("frame %d ", bad)) {
+		t.Fatalf("Truncated = %v, want ErrTruncatedCapture at frame %d", terr, bad)
 	}
-	for k := 0; k < bad; k++ {
-		if _, err := cr.Next(); err != nil {
-			t.Fatalf("intact frame %d: %v", k, err)
-		}
+	checkFrames(t, cr, bad)
+	m, err := cr.ReadMatrixFrom(0)
+	if err != nil {
+		t.Fatalf("ReadMatrixFrom over the intact prefix: %v", err)
 	}
-	if _, err := cr.Next(); !errors.Is(err, ErrTruncatedCapture) {
-		t.Fatalf("damaged frame read = %v, want ErrTruncatedCapture", err)
+	if m.NumFrames() != bad {
+		t.Fatalf("matrix holds %d frames, want the %d before the damage", m.NumFrames(), bad)
+	}
+	if _, err := cr.ReadMatrixFrom(bad); err == nil {
+		t.Fatal("ReadMatrixFrom at the damaged frame succeeded")
 	}
 }
 
 // TestCaptureCrashBeforeClose simulates the torn-write case the format
 // exists for: frames checkpointed to disk, process dies before Close
-// ever writes the footer. Every checkpointed frame must be served.
+// ever writes the end marker. Every checkpointed frame must be served.
 func TestCaptureCrashBeforeClose(t *testing.T) {
 	var buf bytes.Buffer
 	cw, err := NewCaptureWriter(&buf, testHello, 0)
@@ -300,13 +344,13 @@ func TestCaptureCrashBeforeClose(t *testing.T) {
 	if err := cw.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// No Close: buf holds header + frames, no footer.
+	// No Close: buf holds header + frames, no end marker.
 	cr, err := NewCaptureReader(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if terr := cr.Truncated(); !errors.Is(terr, ErrTruncatedCapture) {
-		t.Fatalf("footerless capture Truncated = %v", terr)
+		t.Fatalf("unclosed capture Truncated = %v", terr)
 	}
 	checkFrames(t, cr, n)
 }

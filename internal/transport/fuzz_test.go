@@ -153,18 +153,21 @@ func FuzzDecodeHello(f *testing.F) {
 // checks the recovery contract's structural invariants: no panics, no
 // unbounded allocation (every recovered frame is CRC-framed data that
 // was physically present in the input, so the recovered wire size is
-// bounded by the input size), geometry always plausible, and the frame
-// count stable under re-reads and seeks.
+// bounded by the input size), geometry always plausible, every indexed
+// frame readable, and the frame count stable under re-reads and seeks.
 func FuzzCaptureReader(f *testing.F) {
 	whole := writeTestCapture(f, testHello, 5)
+	frameSize := frameWireSize(int(testHello.NumBins))
 	f.Add(whole)
-	f.Add(whole[:len(whole)-11])        // torn footer
-	f.Add(whole[:captureHeaderSize+50]) // torn mid-frame
-	f.Add(whole[:captureHeaderSize])    // header only
-	f.Add(whole[:9])                    // torn mid-header
+	f.Add(whole[:len(whole)-3])                           // torn end marker
+	f.Add(whole[:captureHeaderSize+50])                   // torn mid-frame
+	f.Add(whole[:captureHeaderSize])                      // header only
+	f.Add(whole[:9])                                      // torn mid-header
+	f.Add(append(append([]byte{}, whole...), 0xB1, 0x1C)) // bytes after the end marker
 	corrupt := append([]byte{}, whole...)
-	corrupt[captureHeaderSize+30] ^= 0xff // frame damage under a valid footer
+	corrupt[captureHeaderSize+2*frameSize+30] ^= 0xff // damaged middle frame
 	f.Add(corrupt)
+	f.Add(withVersion(whole, 1)) // v1 header
 	// A bare wire dump (stream hello + frame) is malformed input: the
 	// reader must refuse it, not panic.
 	var dump bytes.Buffer
@@ -188,28 +191,29 @@ func FuzzCaptureReader(f *testing.F) {
 		if wire := cr.NumFrames() * frameWireSize(int(h.Hello.NumBins)); wire > len(data) {
 			t.Fatalf("index claims %d wire bytes of frames in a %d-byte input", wire, len(data))
 		}
+		if terr := cr.Truncated(); terr != nil && !errors.Is(terr, ErrTruncatedCapture) {
+			t.Fatalf("Truncated: untyped damage report %v", terr)
+		}
 		read := 0
 		for {
 			fr, err := cr.Next()
-			if err != nil {
-				// A damaged footer can index bytes that do not decode; that
-				// must surface as the typed error, never as a panic or a
-				// fabricated frame.
-				if err != io.EOF && !errors.Is(err, ErrTruncatedCapture) {
-					t.Fatalf("Next: untyped failure %v", err)
-				}
+			if err == io.EOF {
 				break
+			}
+			if err != nil {
+				// The scan validated every indexed frame at open.
+				t.Fatalf("Next at indexed frame %d: %v", read, err)
 			}
 			if len(fr.I) != int(h.Hello.NumBins) || len(fr.Q) != int(h.Hello.NumBins) {
 				t.Fatalf("frame %d has %d/%d bins, header pins %d", read, len(fr.I), len(fr.Q), h.Hello.NumBins)
 			}
 			read++
-			if read > cr.NumFrames() {
-				t.Fatalf("read %d frames from a %d-frame index", read, cr.NumFrames())
-			}
 		}
-		// Re-seeking to 0 reproduces the first frame byte-for-byte (the
-		// index is stable, and indexed reads re-validate the CRC).
+		if read != cr.NumFrames() {
+			t.Fatalf("read %d frames from a %d-frame index", read, cr.NumFrames())
+		}
+		// Re-seeking to 0 reproduces the first frame (the index is
+		// stable, and indexed reads re-validate the CRC).
 		if read > 0 {
 			if err := cr.Seek(0); err != nil {
 				t.Fatal(err)
@@ -223,8 +227,9 @@ func FuzzCaptureReader(f *testing.F) {
 
 // FuzzCaptureRoundTrip is the write→read property fuzz: for arbitrary
 // geometry, frame count, contents, and cut point, a capture written by
-// CaptureWriter reads back exactly — and its every-byte-truncation
-// behaviour matches the spec (intact prefix + ErrTruncatedCapture).
+// CaptureWriter is its header, its frames and the end marker, reads
+// back exactly — and its every-byte-truncation behaviour matches the
+// spec (intact prefix + ErrTruncatedCapture).
 func FuzzCaptureRoundTrip(f *testing.F) {
 	f.Add(uint8(5), uint8(8), int64(1), uint32(1<<30))
 	f.Add(uint8(1), uint8(1), int64(2), uint32(0))
@@ -258,6 +263,9 @@ func FuzzCaptureRoundTrip(f *testing.F) {
 			t.Fatal(err)
 		}
 		data := buf.Bytes()
+		if want := captureHeaderSize + n*frameWireSize(bins) + len(captureEnd); len(data) != want {
+			t.Fatalf("capture of %d frames is %d bytes, want %d", n, len(data), want)
+		}
 
 		verify := func(cr *CaptureReader, want int) {
 			t.Helper()
